@@ -132,22 +132,26 @@ def cmd_simulate(cfg: RunConfig, out_dir: str | None, seed: int | None, threads:
     return 0
 
 
+def _burn_ins(cfg: RunConfig) -> tuple[float, float, float]:
+    return tuple(cfg.experiment.get("burn_ins", [cfg.experiment["t_end"] / 6.0] * 3))
+
+
 def _resolve_constants(cfg: RunConfig, grid, coeffs, params, window,
-                       stepper_cfg, seed: int | None) -> KnownConstants:
-    """config > convex-formula (M2 under the convex hypothesis) > measured."""
+                       trajectories) -> KnownConstants:
+    """config > convex-formula (M2 under the convex hypothesis) > measured.
+
+    ``trajectories()`` supplies the runs to measure from; it is called only
+    when a constant is still missing.
+    """
     constants = build_constants(cfg)
     h2 = check_H2(coeffs, params, grid.dim, True, window)
     if constants.M2 is None and h2.ok:
         bound = compute_M2_convex(coeffs, params, grid.dim, window)
         constants = constants.with_values("convex-formula", M2=bound.M2)
-    missing = constants.missing("M1", "M2", "eta", "C3_tilde")
-    if missing and cfg.experiment.get("measure"):
-        u0, v0 = build_initial(cfg, grid, seed)
-        t_end = cfg.experiment["t_end"]
-        traj = run(ModelState(0.0, u0, v0), t_end, coeffs, params, stepper_cfg,
-                   sample_dt=cfg.experiment.get("sample_dt"))
-        burn = cfg.experiment.get("burn_ins", [t_end / 3.0] * 3)
-        constants = measure_constants([traj], tuple(burn), base=constants)
+    if constants.missing("M1", "M2", "eta", "C3_tilde"):
+        trajs = trajectories()
+        if trajs:
+            constants = measure_constants(trajs, _burn_ins(cfg), base=constants)
     return constants
 
 
@@ -158,7 +162,15 @@ def _stability_report(cfg: RunConfig, out_dir: str | None, seed: int | None):
     stepper_cfg = build_stepper(cfg)
     window = tuple(cfg.experiment.get("window", [0.0, cfg.experiment["t_end"]]))
     validate_roles(coeffs, window)
-    constants = _resolve_constants(cfg, grid, coeffs, params, window, stepper_cfg, seed)
+
+    def trajectories():
+        if not cfg.experiment.get("measure"):
+            return []
+        u0, v0 = build_initial(cfg, grid, seed)
+        return [run(ModelState(0.0, u0, v0), cfg.experiment["t_end"], coeffs, params,
+                    stepper_cfg, sample_dt=cfg.experiment.get("sample_dt"))]
+
+    constants = _resolve_constants(cfg, grid, coeffs, params, window, trajectories)
     report = estimate_theta(coeffs, params, constants, window,
                             n_samples=cfg.experiment["n_samples"])
     return report
@@ -210,13 +222,8 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         trajs = list(pool.map(run_seed, seeds))
 
-    burn = tuple(exp.get("burn_ins", [t_end / 6.0] * 3))
-    constants = build_constants(cfg)
-    h2 = check_H2(coeffs, params, grid.dim, True, window)
-    if constants.M2 is None and h2.ok:
-        constants = constants.with_values(
-            "convex-formula", M2=compute_M2_convex(coeffs, params, grid.dim, window).M2)
-    constants = measure_constants(trajs, burn, base=constants)
+    burn = _burn_ins(cfg)
+    constants = _resolve_constants(cfg, grid, coeffs, params, window, lambda: trajs)
     report = estimate_theta(coeffs, params, constants, window, n_samples=exp["n_samples"])
 
     meta = _metadata_lines(cfg)

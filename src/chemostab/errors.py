@@ -46,7 +46,7 @@ class StepSizeUnderflowError(ChemostabError, RuntimeError):
 
 
 class SolverError(ChemostabError, RuntimeError):
-    """Fatal numerical failure (non-finite values, linear-solve breakdown)."""
+    """Fatal numerical failure that retrying with a smaller step cannot fix."""
 
 
 class PositivityBudgetError(SolverError):

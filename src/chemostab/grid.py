@@ -176,27 +176,23 @@ def _same_grid(*fields: Field) -> Grid:
     return grid
 
 
-def _reflect_pad(vals: np.ndarray, axis: int) -> np.ndarray:
-    width = [(0, 0)] * vals.ndim
-    width[axis] = (1, 1)
-    return np.pad(vals, width, mode="reflect")
-
-
-def _shift(padded: np.ndarray, axis: int, offset: int, n: int) -> np.ndarray:
-    sl = [slice(None)] * padded.ndim
-    sl[axis] = slice(offset, offset + n)
-    return padded[tuple(sl)]
+def _second_differences(grid: Grid, vals: np.ndarray) -> list[np.ndarray]:
+    """Per-axis second differences with reflected ghosts ``f(-h) = f(h)``."""
+    out = []
+    for axis, h in enumerate(grid.spacing):
+        v = np.swapaxes(vals, 0, axis)
+        d = np.empty_like(v)
+        d[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
+        d[0] = v[1] - 2.0 * v[0] + v[1]
+        d[-1] = v[-2] - 2.0 * v[-1] + v[-2]
+        d /= h * h
+        out.append(np.swapaxes(d, 0, axis))
+    return out
 
 
 def laplacian_values(grid: Grid, vals: np.ndarray) -> np.ndarray:
     """Array kernel behind :func:`laplacian_neumann` (no Field wrapping)."""
-    out = np.zeros_like(vals)
-    for axis, (h, n) in enumerate(zip(grid.spacing, grid.counts)):
-        padded = _reflect_pad(vals, axis)
-        left = _shift(padded, axis, 0, n)
-        right = _shift(padded, axis, 2, n)
-        out += (left - 2.0 * vals + right) / (h * h)
-    return out
+    return sum(_second_differences(grid, vals))
 
 
 def laplacian_neumann(f: Field) -> Field:
@@ -214,20 +210,13 @@ def chemotaxis_values(grid: Grid, uv: np.ndarray, vv: np.ndarray, chi: float) ->
         return np.zeros_like(uv)
     div = np.zeros_like(uv)
     for axis, h in enumerate(grid.spacing):
-        n = grid.counts[axis]
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[axis] = slice(0, n - 1)
-        hi[axis] = slice(1, n)
-        ubar = 0.5 * (uv[tuple(lo)] + uv[tuple(hi)])
-        flux = ubar * (vv[tuple(hi)] - vv[tuple(lo)]) / h
-        pad = [(0, 0)] * grid.dim
-        pad[axis] = (1, 1)
-        flux = np.pad(flux, pad)  # zero flux through the boundary faces
-        widths = grid.axis_weights[axis]
-        shape = [1] * grid.dim
-        shape[axis] = n
-        div += np.diff(flux, axis=axis) / widths.reshape(shape)
+        u, v, d = (np.swapaxes(a, 0, axis) for a in (uv, vv, div))
+        flux = 0.5 * (u[:-1] + u[1:]) * (v[1:] - v[:-1]) / h
+        net = np.empty_like(u)  # right-face minus left-face flux per node
+        net[0] = flux[0]  # zero flux through the boundary faces
+        net[1:-1] = flux[1:] - flux[:-1]
+        net[-1] = -flux[-1]
+        d += net / grid.axis_weights[axis].reshape((-1,) + (1,) * (grid.dim - 1))
     return -float(chi) * div
 
 
@@ -271,26 +260,18 @@ def gradient_neumann(f: Field) -> tuple[np.ndarray, ...]:
     The normal derivative at boundary nodes is identically zero, matching the
     no-flux boundary condition.
     """
-    grid = f.grid
     out = []
-    for axis, (h, n) in enumerate(zip(grid.spacing, grid.counts)):
-        padded = _reflect_pad(f.values, axis)
-        left = _shift(padded, axis, 0, n)
-        right = _shift(padded, axis, 2, n)
-        out.append((right - left) / (2.0 * h))
+    for axis, h in enumerate(f.grid.spacing):
+        v = np.swapaxes(f.values, 0, axis)
+        g = np.zeros_like(v)
+        g[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+        out.append(np.swapaxes(g, 0, axis))
     return tuple(out)
 
 
 def second_differences(f: Field) -> tuple[np.ndarray, ...]:
     """Per-axis second differences with reflected ghosts."""
-    grid = f.grid
-    out = []
-    for axis, (h, n) in enumerate(zip(grid.spacing, grid.counts)):
-        padded = _reflect_pad(f.values, axis)
-        left = _shift(padded, axis, 0, n)
-        right = _shift(padded, axis, 2, n)
-        out.append((left - 2.0 * f.values + right) / (h * h))
-    return tuple(out)
+    return tuple(_second_differences(f.grid, f.values))
 
 
 def w2inf_norm(f: Field) -> float:

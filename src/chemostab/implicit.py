@@ -1,96 +1,65 @@
 """Linear solves for the implicit diffusion part of the time stepper.
 
 Solves (a*I - b*Lap) x = rhs on a grid, where Lap is the ghost-reflected
-Neumann Laplacian and a > 0, b >= 0.  The operator is an M-matrix (strictly
-diagonally dominant with nonpositive off-diagonals), so the solve cannot
-break down for any positive step size.
+Neumann Laplacian and a > 0, b >= 0.
 
-1D uses a banded factorization; 2D diagonalizes the per-axis operators once
-per grid (they are symmetric under the trapezoid weight similarity) and
-solves in the tensor eigenbasis, which makes the per-step cost independent
-of how often the step size changes.
+On this node-centred grid the type-I discrete cosine transform diagonalizes
+the reflected-ghost Laplacian exactly, in any dimension: along an axis with
+n nodes and spacing h, the cosine cos(pi*k*i/(n-1)) is an eigenvector with
+eigenvalue -(4/h^2) * sin^2(pi*k/(2*(n-1))) (Strang, "The Discrete Cosine
+Transform", SIAM Review 41, 1999).  The solve transforms rhs along every
+axis, divides by the symbol a - b * (sum of the axis eigenvalues), and
+transforms back.  Each DCT-I is the real FFT of the even extension
+[f_0, ..., f_{n-1}, f_{n-2}, ..., f_1], whose spectrum is real.  Applied
+twice, the DCT-I returns its input times 2*(n-1), so the same transform
+serves for the way back.
+
+The symbol is at least a > 0, so the division cannot break down.  Non-finite
+input yields non-finite output rather than an error; the stepper rejects such
+steps and retries with a smaller one.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
-from .errors import SolverError
 from .grid import Grid
 
-__all__ = ["solve_shifted", "axis_laplacian_matrix"]
-
-
-def axis_laplacian_matrix(grid: Grid, axis: int) -> np.ndarray:
-    """Dense 1D Neumann Laplacian along one axis (reflected ghosts)."""
-    n = grid.counts[axis]
-    h = grid.spacing[axis]
-    a = np.zeros((n, n))
-    inv = 1.0 / (h * h)
-    for i in range(1, n - 1):
-        a[i, i - 1] = inv
-        a[i, i] = -2.0 * inv
-        a[i, i + 1] = inv
-    a[0, 0] = -2.0 * inv
-    a[0, 1] = 2.0 * inv
-    a[n - 1, n - 1] = -2.0 * inv
-    a[n - 1, n - 2] = 2.0 * inv
-    return a
+__all__ = ["solve_shifted"]
 
 
 @lru_cache(maxsize=32)
-def _axis_eig(grid: Grid, axis: int):
-    """Eigendecomposition of the weight-symmetrized axis Laplacian.
-
-    With D = diag(trapezoid weights), D^(1/2) A D^(-1/2) is symmetric, so
-    A = D^(-1/2) Q L Q^T D^(1/2) with real L <= 0.
-    """
-    a = axis_laplacian_matrix(grid, axis)
-    w = grid.axis_weights[axis]
-    sqw = np.sqrt(w)
-    sym = (a * (sqw[:, None] / sqw[None, :]) + (a * (sqw[:, None] / sqw[None, :])).T) / 2.0
-    lam, q = np.linalg.eigh(sym)
-    return lam, q, sqw
+def _neg_symbol(grid: Grid) -> np.ndarray:
+    """-(sum of the per-axis Laplacian eigenvalues), shaped like a field."""
+    out = np.zeros(grid.counts)
+    for axis, (h, n) in enumerate(zip(grid.spacing, grid.counts)):
+        lam = (4.0 / (h * h)) * np.sin(np.pi * np.arange(n) / (2.0 * (n - 1))) ** 2
+        shape = [1] * grid.dim
+        shape[axis] = n
+        out = out + lam.reshape(shape)
+    out.flags.writeable = False
+    return out
 
 
-def _solve_banded_1d(grid: Grid, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
-    n = grid.counts[0]
-    h = grid.spacing[0]
-    r = b / (h * h)
-    ab = np.zeros((3, n))
-    ab[1, :] = a + 2.0 * r
-    ab[0, 1:] = -r
-    ab[2, :-1] = -r
-    ab[0, 1] = -2.0 * r  # reflected ghost doubles the boundary coupling
-    ab[2, n - 2] = -2.0 * r
-    return scipy.linalg.solve_banded((1, 1), ab, rhs)
-
-
-def _solve_tensor_2d(grid: Grid, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
-    lam0, q0, sw0 = _axis_eig(grid, 0)
-    lam1, q1, sw1 = _axis_eig(grid, 1)
-    tilde = q0.T @ (rhs * sw0[:, None] * sw1[None, :]) @ q1
-    tilde /= a - b * (lam0[:, None] + lam1[None, :])
-    out = q0 @ tilde @ q1.T
-    return out / (sw0[:, None] * sw1[None, :])
+def _dct1(x: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalized DCT-I along one axis."""
+    x = np.swapaxes(x, axis, -1)
+    spec = np.fft.rfft(np.concatenate([x, x[..., -2:0:-1]], axis=-1)).real
+    return np.swapaxes(spec, axis, -1)
 
 
 def solve_shifted(grid: Grid, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (a*I - b*Lap) x = rhs. Requires a > 0, b >= 0.
-
-    A breakdown here means the M-matrix property was somehow lost and is
-    fatal, not retryable.
-    """
+    """Solve (a*I - b*Lap) x = rhs. Requires a > 0, b >= 0."""
     if a <= 0.0 or b < 0.0:
         raise ValueError(f"need a > 0 and b >= 0, got a={a}, b={b}")
-    if b == 0.0:
-        return rhs / a
-    try:
-        if grid.dim == 1:
-            return _solve_banded_1d(grid, a, b, rhs)
-        return _solve_tensor_2d(grid, a, b, rhs)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise SolverError(f"implicit diffusion solve failed (a={a}, b={b}): {exc}") from exc
+    spec = rhs
+    for axis in range(grid.dim):
+        spec = _dct1(spec, axis)
+    scale = math.prod(2 * (n - 1) for n in grid.counts)
+    spec /= scale * a + (scale * b) * _neg_symbol(grid)
+    for axis in range(grid.dim):
+        spec = _dct1(spec, axis)
+    return spec

@@ -21,9 +21,18 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .errors import GridMismatchError
-from .grid import Field, chemotaxis_divergence, integrate, laplacian_neumann
+from .grid import (
+    Field,
+    Grid,
+    chemotaxis_divergence,
+    integrate,
+    integrate_values,
+    laplacian_neumann,
+)
 
-__all__ = ["ModelParams", "ModelState", "rhs_u", "rhs_v", "reaction_u", "mass_rate"]
+__all__ = [
+    "ModelParams", "ModelState", "rhs_u", "rhs_v", "reaction_u", "reaction_values", "mass_rate",
+]
 
 
 @dataclass(frozen=True)
@@ -72,18 +81,17 @@ class ModelState:
         return self.u.grid
 
 
-def _coeff_fields(state: ModelState, coeffs: CoefficientSet):
-    if coeffs.grid != state.grid:
-        raise GridMismatchError("coefficients and state live on different grids")
-    return coeffs.a0.eval(state.t), coeffs.a1.eval(state.t), coeffs.a2.eval(state.t)
+def reaction_values(grid: Grid, u: np.ndarray, t: float, coeffs: CoefficientSet) -> np.ndarray:
+    """Array kernel u*(a0 - a1*u - a2*total_mass(u)) at time t; zero where u is zero."""
+    a0, a1, a2 = (c.eval(t).values for c in (coeffs.a0, coeffs.a1, coeffs.a2))
+    return u * (a0 - a1 * u - a2 * integrate_values(grid, u))
 
 
 def reaction_u(state: ModelState, coeffs: CoefficientSet) -> Field:
-    """Growth/competition term u*(a0 - a1*u - a2*total_mass); zero where u is zero."""
-    a0, a1, a2 = _coeff_fields(state, coeffs)
-    total = integrate(state.u)
-    uv = state.u.values
-    return Field(state.grid, uv * (a0.values - a1.values * uv - a2.values * total))
+    """Growth/competition term of the population equation, as a Field."""
+    if coeffs.grid != state.grid:
+        raise GridMismatchError("coefficients and state live on different grids")
+    return Field(state.grid, reaction_values(state.grid, state.u.values, state.t, coeffs))
 
 
 def rhs_u(state: ModelState, coeffs: CoefficientSet, params: ModelParams) -> Field:

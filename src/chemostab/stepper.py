@@ -37,12 +37,11 @@ from .grid import (
     chemotaxis_values,
     gradient_neumann,
     integrate,
-    integrate_values,
     laplacian_values,
     w2inf_norm,
 )
 from .implicit import solve_shifted
-from .model import ModelParams, ModelState
+from .model import ModelParams, ModelState, reaction_values
 
 __all__ = [
     "StepperConfig",
@@ -140,12 +139,7 @@ def _explicit_u(
     grid: Grid, u: np.ndarray, v: np.ndarray, t: float,
     coeffs: CoefficientSet, params: ModelParams,
 ) -> np.ndarray:
-    drift = chemotaxis_values(grid, u, v, params.chi)
-    a0 = coeffs.a0.eval(t).values
-    a1 = coeffs.a1.eval(t).values
-    a2 = coeffs.a2.eval(t).values
-    total = integrate_values(grid, u)
-    return drift + u * (a0 - a1 * u - a2 * total)
+    return chemotaxis_values(grid, u, v, params.chi) + reaction_values(grid, u, t, coeffs)
 
 
 def _clamp_negatives(

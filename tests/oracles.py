@@ -1,7 +1,8 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately built on a different path than the package:
-closed forms, scipy's general-purpose integrator, and brute-force sampling.
+closed forms, scipy's general-purpose integrator, dense matrices, and
+brute-force sampling.
 """
 
 from __future__ import annotations
@@ -105,3 +106,48 @@ def trapezoid_sum(values, weights):
     for v, w in zip(np.ravel(values), np.ravel(weights)):
         total += v * w
     return total
+
+
+def axis_laplacian_matrix(grid, axis: int) -> np.ndarray:
+    """Dense 1D Neumann Laplacian along one axis (reflected ghosts)."""
+    n = grid.counts[axis]
+    h = grid.spacing[axis]
+    a = np.zeros((n, n))
+    inv = 1.0 / (h * h)
+    for i in range(1, n - 1):
+        a[i, i - 1] = inv
+        a[i, i] = -2.0 * inv
+        a[i, i + 1] = inv
+    a[0, 0] = -2.0 * inv
+    a[0, 1] = 2.0 * inv
+    a[n - 1, n - 1] = -2.0 * inv
+    a[n - 1, n - 2] = 2.0 * inv
+    return a
+
+
+def laplacian_matrix(grid) -> np.ndarray:
+    """Dense Neumann Laplacian on the flattened grid: the Kronecker sum of the
+    axis matrices, acting on C-ordered field values."""
+    mats = [axis_laplacian_matrix(grid, k) for k in range(grid.dim)]
+    if grid.dim == 1:
+        return mats[0]
+    n0, n1 = grid.counts
+    return np.kron(mats[0], np.eye(n1)) + np.kron(np.eye(n0), mats[1])
+
+
+def shifted_solve(grid, a: float, b: float, rhs) -> np.ndarray:
+    """Dense reference for (a*I - b*Lap) x = rhs.
+
+    Plain LU loses about cond * eps when b/h^2 is large, so the LU solution
+    is refined with residuals of the operator formed and applied in extended
+    precision (``np.longdouble``, 80-bit on x86-64).
+    """
+    lap = laplacian_matrix(grid)
+    eye = np.eye(grid.node_count)
+    op = a * eye - b * lap
+    op_ext = a * eye.astype(np.longdouble) - b * lap.astype(np.longdouble)
+    f = np.ravel(np.asarray(rhs, dtype=float))
+    x = np.linalg.solve(op, f)
+    for _ in range(2):
+        x = x + np.linalg.solve(op, (f - op_ext @ x).astype(float))
+    return x.reshape(grid.counts)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chemostab import ModelState, measure_constants, run
 from chemostab.cli import main
 from chemostab.config import (
     apply_override,
@@ -11,6 +15,7 @@ from chemostab.config import (
     build_grid,
     build_initial,
     build_params,
+    build_stepper,
     config_hash,
     parse_config,
     serialize_config,
@@ -262,6 +267,26 @@ class TestStability:
         h1_line = next(ln for ln in out.splitlines() if ln.startswith("H1:"))
         assert "inconclusive" in h1_line
 
+    def test_measured_constants_default_burn_in(self, tmp_path, capsys):
+        # u decays from 3 toward 1, so the bounds depend on the burn-in;
+        # without burn_ins the measurement skips the first t_end/6
+        text = STABILITY.replace("  constants: {M2: 1.0, eta: 0.9, C3_tilde: 1.0}\n",
+                                 "  measure: true\n")
+        text += "initial:\n  u: {profile: constant, value: 3.0}\n"
+        cfg_path = write_config(tmp_path, text=text)
+        assert main(["stability", "--config", str(cfg_path)]) == 0
+        printed = [ln for ln in capsys.readouterr().out.splitlines() if "(measured)" in ln]
+
+        cfg = parse_config(cfg_path.read_text())
+        grid = build_grid(cfg)
+        u0, v0 = build_initial(cfg, grid)
+        t_end = cfg.experiment["t_end"]
+        traj = run(ModelState(0.0, u0, v0), t_end, build_coefficients(cfg, grid),
+                   build_params(cfg), build_stepper(cfg))
+        expected = measure_constants([traj], (t_end / 6.0,) * 3)
+        assert printed == [f"{name}={getattr(expected, name):.6g} (measured)"
+                           for name in ("M1", "M2", "eta", "C3_tilde")]
+
 
 SWEEP = STABILITY + """
 """
@@ -406,3 +431,13 @@ class TestConverge:
         assert all(1.8 <= o <= 2.2 for o in spatial)
         temporal = float(out.splitlines()[1].split("=")[1].split()[0])
         assert 1.8 <= temporal <= 2.2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, chemostab.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

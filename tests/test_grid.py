@@ -264,6 +264,15 @@ class TestDerivativeHelpers:
         (gx,) = gradient_neumann(f)
         assert gx[0] == 0.0 and gx[-1] == 0.0
 
+    def test_gradient_exact_on_quadratics_2d(self):
+        # central differences are exact on quadratics at interior nodes
+        g = Grid((1.0, 2.0), (5, 9))
+        gx, gy = gradient_neumann(Field.from_function(g, lambda x, y: x * x + 3.0 * y * y))
+        x, y = g.coords()
+        assert np.allclose(gx[1:-1, :], 2.0 * x[1:-1, :], rtol=1e-13, atol=1e-13)
+        assert np.allclose(gy[:, 1:-1], 6.0 * y[:, 1:-1], rtol=1e-13, atol=1e-13)
+        assert np.all(gx[[0, -1], :] == 0.0) and np.all(gy[:, [0, -1]] == 0.0)
+
     def test_w2inf_on_neumann_cosine(self):
         g = unit_interval(201)
         f = Field.from_function(g, lambda x: np.cos(np.pi * x))

@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 
 from chemostab import Field, Grid, laplacian_neumann
-from chemostab.implicit import axis_laplacian_matrix, solve_shifted
+from chemostab.implicit import solve_shifted
+
+from oracles import axis_laplacian_matrix, laplacian_matrix, shifted_solve
 
 
 def apply_operator(grid, a, b, x):
     lap = laplacian_neumann(Field(grid, x, check=False)).values
     return a * x - b * lap
+
+
+def assert_matches_oracle(grid, a, b, rhs, x):
+    ref = shifted_solve(grid, a, b, rhs)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestAxisMatrix:
@@ -23,6 +30,14 @@ class TestAxisMatrix:
         mat = axis_laplacian_matrix(grid, 0)
         assert np.allclose(mat @ np.ones(9), 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("counts", [(3, 5), (9, 4)])
+    def test_kronecker_sum_matches_2d_stencil(self, counts):
+        grid = Grid((0.5, 2.0), counts)
+        x = np.random.default_rng(6).uniform(-1, 1, counts)
+        lap = laplacian_neumann(Field(grid, x)).values
+        assert np.allclose((laplacian_matrix(grid) @ x.ravel()).reshape(counts), lap,
+                           rtol=1e-13, atol=1e-12)
+
 
 class TestSolveShifted:
     @pytest.mark.parametrize("a,b", [(1.0, 0.01), (1.7, 0.3), (1.0, 0.0)])
@@ -32,6 +47,7 @@ class TestSolveShifted:
         rhs = rng.uniform(-1, 1, 23)
         x = solve_shifted(grid, a, b, rhs)
         assert np.allclose(apply_operator(grid, a, b, x), rhs, rtol=1e-11, atol=1e-12)
+        assert_matches_oracle(grid, a, b, rhs, x)
 
     @pytest.mark.parametrize("a,b", [(1.0, 0.05), (2.3, 0.4)])
     def test_2d_residual(self, a, b):
@@ -40,6 +56,21 @@ class TestSolveShifted:
         rhs = rng.uniform(-1, 1, grid.counts)
         x = solve_shifted(grid, a, b, rhs)
         assert np.allclose(apply_operator(grid, a, b, x), rhs, rtol=1e-10, atol=1e-11)
+        assert_matches_oracle(grid, a, b, rhs, x)
+
+    @pytest.mark.parametrize("extents,counts,a,b", [
+        ((1.0,), (3,), 1.7, 0.3),
+        ((0.6,), (101,), 2.3, 1e2),
+        ((1.0, 1.0), (3, 3), 1.0, 0.05),
+        ((0.5, 2.0), (3, 5), 2.3, 0.4),
+        ((1.0, 0.7), (17, 11), 1.0, 1e2),
+        ((2.0, 0.5), (33, 9), 2.3, 1e2),
+    ])
+    def test_matches_dense_oracle(self, extents, counts, a, b):
+        grid = Grid(extents, counts)
+        rng = np.random.default_rng(5)
+        rhs = rng.uniform(-1, 1, counts)
+        assert_matches_oracle(grid, a, b, rhs, solve_shifted(grid, a, b, rhs))
 
     def test_m_matrix_preserves_positivity(self):
         # the inverse of an M-matrix is entrywise nonnegative

@@ -99,6 +99,17 @@ class TestSingleStep:
         with pytest.raises(StepRejected):
             step(ModelState(0.0, u, v), 0.5, const_set(grid, 0.0, 0.0, 0.0), params, cfg)
 
+    @pytest.mark.parametrize("counts", [(11,), (7, 7)])
+    def test_overflow_is_retryable(self, counts):
+        # u*(a0 - a1*u) overflows; the solve must pass the non-finite values
+        # through so the step is rejected (retryable) in every dimension
+        grid = Grid((1.0,) * len(counts), counts)
+        params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StepRejected):
+                step(flat_state(grid, 1e200, 0.0), 0.1, const_set(grid), params,
+                     StepperConfig())
+
 
 class TestRun:
     def test_zero_length_run(self, grid):
