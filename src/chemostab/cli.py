@@ -207,20 +207,26 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
     if not seeds or len(seeds) < 2:
         raise ConfigError("experiment.seeds", "need at least 2 seeds")
     t_end = exp["t_end"]
+    if not t_end > 0.0:
+        raise ConfigError("experiment.t_end", "must be positive for stability-experiment")
     sample_dt = exp.get("sample_dt") or t_end / 200.0
     window = tuple(exp.get("window", [0.0, t_end]))
     validate_roles(coeffs, window, require_positive_growth=True)
 
-    def run_seed(blk):
-        u0 = build_profile_field(grid, blk["u"], seed)
-        v0 = build_profile_field(grid, blk["v"], seed)
-        if not u0.max() > 0.0:
-            raise ConfigError("experiment.seeds", "population seed must not vanish identically")
-        return run(ModelState(0.0, u0, v0), t_end, coeffs, params, stepper_cfg,
+    states = [tuple(build_profile_field(grid, blk[k], seed) for k in ("u", "v")) for blk in seeds]
+    if not all(u0.max() > 0.0 for u0, _ in states):
+        raise ConfigError("experiment.seeds", "population seed must not vanish identically")
+    # identical states would make the seed-independence checks pass vacuously
+    for (i, a), (j, b) in itertools.combinations(enumerate(states), 2):
+        if all(np.array_equal(x.values, y.values) for x, y in zip(a, b)):
+            raise ConfigError("experiment.seeds", f"seeds {i} and {j} give identical states")
+
+    def run_seed(state):
+        return run(ModelState(0.0, *state), t_end, coeffs, params, stepper_cfg,
                    sample_dt=sample_dt)
 
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        trajs = list(pool.map(run_seed, seeds))
+        trajs = list(pool.map(run_seed, states))
 
     burn = _burn_ins(cfg)
     constants = _resolve_constants(cfg, grid, coeffs, params, window, lambda: trajs)
@@ -289,13 +295,9 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
         t_back = t_end / 2.0
     if t_back > 0.0:
         span = tuple(exp.get("t_span", [0.0, max(1.0, t_end / 8.0)]))
-        pull_seeds = [
-            (build_profile_field(grid, seeds[0]["u"], seed), build_profile_field(grid, seeds[0]["v"], seed)),
-            (build_profile_field(grid, seeds[1]["u"], seed), build_profile_field(grid, seeds[1]["v"], seed)),
-        ]
         entire = approximate_entire_solution(
             coeffs, params, stepper_cfg, t_back, span,
-            seeds=pull_seeds, sample_dt=sample_dt, tolerance=exp["gap_tolerance"])
+            seeds=states[:2], sample_dt=sample_dt, tolerance=exp["gap_tolerance"])
         entire_gap = entire.seed_gap
 
     path = _out_path(cfg, out_dir, "stability")

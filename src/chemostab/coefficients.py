@@ -15,6 +15,8 @@ supports sampled (nested, monotone-in-refinement) global envelopes.
 
 Spatial infima/suprema are taken over grid nodes, an inner approximation of
 the continuum envelope that is consistent with the discretized dynamics.
+``envelope(t)`` reads them at a whole array of times in one call and returns
+``(inf, sup)`` arrays shaped like ``t``; a scalar ``t`` gives 0-d arrays.
 All-time envelopes are taken over a caller-declared window; for periodic
 time factors one period is exact.
 """
@@ -120,10 +122,13 @@ class CoefficientSpec:
     def eval(self, t: float) -> Field:
         raise NotImplementedError
 
-    def envelope(self, t: float) -> tuple[float, float]:
-        """Spatial (inf, sup) at time t, attained at grid nodes."""
-        f = self.eval(t)
-        return f.min(), f.max()
+    def envelope(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Spatial (inf, sup) at grid nodes for each time in ``t`` (a scalar or
+        an array); both results are float arrays shaped like ``t``."""
+        ts = np.asarray(t, dtype=float)
+        bounds = [(f.min(), f.max()) for f in map(self.eval, ts.flat)]
+        lo, hi = np.array(bounds).T.reshape((2,) + ts.shape)
+        return lo, hi
 
     def global_envelope(
         self, t_window: tuple[float, float], n_samples: int = 65
@@ -170,8 +175,9 @@ class ConstantCoefficient(CoefficientSpec):
     def eval(self, t: float) -> Field:
         return self._field
 
-    def envelope(self, t: float) -> tuple[float, float]:
-        return self.value, self.value
+    def envelope(self, t) -> tuple[np.ndarray, np.ndarray]:
+        values = np.full(np.shape(t), self.value)
+        return values, values
 
     def _global_envelope(self, t0, t1, n_samples):
         return self.value, self.value
@@ -191,6 +197,15 @@ class SeparableCoefficient(CoefficientSpec):
 
     def eval(self, t: float) -> Field:
         return Field(self.grid, float(self.time(t)) * self.space.values)
+
+    def envelope(self, t) -> tuple[np.ndarray, np.ndarray]:
+        # Rounding g*h is monotone in h, so the nodal extremes of g(t)*h are
+        # exactly the products with min h and max h.
+        g = self.time(t)
+        at_lo, at_hi = g * self.space.min(), g * self.space.max()
+        if not (np.isfinite(at_lo).all() and np.isfinite(at_hi).all()):
+            raise ValueError("field contains non-finite values")
+        return np.minimum(at_lo, at_hi), np.maximum(at_lo, at_hi)
 
     def _global_envelope(self, t0, t1, n_samples):
         period = self.time.period
@@ -255,14 +270,9 @@ class TabulatedCoefficient(CoefficientSpec):
     def _global_envelope(self, t0, t1, n_samples):
         # Linear interpolation attains its extremes at knots (or clamped
         # window endpoints), so evaluating there is exact.
-        ts = [t0, t1] + [float(t) for t in self.knots if t0 < t < t1]
-        lo = math.inf
-        hi = -math.inf
-        for t in ts:
-            a, b = self.envelope(t)
-            lo = min(lo, a)
-            hi = max(hi, b)
-        return lo, hi
+        inner = self.knots[(self.knots > t0) & (self.knots < t1)]
+        lo, hi = self.envelope(np.concatenate(([t0, t1], inner)))
+        return float(lo.min()), float(hi.max())
 
     @property
     def regularity_note(self) -> str | None:
@@ -288,14 +298,8 @@ class CallableCoefficient(CoefficientSpec):
         m = 1
         while m + 1 < n_samples:
             m *= 2
-        ts = np.linspace(t0, t1, m + 1)
-        lo = math.inf
-        hi = -math.inf
-        for t in ts:
-            a, b = self.envelope(float(t))
-            lo = min(lo, a)
-            hi = max(hi, b)
-        return lo, hi
+        lo, hi = self.envelope(np.linspace(t0, t1, m + 1))
+        return float(lo.min()), float(hi.max())
 
     @property
     def period(self) -> float | None:

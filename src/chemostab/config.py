@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,9 +130,22 @@ def _as_int(block: dict, key: str, path: str, default=None, required=False):
     val = _as_float(block, key, path, default=default, required=required)
     if val is None:
         return None
-    if float(val) != int(val):
-        _fail(f"{path}.{key}", f"expected an integer, got {val}")
+    return _integral(val, f"{path}.{key}")
+
+
+def _integral(val: float, key: str) -> int:
+    if not float(val).is_integer():
+        _fail(key, f"expected an integer, got {val}")
     return int(val)
+
+
+def _as_positive(block: dict, key: str, path: str, default=None, required=False,
+                 allow_zero=False):
+    """A finite number above zero (or at least zero with ``allow_zero``)."""
+    val = _as_float(block, key, path, default=default, required=required)
+    if val is not None and not (0.0 <= val < math.inf and (allow_zero or val > 0.0)):
+        _fail(f"{path}.{key}", f"must be finite and {'nonnegative' if allow_zero else 'positive'}")
+    return val
 
 
 def _as_bool(block: dict, key: str, path: str, default=False):
@@ -156,7 +170,7 @@ def _norm_grid(raw: dict) -> dict:
     counts_raw = raw.get("counts")
     if counts_raw is None:
         _fail("grid.counts", "required")
-    counts = [int(c) for c in _float_list(counts_raw, "grid.counts")]
+    counts = [_integral(c, "grid.counts") for c in _float_list(counts_raw, "grid.counts")]
     dim = _as_int(raw, "dim", "grid", default=len(extents))
     if dim != len(extents):
         _fail("grid.dim", f"dim={dim} but {len(extents)} extents given")
@@ -176,15 +190,9 @@ def _norm_grid(raw: dict) -> dict:
 def _norm_params(raw: dict) -> dict:
     _check_keys(raw, {"chi", "tau", "lambda", "mu"}, "params")
     chi = _as_float(raw, "chi", "params", default=0.0)
-    tau = _as_float(raw, "tau", "params", required=True)
-    lam = _as_float(raw, "lambda", "params", required=True)
-    mu = _as_float(raw, "mu", "params", required=True)
-    if tau <= 0:
-        _fail("params.tau", "must be positive")
-    if lam <= 0:
-        _fail("params.lambda", "must be positive")
-    if mu <= 0:
-        _fail("params.mu", "must be positive")
+    tau = _as_positive(raw, "tau", "params", required=True)
+    lam = _as_positive(raw, "lambda", "params", required=True)
+    mu = _as_positive(raw, "mu", "params", required=True)
     return {"chi": chi, "tau": tau, "lambda": lam, "mu": mu}
 
 
@@ -298,14 +306,16 @@ def _norm_stepper(raw: dict) -> dict:
 def _norm_experiment(raw: dict) -> dict:
     _check_keys(raw, _EXPERIMENT_KEYS, "experiment")
     out: dict = {}
-    out["t_end"] = _as_float(raw, "t_end", "experiment", default=10.0)
-    out["sample_dt"] = _as_float(raw, "sample_dt", "experiment", default=None)
+    out["t_end"] = _as_positive(raw, "t_end", "experiment", default=10.0, allow_zero=True)
+    out["sample_dt"] = _as_positive(raw, "sample_dt", "experiment", default=None)
     if "window" in raw and raw["window"] is not None:
         window = _float_list(raw["window"], "experiment.window")
-        if len(window) != 2 or not window[1] > window[0]:
-            _fail("experiment.window", "expected [start, end] with end > start")
+        if len(window) != 2 or not 0.0 < window[1] - window[0] < math.inf:
+            _fail("experiment.window", "expected finite [start, end] with end > start")
         out["window"] = window
     out["n_samples"] = _as_int(raw, "n_samples", "experiment", default=2001)
+    if out["n_samples"] < 3:
+        _fail("experiment.n_samples", f"need at least 3 samples, got {out['n_samples']}")
     if "constants" in raw and raw["constants"] is not None:
         cblock = raw["constants"]
         _check_keys(cblock, {"M1", "M2", "eta", "C3_tilde"}, "experiment.constants")
@@ -345,17 +355,17 @@ def _norm_experiment(raw: dict) -> dict:
         out["seeds"] = seeds
     if "fit_window" in raw and raw["fit_window"] is not None:
         fw = _float_list(raw["fit_window"], "experiment.fit_window")
-        if len(fw) != 2 or not fw[1] > fw[0]:
-            _fail("experiment.fit_window", "expected [start, end] with end > start")
+        if len(fw) != 2 or not 0.0 < fw[1] - fw[0] < math.inf:
+            _fail("experiment.fit_window", "expected finite [start, end] with end > start")
         out["fit_window"] = fw
     out["eps"] = _as_float(raw, "eps", "experiment", default=None)
     out["t_back"] = _as_float(raw, "t_back", "experiment", default=None)
     if "t_span" in raw and raw["t_span"] is not None:
         span = _float_list(raw["t_span"], "experiment.t_span")
-        if len(span) != 2 or not span[1] > span[0]:
-            _fail("experiment.t_span", "expected [start, end] with end > start")
+        if len(span) != 2 or not 0.0 < span[1] - span[0] < math.inf:
+            _fail("experiment.t_span", "expected finite [start, end] with end > start")
         out["t_span"] = span
-    out["gap_tolerance"] = _as_float(raw, "gap_tolerance", "experiment", default=1.0e-6)
+    out["gap_tolerance"] = _as_positive(raw, "gap_tolerance", "experiment", default=1.0e-6)
     if "sweep" in raw and raw["sweep"] is not None:
         sw = raw["sweep"]
         _check_keys(sw, {"axes"}, "experiment.sweep")
@@ -505,10 +515,12 @@ def build_profile_field(grid: Grid, block: dict, seed_override: int | None = Non
     if profile == "random-positive":
         low = block.get("low", 0.1)
         high = block.get("high", 1.0)
-        seed = seed_override if seed_override is not None else block.get("seed", 0)
+        seed = block.get("seed", 0)
         if not 0.0 <= low < high:
             raise ConfigError("initial", f"need 0 <= low < high, got {low}, {high}")
-        rng = np.random.default_rng(int(seed))
+        # an override is mixed with the declared seed, so distinct declared
+        # seeds stay distinct streams
+        rng = np.random.default_rng(seed if seed_override is None else [seed_override, seed])
         return Field(grid, rng.uniform(low, high, size=grid.counts))
     if profile == "file":
         try:

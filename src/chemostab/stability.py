@@ -55,14 +55,14 @@ CRITERION_HOLDS = "criterion_holds"
 CRITERION_FAILS = "criterion_fails"
 
 
-def pos(x: float) -> float:
-    """Positive part max(0, x)."""
-    return x if x > 0.0 else 0.0
+def pos(x):
+    """Elementwise positive part max(0, x)."""
+    return np.where(x > 0.0, x, 0.0)
 
 
-def neg(x: float) -> float:
-    """Negative part max(0, -x); x == pos(x) - neg(x)."""
-    return -x if x < 0.0 else 0.0
+def neg(x):
+    """Elementwise negative part max(0, -x); x == pos(x) - neg(x)."""
+    return np.where(x < 0.0, -x, 0.0)
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,15 @@ def _window_samples(window: tuple[float, float], n_samples: int) -> np.ndarray:
     return np.linspace(t0, t1, n)
 
 
+def _competition(coeffs: CoefficientSet, ts: np.ndarray) -> tuple[float, float, float]:
+    """inf_t a1_inf(t), the nonlocal balance inf_t(a1_inf(t) - vol*neg(a2_inf(t)))
+    and sup_t neg(a2_inf(t)) over the sample times ``ts``."""
+    a1_inf = coeffs.a1.envelope(ts)[0]
+    neg_a2_inf = neg(coeffs.a2.envelope(ts)[0])
+    balance = a1_inf - coeffs.volume * neg_a2_inf
+    return float(a1_inf.min()), float(balance.min()), float(neg_a2_inf.max())
+
+
 def compute_M2_convex(
     coeffs: CoefficientSet,
     params: ModelParams,
@@ -159,16 +168,8 @@ def compute_M2_convex(
     violations raise :class:`HypothesisFailure` naming the inequality.
     """
     ts = _window_samples(window, n_samples)
-    vol = coeffs.volume
-    a0_sup = max(coeffs.a0.envelope(float(t))[1] for t in ts)
-    a1_inf = min(coeffs.a1.envelope(float(t))[0] for t in ts)
-    m0_denom = math.inf
-    neg_a2_inf_sup = 0.0
-    for t in ts:
-        a1_inf_t = coeffs.a1.envelope(float(t))[0]
-        a2_inf_t = coeffs.a2.envelope(float(t))[0]
-        m0_denom = min(m0_denom, a1_inf_t - vol * neg(a2_inf_t))
-        neg_a2_inf_sup = max(neg_a2_inf_sup, neg(a2_inf_t))
+    a0_sup = float(coeffs.a0.envelope(ts)[1].max())
+    a1_inf, m0_denom, neg_a2_inf_sup = _competition(coeffs, ts)
     if not m0_denom > 0.0:
         raise HypothesisFailure(
             f"inf_t(a1_inf(t) - vol*neg(a2_inf(t))) = {m0_denom} is not positive",
@@ -180,7 +181,7 @@ def compute_M2_convex(
             f"a1_inf - n*mu*chi/4 = {amp_denom} is not positive",
             "competition-vs-drift",
         )
-    m0 = 1.5 * vol * a0_sup / m0_denom
+    m0 = 1.5 * coeffs.volume * a0_sup / m0_denom
     m0_ai = a0_sup + 2.0 * params.lam + neg_a2_inf_sup * m0
     m2 = m0_ai * m0_ai / (4.0 * amp_denom)
     return ConvexBound(M2=m2, M0=m0, M0_ai=m0_ai)
@@ -201,13 +202,7 @@ def check_H1(
     it is only inconclusive (except chi = 0, where the threshold is exactly
     zero).  The second inequality is exact up to window sampling.
     """
-    ts = _window_samples(window, n_samples)
-    vol = coeffs.volume
-    a1_inf = min(coeffs.a1.envelope(float(t))[0] for t in ts)
-    balance = min(
-        coeffs.a1.envelope(float(t))[0] - vol * neg(coeffs.a2.envelope(float(t))[0])
-        for t in ts
-    )
+    a1_inf, balance, _ = _competition(coeffs, _window_samples(window, n_samples))
     margins: dict[str, float] = {"nonlocal_balance": balance}
     notes: list[str] = []
 
@@ -257,13 +252,7 @@ def check_H2(
 ) -> HypothesisVerdict:
     """Convex-domain hypothesis: convexity, tau = 1, chi > 0, competition
     strength, and the nonlocal balance inequality."""
-    ts = _window_samples(window, n_samples)
-    vol = coeffs.volume
-    a1_inf = min(coeffs.a1.envelope(float(t))[0] for t in ts)
-    balance = min(
-        coeffs.a1.envelope(float(t))[0] - vol * neg(coeffs.a2.envelope(float(t))[0])
-        for t in ts
-    )
+    a1_inf, balance, _ = _competition(coeffs, _window_samples(window, n_samples))
     margins = {
         "tau_gap": abs(params.tau - 1.0),
         "chi": params.chi,
@@ -294,8 +283,8 @@ def check_H3(params: ModelParams, constants: KnownConstants) -> HypothesisVerdic
     return HypothesisVerdict("H3", HOLDS if ok else FAILS, margins)
 
 
-def compute_L1(t: float, coeffs: CoefficientSet, constants: KnownConstants) -> float:
-    """Contraction gain from persistence and competition at time t."""
+def compute_L1(t, coeffs: CoefficientSet, constants: KnownConstants) -> np.ndarray:
+    """Contraction gain from persistence and competition at each time in t."""
     if constants.eta is None:
         raise ValueError("eta is required for L1")
     a1_inf_t = coeffs.a1.envelope(t)[0]
@@ -304,16 +293,15 @@ def compute_L1(t: float, coeffs: CoefficientSet, constants: KnownConstants) -> f
 
 
 def compute_L2(
-    t: float, coeffs: CoefficientSet, params: ModelParams, constants: KnownConstants
-) -> float:
-    """Expansion bound from growth, drift, and the nonlocal term at time t."""
+    t, coeffs: CoefficientSet, params: ModelParams, constants: KnownConstants
+) -> np.ndarray:
+    """Expansion bound from growth, drift, and the nonlocal term at each time in t."""
     missing = constants.missing("M2", "eta", "C3_tilde")
     if missing:
         raise ValueError(f"constants missing for L2: {', '.join(missing)}")
     vol = coeffs.volume
     a0_sup_t = coeffs.a0.envelope(t)[1]
-    a2_inf_t = coeffs.a2.envelope(t)[0]
-    a2_sup_t = coeffs.a2.envelope(t)[1]
+    a2_inf_t, a2_sup_t = coeffs.a2.envelope(t)
     return (
         a0_sup_t
         + vol * constants.M2 * (pos(a2_sup_t) + 2.0 * neg(a2_inf_t))
@@ -324,25 +312,22 @@ def compute_L2(
 
 
 def decay_integrand(
-    t: float, coeffs: CoefficientSet, params: ModelParams, constants: KnownConstants
-) -> float:
-    """h(t) = max(-lam/(2*tau), L2(t) - L1(t)); bounded below by the clamp."""
-    clamp = -params.lam / (2.0 * params.tau)
-    return max(clamp, compute_L2(t, coeffs, params, constants) - compute_L1(t, coeffs, constants))
+    t, coeffs: CoefficientSet, params: ModelParams, constants: KnownConstants
+) -> np.ndarray:
+    """h(t) = max(-lam/(2*tau), L2(t) - L1(t)) at each time in t; bounded below by the clamp."""
+    l2 = compute_L2(t, coeffs, params, constants)
+    return np.maximum(-params.lam / (2.0 * params.tau), l2 - compute_L1(t, coeffs, constants))
 
 
-def band_perturbation_gain(
-    t: float, coeffs: CoefficientSet, eps: float
-) -> float:
-    """K(t, eps): growth of the contraction estimate from an eps-wide band.
+def band_perturbation_gain(t, coeffs: CoefficientSet, eps: float) -> np.ndarray:
+    """K(t, eps) at each time in t: growth of the contraction estimate from an eps-wide band.
 
         K = eps*(2*a1_inf(t) + vol*pos(a2_inf(t)) + vol*neg(a2_inf(t)))
           + eps*vol*(pos(a2_sup(t)) + neg(a2_sup(t)) + pos(a2_inf(t)) + neg(a2_inf(t)))
     """
     vol = coeffs.volume
     a1_inf_t = coeffs.a1.envelope(t)[0]
-    a2_inf_t = coeffs.a2.envelope(t)[0]
-    a2_sup_t = coeffs.a2.envelope(t)[1]
+    a2_inf_t, a2_sup_t = coeffs.a2.envelope(t)
     return eps * (
         2.0 * a1_inf_t + vol * pos(a2_inf_t) + vol * neg(a2_inf_t)
     ) + eps * vol * (
@@ -414,8 +399,8 @@ def estimate_theta(
         )
 
     ts = _window_samples(window, n_samples)
-    l1 = np.array([compute_L1(float(t), coeffs, constants) for t in ts])
-    l2 = np.array([compute_L2(float(t), coeffs, params, constants) for t in ts])
+    l1 = compute_L1(ts, coeffs, constants)
+    l2 = compute_L2(ts, coeffs, params, constants)
     clamp = -params.lam / (2.0 * params.tau)
     h = np.maximum(clamp, l2 - l1)
     span = float(ts[-1] - ts[0])

@@ -151,3 +151,38 @@ def shifted_solve(grid, a: float, b: float, rhs) -> np.ndarray:
     for _ in range(2):
         x = x + np.linalg.solve(op, (f - op_ext @ x).astype(float))
     return x.reshape(grid.counts)
+
+
+def gronwall_loop(series, report, eps: float, t_entry: float):
+    """Interval-by-interval reference for ``gronwall_check_series``.
+
+    Returns (fraction, worst_margin, max_slack), evaluating h and K at one
+    interval midpoint at a time.
+    """
+    from chemostab import band_perturbation_gain, decay_integrand
+
+    mask = series.t >= t_entry - 1e-12
+    t = series.t[mask]
+    e = series.E[mask]
+    dts = np.diff(t)
+    des = np.diff(e)
+    rates = np.abs(des) / dts
+    floor = series.noise_floor()
+    satisfied = 0
+    worst = -np.inf
+    max_slack = 0.0
+    for k in range(dts.size):
+        lhs = 0.5 * des[k] / dts[k]
+        t_mid = 0.5 * (t[k] + t[k + 1])
+        e_mid = 0.5 * (e[k] + e[k + 1])
+        gain = decay_integrand(float(t_mid), report.coeffs, report.params, report.constants)
+        gain += band_perturbation_gain(float(t_mid), report.coeffs, eps)
+        rhs = gain * e_mid
+        lip = float(max(rates[max(0, k - 1): k + 2].max(), 0.0))
+        slack = 2.0 * float(dts[k]) * lip + floor / float(dts[k])
+        max_slack = max(max_slack, slack)
+        margin = float(lhs - rhs) - slack
+        if margin <= 0.0:
+            satisfied += 1
+        worst = max(worst, margin)
+    return satisfied / dts.size, worst, max_slack

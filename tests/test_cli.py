@@ -1,11 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chemostab import ModelState, measure_constants, run
 from chemostab.cli import main
@@ -190,6 +195,34 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert "params.tau" in err
+
+    @pytest.mark.parametrize("command,old,new,key", [
+        pytest.param("simulate", "sample_dt: 2.0", "sample_dt: 0", "experiment.sample_dt",
+                     id="sample_dt-zero"),
+        pytest.param("simulate", "t_end: 40.0", "t_end: .inf", "experiment.t_end",
+                     id="t_end-inf"),
+        pytest.param("simulate", "t_end: 40.0", "t_end: .nan", "experiment.t_end",
+                     id="t_end-nan"),
+        pytest.param("simulate", "t_end: 40.0", "t_end: -1", "experiment.t_end",
+                     id="t_end-negative"),
+        pytest.param("simulate", "counts: [31]", "counts: [21.7]", "grid.counts",
+                     id="counts-fractional"),
+        pytest.param("simulate", "sample_dt: 2.0", "sample_dt: 2.0\n  n_samples: 1",
+                     "experiment.n_samples", id="n_samples-one"),
+        pytest.param("simulate", "sample_dt: 2.0", "sample_dt: 2.0\n  gap_tolerance: 0",
+                     "experiment.gap_tolerance", id="gap_tolerance-zero"),
+        pytest.param("stability-experiment", "t_end: 40.0", "t_end: 0.0", "experiment.t_end",
+                     id="experiment-t_end-zero"),
+        pytest.param("stability-experiment", "window: [0.0, 40.0]", "window: [0.0, .inf]",
+                     "experiment.window", id="window-inf"),
+    ])
+    def test_bad_value_named_without_traceback(self, tmp_path, capsys, command, old, new, key):
+        text = EXPERIMENT if command == "stability-experiment" else BASE
+        cfg_path = write_config(tmp_path, text=text.replace(old, new))
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
 
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent.yaml"]) == 1
@@ -406,6 +439,34 @@ class TestStabilityExperiment:
         cfg_path = write_config(tmp_path, text=text)
         assert main(["stability-experiment", "--config", str(cfg_path)]) == 1
 
+    RANDOM_SEEDS = (
+        "    - {u: {profile: random-positive, low: 0.9, high: 1.1, seed: 1}}\n"
+        "    - {u: {profile: random-positive, low: 0.9, high: 1.1, seed: SECOND}}\n"
+    )
+
+    def random_seed_config(self, tmp_path, second):
+        text = EXPERIMENT.replace(
+            "    - {u: {profile: constant, value: 0.1}, v: {profile: constant, value: 0.0}}\n"
+            "    - {u: {profile: constant, value: 5.0}, v: {profile: constant, value: 0.0}}\n",
+            self.RANDOM_SEEDS.replace("SECOND", str(second)),
+        ).replace("t_end: 40.0", "t_end: 10.0\n  t_back: 0").replace(
+            "fit_window: [8.0, 30.0]", "fit_window: [1.0, 6.0]").replace(
+            "error_tol: 1.0e-6", "error_tol: 1.0e-4")
+        return write_config(tmp_path, text=text)
+
+    def test_seed_override_keeps_declared_seeds_distinct(self, tmp_path, capsys):
+        cfg_path = self.random_seed_config(tmp_path, second=2)
+        assert main(["stability-experiment", "--config", str(cfg_path), "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        gap = float(out.split("pairwise_gap_final=")[1].split()[0])
+        assert gap > 0.0
+        assert "fitted_rate=-inf" not in out
+
+    def test_identical_seed_states_rejected(self, tmp_path, capsys):
+        cfg_path = self.random_seed_config(tmp_path, second=1)
+        assert main(["stability-experiment", "--config", str(cfg_path)]) == 1
+        assert "experiment.seeds" in capsys.readouterr().err
+
     def test_positive_theta_marks_rate_not_applicable(self, tmp_path, capsys):
         # pinning a tiny eta makes L1 small and theta positive
         text = EXPERIMENT.replace(
@@ -441,3 +502,31 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+FUZZ_KEYS = ("grid.counts", "experiment.t_end", "experiment.sample_dt", "experiment.n_samples",
+             "experiment.gap_tolerance", "params.chi", "params.tau", "params.lambda",
+             "params.mu")
+
+
+@given(
+    command=st.sampled_from(["simulate", "stability", "stability-experiment"]),
+    key=st.sampled_from(FUZZ_KEYS),
+    value=st.sampled_from([0, -1, 0.5, 21.7, math.nan, math.inf, "x"]),
+)
+@example(command="simulate", key="experiment.t_end", value=math.inf)
+@settings(max_examples=40, deadline=None)
+def test_cli_fuzz_exit_codes(command, key, value):
+    # any single bad number ends in a documented exit code, never an exception
+    cfg = yaml.safe_load(EXPERIMENT)
+    cfg["grid"]["counts"] = [11]
+    cfg["stepper"]["error_tol"] = 1.0e-3
+    cfg["experiment"].update(t_end=0.5, sample_dt=0.1, window=[0.0, 0.5],
+                             burn_ins=[0.1, 0.1, 0.1], fit_window=[0.1, 0.4])
+    block, leaf = key.split(".")
+    cfg[block][leaf] = [value] if leaf == "counts" else value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg["output"]["dir"] = tmp
+        path = Path(tmp) / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main([command, "--config", str(path)]) in (0, 1, 2)

@@ -88,6 +88,49 @@ class TestEnvelope:
         assert abs(hi - hi_ref) < 5e-4
 
 
+    @pytest.mark.parametrize("kind", [
+        "constant", "separable-negative-time", "separable-expdecay", "tabulated-clamped",
+        "callable",
+    ])
+    def test_array_matches_per_sample_eval(self, grid, kind):
+        # sign-changing profile, so a negative time factor swaps the extremes
+        profile = spatial_profile(grid, "sine", offset=0.2, amplitude=1.0, mode=3.0)
+        specs = {
+            "constant": lambda: ConstantCoefficient(grid, 0, -1.7),
+            "separable-negative-time": lambda: SeparableCoefficient(
+                grid, 2, TimeFactor("sinusoid", offset=-0.3, amplitude=1.1, frequency=2.3),
+                profile),
+            "separable-expdecay": lambda: SeparableCoefficient(
+                grid, 2, TimeFactor("expdecay", limit=-0.5, amplitude=2.0, rate=0.7), profile),
+            "tabulated-clamped": lambda: TabulatedCoefficient(
+                grid, 0, [0.0, 1.5, 4.0],
+                [profile.values, -2.0 * profile.values, np.linspace(-1.0, 3.0, 101)]),
+            "callable": lambda: CallableCoefficient(
+                grid, 0, lambda t: np.sin(t * np.linspace(0.0, 5.0, 101))),
+        }
+        spec = specs[kind]()
+        ts = np.linspace(-1.0, 6.0, 42)  # beyond both tabulated end knots
+        lo, hi = spec.envelope(ts)
+        assert lo.shape == hi.shape == ts.shape
+        assert np.array_equal(lo, [spec.eval(t).min() for t in ts])
+        assert np.array_equal(hi, [spec.eval(t).max() for t in ts])
+        lo2, hi2 = spec.envelope(ts.reshape(6, 7)[:, ::2])
+        assert np.array_equal(lo2, lo.reshape(6, 7)[:, ::2])
+        assert np.array_equal(hi2, hi.reshape(6, 7)[:, ::2])
+        lo0, hi0 = spec.envelope(0.7)
+        assert np.ndim(lo0) == np.ndim(hi0) == 0
+        assert lo0 == spec.eval(0.7).min() and hi0 == spec.eval(0.7).max()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+    def test_non_finite_separable_envelope_raises(self, grid):
+        spec = separable(grid, TimeFactor("expdecay", limit=1.0, amplitude=1.0, rate=-1.0),
+                         value=1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            spec.eval(800.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            spec.envelope(np.linspace(0.0, 800.0, 5))
+
+
 class TestGlobalEnvelope:
     def test_constant(self, grid):
         spec = ConstantCoefficient(grid, 0, 3.0)

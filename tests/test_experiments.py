@@ -31,7 +31,7 @@ from chemostab import (
     trajectory_gap,
 )
 
-from oracles import logistic_exact, periodic_logistic_oracle
+from oracles import gronwall_loop, logistic_exact, periodic_logistic_oracle
 
 
 def const_set(grid, a0=1.0, a1=1.0, a2=0.0):
@@ -276,6 +276,30 @@ class TestGronwall:
         assert result.conclusive
         assert result.fraction == 0.0
         assert result.worst_margin > 0.0
+
+    @pytest.mark.parametrize("t_entry", [0.0, 3.05, 9.9])
+    def test_series_matches_interval_loop(self, grid, t_entry):
+        # time-dependent, sign-changing coefficients and a wobbling gap, so
+        # h, K and the neighbour Lipschitz windows all vary between intervals
+        ramp = spatial_profile(grid, "linear-ramp", start=-0.5, stop=1.0)
+        cs = CoefficientSet(
+            SeparableCoefficient(grid, 0, TimeFactor("sinusoid", offset=1.0, amplitude=0.8,
+                                                     frequency=1.3), ramp),
+            ConstantCoefficient(grid, 1, 1.2),
+            SeparableCoefficient(grid, 2, TimeFactor("sinusoid", offset=0.0, amplitude=0.3,
+                                                     frequency=0.7), ramp),
+        )
+        constants = KnownConstants(M2=1.1, eta=0.9, C3_tilde=1.0)
+        report = estimate_theta(cs, PARAMS, constants, (0.0, 10.0), 101)
+        t = np.linspace(0.0, 10.0, 101)
+        e = np.exp(-0.8 * t) * (1.0 + 0.4 * np.sin(5.0 * t))
+        series = GapSeries(t=t, E=e, w_L2=np.sqrt(e), phi_L2=0.0 * e, w_Linf=np.sqrt(e),
+                           phi_Linf=0.0 * e, volume=1.0, state_scale=1.0)
+        result = gronwall_check_series(series, report, eps=0.05, t_entry=t_entry)
+        fraction, worst, max_slack = gronwall_loop(series, report, 0.05, t_entry)
+        assert result.fraction == fraction
+        assert result.worst_margin == worst
+        assert result.max_slack == max_slack
 
     def test_band_never_entered_is_inconclusive(self, grid, logistic_pair):
         # a band far above the dynamics is never entered

@@ -11,6 +11,7 @@ from chemostab import (
     KnownConstants,
     ModelParams,
     SeparableCoefficient,
+    TabulatedCoefficient,
     TimeFactor,
     band_perturbation_gain,
     check_H1,
@@ -298,6 +299,42 @@ class TestTheta:
         span = report.ts[-1] - report.ts[0]
         recomputed = np.trapezoid(report.h_series, report.ts) / span
         assert report.theta == pytest.approx(recomputed, abs=1e-15)
+
+    @pytest.mark.parametrize("kind", ["separable", "tabulated-clamped"])
+    def test_series_match_per_sample_eval(self, kind):
+        g = Grid((1.5,), (21,))
+        ramp = spatial_profile(g, "linear-ramp", start=-0.4, stop=1.0)
+        wave = spatial_profile(g, "sine", offset=1.0, amplitude=0.5, mode=2.0)
+        a2 = SeparableCoefficient(g, 2, TimeFactor("sinusoid", offset=-0.1, amplitude=0.6,
+                                                   frequency=1.7), ramp)
+        if kind == "separable":
+            a0 = SeparableCoefficient(g, 0, TimeFactor("expdecay", limit=1.0, amplitude=0.5,
+                                                       rate=0.3), wave)
+        else:
+            a0 = TabulatedCoefficient(g, 0, [1.0, 2.5, 4.0],
+                                      [wave.values, 2.0 * wave.values, ramp.values + 1.0])
+        a1 = SeparableCoefficient(g, 1, TimeFactor("sinusoid", offset=2.0, amplitude=0.5,
+                                                   frequency=0.9), wave)
+        cs = CoefficientSet(a0, a1, a2)
+        p = params(chi=-0.4, tau=0.8, lam=1.3, mu=0.9)
+        constants = KnownConstants(M2=1.4, eta=0.6, C3_tilde=1.1)
+        report = estimate_theta(cs, p, constants, (0.0, 6.0), 301)
+        vol = g.volume
+        l1_ref, l2_ref, h_ref = [], [], []
+        for t in report.ts:
+            a0_sup = a0.eval(t).max()
+            a1_inf = a1.eval(t).min()
+            a2_inf, a2_sup = a2.eval(t).min(), a2.eval(t).max()
+            l1 = 2.0 * constants.eta * (a1_inf + vol * pos(a2_inf))
+            l2 = (a0_sup + vol * constants.M2 * (pos(a2_sup) + 2.0 * neg(a2_inf))
+                  + p.mu**2 / (2.0 * p.lam * p.tau) + 0.5 * abs(p.chi) * constants.C3_tilde
+                  - vol * constants.eta * neg(a2_sup))
+            l1_ref.append(l1)
+            l2_ref.append(l2)
+            h_ref.append(max(-p.lam / (2.0 * p.tau), l2 - l1))
+        assert np.array_equal(report.L1_series, l1_ref)
+        assert np.array_equal(report.L2_series, l2_ref)
+        assert np.array_equal(report.h_series, h_ref)
 
     def test_missing_constants_inconclusive(self):
         report = estimate_theta(const_set(grid1()), params(), KnownConstants(),
