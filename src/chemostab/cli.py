@@ -232,6 +232,18 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
     constants = _resolve_constants(cfg, grid, coeffs, params, window, lambda: trajs)
     report = estimate_theta(coeffs, params, constants, window, n_samples=exp["n_samples"])
 
+    # the pullback gate runs before any output, so a failing gate writes nothing
+    entire_gap = math.nan
+    t_back = exp.get("t_back")
+    if t_back is None:
+        t_back = t_end / 2.0
+    if t_back > 0.0:
+        span = tuple(exp.get("t_span", [0.0, max(1.0, t_end / 8.0)]))
+        entire = approximate_entire_solution(
+            coeffs, params, stepper_cfg, t_back, span,
+            seeds=states[:2], sample_dt=sample_dt, tolerance=exp["gap_tolerance"])
+        entire_gap = entire.seed_gap
+
     meta = _metadata_lines(cfg)
     for idx, traj in enumerate(trajs):
         _write_csv(_out_path(cfg, out_dir, f"bounds_{idx}"), meta,
@@ -288,17 +300,6 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
             fh.write(",".join(_cell(v) for v in
                               (grw.fraction, grw.worst_margin, grw.n_intervals,
                                t_entry, grw.max_slack)) + "\n")
-
-    entire_gap = math.nan
-    t_back = exp.get("t_back")
-    if t_back is None:
-        t_back = t_end / 2.0
-    if t_back > 0.0:
-        span = tuple(exp.get("t_span", [0.0, max(1.0, t_end / 8.0)]))
-        entire = approximate_entire_solution(
-            coeffs, params, stepper_cfg, t_back, span,
-            seeds=states[:2], sample_dt=sample_dt, tolerance=exp["gap_tolerance"])
-        entire_gap = entire.seed_gap
 
     path = _out_path(cfg, out_dir, "stability")
     path.parent.mkdir(parents=True, exist_ok=True)

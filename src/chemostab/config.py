@@ -190,6 +190,8 @@ def _norm_grid(raw: dict) -> dict:
 def _norm_params(raw: dict) -> dict:
     _check_keys(raw, {"chi", "tau", "lambda", "mu"}, "params")
     chi = _as_float(raw, "chi", "params", default=0.0)
+    if not math.isfinite(chi):
+        _fail("params.chi", "must be finite")
     tau = _as_positive(raw, "tau", "params", required=True)
     lam = _as_positive(raw, "lambda", "params", required=True)
     mu = _as_positive(raw, "mu", "params", required=True)

@@ -80,8 +80,8 @@ class StepperConfig:
             raise ValueError(f"theta_scheme must be in [0.5, 1], got {self.theta_scheme}")
         if self.error_tol <= 0.0:
             raise ValueError("error_tol must be positive")
-        if self.positivity_floor < 0.0:
-            raise ValueError("positivity_floor must be nonnegative")
+        if not 0.0 <= self.positivity_floor < math.inf:
+            raise ValueError("positivity_floor must be finite and nonnegative")
 
     @property
     def design_order(self) -> int:
@@ -157,6 +157,24 @@ def _clamp_negatives(
     return out, clamped_mass, int(mask.sum())
 
 
+def _terms_at(
+    state: ModelState, coeffs: CoefficientSet, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The t_n terms of a step from ``state``: lap(u), lin(v) and the explicit u and v terms.
+
+    They depend on the state alone, not on dt, so every step from one state
+    can share them.
+    """
+    grid = state.grid
+    u = state.u.values
+    v = state.v.values
+    lap_u = laplacian_values(grid, u)
+    lin_v = (laplacian_values(grid, v) - params.lam * v) / params.tau
+    eu_n = _explicit_u(grid, u, v, state.t, coeffs, params)
+    ev_n = params.mu * u / params.tau
+    return lap_u, lin_v, eu_n, ev_n
+
+
 def step(
     state: ModelState,
     dt: float,
@@ -164,8 +182,12 @@ def step(
     params: ModelParams,
     cfg: StepperConfig,
     stats: RunStats | None = None,
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> ModelState:
     """Advance one IMEX step of size dt.
+
+    ``terms`` are the t_n terms from ``_terms_at(state, coeffs, params)``;
+    they are computed here when not given.
 
     Raises :class:`StepRejected` when the result leaves the admissible
     region (negative beyond the clamp band, or non-finite); the caller is
@@ -180,10 +202,9 @@ def step(
     v = state.v.values
     tau, lam, mu = params.tau, params.lam, params.mu
 
-    lap_u = laplacian_values(grid, u)
-    lin_v = (laplacian_values(grid, v) - lam * v) / tau
-    eu_n = _explicit_u(grid, u, v, t, coeffs, params)
-    ev_n = mu * u / tau
+    if terms is None:
+        terms = _terms_at(state, coeffs, params)
+    lap_u, lin_v, eu_n, ev_n = terms
 
     a_v = 1.0 + theta * dt * lam / tau
     b_v = theta * dt / tau
@@ -220,7 +241,8 @@ def step(
         stats.clamped_mass_v += cv
         stats.clamped_nodes += nu + nv
 
-    return ModelState(t + dt, Field(grid, u_new), Field(grid, v_new))
+    # finite (checked above) and clamped to a finite floor
+    return ModelState(t + dt, Field(grid, u_new, check=False), Field(grid, v_new, check=False))
 
 
 def advective_dt_limit(state: ModelState, params: ModelParams, cfg: StepperConfig) -> float:
@@ -305,6 +327,7 @@ def run(
 
     dt = cfg.dt_init
     order = cfg.design_order
+    terms = None  # t_n terms of `state`, shared by its attempts
     while state.t < t_end - tiny:
         dt = min(dt, cfg.dt_max)
         guard = advective_dt_limit(state, params, cfg)
@@ -320,9 +343,11 @@ def run(
         dt_try = remaining if hit else dt_candidate
 
         local = RunStats()
+        if terms is None:
+            terms = _terms_at(state, coeffs, params)
         try:
-            big = step(state, dt_try, coeffs, params, cfg)
-            half = step(state, 0.5 * dt_try, coeffs, params, cfg, stats=local)
+            big = step(state, dt_try, coeffs, params, cfg, terms=terms)
+            half = step(state, 0.5 * dt_try, coeffs, params, cfg, stats=local, terms=terms)
             fine = step(half, 0.5 * dt_try, coeffs, params, cfg, stats=local)
             err = _err_norm(big, fine) / (2.0**order - 1.0)
         except StepRejected:
@@ -341,6 +366,7 @@ def run(
             stats.min_dt = min(stats.min_dt, dt_try)
             stats.max_dt = max(stats.max_dt, dt_try)
             state = ModelState(target, fine.u, fine.v) if hit else fine
+            terms = None
             while next_idx < samples.size and samples[next_idx] <= state.t + tiny:
                 record(ModelState(float(samples[next_idx]), state.u, state.v))
                 next_idx += 1

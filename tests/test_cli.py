@@ -215,6 +215,8 @@ class TestSimulate:
                      id="experiment-t_end-zero"),
         pytest.param("stability-experiment", "window: [0.0, 40.0]", "window: [0.0, .inf]",
                      "experiment.window", id="window-inf"),
+        pytest.param("simulate", "chi: 0.0", "chi: .nan", "params.chi", id="chi-nan"),
+        pytest.param("simulate", "chi: 0.0", "chi: .inf", "params.chi", id="chi-inf"),
     ])
     def test_bad_value_named_without_traceback(self, tmp_path, capsys, command, old, new, key):
         text = EXPERIMENT if command == "stability-experiment" else BASE
@@ -431,6 +433,18 @@ class TestStabilityExperiment:
         assert list(outdir.glob("exp_*_persistence.csv"))
         assert list(outdir.glob("exp_*_bounds_0.csv"))
         assert list(outdir.glob("exp_*_stability.csv"))
+
+    def test_failing_pullback_gate_writes_nothing(self, tmp_path, capsys):
+        # t_back = t_end / 2 = 1 leaves the two seeds far apart (gap about 0.5)
+        text = (EXPERIMENT.replace("t_end: 40.0", "t_end: 2.0")
+                .replace("  window: [0.0, 40.0]\n", "").replace("  burn_ins: [8.0, 8.0, 8.0]\n", "")
+                .replace("  fit_window: [8.0, 30.0]\n", "")
+                .replace("value: 0.1}, v:", "value: 0.5}, v:").replace("value: 5.0}, v:", "value: 2.0}, v:"))
+        cfg_path = write_config(tmp_path, text=text)
+        assert main(["stability-experiment", "--config", str(cfg_path)]) == 2
+        assert "gap" in capsys.readouterr().err
+        outdir = tmp_path / "out"
+        assert not outdir.exists() or not any(outdir.iterdir())
 
     def test_single_seed_rejected(self, tmp_path):
         text = EXPERIMENT.replace(

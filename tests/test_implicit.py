@@ -65,6 +65,7 @@ class TestSolveShifted:
         ((0.5, 2.0), (3, 5), 2.3, 0.4),
         ((1.0, 0.7), (17, 11), 1.0, 1e2),
         ((2.0, 0.5), (33, 9), 2.3, 1e2),
+        ((1.0,), (401,), 1.0, 1e2),
     ])
     def test_matches_dense_oracle(self, extents, counts, a, b):
         grid = Grid(extents, counts)

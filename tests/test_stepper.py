@@ -49,6 +49,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             StepperConfig(theta_scheme=0.3)
 
+    @pytest.mark.parametrize("floor", [math.nan, math.inf, -1.0])
+    def test_positivity_floor_finite_nonnegative(self, floor):
+        # step() writes the floor into fields it no longer re-checks
+        with pytest.raises(ValueError):
+            StepperConfig(positivity_floor=floor)
+
     def test_design_order(self):
         assert StepperConfig(theta_scheme=1.0).design_order == 1
         assert StepperConfig(theta_scheme=0.5).design_order == 2
@@ -127,6 +133,25 @@ class TestRun:
         # intermediate samples track the closed form too
         for t, st in zip(traj.times, traj.states):
             assert abs(st.u.values[0] - logistic_exact(t, 0.1)) < 1e-6
+
+    def test_step_doubling_shares_t_n_terms(self, grid, monkeypatch):
+        # one accepted attempt: lap(u) and lap(v) at t_n once, then the fine step's own
+        import chemostab.stepper as stepper_mod
+
+        calls = []
+        real = stepper_mod.laplacian_values
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(stepper_mod, "laplacian_values", counting)
+        params = ModelParams(chi=0.1, tau=1.0, lam=1.0, mu=1.0)
+        cfg = StepperConfig(dt_init=0.5, dt_max=0.5)
+        traj = run(flat_state(grid, 1.0, 1.0), 0.5, const_set(grid), params, cfg,
+                   sample_times=[0.0, 0.5])
+        assert traj.stats.accepted == 1 and traj.stats.rejected_error == 0
+        assert len(calls) == 4
 
     def test_determinism_bit_identical(self, grid):
         params = ModelParams(chi=0.2, tau=1.0, lam=1.0, mu=1.0)
