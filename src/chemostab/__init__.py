@@ -50,16 +50,14 @@ from .experiments import (
 from .grid import (
     Field,
     Grid,
-    chemotaxis_divergence,
+    chemotaxis_values,
     gradient_neumann,
-    integrate,
-    laplacian_neumann,
+    integrate_values,
+    laplacian_values,
     norms,
-    pos_neg_parts,
-    second_differences,
     w2inf_norm,
 )
-from .model import ModelParams, ModelState, mass_rate, reaction_u, rhs_u, rhs_v
+from .model import ModelParams, ModelState, mass_rate, reaction_values, rhs_u, rhs_v
 from .stability import (
     ConvexBound,
     HypothesisVerdict,

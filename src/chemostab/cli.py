@@ -43,7 +43,7 @@ from .experiments import (
     measure_constants,
     trajectory_gap,
 )
-from .grid import Field, Grid, laplacian_neumann
+from .grid import Field, Grid, laplacian_values
 from .model import ModelParams, ModelState
 from .stability import (
     KnownConstants,
@@ -380,7 +380,7 @@ def cmd_converge(cfg: RunConfig, out_dir: str | None, seed: int | None, threads:
             f = Field.from_function(
                 g, lambda x, y: np.cos(np.pi * x / g.extents[0]) * np.cos(np.pi * y / g.extents[1]))
             exact = -((np.pi / g.extents[0]) ** 2 + (np.pi / g.extents[1]) ** 2) * f.values
-        err = float(np.abs(laplacian_neumann(f).values - exact).max())
+        err = float(np.abs(laplacian_values(g, f.values) - exact).max())
         errors.append(err)
         rows.append(("spatial", level, max(g.spacing), err))
     spatial_orders = [math.log2(errors[k] / errors[k + 1]) for k in range(len(errors) - 1)]

@@ -339,8 +339,9 @@ def _norm_experiment(raw: dict) -> dict:
     out["measure"] = _as_bool(raw, "measure", "experiment", default=False)
     if "burn_ins" in raw and raw["burn_ins"] is not None:
         burn = _float_list(raw["burn_ins"], "experiment.burn_ins")
-        if len(burn) != 3:
-            _fail("experiment.burn_ins", "expected [mass, amplitude, chemical]")
+        if len(burn) != 3 or not all(0.0 <= b <= out["t_end"] for b in burn):
+            _fail("experiment.burn_ins", "expected [mass, amplitude, chemical], each in "
+                  f"[0, experiment.t_end] = [0, {out['t_end']}], got {burn}")
         out["burn_ins"] = burn
     if "seeds" in raw and raw["seeds"] is not None:
         if not isinstance(raw["seeds"], list):
@@ -360,8 +361,8 @@ def _norm_experiment(raw: dict) -> dict:
         if len(fw) != 2 or not 0.0 < fw[1] - fw[0] < math.inf:
             _fail("experiment.fit_window", "expected finite [start, end] with end > start")
         out["fit_window"] = fw
-    out["eps"] = _as_float(raw, "eps", "experiment", default=None)
-    out["t_back"] = _as_float(raw, "t_back", "experiment", default=None)
+    out["eps"] = _as_positive(raw, "eps", "experiment", default=None, allow_zero=True)
+    out["t_back"] = _as_positive(raw, "t_back", "experiment", default=None, allow_zero=True)
     if "t_span" in raw and raw["t_span"] is not None:
         span = _float_list(raw["t_span"], "experiment.t_span")
         if len(span) != 2 or not 0.0 < span[1] - span[0] < math.inf:

@@ -156,10 +156,8 @@ def trajectory_gap(run_a: Trajectory, run_b: Trajectory) -> GapSeries:
     scale = 0.0
     grid = run_a.grid
     for k, (sa, sb) in enumerate(zip(run_a.states, run_b.states)):
-        w = Field(grid, sa.u.values - sb.u.values)
-        phi = Field(grid, sa.v.values - sb.v.values)
-        w_l2[k], w_li[k] = norms(w)
-        p_l2[k], p_li[k] = norms(phi)
+        w_l2[k], w_li[k] = norms(grid, sa.u.values - sb.u.values)
+        p_l2[k], p_li[k] = norms(grid, sa.v.values - sb.v.values)
         e[k] = w_l2[k] ** 2 + p_l2[k] ** 2
         scale = max(
             scale,

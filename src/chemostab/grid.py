@@ -9,6 +9,10 @@ sum of any Laplacian or conservative flux divergence telescopes to zero.
 
 2D operators are tensor products of the 1D stencils; corners reflect in both
 axes.
+
+Every operator is an array kernel ``op(grid, values, ...)`` that returns
+plain arrays or floats.  :class:`Field` is the validated, immutable container
+for states and coefficients; pass its ``grid`` and ``values`` to an operator.
 """
 
 from __future__ import annotations
@@ -19,21 +23,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridMismatchError
-
 __all__ = [
     "Grid",
     "Field",
-    "laplacian_neumann",
     "laplacian_values",
-    "chemotaxis_divergence",
     "chemotaxis_values",
-    "integrate",
     "integrate_values",
     "norms",
-    "pos_neg_parts",
     "gradient_neumann",
-    "second_differences",
     "w2inf_norm",
 ]
 
@@ -168,14 +165,6 @@ class Field:
         return f"Field(grid={self.grid.counts}, min={self.min():.4g}, max={self.max():.4g})"
 
 
-def _same_grid(*fields: Field) -> Grid:
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise GridMismatchError("fields are defined on different grids")
-    return grid
-
-
 def _second_differences(grid: Grid, vals: np.ndarray) -> list[np.ndarray]:
     """Per-axis second differences with reflected ghosts ``f(-h) = f(h)``."""
     out = []
@@ -191,21 +180,21 @@ def _second_differences(grid: Grid, vals: np.ndarray) -> list[np.ndarray]:
 
 
 def laplacian_values(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    """Array kernel behind :func:`laplacian_neumann` (no Field wrapping)."""
-    return sum(_second_differences(grid, vals))
-
-
-def laplacian_neumann(f: Field) -> Field:
     """Second-order Laplacian with reflected ghosts (zero normal derivative).
 
     Annihilates constants exactly; with the grid's trapezoid weights the
     weighted sum of the output telescopes to zero for any input.
     """
-    return Field(f.grid, laplacian_values(f.grid, f.values))
+    return sum(_second_differences(grid, vals))
 
 
 def chemotaxis_values(grid: Grid, uv: np.ndarray, vv: np.ndarray, chi: float) -> np.ndarray:
-    """Array kernel behind :func:`chemotaxis_divergence`."""
+    """Drift term ``-chi * div(u grad v)`` in conservative face-flux form.
+
+    The face flux is ``mean(u_L, u_R) * (v_R - v_L) / h``; boundary faces
+    carry zero flux, so the quadrature-weighted sum of the output vanishes
+    (discrete divergence theorem).
+    """
     if chi == 0.0:
         return np.zeros_like(uv)
     div = np.zeros_like(uv)
@@ -220,69 +209,42 @@ def chemotaxis_values(grid: Grid, uv: np.ndarray, vv: np.ndarray, chi: float) ->
     return -float(chi) * div
 
 
-def chemotaxis_divergence(u: Field, v: Field, chi: float) -> Field:
-    """Drift term ``-chi * div(u grad v)`` in conservative face-flux form.
-
-    The face flux is ``mean(u_L, u_R) * (v_R - v_L) / h``; boundary faces
-    carry zero flux, so the quadrature-weighted sum of the output vanishes
-    (discrete divergence theorem).
-    """
-    grid = _same_grid(u, v)
-    return Field(grid, chemotaxis_values(grid, u.values, v.values, chi))
-
-
 def integrate_values(grid: Grid, vals: np.ndarray) -> float:
+    """Trapezoid quadrature over the rectangle; exact for per-axis affine fields."""
     return float(np.sum(grid.weights * vals))
 
 
-def integrate(f: Field) -> float:
-    """Trapezoid quadrature over the rectangle; exact for per-axis affine fields."""
-    return integrate_values(f.grid, f.values)
-
-
-def norms(f: Field) -> tuple[float, float]:
+def norms(grid: Grid, vals: np.ndarray) -> tuple[float, float]:
     """Return ``(L2, Linf)`` where L2 uses the grid quadrature."""
-    l2 = float(np.sqrt(np.sum(f.grid.weights * f.values * f.values)))
-    linf = float(np.max(np.abs(f.values)))
+    l2 = float(np.sqrt(np.sum(grid.weights * vals * vals)))
+    linf = float(np.max(np.abs(vals)))
     return l2, linf
 
 
-def pos_neg_parts(f: Field) -> tuple[Field, Field]:
-    """Split into nonnegative parts with ``f = plus - minus`` exactly."""
-    plus = np.maximum(f.values, 0.0)
-    minus = np.maximum(-f.values, 0.0)
-    return Field(f.grid, plus), Field(f.grid, minus)
-
-
-def gradient_neumann(f: Field) -> tuple[np.ndarray, ...]:
+def gradient_neumann(grid: Grid, vals: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per-axis central first differences with reflected ghosts.
 
     The normal derivative at boundary nodes is identically zero, matching the
     no-flux boundary condition.
     """
     out = []
-    for axis, h in enumerate(f.grid.spacing):
-        v = np.swapaxes(f.values, 0, axis)
+    for axis, h in enumerate(grid.spacing):
+        v = np.swapaxes(vals, 0, axis)
         g = np.zeros_like(v)
         g[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
         out.append(np.swapaxes(g, 0, axis))
     return tuple(out)
 
 
-def second_differences(f: Field) -> tuple[np.ndarray, ...]:
-    """Per-axis second differences with reflected ghosts."""
-    return tuple(_second_differences(f.grid, f.values))
-
-
-def w2inf_norm(f: Field) -> float:
+def w2inf_norm(grid: Grid, vals: np.ndarray) -> float:
     """Discrete W^{2,inf} norm: nodal max of |f|, |first diffs|, |second diffs|.
 
     Mixed second differences are omitted; per-axis derivatives suffice for
     the diagnostics this feeds.
     """
-    worst = float(np.max(np.abs(f.values)))
-    for g in gradient_neumann(f):
+    worst = float(np.max(np.abs(vals)))
+    for g in gradient_neumann(grid, vals):
         worst = max(worst, float(np.max(np.abs(g))))
-    for s in second_differences(f):
+    for s in _second_differences(grid, vals):
         worst = max(worst, float(np.max(np.abs(s))))
     return worst

@@ -11,6 +11,11 @@ and the chemical density v obeys, in method-of-lines form,
 with no-flux boundaries on both. The nonlocal factor ``total_mass`` uses the
 same trapezoid quadrature as all diagnostics, so the mass identity below is
 exact by construction rather than approximate.
+
+Each term is defined once, as an array kernel, in the split the IMEX stepper
+marches: the implicit-linear part ``lap(u)`` and ``(lap(v) - lam*v)/tau``,
+and the explicit part ``-chi*div(u grad v) + reaction`` and ``mu*u/tau``.
+``rhs_u`` and ``rhs_v`` are sums of those same terms.
 """
 
 from __future__ import annotations
@@ -21,17 +26,11 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .errors import GridMismatchError
-from .grid import (
-    Field,
-    Grid,
-    chemotaxis_divergence,
-    integrate,
-    integrate_values,
-    laplacian_neumann,
-)
+from .grid import Field, Grid, chemotaxis_values, integrate_values, laplacian_values
 
 __all__ = [
-    "ModelParams", "ModelState", "rhs_u", "rhs_v", "reaction_u", "reaction_values", "mass_rate",
+    "ModelParams", "ModelState", "reaction_values", "linear_v", "explicit_u", "explicit_v",
+    "split_terms", "rhs_u", "rhs_v", "mass_rate",
 ]
 
 
@@ -87,26 +86,53 @@ def reaction_values(grid: Grid, u: np.ndarray, t: float, coeffs: CoefficientSet)
     return u * (a0 - a1 * u - a2 * integrate_values(grid, u))
 
 
-def reaction_u(state: ModelState, coeffs: CoefficientSet) -> Field:
-    """Growth/competition term of the population equation, as a Field."""
-    if coeffs.grid != state.grid:
-        raise GridMismatchError("coefficients and state live on different grids")
-    return Field(state.grid, reaction_values(state.grid, state.u.values, state.t, coeffs))
+def linear_v(grid: Grid, v: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Implicit-linear chemical term (lap(v) - lam*v) / tau."""
+    return (laplacian_values(grid, v) - params.lam * v) / params.tau
+
+
+def explicit_u(
+    grid: Grid, u: np.ndarray, v: np.ndarray, t: float,
+    coeffs: CoefficientSet, params: ModelParams,
+) -> np.ndarray:
+    """Explicit population term: drift plus reaction."""
+    return chemotaxis_values(grid, u, v, params.chi) + reaction_values(grid, u, t, coeffs)
+
+
+def explicit_v(u: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Explicit chemical term mu*u / tau."""
+    return params.mu * u / params.tau
+
+
+def split_terms(
+    state: ModelState, coeffs: CoefficientSet, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The right-hand side at ``state`` in its IMEX split.
+
+    Returns ``(lap(u), linear_v, explicit_u, explicit_v)``; the implicit
+    population term is the Laplacian itself.
+    """
+    grid = state.grid
+    u = state.u.values
+    v = state.v.values
+    return (
+        laplacian_values(grid, u),
+        linear_v(grid, v, params),
+        explicit_u(grid, u, v, state.t, coeffs, params),
+        explicit_v(u, params),
+    )
 
 
 def rhs_u(state: ModelState, coeffs: CoefficientSet, params: ModelParams) -> Field:
     """Full population right-hand side: diffusion + drift + reaction."""
-    lap = laplacian_neumann(state.u)
-    drift = chemotaxis_divergence(state.u, state.v, params.chi)
-    react = reaction_u(state, coeffs)
-    return Field(state.grid, lap.values + drift.values + react.values)
+    lap_u, _, exp_u, _ = split_terms(state, coeffs, params)
+    return Field(state.grid, lap_u + exp_u)
 
 
 def rhs_v(state: ModelState, params: ModelParams) -> Field:
     """Chemical right-hand side (lap(v) - lam*v + mu*u) / tau."""
-    lap = laplacian_neumann(state.v)
-    out = (lap.values - params.lam * state.v.values + params.mu * state.u.values) / params.tau
-    return Field(state.grid, out)
+    grid = state.grid
+    return Field(grid, linear_v(grid, state.v.values, params) + explicit_v(state.u.values, params))
 
 
 def mass_rate(
@@ -115,10 +141,13 @@ def mass_rate(
     """Reaction-only mass rates.
 
     Diffusion and drift integrate to zero under the no-flux boundary, so
-    the first entry equals integrate(rhs_u) up to round-off; the second is
-    the tau-scaled chemical rate -lam*mass(v) + mu*mass(u), which equals
-    tau * integrate(rhs_v).
+    the first entry equals the integral of rhs_u up to round-off; the second
+    is the tau-scaled chemical rate -lam*mass(v) + mu*mass(u), which equals
+    tau times the integral of rhs_v.
     """
-    du_mass = integrate(reaction_u(state, coeffs))
-    dv_mass = -params.lam * integrate(state.v) + params.mu * integrate(state.u)
+    grid = state.grid
+    u = state.u.values
+    du_mass = integrate_values(grid, reaction_values(grid, u, state.t, coeffs))
+    dv_mass = (-params.lam * integrate_values(grid, state.v.values)
+               + params.mu * integrate_values(grid, u))
     return du_mass, dv_mass

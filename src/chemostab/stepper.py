@@ -31,17 +31,9 @@ from .errors import (
     StepRejected,
     StepSizeUnderflowError,
 )
-from .grid import (
-    Field,
-    Grid,
-    chemotaxis_values,
-    gradient_neumann,
-    integrate,
-    laplacian_values,
-    w2inf_norm,
-)
+from .grid import Field, Grid, gradient_neumann, integrate_values, w2inf_norm
 from .implicit import solve_shifted
-from .model import ModelParams, ModelState, reaction_values
+from .model import ModelParams, ModelState, explicit_u, explicit_v, split_terms
 
 __all__ = [
     "StepperConfig",
@@ -78,8 +70,8 @@ class StepperConfig:
             raise ValueError(f"safety must be in (0, 1), got {self.safety}")
         if not (0.5 <= self.theta_scheme <= 1.0):
             raise ValueError(f"theta_scheme must be in [0.5, 1], got {self.theta_scheme}")
-        if self.error_tol <= 0.0:
-            raise ValueError("error_tol must be positive")
+        if not 0.0 < self.error_tol < math.inf:
+            raise ValueError("error_tol must be finite and positive")
         if not 0.0 <= self.positivity_floor < math.inf:
             raise ValueError("positivity_floor must be finite and nonnegative")
 
@@ -135,13 +127,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _explicit_u(
-    grid: Grid, u: np.ndarray, v: np.ndarray, t: float,
-    coeffs: CoefficientSet, params: ModelParams,
-) -> np.ndarray:
-    return chemotaxis_values(grid, u, v, params.chi) + reaction_values(grid, u, t, coeffs)
-
-
 def _clamp_negatives(
     vals: np.ndarray, scale: float, floor: float, grid: Grid, label: str
 ) -> tuple[np.ndarray, float, int]:
@@ -157,24 +142,6 @@ def _clamp_negatives(
     return out, clamped_mass, int(mask.sum())
 
 
-def _terms_at(
-    state: ModelState, coeffs: CoefficientSet, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The t_n terms of a step from ``state``: lap(u), lin(v) and the explicit u and v terms.
-
-    They depend on the state alone, not on dt, so every step from one state
-    can share them.
-    """
-    grid = state.grid
-    u = state.u.values
-    v = state.v.values
-    lap_u = laplacian_values(grid, u)
-    lin_v = (laplacian_values(grid, v) - params.lam * v) / params.tau
-    eu_n = _explicit_u(grid, u, v, state.t, coeffs, params)
-    ev_n = params.mu * u / params.tau
-    return lap_u, lin_v, eu_n, ev_n
-
-
 def step(
     state: ModelState,
     dt: float,
@@ -186,8 +153,9 @@ def step(
 ) -> ModelState:
     """Advance one IMEX step of size dt.
 
-    ``terms`` are the t_n terms from ``_terms_at(state, coeffs, params)``;
-    they are computed here when not given.
+    ``terms`` are the t_n terms ``model.split_terms(state, coeffs, params)``;
+    they depend on the state alone, not on dt, so every step from one state
+    can share them.  They are computed here when not given.
 
     Raises :class:`StepRejected` when the result leaves the admissible
     region (negative beyond the clamp band, or non-finite); the caller is
@@ -200,10 +168,10 @@ def step(
     t = state.t
     u = state.u.values
     v = state.v.values
-    tau, lam, mu = params.tau, params.lam, params.mu
+    tau, lam = params.tau, params.lam
 
     if terms is None:
-        terms = _terms_at(state, coeffs, params)
+        terms = split_terms(state, coeffs, params)
     lap_u, lin_v, eu_n, ev_n = terms
 
     a_v = 1.0 + theta * dt * lam / tau
@@ -223,8 +191,8 @@ def step(
             raise StepRejected("predictor produced non-finite values")
         u_star = np.maximum(u_new, 0.0)
         v_star = np.maximum(v_new, 0.0)
-        eu_s = _explicit_u(grid, u_star, v_star, t + dt, coeffs, params)
-        ev_s = mu * u_star / tau
+        eu_s = explicit_u(grid, u_star, v_star, t + dt, coeffs, params)
+        ev_s = explicit_v(u_star, params)
         u_new, v_new = solve_pair(
             (1.0 - theta) * eu_n + theta * eu_s,
             (1.0 - theta) * ev_n + theta * ev_s,
@@ -250,7 +218,7 @@ def advective_dt_limit(state: ModelState, params: ModelParams, cfg: StepperConfi
     if params.chi == 0.0:
         return math.inf
     limit = math.inf
-    grads = gradient_neumann(state.v)
+    grads = gradient_neumann(state.grid, state.v.values)
     for h, g in zip(state.grid.spacing, grads):
         speed = abs(params.chi) * float(np.abs(g).max())
         if speed > 0.0:
@@ -307,11 +275,11 @@ def run(
 
     def record(st: ModelState) -> None:
         recorded.append(st)
-        diag["mass_u"].append(integrate(st.u))
-        diag["mass_v"].append(integrate(st.v))
+        diag["mass_u"].append(integrate_values(st.grid, st.u.values))
+        diag["mass_v"].append(integrate_values(st.grid, st.v.values))
         diag["min_u"].append(st.u.min())
         diag["sup_u"].append(float(np.abs(st.u.values).max()))
-        diag["w2inf_v"].append(w2inf_norm(st.v))
+        diag["w2inf_v"].append(w2inf_norm(st.grid, st.v.values))
         for obs in observers:
             try:
                 obs(st)
@@ -344,7 +312,7 @@ def run(
 
         local = RunStats()
         if terms is None:
-            terms = _terms_at(state, coeffs, params)
+            terms = split_terms(state, coeffs, params)
         try:
             big = step(state, dt_try, coeffs, params, cfg, terms=terms)
             half = step(state, 0.5 * dt_try, coeffs, params, cfg, stats=local, terms=terms)

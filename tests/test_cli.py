@@ -217,6 +217,25 @@ class TestSimulate:
                      "experiment.window", id="window-inf"),
         pytest.param("simulate", "chi: 0.0", "chi: .nan", "params.chi", id="chi-nan"),
         pytest.param("simulate", "chi: 0.0", "chi: .inf", "params.chi", id="chi-inf"),
+        pytest.param("stability-experiment", "burn_ins: [8.0, 8.0, 8.0]",
+                     "burn_ins: [-1.0, 8.0, 8.0]", "experiment.burn_ins", id="burn_ins-negative"),
+        pytest.param("stability-experiment", "burn_ins: [8.0, 8.0, 8.0]",
+                     "burn_ins: [.nan, 8.0, 8.0]", "experiment.burn_ins", id="burn_ins-nan"),
+        pytest.param("stability-experiment", "burn_ins: [8.0, 8.0, 8.0]",
+                     "burn_ins: [8.0, 8.0, 50.0]", "experiment.burn_ins",
+                     id="burn_ins-beyond-t_end"),
+        pytest.param("stability-experiment", "n_samples: 201", "n_samples: 201\n  t_back: .inf",
+                     "experiment.t_back", id="t_back-inf"),
+        pytest.param("stability-experiment", "n_samples: 201", "n_samples: 201\n  t_back: .nan",
+                     "experiment.t_back", id="t_back-nan"),
+        pytest.param("stability-experiment", "n_samples: 201", "n_samples: 201\n  t_back: -1",
+                     "experiment.t_back", id="t_back-negative"),
+        pytest.param("stability-experiment", "n_samples: 201", "n_samples: 201\n  eps: .nan",
+                     "experiment.eps", id="eps-nan"),
+        pytest.param("stability-experiment", "n_samples: 201", "n_samples: 201\n  eps: .inf",
+                     "experiment.eps", id="eps-inf"),
+        pytest.param("simulate", "error_tol: 1.0e-8", "error_tol: .nan", "stepper: error_tol",
+                     id="error_tol-nan"),
     ])
     def test_bad_value_named_without_traceback(self, tmp_path, capsys, command, old, new, key):
         text = EXPERIMENT if command == "stability-experiment" else BASE

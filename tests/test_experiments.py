@@ -24,7 +24,7 @@ from chemostab import (
     fit_decay_rate,
     gronwall_check,
     gronwall_check_series,
-    integrate,
+    integrate_values,
     measure_constants,
     run,
     spatial_profile,
@@ -101,7 +101,7 @@ class TestTrajectoryGap:
         for k in (0, 17, 50, 100):
             w = a.states[k].u.values - b.states[k].u.values
             phi = a.states[k].v.values - b.states[k].v.values
-            e_direct = integrate(Field(grid, w * w)) + integrate(Field(grid, phi * phi))
+            e_direct = integrate_values(grid, w * w) + integrate_values(grid, phi * phi)
             assert gap.E[k] == pytest.approx(e_direct, rel=1e-12, abs=1e-300)
 
     def test_mismatched_samples_rejected(self, grid, logistic_pair):

@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 from chemostab import (
     Field,
     Grid,
-    GridMismatchError,
-    chemotaxis_divergence,
+    chemotaxis_values,
     gradient_neumann,
-    integrate,
-    laplacian_neumann,
+    integrate_values,
+    laplacian_values,
     norms,
-    pos_neg_parts,
     w2inf_norm,
 )
 
@@ -80,17 +78,17 @@ class TestField:
 class TestLaplacian:
     def test_constants_in_kernel(self):
         for g in (unit_interval(7), Grid((1.0, 2.0), (5, 9))):
-            out = laplacian_neumann(Field.constant(g, 7.0))
-            assert np.all(out.values == 0.0)
+            out = laplacian_values(g, Field.constant(g, 7.0).values)
+            assert np.all(out == 0.0)
 
     def test_hand_stencil_values(self):
         # 5 nodes, h = 0.25, f = (0,1,0,0,0): interior (0-2+0)/h^2, boundary 2(1-0)/h^2
         g = unit_interval(5)
-        out = laplacian_neumann(Field(g, np.array([0.0, 1.0, 0.0, 0.0, 0.0])))
-        assert out.values[1] == -32.0
-        assert out.values[0] == 32.0
-        assert out.values[2] == 16.0
-        assert out.values[3] == 0.0 and out.values[4] == 0.0
+        out = laplacian_values(g, np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
+        assert out[1] == -32.0
+        assert out[0] == 32.0
+        assert out[2] == 16.0
+        assert out[3] == 0.0 and out[4] == 0.0
 
     def test_row_sums_zero(self):
         # applying to coordinate-indicator fields reconstructs matrix columns;
@@ -99,7 +97,7 @@ class TestLaplacian:
         for i in range(6):
             e = np.zeros(6)
             e[i] = 1.0
-            col = laplacian_neumann(Field(g, e)).values
+            col = laplacian_values(g, e)
             # weighted column sums vanish (conservation column-wise)
             assert abs(np.sum(g.weights * col)) < 1e-10
 
@@ -109,7 +107,7 @@ class TestLaplacian:
             g = unit_interval(n)
             f = Field.from_function(g, lambda x: np.cos(np.pi * x))
             exact = -np.pi**2 * f.values
-            errors.append(np.abs(laplacian_neumann(f).values - exact).max())
+            errors.append(np.abs(laplacian_values(g, f.values) - exact).max())
         for k in range(2):
             ratio = errors[k] / errors[k + 1]
             assert 3.5 <= ratio <= 4.5
@@ -122,82 +120,77 @@ class TestLaplacian:
                 g, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y / 2.0)
             )
             exact = -(np.pi**2 + (np.pi / 2.0) ** 2) * f.values
-            errs.append(np.abs(laplacian_neumann(f).values - exact).max())
+            errs.append(np.abs(laplacian_values(g, f.values) - exact).max())
         assert 3.5 <= errs[0] / errs[1] <= 4.5
 
     @pytest.mark.parametrize("seed", range(5))
     def test_conservation_random(self, seed):
         g = unit_interval(17) if seed % 2 else Grid((1.0, 0.5), (7, 9))
         f = random_field(g, seed)
-        lap = laplacian_neumann(f)
-        tol = 10.0 * EPS * g.node_count * np.abs(lap.values).max()
-        assert abs(np.sum(g.weights * lap.values)) <= tol
+        lap = laplacian_values(g, f.values)
+        tol = 10.0 * EPS * g.node_count * np.abs(lap).max()
+        assert abs(np.sum(g.weights * lap)) <= tol
 
 
 class TestChemotaxis:
     def test_constant_v_gives_zero(self):
         g = unit_interval(9)
         u = random_field(g, 0)
-        out = chemotaxis_divergence(u, Field.constant(g, 3.0), 2.5)
-        assert np.all(out.values == 0.0)
+        out = chemotaxis_values(g, u.values, Field.constant(g, 3.0).values, 2.5)
+        assert np.all(out == 0.0)
 
     def test_chi_zero_gives_zero(self):
         g = unit_interval(9)
-        out = chemotaxis_divergence(random_field(g, 1), random_field(g, 2), 0.0)
-        assert np.all(out.values == 0.0)
+        out = chemotaxis_values(g, random_field(g, 1).values, random_field(g, 2).values, 0.0)
+        assert np.all(out == 0.0)
 
     def test_hand_flux_values(self):
         # 3 nodes, h=0.5, u=1, v=(0,1,0): F_{1/2}=2, F_{3/2}=-2
         g = unit_interval(3)
         u = Field.constant(g, 1.0)
         v = Field(g, np.array([0.0, 1.0, 0.0]))
-        out = chemotaxis_divergence(u, v, 1.0)
-        assert out.values[1] == 8.0
+        out = chemotaxis_values(g, u.values, v.values, 1.0)
+        assert out[1] == 8.0
         # boundary nodes from the one-sided zero-flux closure
-        assert out.values[0] == -8.0 and out.values[2] == -8.0
+        assert out[0] == -8.0 and out[2] == -8.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_conservation_random(self, seed):
         g = Grid((1.0, 2.0), (6, 8)) if seed % 2 else unit_interval(21)
         u = random_field(g, 10 + seed)
         v = random_field(g, 20 + seed)
-        out = chemotaxis_divergence(u, v, 0.7)
-        scale = max(np.abs(out.values).max(), 1.0)
-        assert abs(np.sum(g.weights * out.values)) <= 10.0 * EPS * g.node_count * scale
-
-    def test_grid_mismatch(self):
-        u = Field.constant(unit_interval(5), 1.0)
-        v = Field.constant(unit_interval(7), 1.0)
-        with pytest.raises(GridMismatchError):
-            chemotaxis_divergence(u, v, 1.0)
+        out = chemotaxis_values(g, u.values, v.values, 0.7)
+        scale = max(np.abs(out).max(), 1.0)
+        assert abs(np.sum(g.weights * out)) <= 10.0 * EPS * g.node_count * scale
 
 
 class TestIntegrate:
     def test_constant(self):
         g = Grid((2.0,), (9,))
-        assert integrate(Field.constant(g, 1.0)) == pytest.approx(2.0, abs=1e-15)
+        assert integrate_values(g, Field.constant(g, 1.0).values) == pytest.approx(2.0, abs=1e-15)
 
     def test_affine_exact(self):
         for n in (3, 7, 20):
             g = unit_interval(n)
             f = Field.from_function(g, lambda x: x)
-            assert integrate(f) == pytest.approx(0.5, abs=1e-14)
+            assert integrate_values(g, f.values) == pytest.approx(0.5, abs=1e-14)
 
     def test_quadratic_trapezoid_value(self):
         # closed-form composite trapezoid of x^2 on 10 intervals: (2n^2+1)/(6n^2)
         g = unit_interval(11)
         f = Field.from_function(g, lambda x: x**2)
-        assert integrate(f) == pytest.approx(0.335, abs=1e-14)
+        assert integrate_values(g, f.values) == pytest.approx(0.335, abs=1e-14)
 
     def test_bilinear_exact_2d(self):
         g = Grid((1.0, 2.0), (4, 5))
         f = Field.from_function(g, lambda x, y: (1.0 + 2.0 * x) * (3.0 + y))
-        assert integrate(f) == pytest.approx(16.0, rel=1e-14)
+        assert integrate_values(g, f.values) == pytest.approx(16.0, rel=1e-14)
 
     def test_matches_bruteforce_sum(self):
         g = Grid((1.5, 0.5), (5, 6))
         f = random_field(g, 3)
-        assert integrate(f) == pytest.approx(trapezoid_sum(f.values, g.weights), rel=1e-13)
+        assert integrate_values(g, f.values) == pytest.approx(
+            trapezoid_sum(f.values, g.weights), rel=1e-13)
 
     @given(
         alpha=st.floats(-5, 5, allow_nan=False),
@@ -210,64 +203,42 @@ class TestIntegrate:
         f = random_field(g, seed)
         h = random_field(g, seed + 1)
         combo = Field(g, alpha * f.values + beta * h.values)
-        lhs = integrate(combo)
-        rhs = alpha * integrate(f) + beta * integrate(h)
+        lhs = integrate_values(g, combo.values)
+        rhs = alpha * integrate_values(g, f.values) + beta * integrate_values(g, h.values)
         assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(lhs)))
 
 
 class TestNorms:
     def test_zero(self):
         f = Field.constant(unit_interval(), 0.0)
-        assert norms(f) == (0.0, 0.0)
+        assert norms(f.grid, f.values) == (0.0, 0.0)
 
     def test_constant(self):
         f = Field.constant(unit_interval(9), -3.0)
-        l2, linf = norms(f)
+        l2, linf = norms(f.grid, f.values)
         assert l2 == pytest.approx(3.0, rel=1e-14)
         assert linf == 3.0
 
     def test_direct_quadrature_value(self):
         # (3,0,4) on (0,1): L2^2 = 0.25*9 + 0.5*0 + 0.25*16 = 6.25
         f = Field(unit_interval(3), np.array([3.0, 0.0, 4.0]))
-        l2, linf = norms(f)
+        l2, linf = norms(f.grid, f.values)
         assert l2 == pytest.approx(2.5, abs=1e-14)
         assert linf == 4.0
-
-
-class TestPosNegParts:
-    def test_examples(self):
-        g = unit_interval(3)
-        plus, minus = pos_neg_parts(Field.constant(g, -2.0))
-        assert np.all(plus.values == 0.0) and np.all(minus.values == 2.0)
-        plus, minus = pos_neg_parts(Field.constant(g, 0.0))
-        assert np.all(plus.values == 0.0) and np.all(minus.values == 0.0)
-        plus, minus = pos_neg_parts(Field(g, np.array([1.0, -3.0, 0.0])))
-        assert np.all(plus.values == [1.0, 0.0, 0.0])
-        assert np.all(minus.values == [0.0, 3.0, 0.0])
-
-    @given(seed=st.integers(0, 1000))
-    @settings(max_examples=30, deadline=None)
-    def test_reconstruction_exact(self, seed):
-        g = unit_interval(11)
-        f = random_field(g, seed)
-        plus, minus = pos_neg_parts(f)
-        assert np.all(plus.values >= 0.0) and np.all(minus.values >= 0.0)
-        assert np.array_equal(plus.values - minus.values, f.values)
-        assert np.array_equal(plus.values + minus.values, np.abs(f.values))
-        assert np.all(plus.values * minus.values == 0.0)
 
 
 class TestDerivativeHelpers:
     def test_gradient_boundary_vanishes(self):
         g = unit_interval(9)
         f = random_field(g, 7)
-        (gx,) = gradient_neumann(f)
+        (gx,) = gradient_neumann(g, f.values)
         assert gx[0] == 0.0 and gx[-1] == 0.0
 
     def test_gradient_exact_on_quadratics_2d(self):
         # central differences are exact on quadratics at interior nodes
         g = Grid((1.0, 2.0), (5, 9))
-        gx, gy = gradient_neumann(Field.from_function(g, lambda x, y: x * x + 3.0 * y * y))
+        f = Field.from_function(g, lambda x, y: x * x + 3.0 * y * y)
+        gx, gy = gradient_neumann(g, f.values)
         x, y = g.coords()
         assert np.allclose(gx[1:-1, :], 2.0 * x[1:-1, :], rtol=1e-13, atol=1e-13)
         assert np.allclose(gy[:, 1:-1], 6.0 * y[:, 1:-1], rtol=1e-13, atol=1e-13)
@@ -277,8 +248,8 @@ class TestDerivativeHelpers:
         g = unit_interval(201)
         f = Field.from_function(g, lambda x: np.cos(np.pi * x))
         # dominated by the second derivative, pi^2
-        assert w2inf_norm(f) == pytest.approx(np.pi**2, rel=2e-2)
+        assert w2inf_norm(f.grid, f.values) == pytest.approx(np.pi**2, rel=2e-2)
 
     def test_w2inf_flat(self):
         f = Field.constant(unit_interval(5), 4.0)
-        assert w2inf_norm(f) == 4.0
+        assert w2inf_norm(f.grid, f.values) == 4.0

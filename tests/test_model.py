@@ -11,10 +11,11 @@ from chemostab import (
     ModelState,
     SeparableCoefficient,
     TimeFactor,
-    integrate,
-    laplacian_neumann,
-    chemotaxis_divergence,
+    integrate_values,
+    laplacian_values,
+    chemotaxis_values,
     mass_rate,
+    reaction_values,
     rhs_u,
     rhs_v,
     spatial_profile,
@@ -78,12 +79,10 @@ class TestRhsU:
         uvals[[0, 7, 20]] = 0.0
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
         state = ModelState(0.0, Field(grid, uvals), Field.constant(grid, 0.0))
-        from chemostab import reaction_u
-
-        react = reaction_u(state, const_set(grid, 2.0, 1.0, 0.5))
-        assert react.values[0] == 0.0
-        assert react.values[7] == 0.0
-        assert react.values[20] == 0.0
+        react = reaction_values(grid, state.u.values, state.t, const_set(grid, 2.0, 1.0, 0.5))
+        assert react[0] == 0.0
+        assert react[7] == 0.0
+        assert react[20] == 0.0
 
     def test_linearity_in_chi(self, grid):
         rng = np.random.default_rng(1)
@@ -132,7 +131,7 @@ class TestMassRate:
         state = ModelState(0.0, Field.constant(grid, 0.0), v)
         du, dv = mass_rate(state, const_set(grid), params)
         assert du == 0.0
-        assert dv == pytest.approx(-params.lam * integrate(v), rel=1e-14)
+        assert dv == pytest.approx(-params.lam * integrate_values(grid, v.values), rel=1e-14)
 
     def test_equilibrium_rates_vanish(self, grid):
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
@@ -161,12 +160,12 @@ class TestMassRate:
         )
         state = ModelState(0.3, u, v)
         du, dv = mass_rate(state, cs, params)
-        total_u = integrate(rhs_u(state, cs, params))
-        total_v = integrate(rhs_v(state, params))
-        lap = laplacian_neumann(u)
-        chem = chemotaxis_divergence(u, v, params.chi)
-        scale = 1.0 + integrate(Field(grid, np.abs(lap.values))) + integrate(
-            Field(grid, np.abs(chem.values))
+        total_u = integrate_values(grid, rhs_u(state, cs, params).values)
+        total_v = integrate_values(grid, rhs_v(state, params).values)
+        lap = laplacian_values(grid, u.values)
+        chem = chemotaxis_values(grid, u.values, v.values, params.chi)
+        scale = 1.0 + integrate_values(grid, np.abs(lap)) + integrate_values(
+            grid, np.abs(chem)
         )
         assert abs(total_u - du) <= 1e-12 * scale
         assert abs(params.tau * total_v - dv) <= 1e-12 * scale

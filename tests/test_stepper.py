@@ -15,7 +15,7 @@ from chemostab import (
     StepSizeUnderflowError,
     StepperConfig,
     fixed_step_run,
-    integrate,
+    integrate_values,
     run,
     step,
 )
@@ -55,6 +55,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             StepperConfig(positivity_floor=floor)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_error_tol_finite(self, tol):
+        # a NaN tolerance rejects every step until dt_min underflows
+        with pytest.raises(ValueError):
+            StepperConfig(error_tol=tol)
+
     def test_design_order(self):
         assert StepperConfig(theta_scheme=1.0).design_order == 1
         assert StepperConfig(theta_scheme=0.5).design_order == 2
@@ -91,9 +97,9 @@ class TestSingleStep:
         rng = np.random.default_rng(3)
         state = ModelState(0.0, Field(grid, rng.uniform(0.5, 2.0, 41)),
                            Field.constant(grid, 0.0))
-        m0 = integrate(state.u)
+        m0 = integrate_values(grid, state.u.values)
         out = step(state, 0.01, cs, params, cfg)
-        m1 = integrate(out.u)
+        m1 = integrate_values(grid, out.u.values)
         assert abs(m1 - m0) <= 10 * np.finfo(float).eps * grid.node_count * max(m0, 1.0)
 
     def test_positivity_rejection(self, grid):
@@ -136,16 +142,16 @@ class TestRun:
 
     def test_step_doubling_shares_t_n_terms(self, grid, monkeypatch):
         # one accepted attempt: lap(u) and lap(v) at t_n once, then the fine step's own
-        import chemostab.stepper as stepper_mod
+        import chemostab.model as model_mod
 
         calls = []
-        real = stepper_mod.laplacian_values
+        real = model_mod.laplacian_values
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(stepper_mod, "laplacian_values", counting)
+        monkeypatch.setattr(model_mod, "laplacian_values", counting)
         params = ModelParams(chi=0.1, tau=1.0, lam=1.0, mu=1.0)
         cfg = StepperConfig(dt_init=0.5, dt_max=0.5)
         traj = run(flat_state(grid, 1.0, 1.0), 0.5, const_set(grid), params, cfg,
