@@ -43,7 +43,7 @@ from .experiments import (
     measure_constants,
     trajectory_gap,
 )
-from .grid import Field, Grid, laplacian_values
+from .grid import Grid, laplacian_values
 from .model import ModelParams, ModelState
 from .stability import (
     KnownConstants,
@@ -96,17 +96,8 @@ def _series_rows(traj):
 
 
 def _final_rows(grid: Grid, state: ModelState):
-    coords = grid.coords()
-    if grid.dim == 1:
-        for i, x in enumerate(coords[0]):
-            yield (float(x), float(state.u.values[i]), float(state.v.values[i]))
-    else:
-        for i in range(grid.counts[0]):
-            for j in range(grid.counts[1]):
-                yield (
-                    float(coords[0][i, j]), float(coords[1][i, j]),
-                    float(state.u.values[i, j]), float(state.v.values[i, j]),
-                )
+    """One row per node in C order: its coordinates, then u and v."""
+    return zip(*(map(float, a.ravel()) for a in (*grid.coords(), state.u, state.v)))
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str | None, seed: int | None, threads: int) -> int:
@@ -213,12 +204,13 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
     window = tuple(exp.get("window", [0.0, t_end]))
     validate_roles(coeffs, window, require_positive_growth=True)
 
-    states = [tuple(build_profile_field(grid, blk[k], seed) for k in ("u", "v")) for blk in seeds]
+    states = [tuple(build_profile_field(grid, blk[k], f"experiment.seeds[{i}].{k}", seed)
+                    for k in ("u", "v")) for i, blk in enumerate(seeds)]
     if not all(u0.max() > 0.0 for u0, _ in states):
         raise ConfigError("experiment.seeds", "population seed must not vanish identically")
     # identical states would make the seed-independence checks pass vacuously
     for (i, a), (j, b) in itertools.combinations(enumerate(states), 2):
-        if all(np.array_equal(x.values, y.values) for x, y in zip(a, b)):
+        if all(np.array_equal(x, y) for x, y in zip(a, b)):
             raise ConfigError("experiment.seeds", f"seeds {i} and {j} give identical states")
 
     def run_seed(state):
@@ -373,14 +365,9 @@ def cmd_converge(cfg: RunConfig, out_dir: str | None, seed: int | None, threads:
     counts = grid.counts
     for level in range(3):
         g = Grid(grid.extents, tuple((c - 1) * 2**level + 1 for c in counts))
-        if g.dim == 1:
-            f = Field.from_function(g, lambda x: np.cos(np.pi * x / g.extents[0]))
-            exact = -((np.pi / g.extents[0]) ** 2) * f.values
-        else:
-            f = Field.from_function(
-                g, lambda x, y: np.cos(np.pi * x / g.extents[0]) * np.cos(np.pi * y / g.extents[1]))
-            exact = -((np.pi / g.extents[0]) ** 2 + (np.pi / g.extents[1]) ** 2) * f.values
-        err = float(np.abs(laplacian_values(g, f.values) - exact).max())
+        f = math.prod(np.cos(np.pi * x / e) for x, e in zip(g.coords(), g.extents))
+        exact = -sum((np.pi / e) ** 2 for e in g.extents) * f
+        err = float(np.abs(laplacian_values(g, f) - exact).max())
         errors.append(err)
         rows.append(("spatial", level, max(g.spacing), err))
     spatial_orders = [math.log2(errors[k] / errors[k + 1]) for k in range(len(errors) - 1)]
@@ -388,12 +375,12 @@ def cmd_converge(cfg: RunConfig, out_dir: str | None, seed: int | None, threads:
     # temporal study: flat logistic reduction, fixed-step Richardson triplet
     coeffs, flat_params = _flat_logistic_setup(grid, params)
     stepper_cfg = build_stepper(cfg)
-    state0 = ModelState(0.0, Field.constant(grid, 0.1), Field.constant(grid, 0.0))
+    state0 = ModelState(0.0, np.full(grid.counts, 0.1), np.zeros(grid.counts))
     t_end = 2.0
     finals = []
     for n_steps in (20, 40, 80):
         state = fixed_step_run(state0, t_end, n_steps, coeffs, flat_params, stepper_cfg)
-        finals.append(float(state.u.values.flat[0]))
+        finals.append(float(state.u.flat[0]))
         rows.append(("temporal", n_steps, t_end / n_steps, finals[-1]))
     temporal_order = math.log2(abs(finals[0] - finals[1]) / abs(finals[1] - finals[2]))
 

@@ -1,6 +1,7 @@
 """Heterogeneous growth/competition coefficients and their envelopes.
 
-A coefficient is a scalar function of time and space evaluated on a grid.
+A coefficient is a scalar function of time and space evaluated on a grid;
+``eval(t)`` returns its nodal values as an array shaped like ``grid.counts``.
 The configuration-facing family is deliberately small and declarative:
 
 * ``constant`` -- one number;
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoefficientRangeError
-from .grid import Field, Grid
+from .grid import Field, Grid, require_finite
 
 __all__ = [
     "TimeFactor",
@@ -119,7 +120,9 @@ class CoefficientSpec:
         self.grid = grid
         self.role = role
 
-    def eval(self, t: float) -> Field:
+    def eval(self, t: float) -> np.ndarray:
+        """Nodal values at ``t``, shaped like ``grid.counts``; calls may share
+        the array, so do not write to it.  A non-finite value raises ValueError."""
         raise NotImplementedError
 
     def envelope(self, t) -> tuple[np.ndarray, np.ndarray]:
@@ -170,10 +173,11 @@ class ConstantCoefficient(CoefficientSpec):
     def __init__(self, grid: Grid, role: int, value: float):
         super().__init__(grid, role)
         self.value = float(value)
-        self._field = Field.constant(grid, self.value)  # immutable, safe to share
+        self._values = np.full(grid.counts, self.value)
+        self._values.flags.writeable = False  # one array, shared by every eval
 
-    def eval(self, t: float) -> Field:
-        return self._field
+    def eval(self, t: float) -> np.ndarray:
+        return self._values
 
     def envelope(self, t) -> tuple[np.ndarray, np.ndarray]:
         values = np.full(np.shape(t), self.value)
@@ -195,16 +199,15 @@ class SeparableCoefficient(CoefficientSpec):
         self.time = time
         self.space = space
 
-    def eval(self, t: float) -> Field:
-        return Field(self.grid, float(self.time(t)) * self.space.values)
+    def eval(self, t: float) -> np.ndarray:
+        return require_finite(float(self.time(t)) * self.space.values)
 
     def envelope(self, t) -> tuple[np.ndarray, np.ndarray]:
         # Rounding g*h is monotone in h, so the nodal extremes of g(t)*h are
         # exactly the products with min h and max h.
         g = self.time(t)
-        at_lo, at_hi = g * self.space.min(), g * self.space.max()
-        if not (np.isfinite(at_lo).all() and np.isfinite(at_hi).all()):
-            raise ValueError("field contains non-finite values")
+        at_lo = require_finite(g * self.space.min())
+        at_hi = require_finite(g * self.space.max())
         return np.minimum(at_lo, at_hi), np.maximum(at_lo, at_hi)
 
     def _global_envelope(self, t0, t1, n_samples):
@@ -244,7 +247,7 @@ class TabulatedCoefficient(CoefficientSpec):
             arr = np.asarray(tab, dtype=float)
             if arr.size != grid.node_count:
                 raise ValueError(f"table {k} has {arr.size} samples, grid has {grid.node_count}")
-            arrays.append(arr.reshape(grid.counts))
+            arrays.append(require_finite(arr.reshape(grid.counts)))
         if len(arrays) != knots.size:
             raise ValueError("one table per knot required")
         self.knots = knots
@@ -252,7 +255,7 @@ class TabulatedCoefficient(CoefficientSpec):
         self.clamp = bool(clamp)
         self.clamped_evals = 0
 
-    def eval(self, t: float) -> Field:
+    def eval(self, t: float) -> np.ndarray:
         t = float(t)
         if t < self.knots[0] or t > self.knots[-1]:
             if not self.clamp:
@@ -265,7 +268,7 @@ class TabulatedCoefficient(CoefficientSpec):
         i = min(max(i, 0), self.knots.size - 2)
         t_lo, t_hi = self.knots[i], self.knots[i + 1]
         s = (t - t_lo) / (t_hi - t_lo)
-        return Field(self.grid, (1.0 - s) * self.tables[i] + s * self.tables[i + 1])
+        return require_finite((1.0 - s) * self.tables[i] + s * self.tables[i + 1])
 
     def _global_envelope(self, t0, t1, n_samples):
         # Linear interpolation attains its extremes at knots (or clamped
@@ -289,8 +292,8 @@ class CallableCoefficient(CoefficientSpec):
         self.fn = fn
         self._period = period
 
-    def eval(self, t: float) -> Field:
-        return Field(self.grid, np.asarray(self.fn(float(t)), dtype=float).reshape(self.grid.counts))
+    def eval(self, t: float) -> np.ndarray:
+        return require_finite(np.asarray(self.fn(float(t)), dtype=float).reshape(self.grid.counts))
 
     def _global_envelope(self, t0, t1, n_samples):
         # Nested dyadic samples: doubling the request reuses every previous

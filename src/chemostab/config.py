@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -284,24 +284,13 @@ def _norm_initial(raw: dict) -> dict:
 
 def _norm_stepper(raw: dict) -> dict:
     defaults = StepperConfig()
-    _check_keys(
-        raw,
-        {"dt_init", "dt_min", "dt_max", "safety", "positivity_floor", "theta_scheme", "error_tol"},
-        "stepper",
-    )
-    out = {
-        "dt_init": _as_float(raw, "dt_init", "stepper", default=defaults.dt_init),
-        "dt_min": _as_float(raw, "dt_min", "stepper", default=defaults.dt_min),
-        "dt_max": _as_float(raw, "dt_max", "stepper", default=defaults.dt_max),
-        "safety": _as_float(raw, "safety", "stepper", default=defaults.safety),
-        "positivity_floor": _as_float(raw, "positivity_floor", "stepper", default=defaults.positivity_floor),
-        "theta_scheme": _as_float(raw, "theta_scheme", "stepper", default=defaults.theta_scheme),
-        "error_tol": _as_float(raw, "error_tol", "stepper", default=defaults.error_tol),
-    }
+    names = [f.name for f in fields(StepperConfig)]
+    _check_keys(raw, set(names), "stepper")
+    out = {name: _as_float(raw, name, "stepper", default=getattr(defaults, name)) for name in names}
     try:
         StepperConfig(**out)
-    except ValueError as exc:
-        _fail("stepper", str(exc))
+    except ConfigError as exc:
+        _fail(f"stepper.{exc.key}", exc.message)
     return out
 
 
@@ -472,7 +461,10 @@ def _build_coefficient(block: dict, grid: Grid, role: int, name: str):
         return SeparableCoefficient(grid, role, time, space)
     if block["kind"] == "tabulated":
         knots, tables = _read_table(block["table_file"], grid, name)
-        return TabulatedCoefficient(grid, role, knots, tables, clamp=block["clamp"])
+        try:
+            return TabulatedCoefficient(grid, role, knots, tables, clamp=block["clamp"])
+        except ValueError as exc:
+            raise ConfigError(f"{name}.table_file", f"{block['table_file']}: {exc}") from exc
     raise ConfigError(name, f"unknown kind {block['kind']!r}")
 
 
@@ -497,46 +489,52 @@ def build_coefficients(cfg: RunConfig, grid: Grid) -> CoefficientSet:
     )
 
 
-def build_profile_field(grid: Grid, block: dict, seed_override: int | None = None) -> Field:
-    """Initial-data field from a named profile block."""
+def build_profile_field(
+    grid: Grid, block: dict, key: str, seed_override: int | None = None
+) -> np.ndarray:
+    """Initial data from a named profile block, as a read-only nodal array.
+
+    ``key`` is the block's place in the config (``initial.u``); errors name it.
+    """
     profile = block["profile"]
     if profile == "constant":
-        return Field.constant(grid, block.get("value", 0.0))
+        return Field.constant(grid, block.get("value", 0.0)).values
     if profile == "bump":
         kwargs = {k: v for k, v in block.items() if k != "profile"}
         if "center" in kwargs and isinstance(kwargs["center"], list):
             kwargs["center"] = tuple(kwargs["center"])
-        return spatial_profile(grid, "gaussian-bump", **kwargs)
+        return spatial_profile(grid, "gaussian-bump", **kwargs).values
     if profile == "cosine":
         baseline = block.get("baseline", 1.0)
         amplitude = block.get("amplitude", 0.5)
         mode = block.get("mode", 1)
         axis = block.get("axis", 0)
-        coords = grid.coords()
-        x = coords[axis]
-        return Field(grid, baseline + amplitude * np.cos(mode * np.pi * x / grid.extents[axis]))
+        x = grid.coords()[axis]
+        wave = baseline + amplitude * np.cos(mode * np.pi * x / grid.extents[axis])
+        return Field(grid, wave).values
     if profile == "random-positive":
         low = block.get("low", 0.1)
         high = block.get("high", 1.0)
         seed = block.get("seed", 0)
         if not 0.0 <= low < high:
-            raise ConfigError("initial", f"need 0 <= low < high, got {low}, {high}")
+            raise ConfigError(key, f"need 0 <= low < high, got {low}, {high}")
         # an override is mixed with the declared seed, so distinct declared
         # seeds stay distinct streams
         rng = np.random.default_rng(seed if seed_override is None else [seed_override, seed])
-        return Field(grid, rng.uniform(low, high, size=grid.counts))
+        return Field(grid, rng.uniform(low, high, size=grid.counts)).values
     if profile == "file":
+        path = block["path"]
         try:
-            vals = np.loadtxt(block["path"], delimiter=",")
-        except OSError as exc:
-            raise ConfigError("initial.path", f"cannot read {block['path']}: {exc}") from exc
-        return Field(grid, np.asarray(vals, dtype=float).reshape(grid.counts))
-    raise ConfigError("initial.profile", f"unknown profile {profile!r}")
+            return Field(grid, np.loadtxt(path, delimiter=",").reshape(grid.counts)).values
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{key}.path", f"cannot read {path}: {exc}") from exc
+    raise ConfigError(f"{key}.profile", f"unknown profile {profile!r}")
 
 
 def build_initial(cfg: RunConfig, grid: Grid, seed_override: int | None = None):
-    u0 = build_profile_field(grid, cfg.initial["u"], seed_override)
-    v0 = build_profile_field(grid, cfg.initial["v"], seed_override)
+    """The configured ``(u0, v0)`` as read-only nodal arrays."""
+    u0 = build_profile_field(grid, cfg.initial["u"], "initial.u", seed_override)
+    v0 = build_profile_field(grid, cfg.initial["v"], "initial.v", seed_override)
     if u0.min() < 0.0:
         raise ConfigError("initial.u", "must be nonnegative")
     if v0.min() < 0.0:

@@ -76,3 +76,4 @@ class ConfigError(ChemostabError, ValueError):
     def __init__(self, key: str, message: str):
         super().__init__(f"{key}: {message}")
         self.key = key
+        self.message = message

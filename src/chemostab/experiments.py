@@ -18,7 +18,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .errors import GridMismatchError, TBackInsufficientError
-from .grid import Field, norms
+from .grid import norms
 from .model import ModelParams, ModelState
 from .stability import KnownConstants, StabilityReport, band_perturbation_gain, decay_integrand
 from .stepper import StepperConfig, Trajectory, run
@@ -156,16 +156,10 @@ def trajectory_gap(run_a: Trajectory, run_b: Trajectory) -> GapSeries:
     scale = 0.0
     grid = run_a.grid
     for k, (sa, sb) in enumerate(zip(run_a.states, run_b.states)):
-        w_l2[k], w_li[k] = norms(grid, sa.u.values - sb.u.values)
-        p_l2[k], p_li[k] = norms(grid, sa.v.values - sb.v.values)
+        w_l2[k], w_li[k] = norms(grid, sa.u - sb.u)
+        p_l2[k], p_li[k] = norms(grid, sa.v - sb.v)
         e[k] = w_l2[k] ** 2 + p_l2[k] ** 2
-        scale = max(
-            scale,
-            float(np.abs(sa.u.values).max()),
-            float(np.abs(sa.v.values).max()),
-            float(np.abs(sb.u.values).max()),
-            float(np.abs(sb.v.values).max()),
-        )
+        scale = max(scale, *(float(np.abs(a).max()) for a in (sa.u, sa.v, sb.u, sb.v)))
     return GapSeries(
         t=t, E=e, w_L2=w_l2, phi_L2=p_l2, w_Linf=w_li, phi_Linf=p_li,
         volume=grid.volume, state_scale=scale,
@@ -265,15 +259,6 @@ def measure_constants(
     return base.with_values("measured", **fill)
 
 
-def _as_field_pair(grid, seed) -> tuple[Field, Field]:
-    u0, v0 = seed
-    if not isinstance(u0, Field):
-        u0 = Field.constant(grid, float(u0))
-    if not isinstance(v0, Field):
-        v0 = Field.constant(grid, float(v0))
-    return u0, v0
-
-
 def approximate_entire_solution(
     coeffs: CoefficientSet,
     params: ModelParams,
@@ -287,7 +272,8 @@ def approximate_entire_solution(
     """Pullback approximation of the entire solution over ``t_span``.
 
     Two distinct admissible seeds are integrated from ``t_span[0] - t_back``
-    and only the span is kept.  The kept segments must agree within
+    and only the span is kept; each seed is a ``(u0, v0)`` pair of numbers or
+    nodal arrays.  The kept segments must agree within
     ``tolerance`` in the sup norm -- a measured gate, so the construction
     never silently assumes the forgetting property it is used to test.
     """
@@ -304,8 +290,7 @@ def approximate_entire_solution(
     t0 = lo - float(t_back)
     trajs = []
     for seed in seeds[:2]:
-        u0, v0 = _as_field_pair(grid, seed)
-        state0 = ModelState(t0, u0, v0)
+        state0 = ModelState(t0, *(np.full(grid.counts, x, dtype=float) for x in seed))
         trajs.append(run(state0, hi, coeffs, params, cfg, sample_times=samples))
     gap = trajectory_gap(trajs[0], trajs[1])
     achieved = float(max(gap.w_Linf.max(), gap.phi_Linf.max()))

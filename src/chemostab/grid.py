@@ -10,9 +10,11 @@ sum of any Laplacian or conservative flux divergence telescopes to zero.
 2D operators are tensor products of the 1D stencils; corners reflect in both
 axes.
 
-Every operator is an array kernel ``op(grid, values, ...)`` that returns
-plain arrays or floats.  :class:`Field` is the validated, immutable container
-for states and coefficients; pass its ``grid`` and ``values`` to an operator.
+Every operator is an array kernel ``op(grid, values, ...)`` that takes and
+returns plain arrays or floats; states and coefficient values are nodal
+arrays shaped like ``grid.counts``.  :class:`Field` validates input where it
+enters the program (config profiles, files, spatial profiles): it checks the
+shape against a grid and, through :func:`require_finite`, the values.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
+    "require_finite",
     "laplacian_values",
     "chemotaxis_values",
     "integrate_values",
@@ -126,19 +129,25 @@ class Grid:
         return tuple(np.meshgrid(*self.axis_coords, indexing="ij"))
 
 
+def require_finite(values: np.ndarray) -> np.ndarray:
+    """Return ``values`` unchanged; raise ``ValueError`` if any entry is non-finite."""
+    if not np.isfinite(values).all():
+        raise ValueError("field contains non-finite values")
+    return values
+
+
 class Field:
     """Immutable scalar field sampled at the nodes of a :class:`Grid`."""
 
     __slots__ = ("grid", "values")
 
-    def __init__(self, grid: Grid, values, *, check: bool = True):
+    def __init__(self, grid: Grid, values):
         arr = np.array(values, dtype=float, copy=True)
         if arr.shape != grid.counts:
             raise ValueError(
                 f"values shape {arr.shape} does not match grid counts {grid.counts}"
             )
-        if check and not np.isfinite(arr).all():
-            raise ValueError("field contains non-finite values")
+        require_finite(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", arr)

@@ -16,6 +16,9 @@ Each term is defined once, as an array kernel, in the split the IMEX stepper
 marches: the implicit-linear part ``lap(u)`` and ``(lap(v) - lam*v)/tau``,
 and the explicit part ``-chi*div(u grad v) + reaction`` and ``mu*u/tau``.
 ``rhs_u`` and ``rhs_v`` are sums of those same terms.
+
+A state is a time and two read-only nodal arrays; the grid they live on is
+the coefficients' grid (``coeffs.grid``), passed where no coefficients are.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .errors import GridMismatchError
-from .grid import Field, Grid, chemotaxis_values, integrate_values, laplacian_values
+from .grid import Grid, chemotaxis_values, integrate_values, laplacian_values
 
 __all__ = [
     "ModelParams", "ModelState", "reaction_values", "linear_v", "explicit_u", "explicit_v",
@@ -63,26 +66,28 @@ class ModelParams:
             raise ValueError(f"mu must be positive, got {self.mu}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value, so states compare by identity
 class ModelState:
-    """Time plus the (u, v) field pair."""
+    """Time plus the nodal arrays u and v: read-only float arrays of one shape."""
 
     t: float
-    u: Field
-    v: Field
+    u: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self):
-        if self.u.grid != self.v.grid:
-            raise GridMismatchError("u and v live on different grids")
-
-    @property
-    def grid(self):
-        return self.u.grid
+        for name in ("u", "v"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.flags.writeable:  # copied, so later writes by the caller cannot reach it
+                arr = arr.copy()
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if self.u.shape != self.v.shape:
+            raise GridMismatchError(f"u has shape {self.u.shape} but v has {self.v.shape}")
 
 
 def reaction_values(grid: Grid, u: np.ndarray, t: float, coeffs: CoefficientSet) -> np.ndarray:
     """Array kernel u*(a0 - a1*u - a2*total_mass(u)) at time t; zero where u is zero."""
-    a0, a1, a2 = (c.eval(t).values for c in (coeffs.a0, coeffs.a1, coeffs.a2))
+    a0, a1, a2 = (c.eval(t) for c in (coeffs.a0, coeffs.a1, coeffs.a2))
     return u * (a0 - a1 * u - a2 * integrate_values(grid, u))
 
 
@@ -112,9 +117,8 @@ def split_terms(
     Returns ``(lap(u), linear_v, explicit_u, explicit_v)``; the implicit
     population term is the Laplacian itself.
     """
-    grid = state.grid
-    u = state.u.values
-    v = state.v.values
+    grid = coeffs.grid
+    u, v = state.u, state.v
     return (
         laplacian_values(grid, u),
         linear_v(grid, v, params),
@@ -123,16 +127,15 @@ def split_terms(
     )
 
 
-def rhs_u(state: ModelState, coeffs: CoefficientSet, params: ModelParams) -> Field:
+def rhs_u(state: ModelState, coeffs: CoefficientSet, params: ModelParams) -> np.ndarray:
     """Full population right-hand side: diffusion + drift + reaction."""
     lap_u, _, exp_u, _ = split_terms(state, coeffs, params)
-    return Field(state.grid, lap_u + exp_u)
+    return lap_u + exp_u
 
 
-def rhs_v(state: ModelState, params: ModelParams) -> Field:
+def rhs_v(grid: Grid, state: ModelState, params: ModelParams) -> np.ndarray:
     """Chemical right-hand side (lap(v) - lam*v + mu*u) / tau."""
-    grid = state.grid
-    return Field(grid, linear_v(grid, state.v.values, params) + explicit_v(state.u.values, params))
+    return linear_v(grid, state.v, params) + explicit_v(state.u, params)
 
 
 def mass_rate(
@@ -145,9 +148,9 @@ def mass_rate(
     is the tau-scaled chemical rate -lam*mass(v) + mu*mass(u), which equals
     tau times the integral of rhs_v.
     """
-    grid = state.grid
-    u = state.u.values
+    grid = coeffs.grid
+    u = state.u
     du_mass = integrate_values(grid, reaction_values(grid, u, state.t, coeffs))
-    dv_mass = (-params.lam * integrate_values(grid, state.v.values)
+    dv_mass = (-params.lam * integrate_values(grid, state.v)
                + params.mu * integrate_values(grid, u))
     return du_mass, dv_mass

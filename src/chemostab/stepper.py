@@ -26,12 +26,14 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .errors import (
+    ConfigError,
+    GridMismatchError,
     ObserverError,
     PositivityBudgetError,
     StepRejected,
     StepSizeUnderflowError,
 )
-from .grid import Field, Grid, gradient_neumann, integrate_values, w2inf_norm
+from .grid import Grid, gradient_neumann, integrate_values, w2inf_norm
 from .implicit import solve_shifted
 from .model import ModelParams, ModelState, explicit_u, explicit_v, split_terms
 
@@ -51,7 +53,7 @@ _CLAMP_BUDGET = 1.0e-8     # clamped mass allowed per run, relative to max mass
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Tuning knobs for the adaptive march."""
+    """Tuning knobs for the adaptive march; a bad value raises ConfigError keyed by its field."""
 
     dt_init: float = 1.0e-3
     dt_min: float = 1.0e-12
@@ -63,17 +65,18 @@ class StepperConfig:
 
     def __post_init__(self):
         if not (self.dt_min <= self.dt_init <= self.dt_max):
-            raise ValueError(
-                f"need dt_min <= dt_init <= dt_max, got {self.dt_min}, {self.dt_init}, {self.dt_max}"
+            raise ConfigError(
+                "dt_init",
+                f"need dt_min <= dt_init <= dt_max, got {self.dt_min}, {self.dt_init}, {self.dt_max}",
             )
         if not (0.0 < self.safety < 1.0):
-            raise ValueError(f"safety must be in (0, 1), got {self.safety}")
+            raise ConfigError("safety", f"must be in (0, 1), got {self.safety}")
         if not (0.5 <= self.theta_scheme <= 1.0):
-            raise ValueError(f"theta_scheme must be in [0.5, 1], got {self.theta_scheme}")
+            raise ConfigError("theta_scheme", f"must be in [0.5, 1], got {self.theta_scheme}")
         if not 0.0 < self.error_tol < math.inf:
-            raise ValueError("error_tol must be finite and positive")
+            raise ConfigError("error_tol", "must be finite and positive")
         if not 0.0 <= self.positivity_floor < math.inf:
-            raise ValueError("positivity_floor must be finite and nonnegative")
+            raise ConfigError("positivity_floor", "must be finite and nonnegative")
 
     @property
     def design_order(self) -> int:
@@ -116,15 +119,16 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.states)
 
-    def state_at(self, t: float) -> ModelState:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1.0e-9 * max(1.0, abs(t)):
-            raise KeyError(f"no sample at t={t}")
-        return self.states[idx]
-
     @property
     def final(self) -> ModelState:
         return self.states[-1]
+
+
+def _check_shape(state: ModelState, grid: Grid) -> None:
+    if state.u.shape != grid.counts:
+        raise GridMismatchError(
+            f"state has shape {state.u.shape} but the coefficient grid has {grid.counts}"
+        )
 
 
 def _clamp_negatives(
@@ -163,11 +167,11 @@ def step(
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    grid = state.grid
+    grid = coeffs.grid
+    _check_shape(state, grid)
     theta = cfg.theta_scheme
     t = state.t
-    u = state.u.values
-    v = state.v.values
+    u, v = state.u, state.v
     tau, lam = params.tau, params.lam
 
     if terms is None:
@@ -209,17 +213,21 @@ def step(
         stats.clamped_mass_v += cv
         stats.clamped_nodes += nu + nv
 
-    # finite (checked above) and clamped to a finite floor
-    return ModelState(t + dt, Field(grid, u_new, check=False), Field(grid, v_new, check=False))
+    # finite (checked above), clamped to a finite floor, and owned by this step
+    u_new.flags.writeable = False
+    v_new.flags.writeable = False
+    return ModelState(t + dt, u_new, v_new)
 
 
-def advective_dt_limit(state: ModelState, params: ModelParams, cfg: StepperConfig) -> float:
+def advective_dt_limit(
+    grid: Grid, state: ModelState, params: ModelParams, cfg: StepperConfig
+) -> float:
     """Safety-scaled CFL bound h / max|chi grad v| for the explicit drift."""
     if params.chi == 0.0:
         return math.inf
     limit = math.inf
-    grads = gradient_neumann(state.grid, state.v.values)
-    for h, g in zip(state.grid.spacing, grads):
+    grads = gradient_neumann(grid, state.v)
+    for h, g in zip(grid.spacing, grads):
         speed = abs(params.chi) * float(np.abs(g).max())
         if speed > 0.0:
             limit = min(limit, h / speed)
@@ -227,8 +235,8 @@ def advective_dt_limit(state: ModelState, params: ModelParams, cfg: StepperConfi
 
 
 def _err_norm(a: ModelState, b: ModelState) -> float:
-    eu = float(np.abs(a.u.values - b.u.values).max()) / (1.0 + float(np.abs(b.u.values).max()))
-    ev = float(np.abs(a.v.values - b.v.values).max()) / (1.0 + float(np.abs(b.v.values).max()))
+    eu = float(np.abs(a.u - b.u).max()) / (1.0 + float(np.abs(b.u).max()))
+    ev = float(np.abs(a.v - b.v).max()) / (1.0 + float(np.abs(b.v).max()))
     return max(eu, ev)
 
 
@@ -249,6 +257,8 @@ def run(
     honored exactly, which is what aligned multi-run comparisons rely on.
     A zero-length run returns the single initial sample.
     """
+    grid = coeffs.grid
+    _check_shape(state0, grid)
     t0 = state0.t
     if t_end < t0:
         raise ValueError(f"t_end={t_end} precedes start time {t0}")
@@ -275,11 +285,11 @@ def run(
 
     def record(st: ModelState) -> None:
         recorded.append(st)
-        diag["mass_u"].append(integrate_values(st.grid, st.u.values))
-        diag["mass_v"].append(integrate_values(st.grid, st.v.values))
-        diag["min_u"].append(st.u.min())
-        diag["sup_u"].append(float(np.abs(st.u.values).max()))
-        diag["w2inf_v"].append(w2inf_norm(st.grid, st.v.values))
+        diag["mass_u"].append(integrate_values(grid, st.u))
+        diag["mass_v"].append(integrate_values(grid, st.v))
+        diag["min_u"].append(float(st.u.min()))
+        diag["sup_u"].append(float(np.abs(st.u).max()))
+        diag["w2inf_v"].append(w2inf_norm(grid, st.v))
         for obs in observers:
             try:
                 obs(st)
@@ -298,7 +308,7 @@ def run(
     terms = None  # t_n terms of `state`, shared by its attempts
     while state.t < t_end - tiny:
         dt = min(dt, cfg.dt_max)
-        guard = advective_dt_limit(state, params, cfg)
+        guard = advective_dt_limit(grid, state, params, cfg)
         dt_candidate = min(dt, guard)
         if dt_candidate < cfg.dt_min and (t_end - state.t) > cfg.dt_min:
             raise StepSizeUnderflowError(
@@ -360,7 +370,7 @@ def run(
             next_idx += 1
 
     traj = Trajectory(
-        grid=state0.grid,
+        grid=grid,
         times=np.array([s.t for s in recorded]),
         states=recorded,
         mass_u=np.array(diag["mass_u"]),

@@ -45,14 +45,14 @@ def bench():
     cfg = cs.StepperConfig(error_tol=1e-6, dt_max=0.25)
     x = grid.coords()[0]
     seeds = [
-        cs.Field.constant(grid, 0.1),
-        cs.Field.constant(grid, 5.0),
-        cs.Field(grid, 1.0 + 0.5 * np.cos(np.pi * x)),
+        np.full(grid.counts, 0.1),
+        np.full(grid.counts, 5.0),
+        1.0 + 0.5 * np.cos(np.pi * x),
     ]
     times = np.linspace(0.0, BENCH_T_END, 601)
     start = time.perf_counter()
     runs = [
-        cs.run(cs.ModelState(0.0, u0, cs.Field.constant(grid, 0.0)),
+        cs.run(cs.ModelState(0.0, u0, np.full(grid.counts, 0.0)),
                BENCH_T_END, coeffs, params, cfg, sample_times=times)
         for u0 in seeds
     ]
@@ -74,8 +74,8 @@ def test_criterion_1_homogeneous_stabilization(bench):
     for traj in bench["runs"]:
         worst_dev = max(
             worst_dev,
-            float(np.abs(traj.final.u.values - 1.0).max()),
-            float(np.abs(traj.final.v.values - 1.0).max()),
+            float(np.abs(traj.final.u - 1.0).max()),
+            float(np.abs(traj.final.v - 1.0).max()),
         )
     ok = worst_gap < 1e-3 and worst_dev < 2e-3 and bench["elapsed"] < 30.0
     _verdict(1, ok,
@@ -149,8 +149,8 @@ def test_criterion_5_mass_identity():
                 (rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)),
                 (int(rng.integers(4, 12)), int(rng.integers(4, 12))),
             )
-        u = cs.Field(grid, rng.uniform(0.0, 3.0, grid.counts))
-        v = cs.Field(grid, rng.uniform(0.0, 2.0, grid.counts))
+        u = rng.uniform(0.0, 3.0, grid.counts)
+        v = rng.uniform(0.0, 2.0, grid.counts)
         params = cs.ModelParams(
             chi=rng.uniform(-1.5, 1.5), tau=rng.uniform(0.1, 1.0),
             lam=rng.uniform(0.2, 2.0), mu=rng.uniform(0.2, 2.0),
@@ -159,9 +159,9 @@ def test_criterion_5_mass_identity():
                            rng.uniform(-1.0, 1.0))
         state = cs.ModelState(0.0, u, v)
         du, _ = cs.mass_rate(state, coeffs, params)
-        total = cs.integrate_values(grid, cs.rhs_u(state, coeffs, params).values)
-        lap = cs.laplacian_values(grid, u.values)
-        chem = cs.chemotaxis_values(grid, u.values, v.values, params.chi)
+        total = cs.integrate_values(grid, cs.rhs_u(state, coeffs, params))
+        lap = cs.laplacian_values(grid, u)
+        chem = cs.chemotaxis_values(grid, u, v, params.chi)
         scale = (1.0 + cs.integrate_values(grid, np.abs(lap))
                  + cs.integrate_values(grid, np.abs(chem)))
         worst = max(worst, abs(total - du) / scale)
@@ -187,10 +187,10 @@ def test_criterion_6_discretization_orders():
     temporal = {}
     for theta, design in ((1.0, 1.0), (0.5, 2.0)):
         cfg = cs.StepperConfig(theta_scheme=theta)
-        state0 = cs.ModelState(0.0, cs.Field.constant(grid, 0.1),
-                               cs.Field.constant(grid, 0.0))
+        state0 = cs.ModelState(0.0, np.full(grid.counts, 0.1),
+                               np.full(grid.counts, 0.0))
         finals = [
-            cs.fixed_step_run(state0, 2.0, n, coeffs, params, cfg).u.values[0]
+            cs.fixed_step_run(state0, 2.0, n, coeffs, params, cfg).u[0]
             for n in (20, 40, 80)
         ]
         order = math.log2(abs(finals[0] - finals[1]) / abs(finals[1] - finals[2]))
@@ -236,7 +236,7 @@ def test_criterion_8_entire_solution_seed_independence():
     )
     oracle = periodic_logistic_oracle()
     oracle_gap = max(
-        float(np.abs(st.u.values - oracle(st.t)).max())
+        float(np.abs(st.u - oracle(st.t)).max())
         for st in entire.trajectory.states
     )
     ok = entire.seed_gap < 1e-5 and oracle_gap < 1e-3

@@ -35,22 +35,22 @@ def separable(grid, time, profile="constant", role=0, **space_kw):
 class TestEval:
     def test_constant(self, grid):
         spec = ConstantCoefficient(grid, 0, 3.0)
-        assert np.all(spec.eval(17.3).values == 3.0)
+        assert np.all(spec.eval(17.3) == 3.0)
 
     def test_separable_sinusoid_at_zero(self, grid):
         time = TimeFactor("sinusoid", offset=2.0, amplitude=1.0, frequency=1.0)
         spec = separable(grid, time, value=1.0)
-        assert np.all(spec.eval(0.0).values == 2.0)
+        assert np.all(spec.eval(0.0) == 2.0)
 
     def test_tabulated_linear_interpolation(self, grid):
         spec = TabulatedCoefficient(
             grid, 0, [0.0, 1.0], [np.zeros(101), np.full(101, 4.0)]
         )
-        assert np.all(spec.eval(0.25).values == 1.0)
+        assert np.all(spec.eval(0.25) == 1.0)
 
     def test_tabulated_clamp_and_flag(self, grid):
         spec = TabulatedCoefficient(grid, 0, [0.0, 1.0], [np.zeros(101), np.ones(101)])
-        assert np.all(spec.eval(2.0).values == 1.0)
+        assert np.all(spec.eval(2.0) == 1.0)
         assert spec.clamped_evals == 1
 
     def test_tabulated_range_error_without_clamp(self, grid):
@@ -64,9 +64,15 @@ class TestEval:
         with pytest.raises(ValueError):
             TabulatedCoefficient(grid, 0, [0.0, 0.0], [np.zeros(101), np.ones(101)])
 
+    def test_tabulated_tables_must_be_finite(self, grid):
+        table = np.ones(101)
+        table[40] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            TabulatedCoefficient(grid, 0, [0.0, 1.0], [np.zeros(101), table])
+
     def test_callable(self, grid):
         spec = CallableCoefficient(grid, 0, lambda t: np.full(101, t * 2.0))
-        assert np.all(spec.eval(1.5).values == 3.0)
+        assert np.all(spec.eval(1.5) == 3.0)
 
 
 class TestEnvelope:

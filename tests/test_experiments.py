@@ -6,7 +6,6 @@ import pytest
 from chemostab import (
     CoefficientSet,
     ConstantCoefficient,
-    Field,
     GapSeries,
     Grid,
     GridMismatchError,
@@ -43,7 +42,7 @@ def const_set(grid, a0=1.0, a1=1.0, a2=0.0):
 
 
 def flat_state(grid, u0, v0, t=0.0):
-    return ModelState(t, Field.constant(grid, u0), Field.constant(grid, v0))
+    return ModelState(t, np.full(grid.counts, u0), np.full(grid.counts, v0))
 
 
 PARAMS = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
@@ -99,8 +98,8 @@ class TestTrajectoryGap:
         gap = trajectory_gap(a, b)
         grid = a.grid
         for k in (0, 17, 50, 100):
-            w = a.states[k].u.values - b.states[k].u.values
-            phi = a.states[k].v.values - b.states[k].v.values
+            w = a.states[k].u - b.states[k].u
+            phi = a.states[k].v - b.states[k].v
             e_direct = integrate_values(grid, w * w) + integrate_values(grid, phi * phi)
             assert gap.E[k] == pytest.approx(e_direct, rel=1e-12, abs=1e-300)
 
@@ -236,8 +235,8 @@ class TestEntireSolution:
             sample_dt=0.25, tolerance=1e-6,
         )
         for st in entire.trajectory.states:
-            assert np.max(np.abs(st.u.values - 1.0)) < 1e-4
-            assert np.max(np.abs(st.v.values - 1.0)) < 1e-4
+            assert np.max(np.abs(st.u - 1.0)) < 1e-4
+            assert np.max(np.abs(st.v - 1.0)) < 1e-4
         assert entire.seed_gap < 1e-6
 
     def test_insufficient_horizon_raises_with_gap(self, grid):

@@ -4,7 +4,6 @@ import pytest
 from chemostab import (
     CoefficientSet,
     ConstantCoefficient,
-    Field,
     Grid,
     GridMismatchError,
     ModelParams,
@@ -48,51 +47,51 @@ class TestParams:
     def test_state_grid_check(self, grid):
         other = Grid((1.0,), (11,))
         with pytest.raises(GridMismatchError):
-            ModelState(0.0, Field.constant(grid, 1.0), Field.constant(other, 1.0))
+            ModelState(0.0, np.full(grid.counts, 1.0), np.full(other.counts, 1.0))
 
 
 class TestRhsU:
     def test_extinction_is_equilibrium(self, grid):
         params = ModelParams(chi=1.0, tau=1.0, lam=1.0, mu=1.0)
-        state = ModelState(0.0, Field.constant(grid, 0.0), Field.constant(grid, 2.0))
+        state = ModelState(0.0, np.full(grid.counts, 0.0), np.full(grid.counts, 2.0))
         out = rhs_u(state, const_set(grid), params)
-        assert np.all(out.values == 0.0)
+        assert np.all(out == 0.0)
 
     def test_flat_reduction_to_ode(self, grid):
         c = 0.7
         a0, a1, a2 = 1.3, 0.4, 0.2
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
-        state = ModelState(0.0, Field.constant(grid, c), Field.constant(grid, 5.0))
+        state = ModelState(0.0, np.full(grid.counts, c), np.full(grid.counts, 5.0))
         out = rhs_u(state, const_set(grid, a0, a1, a2), params)
         expected = c * (a0 - a1 * c - a2 * grid.volume * c)
-        assert np.allclose(out.values, expected, rtol=1e-14)
+        assert np.allclose(out, expected, rtol=1e-14)
 
     def test_carrying_capacity(self, grid):
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
-        state = ModelState(0.0, Field.constant(grid, 1.0), Field.constant(grid, 0.0))
+        state = ModelState(0.0, np.full(grid.counts, 1.0), np.full(grid.counts, 0.0))
         out = rhs_u(state, const_set(grid, 1.0, 1.0, 0.0), params)
-        assert np.allclose(out.values, 0.0, atol=1e-14)
+        assert np.allclose(out, 0.0, atol=1e-14)
 
     def test_reaction_vanishes_where_u_zero(self, grid):
         rng = np.random.default_rng(0)
         uvals = rng.uniform(0.0, 1.0, 21)
         uvals[[0, 7, 20]] = 0.0
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
-        state = ModelState(0.0, Field(grid, uvals), Field.constant(grid, 0.0))
-        react = reaction_values(grid, state.u.values, state.t, const_set(grid, 2.0, 1.0, 0.5))
+        state = ModelState(0.0, uvals, np.full(grid.counts, 0.0))
+        react = reaction_values(grid, state.u, state.t, const_set(grid, 2.0, 1.0, 0.5))
         assert react[0] == 0.0
         assert react[7] == 0.0
         assert react[20] == 0.0
 
     def test_linearity_in_chi(self, grid):
         rng = np.random.default_rng(1)
-        u = Field(grid, rng.uniform(0.1, 2.0, 21))
-        v = Field(grid, rng.uniform(0.0, 1.0, 21))
+        u = rng.uniform(0.1, 2.0, 21)
+        v = rng.uniform(0.0, 1.0, 21)
         state = ModelState(0.0, u, v)
         cs = const_set(grid)
 
         def out(chi):
-            return rhs_u(state, cs, ModelParams(chi=chi, tau=1.0, lam=1.0, mu=1.0)).values
+            return rhs_u(state, cs, ModelParams(chi=chi, tau=1.0, lam=1.0, mu=1.0))
 
         lhs = out(0.4) + out(1.1) - out(0.0)
         rhs = out(1.5)
@@ -104,38 +103,38 @@ class TestRhsV:
         params = ModelParams(chi=0.0, tau=1.0, lam=2.0, mu=3.0)
         c = 0.8
         state = ModelState(
-            0.0, Field.constant(grid, c), Field.constant(grid, params.mu * c / params.lam)
+            0.0, np.full(grid.counts, c), np.full(grid.counts, params.mu * c / params.lam)
         )
-        assert np.allclose(rhs_v(state, params).values, 0.0, atol=1e-14)
+        assert np.allclose(rhs_v(grid, state, params), 0.0, atol=1e-14)
 
     def test_production(self, grid):
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=2.0)
-        state = ModelState(0.0, Field.constant(grid, 1.0), Field.constant(grid, 0.0))
-        out = rhs_v(state, params)
-        assert np.allclose(out.values, 2.0, rtol=1e-14)
+        state = ModelState(0.0, np.full(grid.counts, 1.0), np.full(grid.counts, 0.0))
+        out = rhs_v(grid, state, params)
+        assert np.allclose(out, 2.0, rtol=1e-14)
 
     def test_tau_scaling_exact(self, grid):
         rng = np.random.default_rng(2)
-        u = Field(grid, rng.uniform(0.0, 2.0, 21))
-        v = Field(grid, rng.uniform(0.0, 2.0, 21))
+        u = rng.uniform(0.0, 2.0, 21)
+        v = rng.uniform(0.0, 2.0, 21)
         state = ModelState(0.0, u, v)
-        full = rhs_v(state, ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)).values
-        halved = rhs_v(state, ModelParams(chi=0.0, tau=0.5, lam=1.0, mu=1.0)).values
+        full = rhs_v(grid, state, ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0))
+        halved = rhs_v(grid, state, ModelParams(chi=0.0, tau=0.5, lam=1.0, mu=1.0))
         assert np.array_equal(halved, 2.0 * full)
 
 
 class TestMassRate:
     def test_extinction(self, grid):
         params = ModelParams(chi=0.3, tau=0.5, lam=1.5, mu=1.0)
-        v = Field.constant(grid, 2.0)
-        state = ModelState(0.0, Field.constant(grid, 0.0), v)
+        v = np.full(grid.counts, 2.0)
+        state = ModelState(0.0, np.full(grid.counts, 0.0), v)
         du, dv = mass_rate(state, const_set(grid), params)
         assert du == 0.0
-        assert dv == pytest.approx(-params.lam * integrate_values(grid, v.values), rel=1e-14)
+        assert dv == pytest.approx(-params.lam * integrate_values(grid, v), rel=1e-14)
 
     def test_equilibrium_rates_vanish(self, grid):
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
-        state = ModelState(0.0, Field.constant(grid, 1.0), Field.constant(grid, 1.0))
+        state = ModelState(0.0, np.full(grid.counts, 1.0), np.full(grid.counts, 1.0))
         du, dv = mass_rate(state, const_set(grid), params)
         assert abs(du) < 1e-14 and abs(dv) < 1e-14
 
@@ -146,8 +145,8 @@ class TestMassRate:
         rng = np.random.default_rng(seed)
         grid = Grid((1.0, 1.5), (7, 9)) if seed % 2 else Grid((2.0,), (33,))
         shape = grid.counts
-        u = Field(grid, rng.uniform(0.0, 3.0, shape))
-        v = Field(grid, rng.uniform(0.0, 2.0, shape))
+        u = rng.uniform(0.0, 3.0, shape)
+        v = rng.uniform(0.0, 2.0, shape)
         params = ModelParams(
             chi=rng.uniform(-1, 1), tau=rng.uniform(0.2, 1.0),
             lam=rng.uniform(0.5, 2.0), mu=rng.uniform(0.5, 2.0),
@@ -160,10 +159,10 @@ class TestMassRate:
         )
         state = ModelState(0.3, u, v)
         du, dv = mass_rate(state, cs, params)
-        total_u = integrate_values(grid, rhs_u(state, cs, params).values)
-        total_v = integrate_values(grid, rhs_v(state, params).values)
-        lap = laplacian_values(grid, u.values)
-        chem = chemotaxis_values(grid, u.values, v.values, params.chi)
+        total_u = integrate_values(grid, rhs_u(state, cs, params))
+        total_v = integrate_values(grid, rhs_v(grid, state, params))
+        lap = laplacian_values(grid, u)
+        chem = chemotaxis_values(grid, u, v, params.chi)
         scale = 1.0 + integrate_values(grid, np.abs(lap)) + integrate_values(
             grid, np.abs(chem)
         )

@@ -6,8 +6,8 @@ import pytest
 from chemostab import (
     CoefficientSet,
     ConstantCoefficient,
-    Field,
     Grid,
+    GridMismatchError,
     ModelParams,
     ModelState,
     ObserverError,
@@ -32,7 +32,7 @@ def const_set(grid, a0=1.0, a1=1.0, a2=0.0):
 
 
 def flat_state(grid, u0, v0, t=0.0):
-    return ModelState(t, Field.constant(grid, u0), Field.constant(grid, v0))
+    return ModelState(t, np.full(grid.counts, u0), np.full(grid.counts, v0))
 
 
 @pytest.fixture
@@ -72,8 +72,8 @@ class TestSingleStep:
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
         cfg = StepperConfig(theta_scheme=1.0)
         out = step(flat_state(grid, 0.0, 1.0), 0.4, const_set(grid), params, cfg)
-        assert np.allclose(out.v.values, 1.0 / 1.4, rtol=1e-13)
-        assert np.all(out.u.values == 0.0)
+        assert np.allclose(out.v, 1.0 / 1.4, rtol=1e-13)
+        assert np.all(out.u == 0.0)
 
     @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
     def test_flat_step_matches_scalar_scheme(self, grid, theta):
@@ -86,8 +86,8 @@ class TestSingleStep:
         u_ref, v_ref = scalar_imex_step(
             0.4, 0.2, 1.0, 0.05, a0, a1, a2 * grid.volume, params, theta
         )
-        assert np.allclose(out.u.values, u_ref, rtol=1e-13)
-        assert np.allclose(out.v.values, v_ref, rtol=1e-13)
+        assert np.allclose(out.u, u_ref, rtol=1e-13)
+        assert np.allclose(out.v, v_ref, rtol=1e-13)
 
     def test_pure_diffusion_conserves_mass(self):
         grid = Grid((1.0,), (41,))
@@ -95,19 +95,19 @@ class TestSingleStep:
         cfg = StepperConfig(theta_scheme=0.5)
         cs = const_set(grid, 0.0, 0.0, 0.0)
         rng = np.random.default_rng(3)
-        state = ModelState(0.0, Field(grid, rng.uniform(0.5, 2.0, 41)),
-                           Field.constant(grid, 0.0))
-        m0 = integrate_values(grid, state.u.values)
+        state = ModelState(0.0, rng.uniform(0.5, 2.0, 41),
+                           np.full(grid.counts, 0.0))
+        m0 = integrate_values(grid, state.u)
         out = step(state, 0.01, cs, params, cfg)
-        m1 = integrate_values(grid, out.u.values)
+        m1 = integrate_values(grid, out.u)
         assert abs(m1 - m0) <= 10 * np.finfo(float).eps * grid.node_count * max(m0, 1.0)
 
     def test_positivity_rejection(self, grid):
         # strong drift into a hard gradient at large dt pushes u negative
         params = ModelParams(chi=50.0, tau=1.0, lam=1.0, mu=1.0)
         cfg = StepperConfig(theta_scheme=1.0)
-        u = Field(grid, np.array([1e-8, 1e-8, 1.0, 1e-8, 1e-8]))
-        v = Field(grid, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
+        u = np.array([1e-8, 1e-8, 1.0, 1e-8, 1e-8])
+        v = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
         with pytest.raises(StepRejected):
             step(ModelState(0.0, u, v), 0.5, const_set(grid, 0.0, 0.0, 0.0), params, cfg)
 
@@ -123,6 +123,26 @@ class TestSingleStep:
                      StepperConfig())
 
 
+class TestStateContract:
+    def test_state_shape_must_match_coefficient_grid(self):
+        params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
+        state = flat_state(Grid((1.0,), (21,)), 0.5, 0.0)
+        coeffs = const_set(Grid((1.0,), (11,)))
+        with pytest.raises(GridMismatchError):
+            step(state, 0.1, coeffs, params, StepperConfig())
+        with pytest.raises(GridMismatchError):
+            run(state, 1.0, coeffs, params, StepperConfig())
+
+    @pytest.mark.parametrize("t_end", [0.0, 1.0])
+    def test_stored_states_are_read_only(self, grid, t_end):
+        params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
+        traj = run(flat_state(grid, 0.5, 0.0), t_end, const_set(grid), params, StepperConfig())
+        with pytest.raises(ValueError):
+            traj.final.u[0] = 1.0
+        with pytest.raises(ValueError):
+            traj.final.v[0] = 1.0
+
+
 class TestRun:
     def test_zero_length_run(self, grid):
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
@@ -135,10 +155,10 @@ class TestRun:
         cfg = StepperConfig(error_tol=1e-8, dt_max=0.5)
         traj = run(flat_state(grid, 0.1, 0.0), 50.0, const_set(grid), params, cfg,
                    sample_dt=5.0)
-        assert abs(traj.final.u.values[0] - 1.0) < 1e-6
+        assert abs(traj.final.u[0] - 1.0) < 1e-6
         # intermediate samples track the closed form too
         for t, st in zip(traj.times, traj.states):
-            assert abs(st.u.values[0] - logistic_exact(t, 0.1)) < 1e-6
+            assert abs(st.u[0] - logistic_exact(t, 0.1)) < 1e-6
 
     def test_step_doubling_shares_t_n_terms(self, grid, monkeypatch):
         # one accepted attempt: lap(u) and lap(v) at t_n once, then the fine step's own
@@ -166,7 +186,7 @@ class TestRun:
         for _ in range(2):
             traj = run(flat_state(grid, 0.3, 0.1), 5.0, const_set(grid), params, cfg,
                        sample_dt=0.5)
-            out.append(np.concatenate([s.u.values for s in traj.states]))
+            out.append(np.concatenate([s.u for s in traj.states]))
         assert np.array_equal(out[0], out[1])
 
     def test_explicit_sample_times_honored(self, grid):
@@ -195,8 +215,8 @@ class TestRun:
 
     def test_negative_initial_rejected(self, grid):
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
-        bad = ModelState(0.0, Field(grid, np.array([-0.1, 1, 1, 1, 1.0])),
-                         Field.constant(grid, 0.0))
+        bad = ModelState(0.0, np.array([-0.1, 1, 1, 1, 1.0]),
+                         np.full(grid.counts, 0.0))
         with pytest.raises(ValueError):
             run(bad, 1.0, const_set(grid), params, StepperConfig())
 
@@ -218,8 +238,8 @@ class TestRun:
         traj = run(flat_state(grid, 2.0, 0.3), 3.0, const_set(grid, 1.0, 1.0, 0.2),
                    params, StepperConfig(), sample_dt=0.3)
         for st in traj.states:
-            assert np.isfinite(st.u.values).all()
-            assert np.isfinite(st.v.values).all()
+            assert np.isfinite(st.u).all()
+            assert np.isfinite(st.v).all()
 
 
 class TestTwoDimensions:
@@ -233,16 +253,16 @@ class TestTwoDimensions:
         out = step(flat_state(g2, 0.5, 0.3), 0.04, cs2, params, cfg)
         u_ref, v_ref = scalar_imex_step(0.5, 0.3, 0.0, 0.04, a0, a1,
                                         a2 * g2.volume, params, 0.5)
-        assert np.allclose(out.u.values, u_ref, rtol=1e-12)
-        assert np.allclose(out.v.values, v_ref, rtol=1e-12)
+        assert np.allclose(out.u, u_ref, rtol=1e-12)
+        assert np.allclose(out.v, v_ref, rtol=1e-12)
 
     def test_2d_diffusion_conserves_mass_along_run(self):
         g2 = Grid((1.0, 1.0), (9, 9))
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
         cfg = StepperConfig(error_tol=1e-6, dt_max=0.05)
         rng = np.random.default_rng(5)
-        state0 = ModelState(0.0, Field(g2, rng.uniform(0.5, 2.0, (9, 9))),
-                            Field.constant(g2, 0.0))
+        state0 = ModelState(0.0, rng.uniform(0.5, 2.0, (9, 9)),
+                            np.full(g2.counts, 0.0))
         traj = run(state0, 0.5, const_set(g2, 0.0, 0.0, 0.0), params, cfg,
                    sample_dt=0.1)
         m0 = traj.mass_u[0]
@@ -258,7 +278,7 @@ class TestTwoDimensions:
         cfg = StepperConfig(error_tol=1e-5, dt_max=0.1)
         state0 = flat_state(g2, 0.5, 0.0)
         traj = run(state0, 2.0, const_set(g2), params, cfg, sample_dt=0.5)
-        assert np.isfinite(traj.final.u.values).all()
+        assert np.isfinite(traj.final.u).all()
         assert traj.final.u.min() >= 0.0
 
 
@@ -269,8 +289,8 @@ class TestPositivityControl:
         params = ModelParams(chi=8.0, tau=1.0, lam=1.0, mu=1.0)
         cfg = StepperConfig(dt_init=0.2, dt_max=0.2, error_tol=1e-4)
         x = grid.axis_coords[0]
-        u0 = Field(grid, 0.01 + np.exp(-80 * (x - 0.3) ** 2))
-        v0 = Field(grid, np.exp(-80 * (x - 0.7) ** 2))
+        u0 = 0.01 + np.exp(-80 * (x - 0.3) ** 2)
+        v0 = np.exp(-80 * (x - 0.7) ** 2)
         traj = run(ModelState(0.0, u0, v0), 1.0, const_set(grid), params, cfg,
                    sample_dt=0.25)
         assert traj.final.u.min() >= 0.0
@@ -303,7 +323,7 @@ class TestTemporalAccuracy:
         finals = []
         for n_steps in (20, 40, 80):
             out = fixed_step_run(state0, 2.0, n_steps, cs, params, cfg)
-            finals.append(out.u.values[0])
+            finals.append(out.u[0])
         return math.log2(abs(finals[0] - finals[1]) / abs(finals[1] - finals[2]))
 
     def test_backward_euler_first_order(self):
@@ -320,6 +340,6 @@ class TestTemporalAccuracy:
         for tol in (4e-7, 2e-7, 1e-7):
             cfg = StepperConfig(error_tol=tol, dt_max=0.05, dt_init=1e-4)
             traj = run(flat_state(grid, 0.1, 0.0), 4.0, cs, params, cfg, sample_dt=4.0)
-            errs.append(abs(traj.final.u.values[0] - logistic_exact(4.0, 0.1)))
+            errs.append(abs(traj.final.u[0] - logistic_exact(4.0, 0.1)))
         for k in range(2):
             assert 1.3 <= errs[k] / errs[k + 1] <= 3.2
