@@ -471,7 +471,7 @@ def _build_coefficient(block: dict, grid: Grid, role: int, name: str):
 def _read_table(path: str, grid: Grid, name: str):
     try:
         raw = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{name}.table_file", f"cannot read {path}: {exc}") from exc
     if raw.shape[1] != 1 + grid.node_count:
         raise ConfigError(
@@ -496,6 +496,19 @@ def build_profile_field(
 
     ``key`` is the block's place in the config (``initial.u``); errors name it.
     """
+    try:
+        # a degenerate parameter (a NaN value, a zero width) shows as non-finite values
+        with np.errstate(all="ignore"):
+            return _profile_values(grid, block, key, seed_override)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(key, f"{block['profile']} profile: {exc}") from exc
+
+
+def _profile_values(
+    grid: Grid, block: dict, key: str, seed_override: int | None
+) -> np.ndarray:
     profile = block["profile"]
     if profile == "constant":
         return Field.constant(grid, block.get("value", 0.0)).values

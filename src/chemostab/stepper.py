@@ -3,17 +3,24 @@
 One step treats diffusion implicitly with a theta-weighted scheme (theta = 1
 is backward Euler, theta = 0.5 is trapezoidal) and the chemotaxis drift plus
 growth terms explicitly.  The chemical decay term joins the implicit solve:
-it is linear and keeps the implicit operator an M-matrix.  For theta < 1 a
-single corrector pass re-solves with theta-weighted explicit terms, which
-restores second order at theta = 0.5 on the flat reduction.
+it is linear and keeps the implicit operator an M-matrix.  Every step solves
+twice: a predictor with the explicit terms at t_n, then a corrector with the
+explicit terms weighted between t_n and the predictor.  For theta < 1 the
+corrector (weight theta) is the result, which restores second order at
+theta = 0.5 on the flat reduction; at theta = 1 the predictor is the result
+and the corrector (weight 1/2) is made only for the error estimate.
 
-Step control is classic step-doubling (one full step against two halves)
-with error-per-unit-step acceptance, so halving the tolerance roughly halves
-the realized global error.  An advective guard dt <= safety * h / max|chi
-grad v| caps the explicit drift; diffusion needs no guard because it is
-implicit.  Positivity is protected by rejection: values below
--1e-12 * state scale reject the step, values inside that band are clamped to
-the floor and the clamped mass is charged against a per-run budget.
+Step control uses that embedded pair: the scaled difference of predictor and
+corrector estimates the local error, O(dt**2), of one attempt, so each
+attempt is one ``step()``.  The test is per step at theta < 1 (err <= tol)
+and per unit step at theta = 1 (err <= tol * dt), so in both cases halving
+the tolerance roughly halves the realized global error.  A fixed round-off
+floor keeps a tolerance too small to resolve from stalling the controller.
+An advective guard dt <= safety * h / max|chi grad v| caps the explicit
+drift; diffusion needs no guard because it is implicit.  Positivity is
+protected by rejection: values below -1e-12 * state scale reject the step,
+values inside that band are clamped to the floor and the clamped mass is
+charged against a per-run budget.
 """
 
 from __future__ import annotations
@@ -49,11 +56,20 @@ __all__ = [
 
 _NEG_BAND = 1.0e-12        # relative width of the clamp band below zero
 _CLAMP_BUDGET = 1.0e-8     # clamped mass allowed per run, relative to max mass
+# error estimates below this are round-off: predictor and corrector of one
+# step differ by a few ulp of the state even as dt -> 0
+_ROUNDOFF_FLOOR = 100.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Tuning knobs for the adaptive march; a bad value raises ConfigError keyed by its field."""
+    """Tuning knobs for the adaptive march; a bad value raises ConfigError keyed by its field.
+
+    ``error_tol`` bounds the embedded error estimate of one step relative to
+    the state's size: per step at ``theta_scheme < 1`` (second order) and per
+    unit of model time at ``theta_scheme = 1`` (first order).  Either way
+    the realized global error scales with it.
+    """
 
     dt_init: float = 1.0e-3
     dt_min: float = 1.0e-12
@@ -154,8 +170,16 @@ def step(
     cfg: StepperConfig,
     stats: RunStats | None = None,
     terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> ModelState:
-    """Advance one IMEX step of size dt.
+) -> tuple[ModelState, float]:
+    """Advance one IMEX step of size dt; return the new state and its error estimate.
+
+    Every step makes a predictor (explicit terms at t_n) and a corrector
+    (explicit terms weighted between t_n and the predictor at t_n + dt).  At
+    theta < 1 the corrector, with weight theta, is the result; at theta = 1
+    the predictor is, and the corrector (weight 1/2) serves only the
+    estimate.  The estimate is the larger over u and v of
+    ``max|a - b| / (1 + max|b|)``, where b is the returned value and a the
+    other one of the pair.
 
     ``terms`` are the t_n terms ``model.split_terms(state, coeffs, params)``;
     they depend on the state alone, not on dt, so every step from one state
@@ -186,24 +210,25 @@ def step(
         rhs_v_lin = v + dt * (1.0 - theta) * lin_v + dt * exp_v
         u_new = solve_shifted(grid, 1.0, theta * dt, rhs_u_lin)
         v_new = solve_shifted(grid, a_v, b_v, rhs_v_lin)
+        if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
+            raise StepRejected("step produced non-finite values")
         return u_new, v_new
 
-    u_new, v_new = solve_pair(eu_n, ev_n)
-
+    u_pred, v_pred = solve_pair(eu_n, ev_n)
+    u_star = np.maximum(u_pred, 0.0)
+    v_star = np.maximum(v_pred, 0.0)
+    eu_s = explicit_u(grid, u_star, v_star, t + dt, coeffs, params)
+    ev_s = explicit_v(u_star, params)
+    weight = theta if theta < 1.0 else 0.5
+    u_corr, v_corr = solve_pair(
+        (1.0 - weight) * eu_n + weight * eu_s,
+        (1.0 - weight) * ev_n + weight * ev_s,
+    )
     if theta < 1.0:
-        if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
-            raise StepRejected("predictor produced non-finite values")
-        u_star = np.maximum(u_new, 0.0)
-        v_star = np.maximum(v_new, 0.0)
-        eu_s = explicit_u(grid, u_star, v_star, t + dt, coeffs, params)
-        ev_s = explicit_v(u_star, params)
-        u_new, v_new = solve_pair(
-            (1.0 - theta) * eu_n + theta * eu_s,
-            (1.0 - theta) * ev_n + theta * ev_s,
-        )
-
-    if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
-        raise StepRejected("step produced non-finite values")
+        u_new, v_new, u_alt, v_alt = u_corr, v_corr, u_pred, v_pred
+    else:
+        u_new, v_new, u_alt, v_alt = u_pred, v_pred, u_corr, v_corr
+    err = max(_err_norm(u_alt, u_new), _err_norm(v_alt, v_new))
 
     scale = max(1.0, float(np.abs(u).max()), float(np.abs(v).max()))
     u_new, cu, nu = _clamp_negatives(u_new, scale, cfg.positivity_floor, grid, "u")
@@ -216,7 +241,12 @@ def step(
     # finite (checked above), clamped to a finite floor, and owned by this step
     u_new.flags.writeable = False
     v_new.flags.writeable = False
-    return ModelState(t + dt, u_new, v_new)
+    return ModelState(t + dt, u_new, v_new), err
+
+
+def _err_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """max|a - b| relative to 1 + max|b|."""
+    return float(np.abs(a - b).max()) / (1.0 + float(np.abs(b).max()))
 
 
 def advective_dt_limit(
@@ -232,12 +262,6 @@ def advective_dt_limit(
         if speed > 0.0:
             limit = min(limit, h / speed)
     return cfg.safety * limit
-
-
-def _err_norm(a: ModelState, b: ModelState) -> float:
-    eu = float(np.abs(a.u - b.u).max()) / (1.0 + float(np.abs(b.u).max()))
-    ev = float(np.abs(a.v - b.v).max()) / (1.0 + float(np.abs(b.v).max()))
-    return max(eu, ev)
 
 
 def run(
@@ -324,10 +348,7 @@ def run(
         if terms is None:
             terms = split_terms(state, coeffs, params)
         try:
-            big = step(state, dt_try, coeffs, params, cfg, terms=terms)
-            half = step(state, 0.5 * dt_try, coeffs, params, cfg, stats=local, terms=terms)
-            fine = step(half, 0.5 * dt_try, coeffs, params, cfg, stats=local)
-            err = _err_norm(big, fine) / (2.0**order - 1.0)
+            new, err = step(state, dt_try, coeffs, params, cfg, stats=local, terms=terms)
         except StepRejected:
             stats.rejected_positivity += 1
             dt = max(0.25 * dt_try, cfg.dt_min)
@@ -337,19 +358,22 @@ def run(
                 ) from None
             continue
 
-        tol = cfg.error_tol * dt_try
+        # err ~ dt**2: a per-step test at order 2, per unit step at order 1
+        tol, power = cfg.error_tol * dt_try ** (2 - order), order
+        if tol < _ROUNDOFF_FLOOR:
+            tol, power = _ROUNDOFF_FLOOR, 2  # a fixed floor makes any test per step
         if err <= tol:
             stats.accepted += 1
             stats.merge_clamps(local)
             stats.min_dt = min(stats.min_dt, dt_try)
             stats.max_dt = max(stats.max_dt, dt_try)
-            state = ModelState(target, fine.u, fine.v) if hit else fine
+            state = ModelState(target, new.u, new.v) if hit else new
             terms = None
             while next_idx < samples.size and samples[next_idx] <= state.t + tiny:
                 record(ModelState(float(samples[next_idx]), state.u, state.v))
                 next_idx += 1
             ratio = tol / err if err > 0.0 else 1e6
-            dt = dt_try * min(5.0, max(0.2, cfg.safety * ratio ** (1.0 / (order + 1))))
+            dt = dt_try * min(5.0, max(0.2, cfg.safety * ratio ** (1.0 / power)))
             if hit:
                 # clipping to a sample time should not shrink the controller
                 dt = max(dt, dt_candidate)
@@ -360,7 +384,7 @@ def run(
                     f"error control stuck at dt_min (err={err}), t={state.t}", state
                 )
             ratio = tol / err
-            dt = dt_try * min(0.5, max(0.1, cfg.safety * ratio ** (1.0 / (order + 1))))
+            dt = dt_try * min(0.5, max(0.1, cfg.safety * ratio ** (1.0 / power)))
         dt = max(dt, cfg.dt_min)
 
     if next_idx < samples.size:
@@ -408,7 +432,7 @@ def fixed_step_run(
     dt = (t_end - state0.t) / n_steps
     state = state0
     for _ in range(n_steps):
-        state = step(state, dt, coeffs, params, cfg)
+        state, _ = step(state, dt, coeffs, params, cfg)
     if not math.isclose(state.t, t_end, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(t_end))):
         state = ModelState(t_end, state.u, state.v)
     return state

@@ -188,6 +188,36 @@ class TestTabulatedAndFileInputs:
         assert key in err
         assert "Traceback" not in err
 
+    def test_non_numeric_table_named_at_build(self, tmp_path):
+        table = tmp_path / "a0.csv"
+        table.write_text("0.0,a,b\n")
+        text = BASE.replace(
+            "a0: {kind: constant, value: 1.0}",
+            f"a0: {{kind: tabulated, table_file: {table}, clamp: true}}",
+        )
+        cfg = parse_config(text.replace("OUTDIR", "out"))
+        with pytest.raises(ConfigError) as info:
+            build_coefficients(cfg, build_grid(cfg))
+        assert "a0.table_file" in str(info.value)
+
+    @pytest.mark.parametrize("command,old,new,key", [
+        pytest.param("simulate", "u: {profile: constant, value: 0.1}",
+                     "u: {profile: constant, value: .nan}", "initial.u:", id="nan-constant"),
+        pytest.param("simulate", "u: {profile: constant, value: 0.1}",
+                     "u: {profile: bump, width: 0.0}", "initial.u:", id="zero-width-bump"),
+        pytest.param("stability-experiment", "u: {profile: constant, value: 5.0}",
+                     "u: {profile: bump, width: 0.0}", "experiment.seeds[1].u:",
+                     id="seed-zero-width-bump"),
+    ])
+    def test_non_finite_profile_named(self, tmp_path, capsys, command, old, new, key):
+        # RuntimeWarning is an error under the test settings, so none may escape either
+        text = EXPERIMENT if command == "stability-experiment" else BASE
+        cfg_path = write_config(tmp_path, text=text.replace(old, new))
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "non-finite" in err
+        assert "Traceback" not in err
+
     def test_non_finite_table_named_at_build(self, tmp_path):
         table = tmp_path / "a0.csv"
         levels = ["1.0"] * 31

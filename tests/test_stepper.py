@@ -71,7 +71,7 @@ class TestSingleStep:
         # u == 0, v == 1, lam = tau = 1: one BE step gives v = 1/(1+dt)
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
         cfg = StepperConfig(theta_scheme=1.0)
-        out = step(flat_state(grid, 0.0, 1.0), 0.4, const_set(grid), params, cfg)
+        out, _ = step(flat_state(grid, 0.0, 1.0), 0.4, const_set(grid), params, cfg)
         assert np.allclose(out.v, 1.0 / 1.4, rtol=1e-13)
         assert np.all(out.u == 0.0)
 
@@ -82,7 +82,7 @@ class TestSingleStep:
         a0, a1, a2 = 1.2, 0.9, 0.3
         cs = const_set(grid, a0, a1, a2)
         state = flat_state(grid, 0.4, 0.2, t=1.0)
-        out = step(state, 0.05, cs, params, cfg)
+        out, _ = step(state, 0.05, cs, params, cfg)
         u_ref, v_ref = scalar_imex_step(
             0.4, 0.2, 1.0, 0.05, a0, a1, a2 * grid.volume, params, theta
         )
@@ -98,7 +98,7 @@ class TestSingleStep:
         state = ModelState(0.0, rng.uniform(0.5, 2.0, 41),
                            np.full(grid.counts, 0.0))
         m0 = integrate_values(grid, state.u)
-        out = step(state, 0.01, cs, params, cfg)
+        out, _ = step(state, 0.01, cs, params, cfg)
         m1 = integrate_values(grid, out.u)
         assert abs(m1 - m0) <= 10 * np.finfo(float).eps * grid.node_count * max(m0, 1.0)
 
@@ -160,24 +160,31 @@ class TestRun:
         for t, st in zip(traj.times, traj.states):
             assert abs(st.u[0] - logistic_exact(t, 0.1)) < 1e-6
 
-    def test_step_doubling_shares_t_n_terms(self, grid, monkeypatch):
-        # one accepted attempt: lap(u) and lap(v) at t_n once, then the fine step's own
+    def test_one_step_call_per_attempt(self, grid, monkeypatch):
+        # one accepted attempt: lap(u) and lap(v) at t_n, predictor and
+        # corrector solves for u and v, and the estimate from the same step()
         import chemostab.model as model_mod
+        import chemostab.stepper as stepper_mod
 
-        calls = []
-        real = model_mod.laplacian_values
+        calls = {"lap": 0, "solve": 0, "step": 0}
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(model_mod, "laplacian_values", counting)
+        monkeypatch.setattr(model_mod, "laplacian_values",
+                            counting("lap", model_mod.laplacian_values))
+        monkeypatch.setattr(stepper_mod, "solve_shifted",
+                            counting("solve", stepper_mod.solve_shifted))
+        monkeypatch.setattr(stepper_mod, "step", counting("step", stepper_mod.step))
         params = ModelParams(chi=0.1, tau=1.0, lam=1.0, mu=1.0)
         cfg = StepperConfig(dt_init=0.5, dt_max=0.5)
         traj = run(flat_state(grid, 1.0, 1.0), 0.5, const_set(grid), params, cfg,
                    sample_times=[0.0, 0.5])
         assert traj.stats.accepted == 1 and traj.stats.rejected_error == 0
-        assert len(calls) == 4
+        assert calls == {"lap": 2, "solve": 4, "step": 1}
 
     def test_determinism_bit_identical(self, grid):
         params = ModelParams(chi=0.2, tau=1.0, lam=1.0, mu=1.0)
@@ -233,6 +240,20 @@ class TestRun:
             run(flat_state(grid, 0.1, 0.0), 5.0, const_set(grid), params, cfg)
         assert info.value.state is not None
 
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_tiny_error_tol_is_floored_at_round_off(self, theta):
+        # tol*dt far below round-off must not stall the controller at dt_min
+        grid = Grid((1.0,), (21,))
+        x = grid.axis_coords[0]
+        u0 = 1.0 + 0.05 * np.cos(np.pi * x) - 0.03 * np.cos(2 * np.pi * x) \
+            + 0.02 * np.cos(3 * np.pi * x)
+        params = ModelParams(chi=0.05, tau=1.0, lam=1.0, mu=1.0)
+        cfg = StepperConfig(error_tol=1e-10, theta_scheme=theta)
+        traj = run(ModelState(0.0, u0, np.zeros(21)), 1e-4, const_set(grid, 1.0, 1.0, 0.1),
+                   params, cfg, sample_times=[0.0, 1e-4])
+        assert traj.final.t == 1e-4
+        assert traj.stats.rejected_error <= 5
+
     def test_no_nans_along_run(self, grid):
         params = ModelParams(chi=0.5, tau=0.7, lam=1.2, mu=0.9)
         traj = run(flat_state(grid, 2.0, 0.3), 3.0, const_set(grid, 1.0, 1.0, 0.2),
@@ -250,7 +271,7 @@ class TestTwoDimensions:
         cfg = StepperConfig(theta_scheme=0.5)
         a0, a1, a2 = 1.1, 0.8, 0.1
         cs2 = const_set(g2, a0, a1, a2)
-        out = step(flat_state(g2, 0.5, 0.3), 0.04, cs2, params, cfg)
+        out, _ = step(flat_state(g2, 0.5, 0.3), 0.04, cs2, params, cfg)
         u_ref, v_ref = scalar_imex_step(0.5, 0.3, 0.0, 0.04, a0, a1,
                                         a2 * g2.volume, params, 0.5)
         assert np.allclose(out.u, u_ref, rtol=1e-12)
@@ -339,6 +360,18 @@ class TestTemporalAccuracy:
         errs = []
         for tol in (4e-7, 2e-7, 1e-7):
             cfg = StepperConfig(error_tol=tol, dt_max=0.05, dt_init=1e-4)
+            traj = run(flat_state(grid, 0.1, 0.0), 4.0, cs, params, cfg, sample_dt=4.0)
+            errs.append(abs(traj.final.u[0] - logistic_exact(4.0, 0.1)))
+        for k in range(2):
+            assert 1.3 <= errs[k] / errs[k + 1] <= 3.2
+
+    def test_halving_tolerance_roughly_halves_error_backward_euler(self):
+        grid = Grid((1.0,), (3,))
+        params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
+        cs = const_set(grid)
+        errs = []
+        for tol in (4e-4, 2e-4, 1e-4):
+            cfg = StepperConfig(error_tol=tol, dt_max=0.05, dt_init=1e-4, theta_scheme=1.0)
             traj = run(flat_state(grid, 0.1, 0.0), 4.0, cs, params, cfg, sample_dt=4.0)
             errs.append(abs(traj.final.u[0] - logistic_exact(4.0, 0.1)))
         for k in range(2):
