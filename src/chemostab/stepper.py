@@ -4,23 +4,27 @@ One step treats diffusion implicitly with a theta-weighted scheme (theta = 1
 is backward Euler, theta = 0.5 is trapezoidal) and the chemotaxis drift plus
 growth terms explicitly.  The chemical decay term joins the implicit solve:
 it is linear and keeps the implicit operator an M-matrix.  Every step solves
-twice: a predictor with the explicit terms at t_n, then a corrector with the
-explicit terms weighted between t_n and the predictor.  For theta < 1 the
-corrector (weight theta) is the result, which restores second order at
-theta = 0.5 on the flat reduction; at theta = 1 the predictor is the result
-and the corrector (weight 1/2) is made only for the error estimate.
+a predictor with the explicit terms at t_n.  For theta < 1 a corrector, with
+the explicit terms weighted theta between t_n and the predictor, is the
+result, which restores second order at theta = 0.5; at theta = 1 the
+predictor is the result.
 
-Step control uses that embedded pair: the scaled difference of predictor and
-corrector estimates the local error, O(dt**2), of one attempt, so each
-attempt is one ``step()``.  The test is per step at theta < 1 (err <= tol)
-and per unit step at theta = 1 (err <= tol * dt), so in both cases halving
-the tolerance roughly halves the realized global error.  A fixed round-off
-floor keeps a tolerance too small to resolve from stalling the controller.
-An advective guard dt <= safety * h / max|chi grad v| caps the explicit
-drift; diffusion needs no guard because it is implicit.  Positivity is
-protected by rejection: values below -1e-12 * state scale reject the step,
-values inside that band are clamped to the floor and the clamped mass is
-charged against a per-run budget.
+Step control uses an embedded pair: a companion solution of the other order
+is made from the same t_n terms, and the scaled difference of result and
+companion estimates the local error, O(dt**2), of the first-order member,
+so each attempt is one ``step()``.  The companion differs from the result
+in its implicit part too, so the estimate sees the time error of diffusion
+and decay as well as that of the explicit terms: at theta = 0.5 it is a
+backward Euler step, at theta > 0.5 a trapezoidal step whose explicit terms
+take weight 1/2 at t_n and at the predictor.  The test is per step at
+theta = 0.5 (err <= tol) and per unit step at theta > 0.5 (err <= tol * dt),
+so in both cases halving the tolerance roughly halves the realized global
+error.  A fixed round-off floor keeps a tolerance too small to resolve from
+stalling the controller.  An advective guard dt <= safety * h / max|chi
+grad v| caps the explicit drift; diffusion needs no guard because it is
+implicit.  Positivity is protected by rejection: values below -1e-12 *
+state scale reject the step, values inside that band are clamped to the
+floor and the clamped mass is charged against a per-run budget.
 """
 
 from __future__ import annotations
@@ -66,9 +70,9 @@ class StepperConfig:
     """Tuning knobs for the adaptive march; a bad value raises ConfigError keyed by its field.
 
     ``error_tol`` bounds the embedded error estimate of one step relative to
-    the state's size: per step at ``theta_scheme < 1`` (second order) and per
-    unit of model time at ``theta_scheme = 1`` (first order).  Either way
-    the realized global error scales with it.
+    the state's size: per step at ``theta_scheme = 0.5`` (second order) and
+    per unit of model time at ``theta_scheme > 0.5`` (first order).  Either
+    way the realized global error scales with it.
     """
 
     dt_init: float = 1.0e-3
@@ -96,7 +100,7 @@ class StepperConfig:
 
     @property
     def design_order(self) -> int:
-        return 2 if self.theta_scheme < 1.0 else 1
+        return 2 if self.theta_scheme == 0.5 else 1
 
 
 @dataclass
@@ -170,24 +174,27 @@ def step(
     cfg: StepperConfig,
     stats: RunStats | None = None,
     terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+    estimate: bool = True,
 ) -> tuple[ModelState, float]:
     """Advance one IMEX step of size dt; return the new state and its error estimate.
 
-    Every step makes a predictor (explicit terms at t_n) and a corrector
-    (explicit terms weighted between t_n and the predictor at t_n + dt).  At
-    theta < 1 the corrector, with weight theta, is the result; at theta = 1
-    the predictor is, and the corrector (weight 1/2) serves only the
-    estimate.  The estimate is the larger over u and v of
-    ``max|a - b| / (1 + max|b|)``, where b is the returned value and a the
-    other one of the pair.
+    Every step makes a predictor (explicit terms at t_n).  At theta < 1 a
+    corrector (explicit terms weighted theta between t_n and the predictor
+    at t_n + dt) is the result; at theta = 1 the predictor is.  The estimate
+    compares the result with a companion of the other order: backward Euler
+    at theta = 0.5, and at theta > 0.5 the trapezoidal scheme with weight
+    1/2 on the explicit terms at t_n and at the predictor.  It is the larger
+    over u and v of ``max|a - b| / (1 + max|b|)``, where b is the returned
+    value and a the companion.  With ``estimate=False`` the companion is
+    not made and the estimate is NaN; the result is the same.
 
     ``terms`` are the t_n terms ``model.split_terms(state, coeffs, params)``;
     they depend on the state alone, not on dt, so every step from one state
     can share them.  They are computed here when not given.
 
     Raises :class:`StepRejected` when the result leaves the admissible
-    region (negative beyond the clamp band, or non-finite); the caller is
-    expected to retry with a smaller step.
+    region (negative beyond the clamp band, or non-finite) or the companion
+    is non-finite; the caller is expected to retry with a smaller step.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -202,33 +209,38 @@ def step(
         terms = split_terms(state, coeffs, params)
     lap_u, lin_v, eu_n, ev_n = terms
 
-    a_v = 1.0 + theta * dt * lam / tau
-    b_v = theta * dt / tau
-
-    def solve_pair(exp_u: np.ndarray, exp_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rhs_u_lin = u + dt * (1.0 - theta) * lap_u + dt * exp_u
-        rhs_v_lin = v + dt * (1.0 - theta) * lin_v + dt * exp_v
-        u_new = solve_shifted(grid, 1.0, theta * dt, rhs_u_lin)
-        v_new = solve_shifted(grid, a_v, b_v, rhs_v_lin)
+    def solve_pair(
+        th: float, exp_u: np.ndarray, exp_v: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The th-weighted implicit solve with the given explicit terms."""
+        rhs_u_lin = u + dt * (1.0 - th) * lap_u + dt * exp_u
+        rhs_v_lin = v + dt * (1.0 - th) * lin_v + dt * exp_v
+        u_new = solve_shifted(grid, 1.0, th * dt, rhs_u_lin)
+        v_new = solve_shifted(grid, 1.0 + th * dt * lam / tau, th * dt / tau, rhs_v_lin)
         if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
             raise StepRejected("step produced non-finite values")
         return u_new, v_new
 
-    u_pred, v_pred = solve_pair(eu_n, ev_n)
-    u_star = np.maximum(u_pred, 0.0)
-    v_star = np.maximum(v_pred, 0.0)
-    eu_s = explicit_u(grid, u_star, v_star, t + dt, coeffs, params)
-    ev_s = explicit_v(u_star, params)
-    weight = theta if theta < 1.0 else 0.5
-    u_corr, v_corr = solve_pair(
-        (1.0 - weight) * eu_n + weight * eu_s,
-        (1.0 - weight) * ev_n + weight * ev_s,
-    )
+    u_new, v_new = solve_pair(theta, eu_n, ev_n)  # the predictor
+    if theta < 1.0 or estimate:
+        u_star = np.maximum(u_new, 0.0)
+        v_star = np.maximum(v_new, 0.0)
+        eu_s = explicit_u(grid, u_star, v_star, t + dt, coeffs, params)
+        ev_s = explicit_v(u_star, params)
+
+    def weighted(weight: float) -> tuple[np.ndarray, np.ndarray]:
+        """Explicit terms weighted between t_n and the predictor."""
+        return (1.0 - weight) * eu_n + weight * eu_s, (1.0 - weight) * ev_n + weight * ev_s
+
     if theta < 1.0:
-        u_new, v_new, u_alt, v_alt = u_corr, v_corr, u_pred, v_pred
-    else:
-        u_new, v_new, u_alt, v_alt = u_pred, v_pred, u_corr, v_corr
-    err = max(_err_norm(u_alt, u_new), _err_norm(v_alt, v_new))
+        u_new, v_new = solve_pair(theta, *weighted(theta))
+    err = math.nan
+    if estimate:
+        if theta == 0.5:
+            u_alt, v_alt = solve_pair(1.0, eu_n, ev_n)
+        else:
+            u_alt, v_alt = solve_pair(0.5, *weighted(0.5))
+        err = max(_err_norm(u_alt, u_new), _err_norm(v_alt, v_new))
 
     scale = max(1.0, float(np.abs(u).max()), float(np.abs(v).max()))
     u_new, cu, nu = _clamp_negatives(u_new, scale, cfg.positivity_floor, grid, "u")
@@ -432,7 +444,7 @@ def fixed_step_run(
     dt = (t_end - state0.t) / n_steps
     state = state0
     for _ in range(n_steps):
-        state, _ = step(state, dt, coeffs, params, cfg)
+        state, _ = step(state, dt, coeffs, params, cfg, estimate=False)
     if not math.isclose(state.t, t_end, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(t_end))):
         state = ModelState(t_end, state.u, state.v)
     return state

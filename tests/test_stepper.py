@@ -63,6 +63,7 @@ class TestConfigValidation:
 
     def test_design_order(self):
         assert StepperConfig(theta_scheme=1.0).design_order == 1
+        assert StepperConfig(theta_scheme=0.75).design_order == 1
         assert StepperConfig(theta_scheme=0.5).design_order == 2
 
 
@@ -160,9 +161,8 @@ class TestRun:
         for t, st in zip(traj.times, traj.states):
             assert abs(st.u[0] - logistic_exact(t, 0.1)) < 1e-6
 
-    def test_one_step_call_per_attempt(self, grid, monkeypatch):
-        # one accepted attempt: lap(u) and lap(v) at t_n, predictor and
-        # corrector solves for u and v, and the estimate from the same step()
+    @staticmethod
+    def count_calls(monkeypatch):
         import chemostab.model as model_mod
         import chemostab.stepper as stepper_mod
 
@@ -179,12 +179,28 @@ class TestRun:
         monkeypatch.setattr(stepper_mod, "solve_shifted",
                             counting("solve", stepper_mod.solve_shifted))
         monkeypatch.setattr(stepper_mod, "step", counting("step", stepper_mod.step))
+        return calls
+
+    @pytest.mark.parametrize("theta, solves", [(0.5, 6), (1.0, 4)])
+    def test_one_step_call_per_attempt(self, grid, monkeypatch, theta, solves):
+        # one accepted attempt: lap(u) and lap(v) at t_n, the solves for u and
+        # v of the result and of its companion, all from the same step()
+        calls = self.count_calls(monkeypatch)
         params = ModelParams(chi=0.1, tau=1.0, lam=1.0, mu=1.0)
-        cfg = StepperConfig(dt_init=0.5, dt_max=0.5)
+        cfg = StepperConfig(dt_init=0.5, dt_max=0.5, theta_scheme=theta)
         traj = run(flat_state(grid, 1.0, 1.0), 0.5, const_set(grid), params, cfg,
                    sample_times=[0.0, 0.5])
         assert traj.stats.accepted == 1 and traj.stats.rejected_error == 0
-        assert calls == {"lap": 2, "solve": 4, "step": 1}
+        assert calls == {"lap": 2, "solve": solves, "step": 1}
+
+    @pytest.mark.parametrize("theta, solves", [(0.5, 4), (1.0, 2)])
+    def test_fixed_step_run_makes_no_companion(self, grid, monkeypatch, theta, solves):
+        # the refinement march discards the estimate, so it pays only for the result
+        calls = self.count_calls(monkeypatch)
+        params = ModelParams(chi=0.1, tau=1.0, lam=1.0, mu=1.0)
+        cfg = StepperConfig(theta_scheme=theta)
+        fixed_step_run(flat_state(grid, 1.0, 1.0), 0.5, 3, const_set(grid), params, cfg)
+        assert calls == {"lap": 6, "solve": 3 * solves, "step": 3}
 
     def test_determinism_bit_identical(self, grid):
         params = ModelParams(chi=0.2, tau=1.0, lam=1.0, mu=1.0)
@@ -365,14 +381,40 @@ class TestTemporalAccuracy:
         for k in range(2):
             assert 1.3 <= errs[k] / errs[k + 1] <= 3.2
 
-    def test_halving_tolerance_roughly_halves_error_backward_euler(self):
+    @pytest.mark.parametrize("theta", [0.75, 1.0])
+    def test_halving_tolerance_roughly_halves_error_first_order(self, theta):
         grid = Grid((1.0,), (3,))
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
         cs = const_set(grid)
         errs = []
         for tol in (4e-4, 2e-4, 1e-4):
-            cfg = StepperConfig(error_tol=tol, dt_max=0.05, dt_init=1e-4, theta_scheme=1.0)
+            cfg = StepperConfig(error_tol=tol, dt_max=0.05, dt_init=1e-4, theta_scheme=theta)
             traj = run(flat_state(grid, 0.1, 0.0), 4.0, cs, params, cfg, sample_dt=4.0)
             errs.append(abs(traj.final.u[0] - logistic_exact(4.0, 0.1)))
+        for k in range(2):
+            assert 1.3 <= errs[k] / errs[k + 1] <= 3.2
+
+    @pytest.mark.parametrize("theta, tols", [
+        (0.5, (4e-5, 2e-5, 1e-5)),
+        (0.75, (1e-2, 5e-3, 2.5e-3)),
+        (1.0, (1e-2, 5e-3, 2.5e-3)),
+    ])
+    def test_halving_tolerance_halves_diffusion_error(self, theta, tols):
+        # no drift, no growth and a weak source: the time error is that of
+        # the implicit diffusion and decay, which the estimate must see
+        grid = Grid((1.0,), (21,))
+        x = grid.axis_coords[0]
+        params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1e-3)
+        cs = const_set(grid, 0.0, 0.0, 0.0)
+        state0 = ModelState(0.0, 1.0 + 0.5 * np.cos(np.pi * x),
+                            0.5 + 0.3 * np.cos(2 * np.pi * x))
+        t_end = 0.25
+        ref = fixed_step_run(state0, t_end, 1000, cs, params, StepperConfig())
+        errs = []
+        for tol in tols:
+            cfg = StepperConfig(error_tol=tol, theta_scheme=theta)
+            out = run(state0, t_end, cs, params, cfg, sample_times=[0.0, t_end]).final
+            errs.append(max(np.abs(out.u - ref.u).max(), np.abs(out.v - ref.v).max()))
+        assert errs[0] <= tols[0]
         for k in range(2):
             assert 1.3 <= errs[k] / errs[k + 1] <= 3.2
