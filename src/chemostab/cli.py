@@ -72,14 +72,17 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, meta: list[str], header: str, rows) -> None:
+def _write_text(path: Path, meta: list[str], chunks) -> None:
+    """Write the '#' metadata lines, then the body's text chunks."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        for line in meta:
-            fh.write(line + "\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        fh.writelines(line + "\n" for line in meta)
+        fh.writelines(chunks)
+
+
+def _write_csv(path: Path, meta: list[str], header: str, rows) -> None:
+    lines = (",".join(_cell(v) for v in row) + "\n" for row in rows)
+    _write_text(path, meta, itertools.chain([header + "\n"], lines))
 
 
 def _out_path(cfg: RunConfig, out_dir: str | None, kind: str) -> Path:
@@ -146,7 +149,7 @@ def _resolve_constants(cfg: RunConfig, grid, coeffs, params, window,
     return constants
 
 
-def _stability_report(cfg: RunConfig, out_dir: str | None, seed: int | None):
+def _stability_report(cfg: RunConfig, seed: int | None):
     grid = build_grid(cfg)
     params = build_params(cfg)
     coeffs = build_coefficients(cfg, grid)
@@ -168,13 +171,9 @@ def _stability_report(cfg: RunConfig, out_dir: str | None, seed: int | None):
 
 
 def cmd_stability(cfg: RunConfig, out_dir: str | None, seed: int | None, threads: int) -> int:
-    report = _stability_report(cfg, out_dir, seed)
-    path = _out_path(cfg, out_dir, "stability")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        for line in _metadata_lines(cfg):
-            fh.write(line + "\n")
-        fh.write(report_to_csv(report))
+    report = _stability_report(cfg, seed)
+    _write_text(_out_path(cfg, out_dir, "stability"), _metadata_lines(cfg),
+                [report_to_csv(report)])
     theta_txt = "nan" if math.isnan(report.theta) else f"{report.theta:.6g}"
     print(f"{report.conclusion} theta={theta_txt}")
     for verdict in (report.h1_ok, report.h2_ok, report.h3_ok):
@@ -276,29 +275,16 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
 
     grw = gronwall_check((trajs[0], trajs[1]), report, eps) if eps > 0.0 else None
     if grw is not None:
-        grw_path = _out_path(cfg, out_dir, "gronwall")
-        grw_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(grw_path, "w") as fh:
-            for line in meta:
-                fh.write(line + "\n")
-            fh.write("# gronwall verdict block\n")
-            fh.write(f"# eps: {eps!r}\n")
-            fh.write(f"# band: {grw.band[0]!r} {grw.band[1]!r}\n")
-            fh.write(f"# conclusive: {str(grw.conclusive).lower()}\n")
-            for note in grw.notes:
-                fh.write(f"# note: {note}\n")
-            fh.write("fraction,worst_margin,n_intervals,t_entry,max_slack\n")
-            t_entry = grw.t_entry if grw.t_entry is not None else math.nan
-            fh.write(",".join(_cell(v) for v in
-                              (grw.fraction, grw.worst_margin, grw.n_intervals,
-                               t_entry, grw.max_slack)) + "\n")
+        grw_meta = [*meta, "# gronwall verdict block", f"# eps: {eps!r}",
+                    f"# band: {grw.band[0]!r} {grw.band[1]!r}",
+                    f"# conclusive: {str(grw.conclusive).lower()}",
+                    *(f"# note: {note}" for note in grw.notes)]
+        t_entry = grw.t_entry if grw.t_entry is not None else math.nan
+        _write_csv(_out_path(cfg, out_dir, "gronwall"), grw_meta,
+                   "fraction,worst_margin,n_intervals,t_entry,max_slack",
+                   [(grw.fraction, grw.worst_margin, grw.n_intervals, t_entry, grw.max_slack)])
 
-    path = _out_path(cfg, out_dir, "stability")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        for line in meta:
-            fh.write(line + "\n")
-        fh.write(report_to_csv(report))
+    _write_text(_out_path(cfg, out_dir, "stability"), meta, [report_to_csv(report)])
 
     print(f"pairwise_gap_final={gap_final!r} gap_ok={str(gap_final < FINAL_GAP_TOL).lower()}")
     print(f"theta={report.theta!r} eps={eps!r} fitted_rate={fit.rate!r} r2={fit.r2!r} "
@@ -328,7 +314,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: str | None, seed: int | None, threads: in
         try:
             for path, value in zip(paths, values):
                 point_cfg = apply_override(point_cfg, path, value)
-            report = _stability_report(point_cfg, out_dir, seed)
+            report = _stability_report(point_cfg, seed)
             theta = report.theta
             return (*values, report.h1_ok.status, report.h2_ok.status,
                     report.h3_ok.status, theta, report.conclusion, "")

@@ -4,15 +4,16 @@ Configs are YAML with fixed blocks (grid, params, a0/a1/a2, initial,
 stepper, experiment, output).  Unknown keys are errors so typos cannot
 silently change a run.  Parsing normalizes every block (defaults filled,
 numbers coerced), which makes serialize(parse(text)) re-parse to an equal
-config and gives a stable content hash for output provenance.
+config and gives a stable content hash for output provenance.  YAML is read
+once: a sweep point edits a copy of the normalized dict and normalizes it
+again, with no trip back through YAML text.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import yaml
@@ -88,19 +89,6 @@ class RunConfig:
     stepper: dict
     experiment: dict
     output: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": copy.deepcopy(self.grid),
-            "params": copy.deepcopy(self.params),
-            "a0": copy.deepcopy(self.a0),
-            "a1": copy.deepcopy(self.a1),
-            "a2": copy.deepcopy(self.a2),
-            "initial": copy.deepcopy(self.initial),
-            "stepper": copy.deepcopy(self.stepper),
-            "experiment": copy.deepcopy(self.experiment),
-            "output": copy.deepcopy(self.output),
-        }
 
 
 def _fail(key: str, message: str):
@@ -198,24 +186,40 @@ def _norm_params(raw: dict) -> dict:
     return {"chi": chi, "tau": tau, "lambda": lam, "mu": mu}
 
 
-def _norm_space(raw, path: str) -> dict:
+def _norm_profile(raw, path: str, table: dict, what: str) -> dict:
+    """A ``{profile: name, ...}`` block; ``what`` names ``table`` in errors."""
     if not isinstance(raw, dict) or "profile" not in raw:
         _fail(path, "expected a mapping with a 'profile' key")
     profile = raw["profile"]
-    if profile not in _SPACE_PROFILE_KEYS:
-        _fail(f"{path}.profile", f"unknown spatial profile {profile!r}")
-    _check_keys(raw, _SPACE_PROFILE_KEYS[profile] | {"profile"}, path)
+    if profile not in table:
+        _fail(f"{path}.profile", f"unknown {what} profile {profile!r}")
+    _check_keys(raw, table[profile] | {"profile"}, path)
     out = {"profile": profile}
     for key, val in raw.items():
         if key == "profile":
             continue
-        if key in ("axis", "mode"):
+        if key == "path":
+            out[key] = str(val)
+        elif key in ("seed", "mode", "axis"):
             out[key] = _as_int(raw, key, path)
         elif key == "center" and isinstance(val, (list, tuple)):
             out[key] = _float_list(val, f"{path}.center")
         else:
             out[key] = _as_float(raw, key, path)
     return out
+
+
+_DEFAULT_UV = {
+    "u": {"profile": "constant", "value": 1.0},
+    "v": {"profile": "constant", "value": 0.0},
+}
+
+
+def _norm_uv(raw, path: str) -> dict:
+    """An initial state ``{u, v}`` (the ``initial`` block or one seed)."""
+    _check_keys(raw, set(_DEFAULT_UV), path)
+    return {k: _norm_profile(raw.get(k, default), f"{path}.{k}", _PROFILE_KEYS, "initial")
+            for k, default in _DEFAULT_UV.items()}
 
 
 def _norm_coefficient(raw: dict, name: str) -> dict:
@@ -238,7 +242,8 @@ def _norm_coefficient(raw: dict, name: str) -> dict:
         for key in time_raw:
             if key != "form":
                 time[key] = _as_float(time_raw, key, f"{name}.time")
-        space = _norm_space(raw.get("space", {"profile": "constant", "value": 1.0}), f"{name}.space")
+        space = _norm_profile(raw.get("space", {"profile": "constant", "value": 1.0}),
+                              f"{name}.space", _SPACE_PROFILE_KEYS, "spatial")
         return {"kind": "separable", "time": time, "space": space}
     if kind == "tabulated":
         _check_keys(raw, {"kind", "table_file", "clamp"}, name)
@@ -251,35 +256,6 @@ def _norm_coefficient(raw: dict, name: str) -> dict:
             "clamp": _as_bool(raw, "clamp", name, default=True),
         }
     _fail(f"{name}.kind", f"unknown coefficient kind {kind!r}")
-
-
-def _norm_initial_profile(raw, path: str) -> dict:
-    if not isinstance(raw, dict) or "profile" not in raw:
-        _fail(path, "expected a mapping with a 'profile' key")
-    profile = raw["profile"]
-    if profile not in _PROFILE_KEYS:
-        _fail(f"{path}.profile", f"unknown initial profile {profile!r}")
-    _check_keys(raw, _PROFILE_KEYS[profile] | {"profile"}, path)
-    out = {"profile": profile}
-    for key, val in raw.items():
-        if key == "profile":
-            continue
-        if key == "path":
-            out[key] = str(val)
-        elif key in ("seed", "mode", "axis"):
-            out[key] = _as_int(raw, key, path)
-        elif key == "center" and isinstance(val, (list, tuple)):
-            out[key] = _float_list(val, f"{path}.center")
-        else:
-            out[key] = _as_float(raw, key, path)
-    return out
-
-
-def _norm_initial(raw: dict) -> dict:
-    _check_keys(raw, {"u", "v"}, "initial")
-    u = _norm_initial_profile(raw.get("u", {"profile": "constant", "value": 1.0}), "initial.u")
-    v = _norm_initial_profile(raw.get("v", {"profile": "constant", "value": 0.0}), "initial.v")
-    return {"u": u, "v": v}
 
 
 def _norm_stepper(raw: dict) -> dict:
@@ -339,11 +315,7 @@ def _norm_experiment(raw: dict) -> dict:
         for i, blk in enumerate(raw["seeds"]):
             if not isinstance(blk, dict):
                 _fail(f"experiment.seeds[{i}]", "expected a mapping")
-            _check_keys(blk, {"u", "v"}, f"experiment.seeds[{i}]")
-            seeds.append({
-                "u": _norm_initial_profile(blk.get("u", {"profile": "constant", "value": 1.0}), f"experiment.seeds[{i}].u"),
-                "v": _norm_initial_profile(blk.get("v", {"profile": "constant", "value": 0.0}), f"experiment.seeds[{i}].v"),
-            })
+            seeds.append(_norm_uv(blk, f"experiment.seeds[{i}]"))
         out["seeds"] = seeds
     if "fit_window" in raw and raw["fit_window"] is not None:
         fw = _float_list(raw["fit_window"], "experiment.fit_window")
@@ -385,8 +357,11 @@ def parse_config(text: str) -> RunConfig:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError("<document>", f"not valid YAML: {exc}") from exc
-    if raw is None:
-        raw = {}
+    return _normalize({} if raw is None else raw)
+
+
+def _normalize(raw) -> RunConfig:
+    """Validate a loaded document and fill every default."""
     if not isinstance(raw, dict):
         _fail("<document>", "top level must be a mapping")
     for key in raw:
@@ -401,7 +376,7 @@ def parse_config(text: str) -> RunConfig:
         a0=_norm_coefficient(raw.get("a0", {"kind": "constant", "value": 1.0}), "a0"),
         a1=_norm_coefficient(raw.get("a1", {"kind": "constant", "value": 1.0}), "a1"),
         a2=_norm_coefficient(raw.get("a2", {"kind": "constant", "value": 0.0}), "a2"),
-        initial=_norm_initial(raw.get("initial", {})),
+        initial=_norm_uv(raw.get("initial", {}), "initial"),
         stepper=_norm_stepper(raw.get("stepper", {})),
         experiment=_norm_experiment(raw.get("experiment", {})),
         output=_norm_output(raw.get("output", {})),
@@ -410,7 +385,7 @@ def parse_config(text: str) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical YAML text; parse(serialize(parse(x))) == parse(x)."""
-    return yaml.safe_dump(cfg.to_dict(), sort_keys=True, default_flow_style=False)
+    return yaml.safe_dump(asdict(cfg), sort_keys=True, default_flow_style=False)
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -419,8 +394,11 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def apply_override(cfg: RunConfig, path: str, value: float) -> RunConfig:
-    """Return a new config with one dotted-path scalar replaced (sweeps)."""
-    data = cfg.to_dict()
+    """Return a new config with one dotted-path scalar replaced (sweeps).
+
+    The path names a key of the normalized config, so a default can be set.
+    """
+    data = asdict(cfg)
     parts = path.split(".")
     node = data
     for part in parts[:-1]:
@@ -431,7 +409,7 @@ def apply_override(cfg: RunConfig, path: str, value: float) -> RunConfig:
     if not isinstance(node, dict) or leaf not in node:
         _fail(path, "no such config entry")
     node[leaf] = float(value)
-    return parse_config(yaml.safe_dump(data))
+    return _normalize(data)
 
 
 # --- builders -------------------------------------------------------------
@@ -445,19 +423,12 @@ def build_params(cfg: RunConfig) -> ModelParams:
     return ModelParams(chi=p["chi"], tau=p["tau"], lam=p["lambda"], mu=p["mu"])
 
 
-def _space_field(grid: Grid, block: dict) -> Field:
-    kwargs = {k: v for k, v in block.items() if k != "profile"}
-    if "center" in kwargs and isinstance(kwargs["center"], list):
-        kwargs["center"] = tuple(kwargs["center"])
-    return spatial_profile(grid, block["profile"], **kwargs)
-
-
 def _build_coefficient(block: dict, grid: Grid, role: int, name: str):
     if block["kind"] == "constant":
         return ConstantCoefficient(grid, role, block["value"])
     if block["kind"] == "separable":
         time = TimeFactor(**block["time"])
-        space = _space_field(grid, block["space"])
+        space = spatial_profile(grid, **block["space"])
         return SeparableCoefficient(grid, role, time, space)
     if block["kind"] == "tabulated":
         knots, tables = _read_table(block["table_file"], grid, name)
@@ -513,10 +484,7 @@ def _profile_values(
     if profile == "constant":
         return Field.constant(grid, block.get("value", 0.0)).values
     if profile == "bump":
-        kwargs = {k: v for k, v in block.items() if k != "profile"}
-        if "center" in kwargs and isinstance(kwargs["center"], list):
-            kwargs["center"] = tuple(kwargs["center"])
-        return spatial_profile(grid, "gaussian-bump", **kwargs).values
+        return spatial_profile(grid, **{**block, "profile": "gaussian-bump"}).values
     if profile == "cosine":
         baseline = block.get("baseline", 1.0)
         amplitude = block.get("amplitude", 0.5)

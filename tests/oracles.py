@@ -186,3 +186,30 @@ def gronwall_loop(series, report, eps: float, t_entry: float):
             satisfied += 1
         worst = max(worst, margin)
     return satisfied / dts.size, worst, max_slack
+
+
+def apply_override_via_yaml(cfg, path: str, value: float):
+    """One dotted-path override made through YAML text, as sweeps once did.
+
+    The normalized config is dumped with the scalar replaced and the text is
+    parsed again, so every block goes through the YAML loader and the full
+    document checks.
+    """
+    import dataclasses
+
+    import yaml
+
+    from chemostab.config import parse_config
+    from chemostab.errors import ConfigError
+
+    data = dataclasses.asdict(cfg)
+    *parents, leaf = path.split(".")
+    node = data
+    for part in parents:
+        if not isinstance(node, dict) or part not in node:
+            raise ConfigError(path, "no such config entry")
+        node = node[part]
+    if not isinstance(node, dict) or leaf not in node:
+        raise ConfigError(path, "no such config entry")
+    node[leaf] = float(value)
+    return parse_config(yaml.safe_dump(data))

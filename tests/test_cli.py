@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from chemostab import ModelState, measure_constants, run
 from chemostab.cli import main
 from chemostab.config import (
+    _normalize,
     apply_override,
     build_coefficients,
     build_grid,
@@ -26,6 +28,7 @@ from chemostab.config import (
     serialize_config,
 )
 from chemostab.errors import ConfigError
+from oracles import apply_override_via_yaml
 
 BASE = """
 grid:
@@ -110,6 +113,37 @@ class TestConfigParsing:
         assert cfg.params["chi"] == 0.0
         with pytest.raises(ConfigError):
             apply_override(cfg, "params.nope", 1.0)
+
+    @pytest.mark.parametrize("old,new,message", [
+        pytest.param("initial:\n  u: {profile: constant, value: 0.1}\n"
+                     "  v: {profile: constant, value: 0.0}",
+                     "initial: [1, 2]", "initial: expected a mapping, got list",
+                     id="initial-not-mapping"),
+        pytest.param("experiment:\n  t_end: 40.0\n  sample_dt: 2.0", "experiment: {seeds: [3]}",
+                     "experiment.seeds[0]: expected a mapping", id="seed-not-mapping"),
+        pytest.param("u: {profile: constant, value: 0.1}", "u: {profile: wobble}",
+                     "initial.u.profile: unknown initial profile 'wobble'",
+                     id="initial-unknown-profile"),
+        pytest.param("experiment:\n  t_end: 40.0",
+                     "experiment:\n  seeds:\n    - u: {profile: wobble}\n  t_end: 40.0",
+                     "experiment.seeds[0].u.profile: unknown initial profile 'wobble'",
+                     id="seed-unknown-profile"),
+        pytest.param("a0: {kind: constant, value: 1.0}",
+                     "a0: {kind: separable, space: {profile: wobble}}",
+                     "a0.space.profile: unknown spatial profile 'wobble'",
+                     id="space-unknown-profile"),
+        pytest.param("a0: {kind: constant, value: 1.0}",
+                     "a0: {kind: separable, space: {profile: sine, mode: 1.5}}",
+                     "a0.space.mode: expected an integer, got 1.5", id="space-fractional-mode"),
+        pytest.param("u: {profile: constant, value: 0.1}", "u: {profile: bump, center: [0.5, x]}",
+                     "initial.u.center: expected numbers, got [0.5, 'x']",
+                     id="initial-non-numeric-center"),
+    ])
+    def test_profile_error_messages(self, old, new, message):
+        assert old in BASE
+        with pytest.raises(ConfigError) as info:
+            parse_config(BASE.replace("OUTDIR", "out").replace(old, new))
+        assert str(info.value) == message
 
     def test_random_positive_profile_seeded(self):
         text = BASE.replace("OUTDIR", "out").replace(
@@ -471,6 +505,59 @@ class TestSweep:
         assert "params.tau" in by_tau[0.0][-1]
         assert by_tau[1.0][-2] == "criterion_holds"
         assert by_tau[0.5][-2] != "error"
+
+
+# every normalizer that a sweep point passes through: nested time and space
+# blocks, center lists and experiment seeds
+OVERRIDE = BASE.replace("OUTDIR", "out").replace(
+    "a0: {kind: constant, value: 1.0}",
+    "a0:\n  kind: separable\n"
+    "  time: {form: sinusoid, offset: 1.0, amplitude: 0.2, frequency: 1.0}\n"
+    "  space: {profile: gaussian-bump, center: [0.4], width: 0.2}",
+).replace(
+    "sample_dt: 2.0",
+    "sample_dt: 2.0\n  seeds:\n    - {u: {profile: bump, center: [0.3]}}\n"
+    "    - {u: {profile: cosine, mode: 2}}",
+)
+
+
+class TestConfigAsData:
+    @pytest.mark.parametrize("path,value,fails", [
+        pytest.param("a0.time.amplitude", 0.4, False, id="nested-float"),
+        pytest.param("experiment.n_samples", 257.0, False, id="integer-key-given-float"),
+        pytest.param("experiment.eps", 0.01, False, id="normalized-none"),
+        pytest.param("experiment.measure", 1.0, True, id="bool-key"),
+        pytest.param("params.nope", 1.0, True, id="missing-path"),
+    ])
+    def test_override_matches_yaml_round_trip(self, path, value, fails):
+        cfg = parse_config(OVERRIDE)
+
+        def outcome(override):
+            try:
+                point = override(cfg, path, value)
+            except ConfigError as exc:
+                return "error", str(exc)
+            return point, config_hash(point)
+
+        direct = outcome(apply_override)
+        assert direct == outcome(apply_override_via_yaml)
+        assert (direct[0] == "error") == fails
+
+    def test_override_makes_no_yaml_calls(self, monkeypatch):
+        cfg = parse_config(OVERRIDE)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("YAML called after parsing")
+
+        monkeypatch.setattr(yaml, "safe_dump", refuse)
+        monkeypatch.setattr(yaml, "safe_load", refuse)
+        point = apply_override(cfg, "a0.time.amplitude", 0.4)
+        assert point.a0["time"]["amplitude"] == 0.4
+
+    @pytest.mark.parametrize("text", [BASE, STABILITY], ids=["base", "stability"])
+    def test_normalize_fixes_normalized_config(self, text):
+        cfg = parse_config(text.replace("OUTDIR", "out"))
+        assert _normalize(dataclasses.asdict(cfg)) == cfg
 
 
 EXPERIMENT = """
