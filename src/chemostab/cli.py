@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +102,7 @@ def _final_rows(grid: Grid, state: ModelState):
     return zip(*(map(float, a.ravel()) for a in (*grid.coords(), state.u, state.v)))
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: str | None, seed: int | None, threads: int) -> int:
+def cmd_simulate(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
     grid = build_grid(cfg)
     params = build_params(cfg)
     coeffs = build_coefficients(cfg, grid)
@@ -119,7 +118,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str | None, seed: int | None, threads:
                _series_rows(traj))
     header = "x,u,v" if grid.dim == 1 else "x,y,u,v"
     _write_csv(_out_path(cfg, out_dir, "final"), meta, header, _final_rows(grid, traj.final))
-    clamped = traj.stats.clamped_mass_u + traj.stats.clamped_mass_v
+    clamped = float(traj.stats.clamped_mass_u + traj.stats.clamped_mass_v)
     print(f"simulate complete t={traj.final.t!r} mass_u={float(traj.mass_u[-1])!r} "
           f"accepted={traj.stats.accepted} rejected={traj.stats.rejected_error} "
           f"clamped_mass={clamped!r}")
@@ -170,7 +169,7 @@ def _stability_report(cfg: RunConfig, seed: int | None):
     return report
 
 
-def cmd_stability(cfg: RunConfig, out_dir: str | None, seed: int | None, threads: int) -> int:
+def cmd_stability(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
     report = _stability_report(cfg, seed)
     _write_text(_out_path(cfg, out_dir, "stability"), _metadata_lines(cfg),
                 [report_to_csv(report)])
@@ -186,8 +185,7 @@ def cmd_stability(cfg: RunConfig, out_dir: str | None, seed: int | None, threads
     return 0
 
 
-def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | None,
-                             threads: int) -> int:
+def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
     grid = build_grid(cfg)
     params = build_params(cfg)
     coeffs = build_coefficients(cfg, grid)
@@ -212,12 +210,10 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
         if all(np.array_equal(x, y) for x, y in zip(a, b)):
             raise ConfigError("experiment.seeds", f"seeds {i} and {j} give identical states")
 
-    def run_seed(state):
-        return run(ModelState(0.0, *state), t_end, coeffs, params, stepper_cfg,
-                   sample_dt=sample_dt)
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        trajs = list(pool.map(run_seed, states))
+    # the seeds share coefficients, grid and samples: one batched run steps them all
+    u0, v0 = (np.stack(fields) for fields in zip(*states))
+    trajs = run(ModelState(0.0, u0, v0), t_end, coeffs, params, stepper_cfg,
+                sample_dt=sample_dt).members()
 
     burn = _burn_ins(cfg)
     constants = _resolve_constants(cfg, grid, coeffs, params, window, lambda: trajs)
@@ -300,7 +296,7 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: str | None, seed: int | None, threads: int) -> int:
+def cmd_sweep(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
     exp = cfg.experiment
     sweep = exp.get("sweep")
     if not sweep:
@@ -321,8 +317,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: str | None, seed: int | None, threads: in
         except ChemostabError as exc:
             return (*values, "", "", "", math.nan, "error", str(exc).replace(",", ";"))
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        rows = list(pool.map(one_point, points))
+    rows = [one_point(values) for values in points]
 
     header = ",".join(paths) + ",h1,h2,h3,theta,conclusion,error"
     _write_csv(_out_path(cfg, out_dir, "sweep"), _metadata_lines(cfg), header, rows)
@@ -341,7 +336,7 @@ def _flat_logistic_setup(grid: Grid, params: ModelParams):
     return coeffs, flat_params
 
 
-def cmd_converge(cfg: RunConfig, out_dir: str | None, seed: int | None, threads: int) -> int:
+def cmd_converge(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
     grid = build_grid(cfg)
     params = build_params(cfg)
     rows = []
@@ -394,8 +389,9 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the YAML run config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
+    # kept so existing invocations still parse; every command runs in one thread
     parser.add_argument("--threads", type=int, default=1,
-                        help="parallel workers for sweeps and multi-seed runs")
+                        help="accepted and ignored: has no effect")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed override for random initial data")
     args = parser.parse_args(argv)
@@ -408,7 +404,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(text)
-        return _COMMANDS[args.command](cfg, args.out, args.seed, args.threads)
+        return _COMMANDS[args.command](cfg, args.out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -89,6 +90,16 @@ class RunConfig:
     stepper: dict
     experiment: dict
     output: dict
+
+    @cached_property
+    def content_hash(self) -> str:
+        """Stable content hash of the normalized config (first 12 hex chars).
+
+        Serializing takes milliseconds and every output path carries the
+        hash, so it is computed once; the blocks are not edited after
+        parsing (a sweep point is a new config).
+        """
+        return hashlib.sha256(serialize_config(self).encode()).hexdigest()[:12]
 
 
 def _fail(key: str, message: str):
@@ -191,7 +202,7 @@ def _norm_profile(raw, path: str, table: dict, what: str) -> dict:
     if not isinstance(raw, dict) or "profile" not in raw:
         _fail(path, "expected a mapping with a 'profile' key")
     profile = raw["profile"]
-    if profile not in table:
+    if not isinstance(profile, str) or profile not in table:
         _fail(f"{path}.profile", f"unknown {what} profile {profile!r}")
     _check_keys(raw, table[profile] | {"profile"}, path)
     out = {"profile": profile}
@@ -235,7 +246,7 @@ def _norm_coefficient(raw: dict, name: str) -> dict:
         if not isinstance(time_raw, dict) or "form" not in time_raw:
             _fail(f"{name}.time", "expected a mapping with a 'form' key")
         form = time_raw["form"]
-        if form not in _TIME_KEYS:
+        if not isinstance(form, str) or form not in _TIME_KEYS:
             _fail(f"{name}.time.form", f"unknown time form {form!r}")
         _check_keys(time_raw, _TIME_KEYS[form] | {"form"}, f"{name}.time")
         time = {"form": form}
@@ -390,7 +401,7 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def config_hash(cfg: RunConfig) -> str:
     """Stable content hash of the normalized config (first 12 hex chars)."""
-    return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:12]
+    return cfg.content_hash
 
 
 def apply_override(cfg: RunConfig, path: str, value: float) -> RunConfig:

@@ -12,7 +12,11 @@ axes.
 
 Every operator is an array kernel ``op(grid, values, ...)`` that takes and
 returns plain arrays or floats; states and coefficient values are nodal
-arrays shaped like ``grid.counts``.  :class:`Field` validates input where it
+arrays shaped like ``grid.counts``.  Kernels index grid axes from the end, so
+a batch of K fields stacked on a leading axis, shape ``(K, *grid.counts)``,
+passes through: stencils act on each member, and reductions
+(``integrate_values``, ``norms``, ``w2inf_norm``) return one value per member,
+a scalar for an unbatched field.  :class:`Field` validates input where it
 enters the program (config profiles, files, spatial profiles): it checks the
 shape against a grid and, through :func:`require_finite`, the values.
 """
@@ -82,6 +86,11 @@ class Grid:
         for e in self.extents:
             vol *= e
         return vol
+
+    @cached_property
+    def axes(self) -> tuple[int, ...]:
+        """The grid axes of a field, counted from the end (reduce over these per member)."""
+        return tuple(range(-self.dim, 0))
 
     @property
     def node_count(self) -> int:
@@ -177,7 +186,7 @@ class Field:
 def _second_differences(grid: Grid, vals: np.ndarray) -> list[np.ndarray]:
     """Per-axis second differences with reflected ghosts ``f(-h) = f(h)``."""
     out = []
-    for axis, h in enumerate(grid.spacing):
+    for axis, h in zip(grid.axes, grid.spacing):
         v = np.swapaxes(vals, 0, axis)
         d = np.empty_like(v)
         d[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
@@ -207,26 +216,26 @@ def chemotaxis_values(grid: Grid, uv: np.ndarray, vv: np.ndarray, chi: float) ->
     if chi == 0.0:
         return np.zeros_like(uv)
     div = np.zeros_like(uv)
-    for axis, h in enumerate(grid.spacing):
+    for axis, h, w in zip(grid.axes, grid.spacing, grid.axis_weights):
         u, v, d = (np.swapaxes(a, 0, axis) for a in (uv, vv, div))
         flux = 0.5 * (u[:-1] + u[1:]) * (v[1:] - v[:-1]) / h
         net = np.empty_like(u)  # right-face minus left-face flux per node
         net[0] = flux[0]  # zero flux through the boundary faces
         net[1:-1] = flux[1:] - flux[:-1]
         net[-1] = -flux[-1]
-        d += net / grid.axis_weights[axis].reshape((-1,) + (1,) * (grid.dim - 1))
+        d += net / w.reshape((-1,) + (1,) * (d.ndim - 1))
     return -float(chi) * div
 
 
-def integrate_values(grid: Grid, vals: np.ndarray) -> float:
+def integrate_values(grid: Grid, vals: np.ndarray) -> float | np.ndarray:
     """Trapezoid quadrature over the rectangle; exact for per-axis affine fields."""
-    return float(np.sum(grid.weights * vals))
+    return np.sum(grid.weights * vals, axis=grid.axes)
 
 
-def norms(grid: Grid, vals: np.ndarray) -> tuple[float, float]:
+def norms(grid: Grid, vals: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Return ``(L2, Linf)`` where L2 uses the grid quadrature."""
-    l2 = float(np.sqrt(np.sum(grid.weights * vals * vals)))
-    linf = float(np.max(np.abs(vals)))
+    l2 = np.sqrt(np.sum(grid.weights * vals * vals, axis=grid.axes))
+    linf = np.max(np.abs(vals), axis=grid.axes)
     return l2, linf
 
 
@@ -237,7 +246,7 @@ def gradient_neumann(grid: Grid, vals: np.ndarray) -> tuple[np.ndarray, ...]:
     no-flux boundary condition.
     """
     out = []
-    for axis, h in enumerate(grid.spacing):
+    for axis, h in zip(grid.axes, grid.spacing):
         v = np.swapaxes(vals, 0, axis)
         g = np.zeros_like(v)
         g[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
@@ -245,15 +254,13 @@ def gradient_neumann(grid: Grid, vals: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def w2inf_norm(grid: Grid, vals: np.ndarray) -> float:
+def w2inf_norm(grid: Grid, vals: np.ndarray) -> float | np.ndarray:
     """Discrete W^{2,inf} norm: nodal max of |f|, |first diffs|, |second diffs|.
 
     Mixed second differences are omitted; per-axis derivatives suffice for
     the diagnostics this feeds.
     """
-    worst = float(np.max(np.abs(vals)))
-    for g in gradient_neumann(grid, vals):
-        worst = max(worst, float(np.max(np.abs(g))))
-    for s in _second_differences(grid, vals):
-        worst = max(worst, float(np.max(np.abs(s))))
+    worst = np.max(np.abs(vals), axis=grid.axes)
+    for d in (*gradient_neumann(grid, vals), *_second_differences(grid, vals)):
+        worst = np.maximum(worst, np.max(np.abs(d), axis=grid.axes))
     return worst

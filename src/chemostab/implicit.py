@@ -11,8 +11,11 @@ Transform", SIAM Review 41, 1999).  The solve transforms rhs along every
 axis, divides by the symbol a - b * (sum of the axis eigenvalues), and
 transforms back.  Each DCT-I is a dense matrix C_n with entries
 2*cos(pi*j*k/(n-1)), columns 0 and n-1 halved, cached per axis length:
-C0 @ rhs in 1D, C0 @ rhs @ C1.T in 2D.  C_n @ C_n = 2*(n-1) * I, so the same
-matrices serve for the way back.
+rhs @ C0.T in 1D, C0 @ rhs @ C1.T in 2D.  C_n @ C_n = 2*(n-1) * I, so the same
+matrices serve for the way back.  Both products act on the trailing axes, so
+a batch of right-hand sides stacked on a leading axis, shape
+``(K, *grid.counts)``, is solved in one call; on a single field the products
+equal the matrix-times-field form bit for bit.
 
 The matrix form costs O(n) flops per node per axis and O(n^2) memory per
 distinct axis length (130 KB at 129 nodes).  It beats the FFT of the even
@@ -70,8 +73,7 @@ def solve_shifted(grid: Grid, a: float, b: float, rhs: np.ndarray) -> np.ndarray
     mats = [_dct1_matrix(n) for n in grid.counts]
 
     def dct1(x: np.ndarray) -> np.ndarray:
-        x = mats[0] @ x
-        return x @ mats[1].T if grid.dim == 2 else x
+        return x @ mats[0].T if grid.dim == 1 else mats[0] @ x @ mats[1].T
 
     spec = dct1(rhs)
     scale = math.prod(2 * (n - 1) for n in grid.counts)

@@ -19,6 +19,8 @@ and the explicit part ``-chi*div(u grad v) + reaction`` and ``mu*u/tau``.
 
 A state is a time and two read-only nodal arrays; the grid they live on is
 the coefficients' grid (``coeffs.grid``), passed where no coefficients are.
+The arrays may carry a leading batch axis, ``(K, *grid.counts)``: K members
+at one time, each its own solution (see ``stepper.run``).
 """
 
 from __future__ import annotations
@@ -68,7 +70,10 @@ class ModelParams:
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value, so states compare by identity
 class ModelState:
-    """Time plus the nodal arrays u and v: read-only float arrays of one shape."""
+    """Time plus the nodal arrays u and v: read-only float arrays of one shape.
+
+    The shape is ``grid.counts``, or ``(K, *grid.counts)`` for a batch of K members.
+    """
 
     t: float
     u: np.ndarray
@@ -86,9 +91,13 @@ class ModelState:
 
 
 def reaction_values(grid: Grid, u: np.ndarray, t: float, coeffs: CoefficientSet) -> np.ndarray:
-    """Array kernel u*(a0 - a1*u - a2*total_mass(u)) at time t; zero where u is zero."""
+    """Array kernel u*(a0 - a1*u - a2*total_mass(u)) at time t; zero where u is zero.
+
+    For a batch ``(K, *grid.counts)`` the total mass is each member's own.
+    """
     a0, a1, a2 = (c.eval(t) for c in (coeffs.a0, coeffs.a1, coeffs.a2))
-    return u * (a0 - a1 * u - a2 * integrate_values(grid, u))
+    mass = np.expand_dims(integrate_values(grid, u), grid.axes)
+    return u * (a0 - a1 * u - a2 * mass)
 
 
 def linear_v(grid: Grid, v: np.ndarray, params: ModelParams) -> np.ndarray:

@@ -25,12 +25,22 @@ grad v| caps the explicit drift; diffusion needs no guard because it is
 implicit.  Positivity is protected by rejection: values below -1e-12 *
 state scale reject the step, values inside that band are clamped to the
 floor and the clamped mass is charged against a per-run budget.
+
+A state may carry a leading batch axis, ``(K, *grid.counts)``: K members
+(seeds of one experiment) that share coefficients, grid and time span are
+stepped together, so each attempt costs one ``step()`` and one solve per
+unknown for all of them.  Every member gets the same dt.  The error of an
+attempt is the max over members of each member's own scaled estimate, the
+advective guard is the min over members, and a member below its own
+positivity band rejects the whole attempt.  Clamped mass is counted and
+budgeted per member.  An unbatched state is the case without a batch axis
+and takes exactly the same path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -105,14 +115,19 @@ class StepperConfig:
 
 @dataclass
 class RunStats:
-    """Counters accumulated over one run."""
+    """Counters accumulated over one run.
+
+    Step counts and the dt range are shared by the members of a batch; the
+    clamp counters hold one value per member (``run`` starts them as arrays
+    shaped like the batch, 0-d for an unbatched state).
+    """
 
     accepted: int = 0
     rejected_error: int = 0
     rejected_positivity: int = 0
-    clamped_mass_u: float = 0.0
-    clamped_mass_v: float = 0.0
-    clamped_nodes: int = 0
+    clamped_mass_u: float | np.ndarray = 0.0
+    clamped_mass_v: float | np.ndarray = 0.0
+    clamped_nodes: int | np.ndarray = 0
     min_dt: float = math.inf
     max_dt: float = 0.0
 
@@ -124,7 +139,11 @@ class RunStats:
 
 @dataclass
 class Trajectory:
-    """States sampled at requested times plus scalar diagnostics series."""
+    """States sampled at requested times plus scalar diagnostics series.
+
+    For a batched run the states carry the batch axis and each series has
+    one column per member, shape ``(samples, K)``; :meth:`members` splits it.
+    """
 
     grid: Grid
     times: np.ndarray
@@ -143,27 +162,69 @@ class Trajectory:
     def final(self) -> ModelState:
         return self.states[-1]
 
+    def members(self) -> list["Trajectory"]:
+        """Split a batched run into one trajectory per member.
+
+        Each member keeps the shared times and step counts and its own
+        states, series and clamp counters; the states are read-only views.
+        """
+        if self.mass_u.ndim != 2:
+            raise ValueError("not a batched trajectory")
+        stats = self.stats
+        return [
+            Trajectory(
+                grid=self.grid,
+                times=self.times,
+                states=[ModelState(s.t, s.u[k], s.v[k]) for s in self.states],
+                mass_u=self.mass_u[:, k],
+                mass_v=self.mass_v[:, k],
+                min_u=self.min_u[:, k],
+                sup_u=self.sup_u[:, k],
+                w2inf_v=self.w2inf_v[:, k],
+                stats=replace(
+                    stats,
+                    clamped_mass_u=float(stats.clamped_mass_u[k]),
+                    clamped_mass_v=float(stats.clamped_mass_v[k]),
+                    clamped_nodes=int(stats.clamped_nodes[k]),
+                ),
+            )
+            for k in range(self.mass_u.shape[1])
+        ]
+
 
 def _check_shape(state: ModelState, grid: Grid) -> None:
-    if state.u.shape != grid.counts:
+    """The state is a field on ``grid``, or a batch of them on one leading axis."""
+    shape = state.u.shape
+    if shape[len(shape) - grid.dim:] != grid.counts or len(shape) > grid.dim + 1:
         raise GridMismatchError(
-            f"state has shape {state.u.shape} but the coefficient grid has {grid.counts}"
+            f"state has shape {shape} but the coefficient grid has {grid.counts}"
         )
 
 
 def _clamp_negatives(
-    vals: np.ndarray, scale: float, floor: float, grid: Grid, label: str
-) -> tuple[np.ndarray, float, int]:
-    worst = float(vals.min())
-    if worst >= 0.0:
+    vals: np.ndarray, scale: np.ndarray, floor: float, grid: Grid, label: str
+) -> tuple[np.ndarray, np.ndarray | float, np.ndarray | int]:
+    """Clamp negative values inside each member's band to ``floor``.
+
+    ``scale`` holds each member's state scale.  Returns the values and, per
+    member, the clamped mass and node count.  A member below its band raises
+    :class:`StepRejected`, which rejects the attempt for the whole batch.
+    """
+    rows = vals.reshape(-1, grid.node_count)  # one row per member
+    worst = rows.min(axis=1)
+    if worst.min() >= 0.0:
         return vals, 0.0, 0
-    if worst < -_NEG_BAND * scale:
-        raise StepRejected(f"{label} fell to {worst} (band {-_NEG_BAND * scale})", worst)
-    mask = vals < 0.0
-    clamped_mass = float(np.sum(grid.weights[mask] * (-vals[mask])))
+    band = -_NEG_BAND * np.ravel(scale)
+    k = int(np.argmin(worst - band))
+    if worst[k] < band[k]:
+        raise StepRejected(f"{label} fell to {worst[k]} (band {band[k]})", float(worst[k]))
+    weights = grid.weights.ravel()
+    mask = rows < 0.0
+    batch = vals.shape[: vals.ndim - grid.dim]
+    clamped_mass = np.array([np.sum(weights[m] * (-r[m])) for r, m in zip(rows, mask)])
     out = vals.copy()
-    out[mask] = floor
-    return out, clamped_mass, int(mask.sum())
+    out[vals < 0.0] = floor
+    return out, clamped_mass.reshape(batch), mask.sum(axis=1).reshape(batch)
 
 
 def step(
@@ -185,8 +246,9 @@ def step(
     at theta = 0.5, and at theta > 0.5 the trapezoidal scheme with weight
     1/2 on the explicit terms at t_n and at the predictor.  It is the larger
     over u and v of ``max|a - b| / (1 + max|b|)``, where b is the returned
-    value and a the companion.  With ``estimate=False`` the companion is
-    not made and the estimate is NaN; the result is the same.
+    value and a the companion; for a batch, the max over members of each
+    member's own estimate.  With ``estimate=False`` the companion is not
+    made and the estimate is NaN; the result is the same.
 
     ``terms`` are the t_n terms ``model.split_terms(state, coeffs, params)``;
     they depend on the state alone, not on dt, so every step from one state
@@ -240,9 +302,11 @@ def step(
             u_alt, v_alt = solve_pair(1.0, eu_n, ev_n)
         else:
             u_alt, v_alt = solve_pair(0.5, *weighted(0.5))
-        err = max(_err_norm(u_alt, u_new), _err_norm(v_alt, v_new))
+        err = float(np.max(np.maximum(
+            _err_norm(grid, u_alt, u_new), _err_norm(grid, v_alt, v_new))))
 
-    scale = max(1.0, float(np.abs(u).max()), float(np.abs(v).max()))
+    axes = grid.axes
+    scale = np.maximum(1.0, np.maximum(np.abs(u).max(axis=axes), np.abs(v).max(axis=axes)))
     u_new, cu, nu = _clamp_negatives(u_new, scale, cfg.positivity_floor, grid, "u")
     v_new, cv, nv = _clamp_negatives(v_new, scale, cfg.positivity_floor, grid, "v")
     if stats is not None:
@@ -256,15 +320,15 @@ def step(
     return ModelState(t + dt, u_new, v_new), err
 
 
-def _err_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """max|a - b| relative to 1 + max|b|."""
-    return float(np.abs(a - b).max()) / (1.0 + float(np.abs(b).max()))
+def _err_norm(grid: Grid, a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """max|a - b| relative to 1 + max|b|, per member."""
+    return np.abs(a - b).max(axis=grid.axes) / (1.0 + np.abs(b).max(axis=grid.axes))
 
 
 def advective_dt_limit(
     grid: Grid, state: ModelState, params: ModelParams, cfg: StepperConfig
 ) -> float:
-    """Safety-scaled CFL bound h / max|chi grad v| for the explicit drift."""
+    """Safety-scaled CFL bound h / max|chi grad v| for the explicit drift (min over members)."""
     if params.chi == 0.0:
         return math.inf
     limit = math.inf
@@ -292,6 +356,13 @@ def run(
     spacing); an explicit ``sample_times`` sequence overrides both and is
     honored exactly, which is what aligned multi-run comparisons rely on.
     A zero-length run returns the single initial sample.
+
+    A ``state0`` of shape ``(K, *grid.counts)`` marches K members under one
+    controller: each attempt is accepted when the max over members of their
+    own error estimates passes, every member takes the same steps and is
+    sampled at the same times, and each member's clamped mass is held to
+    its own budget.  The result is one batched :class:`Trajectory`;
+    :meth:`Trajectory.members` splits it.
     """
     grid = coeffs.grid
     _check_shape(state0, grid)
@@ -315,16 +386,19 @@ def run(
         n = max(1, int(round((t_end - t0) / sample_dt)))
         samples = np.linspace(t0, t_end, n + 1)
 
-    stats = RunStats()
+    batch = state0.u.shape[: state0.u.ndim - grid.dim]
+    stats = RunStats(clamped_mass_u=np.zeros(batch), clamped_mass_v=np.zeros(batch),
+                     clamped_nodes=np.zeros(batch, dtype=int))
     recorded: list[ModelState] = []
     diag = {"mass_u": [], "mass_v": [], "min_u": [], "sup_u": [], "w2inf_v": []}
+    axes = grid.axes
 
     def record(st: ModelState) -> None:
         recorded.append(st)
         diag["mass_u"].append(integrate_values(grid, st.u))
         diag["mass_v"].append(integrate_values(grid, st.v))
-        diag["min_u"].append(float(st.u.min()))
-        diag["sup_u"].append(float(np.abs(st.u).max()))
+        diag["min_u"].append(st.u.min(axis=axes))
+        diag["sup_u"].append(np.abs(st.u).max(axis=axes))
         diag["w2inf_v"].append(w2inf_norm(grid, st.v))
         for obs in observers:
             try:
@@ -421,12 +495,18 @@ def run(
 
 
 def _check_clamp_budget(traj: Trajectory) -> None:
-    peak_mass = float(traj.mass_u.max()) if traj.mass_u.size else 0.0
-    budget = _CLAMP_BUDGET * max(peak_mass, 1e-300)
-    total = traj.stats.clamped_mass_u + traj.stats.clamped_mass_v
-    if peak_mass > 0.0 and total > budget:
+    """Each member's clamped mass must stay within its own budget."""
+    stats = traj.stats
+    peak_mass = traj.mass_u.max(axis=0, initial=0.0)  # per member
+    budget = _CLAMP_BUDGET * np.maximum(peak_mass, 1e-300)
+    total = stats.clamped_mass_u + stats.clamped_mass_v
+    over = (peak_mass > 0.0) & (total > budget)
+    if np.any(over):
+        k = int(np.argmax(np.ravel(over)))
+        member = f"member {k}: " if np.ndim(over) else ""
         raise PositivityBudgetError(
-            f"clamped mass {total} exceeds budget {budget} ({traj.stats.clamped_nodes} nodes)"
+            f"{member}clamped mass {np.ravel(total)[k]} exceeds budget "
+            f"{np.ravel(budget)[k]} ({np.ravel(stats.clamped_nodes)[k]} nodes)"
         )
 
 

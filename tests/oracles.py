@@ -188,6 +188,24 @@ def gronwall_loop(series, report, eps: float, t_entry: float):
     return satisfied / dts.size, worst, max_slack
 
 
+def trajectory_gap_loop(run_a, run_b):
+    """Sample-by-sample reference for ``trajectory_gap``: one ``norms`` call per field.
+
+    Returns ``(E, w_L2, phi_L2, w_Linf, phi_Linf, state_scale)``.
+    """
+    from chemostab import norms
+
+    grid = run_a.grid
+    rows = []
+    scale = 0.0
+    for sa, sb in zip(run_a.states, run_b.states):
+        w_l2, w_li = norms(grid, sa.u - sb.u)
+        p_l2, p_li = norms(grid, sa.v - sb.v)
+        rows.append((w_l2 ** 2 + p_l2 ** 2, w_l2, p_l2, w_li, p_li))
+        scale = max(scale, *(float(np.abs(a).max()) for a in (sa.u, sa.v, sb.u, sb.v)))
+    return (*(np.array(col) for col in zip(*rows)), scale)
+
+
 def apply_override_via_yaml(cfg, path: str, value: float):
     """One dotted-path override made through YAML text, as sweeps once did.
 

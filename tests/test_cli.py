@@ -337,6 +337,11 @@ class TestSimulate:
                      "stepper.safety", id="safety-above-one"),
         pytest.param("simulate", "dt_max: 0.5", "dt_max: 0.5\n  dt_init: 1.0",
                      "stepper.dt_init", id="dt_init-above-dt_max"),
+        pytest.param("simulate", "u: {profile: constant, value: 0.1}", "u: {profile: [1]}",
+                     "initial.u.profile", id="profile-unhashable"),
+        pytest.param("simulate", "a0: {kind: constant, value: 1.0}",
+                     "a0: {kind: separable, time: {form: [1]}}", "a0.time.form",
+                     id="time-form-unhashable"),
     ])
     def test_bad_value_named_without_traceback(self, tmp_path, capsys, command, old, new, key):
         text = EXPERIMENT if command == "stability-experiment" else BASE
@@ -649,6 +654,19 @@ class TestStabilityExperiment:
         assert gap > 0.0
         assert "fitted_rate=-inf" not in out
 
+    def test_config_serialized_once(self, tmp_path, monkeypatch):
+        # ten output paths and the metadata all carry the hash of one config
+        import chemostab.config as config_mod
+
+        calls = []
+        serialize = config_mod.serialize_config
+        monkeypatch.setattr(config_mod, "serialize_config",
+                            lambda cfg: calls.append(cfg) or serialize(cfg))
+        cfg_path = self.random_seed_config(tmp_path, second=2)
+        assert main(["stability-experiment", "--config", str(cfg_path)]) == 0
+        assert len(list((tmp_path / "out").glob("exp_*.csv"))) > 1
+        assert len(calls) == 1
+
     def test_identical_seed_states_rejected(self, tmp_path, capsys):
         cfg_path = self.random_seed_config(tmp_path, second=1)
         assert main(["stability-experiment", "--config", str(cfg_path)]) == 1
@@ -691,22 +709,51 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_traced_simulate_builds_no_field_per_step(tmp_path):
-    # the benchmark's tracer hooks into the package by name; a renamed hook
-    # or a Field built per step or per coefficient evaluation shows up here
+def traced_child(tmp_path, command: str, text: str) -> dict:
+    """Run one command under the benchmark's child process with tracing on."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    cfg_path = write_config(tmp_path, text=BASE.replace("t_end: 40.0", "t_end: 0.5"))
+    cfg_path = write_config(tmp_path, text=text)
     result = tmp_path / "r.json"
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "child.py"), str(result), "1",
-         "simulate", "--config", str(cfg_path)],
+         command, "--config", str(cfg_path)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    calls = json.loads(result.read_text())["trace"]["calls"]
+    return json.loads(result.read_text())
+
+
+def test_traced_simulate_builds_no_field_per_step(tmp_path):
+    # the benchmark's tracer hooks into the package by name; a renamed hook
+    # or a Field built per step or per coefficient evaluation shows up here
+    report = traced_child(tmp_path, "simulate", BASE.replace("t_end: 40.0", "t_end: 0.5"))
+    calls = report["trace"]["calls"]
     assert calls["stepper.step"] > 0
     assert calls["grid.Field"] < 10
+
+
+def test_traced_stability_experiment_marks_setup_end(tmp_path, monkeypatch):
+    # the benchmark ends set-up at the first call from the CLI module into a
+    # stepper function it holds by name; the batched run must go through it
+    text = (EXPERIMENT.replace("t_end: 40.0", "t_end: 2.0")
+            .replace("window: [0.0, 40.0]", "window: [0.0, 2.0]")
+            .replace("burn_ins: [8.0, 8.0, 8.0]", "burn_ins: [0.5, 0.5, 0.5]")
+            .replace("fit_window: [8.0, 30.0]", "fit_window: [0.5, 1.5]")
+            .replace("error_tol: 1.0e-6", "error_tol: 1.0e-4")
+            .replace("n_samples: 201", "n_samples: 201\n  t_back: 0"))
+    report = traced_child(tmp_path, "stability-experiment", text)
+    calls = report["trace"]["calls"]
+    assert report["setup_end"] is not None
+    assert calls["stepper.run"] >= 1
+    assert calls["stepper.step"] > 0
+    # a stepper function imported inside the command would not carry the mark
+    import chemostab.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kw: seen.append(args) or run(*args, **kw))
+    assert main(["stability-experiment", "--config", str(tmp_path / "config.yaml")]) == 0
+    assert seen
 
 
 FUZZ_KEYS = ("grid.counts", "experiment.t_end", "experiment.sample_dt", "experiment.n_samples",

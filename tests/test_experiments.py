@@ -30,7 +30,7 @@ from chemostab import (
     trajectory_gap,
 )
 
-from oracles import gronwall_loop, logistic_exact, periodic_logistic_oracle
+from oracles import gronwall_loop, logistic_exact, periodic_logistic_oracle, trajectory_gap_loop
 
 
 def const_set(grid, a0=1.0, a1=1.0, a2=0.0):
@@ -102,6 +102,21 @@ class TestTrajectoryGap:
             phi = a.states[k].v - b.states[k].v
             e_direct = integrate_values(grid, w * w) + integrate_values(grid, phi * phi)
             assert gap.E[k] == pytest.approx(e_direct, rel=1e-12, abs=1e-300)
+
+    def test_matches_sample_loop(self):
+        # the stacked computation against one norms() call per sample
+        grid = Grid((1.0, 1.0), (7, 9))
+        x, y = grid.coords()
+        cs = const_set(grid)
+        pair = [run(ModelState(0.0, u0 + 0.2 * np.cos(np.pi * x) * np.cos(np.pi * y),
+                               0.1 + 0.1 * np.cos(np.pi * y)), 2.0, cs, PARAMS, StepperConfig(),
+                    sample_dt=0.25)
+                for u0 in (0.5, 2.0)]
+        gap = trajectory_gap(*pair)
+        *columns, scale = trajectory_gap_loop(*pair)
+        for got, want in zip((gap.E, gap.w_L2, gap.phi_L2, gap.w_Linf, gap.phi_Linf), columns):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert gap.state_scale == scale
 
     def test_mismatched_samples_rejected(self, grid, logistic_pair):
         cfg = StepperConfig()

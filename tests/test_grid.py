@@ -253,3 +253,47 @@ class TestDerivativeHelpers:
     def test_w2inf_flat(self):
         f = Field.constant(unit_interval(5), 4.0)
         assert w2inf_norm(f.grid, f.values) == 4.0
+
+
+class TestBatchAxis:
+    """A leading batch axis passes through every kernel: member k of the
+    batched result is the kernel applied to member k alone."""
+
+    @pytest.fixture(params=[(1.0,), (1.0, 2.0)], ids=["1d", "2d"])
+    def grid(self, request):
+        extents = request.param
+        return Grid(extents, (11,) if len(extents) == 1 else (7, 9))
+
+    @staticmethod
+    def batch(grid, k=3, seed=4):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(0.1, 2.0, size=(k, *grid.counts))
+
+    def test_stencils_match_members_bitwise(self, grid):
+        u, v = self.batch(grid), self.batch(grid, seed=5)
+        kernels = [
+            lambda a, b: laplacian_values(grid, a),
+            lambda a, b: chemotaxis_values(grid, a, b, 0.7),
+            lambda a, b: np.stack(gradient_neumann(grid, a)),
+        ]
+        for kernel in kernels:
+            batched = kernel(u, v)
+            stacked = [kernel(a, b) for a, b in zip(u, v)]
+            if batched.ndim > u.ndim:  # gradient_neumann: axis index leads
+                batched = np.moveaxis(batched, 1, 0)
+            assert np.array_equal(batched, np.stack(stacked))
+
+    def test_reductions_are_per_member(self, grid):
+        u = self.batch(grid)
+        assert np.array_equal(w2inf_norm(grid, u), [w2inf_norm(grid, a) for a in u])
+        assert np.array_equal(norms(grid, u)[1], [norms(grid, a)[1] for a in u])
+        # sums may group terms differently per reduction, so round-off only
+        np.testing.assert_allclose(integrate_values(grid, u),
+                                   [integrate_values(grid, a) for a in u], rtol=1e-14)
+        np.testing.assert_allclose(norms(grid, u)[0], [norms(grid, a)[0] for a in u],
+                                   rtol=1e-14)
+
+    def test_unbatched_reductions_are_scalars(self, grid):
+        u = self.batch(grid, k=1)[0]
+        for value in (integrate_values(grid, u), w2inf_norm(grid, u), *norms(grid, u)):
+            assert isinstance(value, float)

@@ -100,3 +100,14 @@ class TestSolveShifted:
             solve_shifted(grid, 0.0, 0.1, np.ones(5))
         with pytest.raises(ValueError):
             solve_shifted(grid, 1.0, -0.1, np.ones(5))
+
+
+@pytest.mark.parametrize("extents,counts", [((1.0,), (23,)), ((1.0, 2.0), (9, 13))],
+                         ids=["1d", "2d"])
+def test_batched_solve_matches_members(extents, counts):
+    # a batch is solved in one call; each member matches its own solve
+    grid = Grid(extents, counts)
+    rhs = np.random.default_rng(6).uniform(-1, 1, (3, *counts))
+    batched = solve_shifted(grid, 1.3, 0.2, rhs)
+    stacked = np.stack([solve_shifted(grid, 1.3, 0.2, r) for r in rhs])
+    assert np.abs(batched - stacked).max() <= 1e-13 * np.abs(stacked).max()

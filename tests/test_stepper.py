@@ -134,6 +134,19 @@ class TestStateContract:
         with pytest.raises(GridMismatchError):
             run(state, 1.0, coeffs, params, StepperConfig())
 
+    def test_leading_batch_axis_accepted(self):
+        params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
+        coeffs = const_set(Grid((1.0,), (11,)))
+        batch = ModelState(0.0, np.full((2, 11), 0.5), np.zeros((2, 11)))
+        out, _ = step(batch, 0.1, coeffs, params, StepperConfig())
+        assert out.u.shape == (2, 11)
+        for shape in [(2, 21), (2, 2, 11), (11, 2)]:  # wrong trailing shape, two batch axes
+            bad = ModelState(0.0, np.full(shape, 0.5), np.zeros(shape))
+            with pytest.raises(GridMismatchError):
+                step(bad, 0.1, coeffs, params, StepperConfig())
+            with pytest.raises(GridMismatchError):
+                run(bad, 1.0, coeffs, params, StepperConfig())
+
     @pytest.mark.parametrize("t_end", [0.0, 1.0])
     def test_stored_states_are_read_only(self, grid, t_end):
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
@@ -319,6 +332,67 @@ class TestTwoDimensions:
         assert traj.final.u.min() >= 0.0
 
 
+class TestBatchedRun:
+    """K members under one controller: each matches its own unbatched run."""
+
+    @staticmethod
+    def states_1d(grid):
+        x = grid.axis_coords[0]
+        us = [0.2 + 0.1 * np.cos(np.pi * x), 1.0 - 0.3 * np.cos(2 * np.pi * x),
+              2.5 + 0.5 * np.cos(3 * np.pi * x)]
+        vs = [np.zeros_like(x), 0.5 + 0.2 * np.cos(np.pi * x), np.full_like(x, 1.0)]
+        return us, vs
+
+    @staticmethod
+    def states_2d(grid):
+        x, y = grid.coords()
+        us = [0.5 + 0.2 * np.cos(np.pi * x) * np.cos(np.pi * y / 2), 2.0 + 0.3 * np.cos(np.pi * x)]
+        vs = [np.zeros_like(x), 0.4 + 0.1 * np.cos(np.pi * y / 2)]
+        return us, vs
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_members_match_unbatched_runs(self, dim):
+        if dim == 1:
+            grid = Grid((1.0,), (31,))
+            us, vs = self.states_1d(grid)
+        else:
+            grid = Grid((1.0, 2.0), (9, 13))
+            us, vs = self.states_2d(grid)
+        params = ModelParams(chi=0.3, tau=0.8, lam=1.0, mu=1.0)
+        coeffs = const_set(grid, 1.0, 1.0, 0.2)
+        cfg = StepperConfig(error_tol=1e-5, dt_max=0.25)
+        batched = run(ModelState(0.0, np.stack(us), np.stack(vs)), 3.0, coeffs, params, cfg,
+                      sample_dt=0.5)
+        members = batched.members()
+        alones = [run(ModelState(0.0, u0, v0), 3.0, coeffs, params, cfg, sample_dt=0.5)
+                  for u0, v0 in zip(us, vs)]
+        assert len(members) == len(us)
+        for member, alone in zip(members, alones):
+            assert np.array_equal(member.times, alone.times)
+            for sm, sa in zip(member.states, alone.states):
+                for a, b in ((sm.u, sa.u), (sm.v, sa.v)):
+                    assert np.abs(a - b).max() <= 10 * cfg.error_tol * (1.0 + np.abs(b).max())
+            # the member's series are its own, not the batch's
+            assert np.array_equal(member.mass_u, [integrate_values(grid, s.u)
+                                                  for s in member.states])
+            assert np.array_equal(member.min_u, [s.u.min() for s in member.states])
+            assert member.stats.accepted == batched.stats.accepted
+        # one controller: no member alone takes more steps than the batch
+        assert batched.stats.accepted >= max(alone.stats.accepted for alone in alones)
+
+    def test_member_below_band_rejects_whole_attempt(self, grid):
+        # member 1 alone is rejected (test_positivity_rejection); member 0 alone is not
+        params = ModelParams(chi=50.0, tau=1.0, lam=1.0, mu=1.0)
+        cfg = StepperConfig(theta_scheme=1.0)
+        cs = const_set(grid, 0.0, 0.0, 0.0)
+        good = (np.full(5, 1.0), np.full(5, 0.5))
+        bad = (np.array([1e-8, 1e-8, 1.0, 1e-8, 1e-8]), np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
+        step(ModelState(0.0, *good), 0.5, cs, params, cfg)
+        batch = ModelState(0.0, *(np.stack(pair) for pair in zip(good, bad)))
+        with pytest.raises(StepRejected):
+            step(batch, 0.5, cs, params, cfg)
+
+
 class TestPositivityControl:
     def test_run_recovers_from_positivity_rejection(self):
         # strong drift at a coarse initial dt must reject and then recover
@@ -348,6 +422,26 @@ class TestPositivityControl:
         )
         with pytest.raises(PositivityBudgetError):
             _check_clamp_budget(traj)
+
+    def test_clamp_budget_is_per_member(self):
+        from chemostab.stepper import RunStats, Trajectory, _check_clamp_budget
+        from chemostab import PositivityBudgetError
+
+        grid = Grid((1.0,), (5,))
+        # 1e-9 is within member 0's budget (peak mass 1) but not member 1's (peak 0.01)
+        stats = RunStats(clamped_mass_u=np.array([1e-9, 1e-9]), clamped_mass_v=np.zeros(2),
+                         clamped_nodes=np.array([1, 1]))
+        state = ModelState(0.0, np.full((2, 5), 1.0), np.zeros((2, 5)))
+
+        def traj(peaks):
+            col = np.array([peaks])
+            return Trajectory(grid=grid, times=np.array([0.0]), states=[state], mass_u=col,
+                              mass_v=0 * col, min_u=col, sup_u=col, w2inf_v=0 * col,
+                              stats=stats)
+
+        _check_clamp_budget(traj([1.0, 1.0]))
+        with pytest.raises(PositivityBudgetError, match="member 1"):
+            _check_clamp_budget(traj([1.0, 0.01]))
 
 
 class TestTemporalAccuracy:
