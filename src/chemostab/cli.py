@@ -201,7 +201,7 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
     window = tuple(exp.get("window", [0.0, t_end]))
     validate_roles(coeffs, window, require_positive_growth=True)
 
-    states = [tuple(build_profile_field(grid, blk[k], f"experiment.seeds[{i}].{k}", seed)
+    states = [tuple(build_profile_field(grid, blk[k], f"experiment.seeds[{i}].{k}", seed).values
                     for k in ("u", "v")) for i, blk in enumerate(seeds)]
     if not all(u0.max() > 0.0 for u0, _ in states):
         raise ConfigError("experiment.seeds", "population seed must not vanish identically")

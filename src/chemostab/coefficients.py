@@ -25,11 +25,12 @@ time factors one period is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import CoefficientRangeError
+from .errors import CoefficientRangeError, ConfigError
 from .grid import Field, Grid, require_finite
 
 __all__ = [
@@ -40,6 +41,9 @@ __all__ = [
     "TabulatedCoefficient",
     "CallableCoefficient",
     "CoefficientSet",
+    "INITIAL_PROFILES",
+    "SPATIAL_PROFILES",
+    "build_profile_field",
     "spatial_profile",
     "validate_roles",
 ]
@@ -342,44 +346,107 @@ class CoefficientSet:
         return tuple(notes)
 
 
-def spatial_profile(grid: Grid, profile: str, **params) -> Field:
-    """Build a named spatial profile on the grid.
+# --- named profiles: each declared once, as an array builder and its
+# parameters' defaults (whose keys are the accepted keys).  Initial data and
+# spatial factors have separate name tables; ``constant`` defaults differ.
 
-    Profiles: ``constant`` (value), ``linear-ramp`` (start, stop, axis),
-    ``sine`` (offset, amplitude, mode, axis, phase), ``gaussian-bump``
-    (baseline, amplitude, center, width).
+
+class Profile(NamedTuple):
+    build: Callable[..., np.ndarray]
+    defaults: dict
+
+
+def _constant(grid: Grid, value) -> np.ndarray:
+    return np.full(grid.counts, float(value))
+
+
+def _linear_ramp(grid: Grid, start, stop, axis) -> np.ndarray:
+    x = grid.coords()[axis]
+    return start + (stop - start) * x / grid.extents[axis]
+
+
+def _sine(grid: Grid, offset, amplitude, mode, axis, phase) -> np.ndarray:
+    x = grid.coords()[axis]
+    return offset + amplitude * np.sin(mode * math.pi * x / grid.extents[axis] + phase)
+
+
+def _cosine(grid: Grid, baseline, amplitude, mode, axis) -> np.ndarray:
+    x = grid.coords()[axis]
+    return baseline + amplitude * np.cos(mode * math.pi * x / grid.extents[axis])
+
+
+def _bump(grid: Grid, baseline, amplitude, center, width) -> np.ndarray:
+    center = np.broadcast_to([e / 2 for e in grid.extents] if center is None else center, grid.dim)
+    r2 = sum((x - c) ** 2 for x, c in zip(grid.coords(), center))
+    return baseline + amplitude * np.exp(-r2 / (2.0 * width * width))
+
+
+def _random_positive(grid: Grid, low, high, seed) -> np.ndarray:
+    if not 0.0 <= low < high:
+        raise ValueError(f"need 0 <= low < high, got {low}, {high}")
+    return np.random.default_rng(seed).uniform(low, high, size=grid.counts)
+
+
+def _read_file(grid: Grid, path) -> np.ndarray:
+    if path is None:
+        raise ConfigError("path", "required")
+    try:
+        return require_finite(np.loadtxt(path, delimiter=",").reshape(grid.counts))
+    except (OSError, ValueError) as exc:
+        raise ConfigError("path", f"cannot read {path}: {exc}") from exc
+
+
+_BUMP = Profile(_bump, {"baseline": 0.0, "amplitude": 1.0, "center": None, "width": 0.1})
+
+INITIAL_PROFILES = {
+    "constant": Profile(_constant, {"value": 0.0}),
+    "bump": _BUMP,
+    "cosine": Profile(_cosine, {"baseline": 1.0, "amplitude": 0.5, "mode": 1, "axis": 0}),
+    "random-positive": Profile(_random_positive, {"low": 0.1, "high": 1.0, "seed": 0}),
+    "file": Profile(_read_file, {"path": None}),
+}
+
+SPATIAL_PROFILES = {
+    "constant": Profile(_constant, {"value": 1.0}),
+    "linear-ramp": Profile(_linear_ramp, {"start": 0.0, "stop": 1.0, "axis": 0}),
+    "sine": Profile(_sine, {"offset": 0.0, "amplitude": 1.0, "mode": 1, "axis": 0, "phase": 0.0}),
+    "gaussian-bump": _BUMP,
+}
+
+
+def build_profile_field(grid: Grid, block: dict, key: str, seed_override: int | None = None,
+                        table: dict = INITIAL_PROFILES) -> Field:
+    """The block ``{profile: name, ...}`` of ``table`` on the grid, unset parameters at
+    their defaults.  Errors name ``key`` (``initial.u``) or the parameter at fault.  A
+    ``seed_override`` is mixed with the declared ``seed``, so distinct seeds stay distinct.
     """
-    coords = grid.coords()
-    if profile == "constant":
-        return Field.constant(grid, params.get("value", 1.0))
-    if profile == "linear-ramp":
-        axis = int(params.get("axis", 0))
-        start = float(params.get("start", 0.0))
-        stop = float(params.get("stop", 1.0))
-        x = coords[axis]
-        return Field(grid, start + (stop - start) * x / grid.extents[axis])
-    if profile == "sine":
-        axis = int(params.get("axis", 0))
-        offset = float(params.get("offset", 0.0))
-        amplitude = float(params.get("amplitude", 1.0))
-        mode = float(params.get("mode", 1.0))
-        phase = float(params.get("phase", 0.0))
-        x = coords[axis]
-        return Field(
-            grid, offset + amplitude * np.sin(mode * math.pi * x / grid.extents[axis] + phase)
-        )
-    if profile == "gaussian-bump":
-        baseline = float(params.get("baseline", 0.0))
-        amplitude = float(params.get("amplitude", 1.0))
-        width = float(params.get("width", 0.1))
-        center = params.get("center", tuple(e / 2 for e in grid.extents))
-        if np.isscalar(center):
-            center = (float(center),) * grid.dim
-        r2 = np.zeros(grid.counts)
-        for x, c in zip(coords, center):
-            r2 = r2 + (x - float(c)) ** 2
-        return Field(grid, baseline + amplitude * np.exp(-r2 / (2.0 * width * width)))
-    raise ValueError(f"unknown spatial profile {profile!r}")
+    name = block["profile"]
+    if name not in table:
+        raise ConfigError(f"{key}.profile", f"unknown profile {name!r}")
+    build, defaults = table[name]
+    p = {**defaults, **{k: v for k, v in block.items() if k != "profile"}}
+    if "axis" in p:
+        if p["axis"] not in range(grid.dim):
+            raise ConfigError(f"{key}.axis", f"must be 0 to {grid.dim - 1}, got {p['axis']!r}")
+        p["axis"] = int(p["axis"])
+    center = p.get("center")
+    if center is not None and not np.isscalar(center) and len(center) != grid.dim:
+        raise ConfigError(f"{key}.center", f"expected {grid.dim} numbers, got {len(center)}")
+    if seed_override is not None and "seed" in p:
+        p["seed"] = [seed_override, p["seed"]]
+    try:
+        # a degenerate parameter (a NaN value, a zero width) gives non-finite values
+        with np.errstate(all="ignore"):
+            return Field(grid, build(grid, **p))
+    except ConfigError as exc:  # a builder's, keyed by its parameter
+        raise ConfigError(f"{key}.{exc.key}", exc.message) from exc
+    except ValueError as exc:
+        raise ConfigError(key, f"{name} profile: {exc}") from exc
+
+
+def spatial_profile(grid: Grid, profile: str, **params) -> Field:
+    """A named spatial profile (a key of ``SPATIAL_PROFILES``); errors name it ``space``."""
+    return build_profile_field(grid, {"profile": profile, **params}, "space", table=SPATIAL_PROFILES)
 
 
 def validate_roles(

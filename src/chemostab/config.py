@@ -1,12 +1,12 @@
 """Structured-text run configuration: strict parsing, validation, builders.
 
 Configs are YAML with fixed blocks (grid, params, a0/a1/a2, initial,
-stepper, experiment, output).  Unknown keys are errors so typos cannot
-silently change a run.  Parsing normalizes every block (defaults filled,
-numbers coerced), which makes serialize(parse(text)) re-parse to an equal
-config and gives a stable content hash for output provenance.  YAML is read
-once: a sweep point edits a copy of the normalized dict and normalizes it
-again, with no trip back through YAML text.
+stepper, experiment, output); unknown keys are errors, so typos cannot
+silently change a run.  Parsing coerces numbers and fills block defaults, so
+serialize(parse(text)) re-parses to an equal config with a stable content
+hash.  Named profiles (``initial.u``, ``aN.space``, seed states) are declared
+once, in ``coefficients.INITIAL_PROFILES`` and ``SPATIAL_PROFILES``; their
+defaults are filled when built.  A sweep point re-normalizes an edited dict.
 """
 
 from __future__ import annotations
@@ -20,15 +20,17 @@ import numpy as np
 import yaml
 
 from .coefficients import (
+    INITIAL_PROFILES,
+    SPATIAL_PROFILES,
     CoefficientSet,
     ConstantCoefficient,
     SeparableCoefficient,
     TabulatedCoefficient,
     TimeFactor,
-    spatial_profile,
+    build_profile_field,
 )
 from .errors import ConfigError
-from .grid import Field, Grid
+from .grid import Grid
 from .model import ModelParams
 from .stability import KnownConstants
 from .stepper import StepperConfig
@@ -53,21 +55,6 @@ _EXPERIMENT_KEYS = {
     "t_end", "sample_dt", "window", "n_samples", "constants", "cq1_pairs",
     "measure", "burn_ins", "seeds", "fit_window", "eps", "t_back", "t_span",
     "gap_tolerance", "sweep",
-}
-
-_PROFILE_KEYS = {
-    "constant": {"value"},
-    "bump": {"baseline", "amplitude", "center", "width"},
-    "cosine": {"baseline", "amplitude", "mode", "axis"},
-    "random-positive": {"low", "high", "seed"},
-    "file": {"path"},
-}
-
-_SPACE_PROFILE_KEYS = {
-    "constant": {"value"},
-    "linear-ramp": {"start", "stop", "axis"},
-    "sine": {"offset", "amplitude", "mode", "axis", "phase"},
-    "gaussian-bump": {"baseline", "amplitude", "center", "width"},
 }
 
 _TIME_KEYS = {
@@ -114,15 +101,18 @@ def _check_keys(block: dict, allowed: set[str], path: str):
             _fail(f"{path}.{key}", "unknown key")
 
 
-def _as_float(block: dict, key: str, path: str, default=None, required=False):
+def _as_float(block: dict, key: str, path: str, default=None, required=False, finite=False):
     if key not in block or block[key] is None:
         if required:
             _fail(f"{path}.{key}", "required")
         return default
     try:
-        return float(block[key])
+        val = float(block[key])
     except (TypeError, ValueError):
         _fail(f"{path}.{key}", f"not a number: {block[key]!r}")
+    if finite and not math.isfinite(val):
+        _fail(f"{path}.{key}", "must be finite")
+    return val
 
 
 def _as_int(block: dict, key: str, path: str, default=None, required=False):
@@ -163,6 +153,13 @@ def _float_list(raw, path: str) -> list[float]:
         _fail(path, f"expected numbers, got {raw!r}")
 
 
+def _interval(raw, key: str) -> list[float]:
+    span = _float_list(raw, key)
+    if len(span) != 2 or not 0.0 < span[1] - span[0] < math.inf:
+        _fail(key, "expected finite [start, end] with end > start")
+    return span
+
+
 def _norm_grid(raw: dict) -> dict:
     _check_keys(raw, {"dim", "extents", "counts"}, "grid")
     extents = _float_list(raw.get("extents", [1.0]), "grid.extents")
@@ -178,8 +175,8 @@ def _norm_grid(raw: dict) -> dict:
     if dim not in (1, 2):
         _fail("grid.dim", "must be 1 or 2")
     for k, e in enumerate(extents):
-        if e <= 0:
-            _fail("grid.extents", f"axis {k}: must be positive")
+        if not 0.0 < e < math.inf:
+            _fail("grid.extents", f"axis {k}: must be positive and finite")
     for k, c in enumerate(counts):
         if c < 3:
             _fail("grid.counts", f"axis {k}: need at least 3 nodes")
@@ -188,9 +185,7 @@ def _norm_grid(raw: dict) -> dict:
 
 def _norm_params(raw: dict) -> dict:
     _check_keys(raw, {"chi", "tau", "lambda", "mu"}, "params")
-    chi = _as_float(raw, "chi", "params", default=0.0)
-    if not math.isfinite(chi):
-        _fail("params.chi", "must be finite")
+    chi = _as_float(raw, "chi", "params", default=0.0, finite=True)
     tau = _as_positive(raw, "tau", "params", required=True)
     lam = _as_positive(raw, "lambda", "params", required=True)
     mu = _as_positive(raw, "mu", "params", required=True)
@@ -198,25 +193,24 @@ def _norm_params(raw: dict) -> dict:
 
 
 def _norm_profile(raw, path: str, table: dict, what: str) -> dict:
-    """A ``{profile: name, ...}`` block; ``what`` names ``table`` in errors."""
+    """A ``{profile: name, ...}`` block of a profile table; ``what`` names the
+    table in errors.  Defaults are left out, so they do not enter the hash."""
     if not isinstance(raw, dict) or "profile" not in raw:
         _fail(path, "expected a mapping with a 'profile' key")
     profile = raw["profile"]
     if not isinstance(profile, str) or profile not in table:
         _fail(f"{path}.profile", f"unknown {what} profile {profile!r}")
-    _check_keys(raw, table[profile] | {"profile"}, path)
+    _check_keys(raw, table[profile].defaults.keys() | {"profile"}, path)
     out = {"profile": profile}
     for key, val in raw.items():
-        if key == "profile":
-            continue
         if key == "path":
             out[key] = str(val)
         elif key in ("seed", "mode", "axis"):
-            out[key] = _as_int(raw, key, path)
+            out[key] = _as_int(raw, key, path, required=True)
         elif key == "center" and isinstance(val, (list, tuple)):
             out[key] = _float_list(val, f"{path}.center")
-        else:
-            out[key] = _as_float(raw, key, path)
+        elif key != "profile":
+            out[key] = _as_float(raw, key, path, required=True)
     return out
 
 
@@ -229,7 +223,7 @@ _DEFAULT_UV = {
 def _norm_uv(raw, path: str) -> dict:
     """An initial state ``{u, v}`` (the ``initial`` block or one seed)."""
     _check_keys(raw, set(_DEFAULT_UV), path)
-    return {k: _norm_profile(raw.get(k, default), f"{path}.{k}", _PROFILE_KEYS, "initial")
+    return {k: _norm_profile(raw.get(k, default), f"{path}.{k}", INITIAL_PROFILES, "initial")
             for k, default in _DEFAULT_UV.items()}
 
 
@@ -239,7 +233,7 @@ def _norm_coefficient(raw: dict, name: str) -> dict:
     kind = raw["kind"]
     if kind == "constant":
         _check_keys(raw, {"kind", "value"}, name)
-        return {"kind": "constant", "value": _as_float(raw, "value", name, required=True)}
+        return {"kind": "constant", "value": _as_float(raw, "value", name, required=True, finite=True)}
     if kind == "separable":
         _check_keys(raw, {"kind", "time", "space"}, name)
         time_raw = raw.get("time", {"form": "constant", "value": 1.0})
@@ -251,10 +245,12 @@ def _norm_coefficient(raw: dict, name: str) -> dict:
         _check_keys(time_raw, _TIME_KEYS[form] | {"form"}, f"{name}.time")
         time = {"form": form}
         for key in time_raw:
-            if key != "form":
-                time[key] = _as_float(time_raw, key, f"{name}.time")
+            if key == "frequency":
+                time[key] = _as_positive(time_raw, key, f"{name}.time", required=True, allow_zero=True)
+            elif key != "form":
+                time[key] = _as_float(time_raw, key, f"{name}.time", required=True, finite=True)
         space = _norm_profile(raw.get("space", {"profile": "constant", "value": 1.0}),
-                              f"{name}.space", _SPACE_PROFILE_KEYS, "spatial")
+                              f"{name}.space", SPATIAL_PROFILES, "spatial")
         return {"kind": "separable", "time": time, "space": space}
     if kind == "tabulated":
         _check_keys(raw, {"kind", "table_file", "clamp"}, name)
@@ -286,11 +282,9 @@ def _norm_experiment(raw: dict) -> dict:
     out: dict = {}
     out["t_end"] = _as_positive(raw, "t_end", "experiment", default=10.0, allow_zero=True)
     out["sample_dt"] = _as_positive(raw, "sample_dt", "experiment", default=None)
-    if "window" in raw and raw["window"] is not None:
-        window = _float_list(raw["window"], "experiment.window")
-        if len(window) != 2 or not 0.0 < window[1] - window[0] < math.inf:
-            _fail("experiment.window", "expected finite [start, end] with end > start")
-        out["window"] = window
+    for key in ("window", "fit_window", "t_span"):
+        if raw.get(key) is not None:
+            out[key] = _interval(raw[key], f"experiment.{key}")
     out["n_samples"] = _as_int(raw, "n_samples", "experiment", default=2001)
     if out["n_samples"] < 3:
         _fail("experiment.n_samples", f"need at least 3 samples, got {out['n_samples']}")
@@ -328,18 +322,8 @@ def _norm_experiment(raw: dict) -> dict:
                 _fail(f"experiment.seeds[{i}]", "expected a mapping")
             seeds.append(_norm_uv(blk, f"experiment.seeds[{i}]"))
         out["seeds"] = seeds
-    if "fit_window" in raw and raw["fit_window"] is not None:
-        fw = _float_list(raw["fit_window"], "experiment.fit_window")
-        if len(fw) != 2 or not 0.0 < fw[1] - fw[0] < math.inf:
-            _fail("experiment.fit_window", "expected finite [start, end] with end > start")
-        out["fit_window"] = fw
     out["eps"] = _as_positive(raw, "eps", "experiment", default=None, allow_zero=True)
     out["t_back"] = _as_positive(raw, "t_back", "experiment", default=None, allow_zero=True)
-    if "t_span" in raw and raw["t_span"] is not None:
-        span = _float_list(raw["t_span"], "experiment.t_span")
-        if len(span) != 2 or not 0.0 < span[1] - span[0] < math.inf:
-            _fail("experiment.t_span", "expected finite [start, end] with end > start")
-        out["t_span"] = span
     out["gap_tolerance"] = _as_positive(raw, "gap_tolerance", "experiment", default=1.0e-6)
     if "sweep" in raw and raw["sweep"] is not None:
         sw = raw["sweep"]
@@ -439,7 +423,7 @@ def _build_coefficient(block: dict, grid: Grid, role: int, name: str):
         return ConstantCoefficient(grid, role, block["value"])
     if block["kind"] == "separable":
         time = TimeFactor(**block["time"])
-        space = spatial_profile(grid, **block["space"])
+        space = build_profile_field(grid, block["space"], f"{name}.space", table=SPATIAL_PROFILES)
         return SeparableCoefficient(grid, role, time, space)
     if block["kind"] == "tabulated":
         knots, tables = _read_table(block["table_file"], grid, name)
@@ -471,66 +455,13 @@ def build_coefficients(cfg: RunConfig, grid: Grid) -> CoefficientSet:
     )
 
 
-def build_profile_field(
-    grid: Grid, block: dict, key: str, seed_override: int | None = None
-) -> np.ndarray:
-    """Initial data from a named profile block, as a read-only nodal array.
-
-    ``key`` is the block's place in the config (``initial.u``); errors name it.
-    """
-    try:
-        # a degenerate parameter (a NaN value, a zero width) shows as non-finite values
-        with np.errstate(all="ignore"):
-            return _profile_values(grid, block, key, seed_override)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(key, f"{block['profile']} profile: {exc}") from exc
-
-
-def _profile_values(
-    grid: Grid, block: dict, key: str, seed_override: int | None
-) -> np.ndarray:
-    profile = block["profile"]
-    if profile == "constant":
-        return Field.constant(grid, block.get("value", 0.0)).values
-    if profile == "bump":
-        return spatial_profile(grid, **{**block, "profile": "gaussian-bump"}).values
-    if profile == "cosine":
-        baseline = block.get("baseline", 1.0)
-        amplitude = block.get("amplitude", 0.5)
-        mode = block.get("mode", 1)
-        axis = block.get("axis", 0)
-        x = grid.coords()[axis]
-        wave = baseline + amplitude * np.cos(mode * np.pi * x / grid.extents[axis])
-        return Field(grid, wave).values
-    if profile == "random-positive":
-        low = block.get("low", 0.1)
-        high = block.get("high", 1.0)
-        seed = block.get("seed", 0)
-        if not 0.0 <= low < high:
-            raise ConfigError(key, f"need 0 <= low < high, got {low}, {high}")
-        # an override is mixed with the declared seed, so distinct declared
-        # seeds stay distinct streams
-        rng = np.random.default_rng(seed if seed_override is None else [seed_override, seed])
-        return Field(grid, rng.uniform(low, high, size=grid.counts)).values
-    if profile == "file":
-        path = block["path"]
-        try:
-            return Field(grid, np.loadtxt(path, delimiter=",").reshape(grid.counts)).values
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"{key}.path", f"cannot read {path}: {exc}") from exc
-    raise ConfigError(f"{key}.profile", f"unknown profile {profile!r}")
-
-
 def build_initial(cfg: RunConfig, grid: Grid, seed_override: int | None = None):
     """The configured ``(u0, v0)`` as read-only nodal arrays."""
-    u0 = build_profile_field(grid, cfg.initial["u"], "initial.u", seed_override)
-    v0 = build_profile_field(grid, cfg.initial["v"], "initial.v", seed_override)
-    if u0.min() < 0.0:
-        raise ConfigError("initial.u", "must be nonnegative")
-    if v0.min() < 0.0:
-        raise ConfigError("initial.v", "must be nonnegative")
+    u0, v0 = (build_profile_field(grid, cfg.initial[k], f"initial.{k}", seed_override).values
+              for k in ("u", "v"))
+    for k, values in (("u", u0), ("v", v0)):
+        if values.min() < 0.0:
+            raise ConfigError(f"initial.{k}", "must be nonnegative")
     return u0, v0
 
 

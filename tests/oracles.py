@@ -231,3 +231,88 @@ def apply_override_via_yaml(cfg, path: str, value: float):
         raise ConfigError(path, "no such config entry")
     node[leaf] = float(value)
     return parse_config(yaml.safe_dump(data))
+
+
+# --- named profiles as two if-chains, before the profile registry ----------
+
+PROFILE_KEYS = {
+    "constant": {"value"},
+    "bump": {"baseline", "amplitude", "center", "width"},
+    "cosine": {"baseline", "amplitude", "mode", "axis"},
+    "random-positive": {"low", "high", "seed"},
+    "file": {"path"},
+}
+
+SPACE_PROFILE_KEYS = {
+    "constant": {"value"},
+    "linear-ramp": {"start", "stop", "axis"},
+    "sine": {"offset", "amplitude", "mode", "axis", "phase"},
+    "gaussian-bump": {"baseline", "amplitude", "center", "width"},
+}
+
+
+def spatial_profile_chain(grid, profile: str, **params):
+    """A named spatial profile as a ``Field``, one branch per name."""
+    import math
+
+    from chemostab import Field
+
+    coords = grid.coords()
+    if profile == "constant":
+        return Field.constant(grid, params.get("value", 1.0))
+    if profile == "linear-ramp":
+        axis = int(params.get("axis", 0))
+        start = float(params.get("start", 0.0))
+        stop = float(params.get("stop", 1.0))
+        x = coords[axis]
+        return Field(grid, start + (stop - start) * x / grid.extents[axis])
+    if profile == "sine":
+        axis = int(params.get("axis", 0))
+        offset = float(params.get("offset", 0.0))
+        amplitude = float(params.get("amplitude", 1.0))
+        mode = float(params.get("mode", 1.0))
+        phase = float(params.get("phase", 0.0))
+        x = coords[axis]
+        return Field(
+            grid, offset + amplitude * np.sin(mode * math.pi * x / grid.extents[axis] + phase)
+        )
+    if profile == "gaussian-bump":
+        baseline = float(params.get("baseline", 0.0))
+        amplitude = float(params.get("amplitude", 1.0))
+        width = float(params.get("width", 0.1))
+        center = params.get("center", tuple(e / 2 for e in grid.extents))
+        if np.isscalar(center):
+            center = (float(center),) * grid.dim
+        r2 = np.zeros(grid.counts)
+        for x, c in zip(coords, center):
+            r2 = r2 + (x - float(c)) ** 2
+        return Field(grid, baseline + amplitude * np.exp(-r2 / (2.0 * width * width)))
+    raise ValueError(f"unknown spatial profile {profile!r}")
+
+
+def initial_profile_chain(grid, block: dict, seed_override=None) -> np.ndarray:
+    """A normalized initial profile block as a nodal array, one branch per name."""
+    from chemostab import Field
+
+    profile = block["profile"]
+    if profile == "constant":
+        return Field.constant(grid, block.get("value", 0.0)).values
+    if profile == "bump":
+        return spatial_profile_chain(grid, **{**block, "profile": "gaussian-bump"}).values
+    if profile == "cosine":
+        baseline = block.get("baseline", 1.0)
+        amplitude = block.get("amplitude", 0.5)
+        mode = block.get("mode", 1)
+        axis = block.get("axis", 0)
+        x = grid.coords()[axis]
+        wave = baseline + amplitude * np.cos(mode * np.pi * x / grid.extents[axis])
+        return Field(grid, wave).values
+    if profile == "random-positive":
+        low = block.get("low", 0.1)
+        high = block.get("high", 1.0)
+        seed = block.get("seed", 0)
+        rng = np.random.default_rng(seed if seed_override is None else [seed_override, seed])
+        return Field(grid, rng.uniform(low, high, size=grid.counts)).values
+    if profile == "file":
+        return Field(grid, np.loadtxt(block["path"], delimiter=",").reshape(grid.counts)).values
+    raise ValueError(f"unknown profile {profile!r}")

@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import dataclasses
+import io
 import json
 import math
 import os
@@ -242,6 +245,12 @@ class TestTabulatedAndFileInputs:
         pytest.param("stability-experiment", "u: {profile: constant, value: 5.0}",
                      "u: {profile: bump, width: 0.0}", "experiment.seeds[1].u:",
                      id="seed-zero-width-bump"),
+        pytest.param("simulate", "a0: {kind: constant, value: 1.0}",
+                     "a0: {kind: separable, space: {profile: gaussian-bump, width: 0.0}}",
+                     "a0.space:", id="space-zero-width-bump"),
+        pytest.param("simulate", "a0: {kind: constant, value: 1.0}",
+                     "a0: {kind: separable, space: {profile: constant, value: .nan}}",
+                     "a0.space:", id="space-nan-constant"),
     ])
     def test_non_finite_profile_named(self, tmp_path, capsys, command, old, new, key):
         # RuntimeWarning is an error under the test settings, so none may escape either
@@ -304,6 +313,8 @@ class TestSimulate:
                      id="t_end-negative"),
         pytest.param("simulate", "counts: [31]", "counts: [21.7]", "grid.counts",
                      id="counts-fractional"),
+        pytest.param("simulate", "extents: [1.0]", "extents: [.inf]", "grid.extents",
+                     id="extents-inf"),
         pytest.param("simulate", "sample_dt: 2.0", "sample_dt: 2.0\n  n_samples: 1",
                      "experiment.n_samples", id="n_samples-one"),
         pytest.param("simulate", "sample_dt: 2.0", "sample_dt: 2.0\n  gap_tolerance: 0",
@@ -342,6 +353,35 @@ class TestSimulate:
         pytest.param("simulate", "a0: {kind: constant, value: 1.0}",
                      "a0: {kind: separable, time: {form: [1]}}", "a0.time.form",
                      id="time-form-unhashable"),
+        pytest.param("simulate", "u: {profile: constant, value: 0.1}",
+                     "u: {profile: cosine, axis: 3}", "initial.u.axis", id="axis-beyond-grid"),
+        pytest.param("simulate", "u: {profile: constant, value: 0.1}",
+                     "u: {profile: cosine, axis: -1}", "initial.u.axis", id="axis-negative"),
+        pytest.param("simulate", "a0: {kind: constant, value: 1.0}",
+                     "a0: {kind: separable, space: {profile: linear-ramp, axis: 2}}",
+                     "a0.space.axis", id="space-axis-beyond-grid"),
+        pytest.param("simulate", "u: {profile: constant, value: 0.1}",
+                     "u: {profile: bump, center: [0.3, 0.9]}", "initial.u.center",
+                     id="center-too-long"),
+        pytest.param("stability-experiment", "u: {profile: constant, value: 5.0}",
+                     "u: {profile: bump, center: [0.3, 0.9]}", "experiment.seeds[1].u.center",
+                     id="seed-center-too-long"),
+        pytest.param("simulate", "u: {profile: constant, value: 0.1}", "u: {profile: file}",
+                     "initial.u.path", id="file-without-path"),
+        pytest.param("simulate", "a0: {kind: constant, value: 1.0}",
+                     "a0: {kind: constant, value: .nan}", "a0.value", id="coefficient-nan"),
+        pytest.param("simulate", "a0: {kind: constant, value: 1.0}",
+                     "a0: {kind: separable, time: {form: expdecay, amplitude: .nan}}",
+                     "a0.time.amplitude", id="time-amplitude-nan"),
+        pytest.param("simulate", "a0: {kind: constant, value: 1.0}",
+                     "a0: {kind: separable, time: {form: sinusoid, frequency: -1.0}}",
+                     "a0.time.frequency", id="time-frequency-negative"),
+        pytest.param("simulate", "a0: {kind: constant, value: 1.0}",
+                     "a0: {kind: separable, time: {form: expdecay, rate: null}}",
+                     "a0.time.rate", id="time-rate-null"),
+        pytest.param("simulate", "u: {profile: constant, value: 0.1}",
+                     "u: {profile: cosine, amplitude: null}", "initial.u.amplitude",
+                     id="profile-parameter-null"),
     ])
     def test_bad_value_named_without_traceback(self, tmp_path, capsys, command, old, new, key):
         text = EXPERIMENT if command == "stability-experiment" else BASE
@@ -758,27 +798,47 @@ def test_traced_stability_experiment_marks_setup_end(tmp_path, monkeypatch):
 
 FUZZ_KEYS = ("grid.counts", "experiment.t_end", "experiment.sample_dt", "experiment.n_samples",
              "experiment.gap_tolerance", "params.chi", "params.tau", "params.lambda",
-             "params.mu")
+             "params.mu", "initial.u.axis", "initial.u.center", "a0.space.axis",
+             "a0.space.width", "a0.value")
+
+# a block that takes the fuzzed parameter, for keys whose block EXPERIMENT lacks
+FUZZ_BLOCKS = {
+    "initial.u.axis": {"u": {"profile": "cosine"}},
+    "initial.u.center": {"u": {"profile": "bump"}},
+    "a0.space.axis": {"kind": "separable", "space": {"profile": "linear-ramp"}},
+    "a0.space.width": {"kind": "separable", "space": {"profile": "gaussian-bump"}},
+}
 
 
 @given(
     command=st.sampled_from(["simulate", "stability", "stability-experiment"]),
     key=st.sampled_from(FUZZ_KEYS),
-    value=st.sampled_from([0, -1, 0.5, 21.7, math.nan, math.inf, "x"]),
+    value=st.sampled_from([0, -1, 3, 0.5, 21.7, math.nan, math.inf, "x", [0.3, 0.9]]),
 )
 @example(command="simulate", key="experiment.t_end", value=math.inf)
-@settings(max_examples=40, deadline=None)
+@example(command="simulate", key="initial.u.axis", value=3)
+@example(command="stability", key="a0.space.axis", value=-1)
+@settings(max_examples=60, deadline=None)
 def test_cli_fuzz_exit_codes(command, key, value):
     # any single bad number ends in a documented exit code, never an exception
+    # or a traceback
     cfg = yaml.safe_load(EXPERIMENT)
     cfg["grid"]["counts"] = [11]
     cfg["stepper"]["error_tol"] = 1.0e-3
     cfg["experiment"].update(t_end=0.5, sample_dt=0.1, window=[0.0, 0.5],
                              burn_ins=[0.1, 0.1, 0.1], fit_window=[0.1, 0.4])
-    block, leaf = key.split(".")
-    cfg[block][leaf] = [value] if leaf == "counts" else value
+    *parents, leaf = key.split(".")
+    if key in FUZZ_BLOCKS:
+        cfg[parents[0]] = copy.deepcopy(FUZZ_BLOCKS[key])
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[leaf] = [value] if leaf == "counts" else value
     with tempfile.TemporaryDirectory() as tmp:
         cfg["output"]["dir"] = tmp
         path = Path(tmp) / "config.yaml"
         path.write_text(yaml.safe_dump(cfg))
-        assert main([command, "--config", str(path)]) in (0, 1, 2)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main([command, "--config", str(path)]) in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

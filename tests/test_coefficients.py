@@ -18,8 +18,15 @@ from chemostab import (
     spatial_profile,
     validate_roles,
 )
+from chemostab.coefficients import INITIAL_PROFILES, SPATIAL_PROFILES, build_profile_field
 
-from oracles import dense_envelope
+from oracles import (
+    PROFILE_KEYS,
+    SPACE_PROFILE_KEYS,
+    dense_envelope,
+    initial_profile_chain,
+    spatial_profile_chain,
+)
 
 
 @pytest.fixture
@@ -256,3 +263,66 @@ class TestSpatialProfiles:
     def test_time_factor_validation(self):
         with pytest.raises(ValueError):
             TimeFactor("wiggle")
+
+
+PROFILE_GRIDS = [Grid((1.3,), (11,)), Grid((1.0, 0.7), (9, 7))]
+
+
+def explicit_params(grid):
+    """One non-default value for every parameter of every profile (normalized types)."""
+    last = grid.dim - 1
+    bump = {"baseline": 0.3, "amplitude": 1.5, "center": [0.2, 0.6][:grid.dim], "width": 0.25}
+    return {
+        "constant": [{"value": 2.5}],
+        "bump": [bump, {**bump, "center": 0.4}],
+        "gaussian-bump": [bump, {**bump, "center": 0.4}],
+        "cosine": [{"baseline": 0.7, "amplitude": 0.2, "mode": 3, "axis": last}],
+        "random-positive": [{"low": 0.2, "high": 0.8, "seed": 11}],
+        "linear-ramp": [{"start": -0.5, "stop": 2.0, "axis": last}],
+        "sine": [{"offset": 1.0, "amplitude": 0.4, "mode": 2, "axis": last, "phase": 0.3}],
+    }
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestProfileRegistry:
+    """The profile tables reproduce the if-chains they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("grid", PROFILE_GRIDS, ids=["1d", "2d"])
+    def test_spatial_profiles_match_chain(self, grid):
+        for name in SPATIAL_PROFILES:
+            for params in [{}, *explicit_params(grid)[name]]:
+                expected = spatial_profile_chain(grid, name, **params).values
+                assert same_bits(spatial_profile(grid, name, **params).values, expected), name
+                block = {"profile": name, **params}
+                built = build_profile_field(grid, block, "a0.space", table=SPATIAL_PROFILES)
+                assert same_bits(built.values, expected), name
+
+    @pytest.mark.parametrize("grid", PROFILE_GRIDS, ids=["1d", "2d"])
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_initial_profiles_match_chain(self, grid, seed, tmp_path):
+        data = tmp_path / "u0.csv"
+        np.savetxt(data, np.linspace(0.2, 0.9, grid.node_count), delimiter=",", fmt="%.17g")
+        cases = {**explicit_params(grid), "file": [{"path": str(data)}]}
+        for name in INITIAL_PROFILES:
+            for params in [{}, *cases[name]] if name != "file" else cases[name]:
+                block = {"profile": name, **params}
+                built = build_profile_field(grid, block, "initial.u", seed).values
+                assert same_bits(built, initial_profile_chain(grid, block, seed)), (name, params)
+
+    def test_accepted_keys_match_chain_tables(self):
+        assert {n: set(p.defaults) for n, p in INITIAL_PROFILES.items()} == PROFILE_KEYS
+        assert {n: set(p.defaults) for n, p in SPATIAL_PROFILES.items()} == SPACE_PROFILE_KEYS
+
+    @pytest.mark.parametrize("params,key", [
+        ({"axis": 1}, "space.axis"),
+        ({"axis": -1}, "space.axis"),
+        ({"center": [0.3, 0.9]}, "space.center"),
+    ])
+    def test_bad_axis_or_center_named(self, params, key):
+        name = "gaussian-bump" if "center" in params else "sine"
+        with pytest.raises(ValueError) as info:
+            spatial_profile(PROFILE_GRIDS[0], name, **params)
+        assert str(info.value).startswith(f"{key}: ")
