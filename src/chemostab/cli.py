@@ -26,8 +26,8 @@ from .config import (
     build_constants,
     build_grid,
     build_initial,
+    build_initial_field,
     build_params,
-    build_profile_field,
     build_stepper,
     config_hash,
     parse_config,
@@ -79,27 +79,35 @@ def _write_text(path: Path, meta: list[str], chunks) -> None:
         fh.writelines(chunks)
 
 
-def _write_csv(path: Path, meta: list[str], header: str, rows) -> None:
-    lines = (",".join(_cell(v) for v in row) + "\n" for row in rows)
+def _column_lines(columns):
+    """CSV lines of equal-length numeric arrays, one per column.
+
+    Each column is formatted 256 values at a time, to the same text ``_cell``
+    gives each value; the blocks bound the Python floats alive at once.
+    """
+    flat = [np.ravel(c) for c in columns]
+    fmt = ",".join(["%s"] * len(flat)) + "\n"
+    for start in range(0, flat[0].size, 256):
+        cells = (map(repr, c[start:start + 256].tolist()) for c in flat)
+        yield from (fmt % row for row in zip(*cells))
+
+
+def _write_csv(path: Path, meta: list[str], header: str, rows=(), columns=None) -> None:
+    """Write the metadata, the header and the body, from ``rows`` or ``columns``.
+
+    ``rows`` are tuples of cells formatted by ``_cell``; ``columns`` are
+    equal-length numeric arrays, one per CSV column (see ``_column_lines``).
+    """
+    if columns is None:
+        lines = (",".join(_cell(v) for v in row) + "\n" for row in rows)
+    else:
+        lines = _column_lines(columns)
     _write_text(path, meta, itertools.chain([header + "\n"], lines))
 
 
 def _out_path(cfg: RunConfig, out_dir: str | None, kind: str) -> Path:
     base = Path(out_dir) if out_dir else Path(cfg.output["dir"])
     return base / f"{cfg.output['name']}_{config_hash(cfg)}_{kind}.csv"
-
-
-def _series_rows(traj):
-    for k in range(len(traj)):
-        yield (
-            float(traj.times[k]), float(traj.mass_u[k]), float(traj.mass_v[k]),
-            float(traj.min_u[k]), float(traj.sup_u[k]), float(traj.w2inf_v[k]),
-        )
-
-
-def _final_rows(grid: Grid, state: ModelState):
-    """One row per node in C order: its coordinates, then u and v."""
-    return zip(*(map(float, a.ravel()) for a in (*grid.coords(), state.u, state.v)))
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
@@ -115,9 +123,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
     )
     meta = _metadata_lines(cfg, {"t_end": t_end})
     _write_csv(_out_path(cfg, out_dir, "series"), meta, "t,mass_u,mass_v,min_u,sup_u,w2inf_v",
-               _series_rows(traj))
+               columns=(traj.times, traj.mass_u, traj.mass_v, traj.min_u, traj.sup_u,
+                        traj.w2inf_v))
+    # one row per node in C order: its coordinates, then u and v
     header = "x,u,v" if grid.dim == 1 else "x,y,u,v"
-    _write_csv(_out_path(cfg, out_dir, "final"), meta, header, _final_rows(grid, traj.final))
+    _write_csv(_out_path(cfg, out_dir, "final"), meta, header,
+               columns=(*grid.coords(), traj.final.u, traj.final.v))
     clamped = float(traj.stats.clamped_mass_u + traj.stats.clamped_mass_v)
     print(f"simulate complete t={traj.final.t!r} mass_u={float(traj.mass_u[-1])!r} "
           f"accepted={traj.stats.accepted} rejected={traj.stats.rejected_error} "
@@ -201,7 +212,7 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
     window = tuple(exp.get("window", [0.0, t_end]))
     validate_roles(coeffs, window, require_positive_growth=True)
 
-    states = [tuple(build_profile_field(grid, blk[k], f"experiment.seeds[{i}].{k}", seed).values
+    states = [tuple(build_initial_field(grid, blk[k], f"experiment.seeds[{i}].{k}", seed)
                     for k in ("u", "v")) for i, blk in enumerate(seeds)]
     if not all(u0.max() > 0.0 for u0, _ in states):
         raise ConfigError("experiment.seeds", "population seed must not vanish identically")
@@ -235,8 +246,7 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
     for idx, traj in enumerate(trajs):
         _write_csv(_out_path(cfg, out_dir, f"bounds_{idx}"), meta,
                    "t,mass_u,sup_u,w2inf_v",
-                   ((float(traj.times[k]), float(traj.mass_u[k]), float(traj.sup_u[k]),
-                     float(traj.w2inf_v[k])) for k in range(len(traj))))
+                   columns=(traj.times, traj.mass_u, traj.sup_u, traj.w2inf_v))
     persistence_rows = []
     for idx, traj in enumerate(trajs):
         est = estimate_persistence(traj, burn[1])
@@ -255,8 +265,7 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
         gap_final = max(gap_final, float(gap.w_Linf[-1]), float(gap.phi_Linf[-1]))
         _write_csv(_out_path(cfg, out_dir, f"gap_{i}_{j}"), meta,
                    "t,E,w_L2,phi_L2,w_Linf,phi_Linf",
-                   zip(map(float, gap.t), map(float, gap.E), map(float, gap.w_L2),
-                       map(float, gap.phi_L2), map(float, gap.w_Linf), map(float, gap.phi_Linf)))
+                   columns=(gap.t, gap.E, gap.w_L2, gap.phi_L2, gap.w_Linf, gap.phi_Linf))
 
     eps = exp.get("eps")
     if eps is None:

@@ -44,6 +44,7 @@ __all__ = [
     "build_params",
     "build_coefficients",
     "build_initial",
+    "build_initial_field",
     "build_stepper",
     "build_constants",
     "apply_override",
@@ -455,14 +456,18 @@ def build_coefficients(cfg: RunConfig, grid: Grid) -> CoefficientSet:
     )
 
 
+def build_initial_field(grid: Grid, block: dict, key: str, seed_override: int | None = None):
+    """One block of initial data as read-only nodal values; negative values fail under ``key``."""
+    values = build_profile_field(grid, block, key, seed_override).values
+    if values.min() < 0.0:
+        raise ConfigError(key, "must be nonnegative")
+    return values
+
+
 def build_initial(cfg: RunConfig, grid: Grid, seed_override: int | None = None):
     """The configured ``(u0, v0)`` as read-only nodal arrays."""
-    u0, v0 = (build_profile_field(grid, cfg.initial[k], f"initial.{k}", seed_override).values
-              for k in ("u", "v"))
-    for k, values in (("u", u0), ("v", v0)):
-        if values.min() < 0.0:
-            raise ConfigError(f"initial.{k}", "must be nonnegative")
-    return u0, v0
+    return tuple(build_initial_field(grid, cfg.initial[k], f"initial.{k}", seed_override)
+                 for k in ("u", "v"))
 
 
 def build_stepper(cfg: RunConfig) -> StepperConfig:

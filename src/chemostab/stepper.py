@@ -9,22 +9,27 @@ the explicit terms weighted theta between t_n and the predictor, is the
 result, which restores second order at theta = 0.5; at theta = 1 the
 predictor is the result.
 
-Step control uses an embedded pair: a companion solution of the other order
-is made from the same t_n terms, and the scaled difference of result and
-companion estimates the local error, O(dt**2), of the first-order member,
-so each attempt is one ``step()``.  The companion differs from the result
-in its implicit part too, so the estimate sees the time error of diffusion
-and decay as well as that of the explicit terms: at theta = 0.5 it is a
-backward Euler step, at theta > 0.5 a trapezoidal step whose explicit terms
-take weight 1/2 at t_n and at the predictor.  The test is per step at
-theta = 0.5 (err <= tol) and per unit step at theta > 0.5 (err <= tol * dt),
-so in both cases halving the tolerance roughly halves the realized global
-error.  A fixed round-off floor keeps a tolerance too small to resolve from
-stalling the controller.  An advective guard dt <= safety * h / max|chi
-grad v| caps the explicit drift; diffusion needs no guard because it is
-implicit.  Positivity is protected by rejection: values below -1e-12 *
-state scale reject the step, values inside that band are clamped to the
-floor and the clamped mass is charged against a per-run budget.
+Step control compares the result with an explicit extrapolation of the
+full right-hand side f, so each attempt is one ``step()`` and the estimate
+costs no solve.  Diffusion and decay are in f, so the estimate sees their
+time error as well as that of the explicit terms.  After an accepted step
+the extrapolation is the variable-step Adams-Bashforth 2 formula from f at
+t_n and at the previous step's start; on the first step of a run it is
+forward Euler.  At theta = 0.5 the trapezoidal result minus AB2 is
+dt**3 y''' (1 + w) / (4 w), w = dt / dt_prev, while the trapezoidal local
+error is -dt**3 y''' / 12, so the scaled difference times w / (3 (1 + w))
+estimates the returned corrector's own error, O(dt**3).  At theta > 0.5 the
+O(dt**2) error of the result leads the difference, which is the estimate as
+it stands.  The test is per unit step (err <= tol * dt) in both cases, so
+halving the tolerance roughly halves the realized global error; only the
+forward Euler estimate, O(dt**2), of a first step at theta = 0.5 is tested
+per step (err <= tol).  A fixed round-off floor keeps a tolerance too small
+to resolve from stalling the controller.  An advective guard
+dt <= safety * h / max|chi grad v| caps the explicit drift; diffusion needs
+no guard because it is implicit.  Positivity is protected by rejection:
+values below -1e-12 * state scale reject the step, values inside that band
+are clamped to the floor and the clamped mass is charged against a per-run
+budget.
 
 A state may carry a leading batch axis, ``(K, *grid.counts)``: K members
 (seeds of one experiment) that share coefficients, grid and time span are
@@ -70,8 +75,8 @@ __all__ = [
 
 _NEG_BAND = 1.0e-12        # relative width of the clamp band below zero
 _CLAMP_BUDGET = 1.0e-8     # clamped mass allowed per run, relative to max mass
-# error estimates below this are round-off: predictor and corrector of one
-# step differ by a few ulp of the state even as dt -> 0
+# error estimates below this are round-off: the extrapolation and the result
+# of one step differ by a few ulp of the state even as dt -> 0
 _ROUNDOFF_FLOOR = 100.0 * np.finfo(float).eps
 
 
@@ -79,10 +84,11 @@ _ROUNDOFF_FLOOR = 100.0 * np.finfo(float).eps
 class StepperConfig:
     """Tuning knobs for the adaptive march; a bad value raises ConfigError keyed by its field.
 
-    ``error_tol`` bounds the embedded error estimate of one step relative to
-    the state's size: per step at ``theta_scheme = 0.5`` (second order) and
-    per unit of model time at ``theta_scheme > 0.5`` (first order).  Either
-    way the realized global error scales with it.
+    ``error_tol`` bounds the error estimate of one step (see :func:`step`)
+    relative to the state's size, per unit of model time: the trapezoidal
+    local error at ``theta_scheme = 0.5`` (second order), the result's own
+    first-order error at ``theta_scheme > 0.5``.  Either way the realized
+    global error scales with it.
     """
 
     dt_init: float = 1.0e-3
@@ -235,27 +241,37 @@ def step(
     cfg: StepperConfig,
     stats: RunStats | None = None,
     terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
-    estimate: bool = True,
+    history: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> tuple[ModelState, float]:
     """Advance one IMEX step of size dt; return the new state and its error estimate.
 
     Every step makes a predictor (explicit terms at t_n).  At theta < 1 a
     corrector (explicit terms weighted theta between t_n and the predictor
-    at t_n + dt) is the result; at theta = 1 the predictor is.  The estimate
-    compares the result with a companion of the other order: backward Euler
-    at theta = 0.5, and at theta > 0.5 the trapezoidal scheme with weight
-    1/2 on the explicit terms at t_n and at the predictor.  It is the larger
-    over u and v of ``max|a - b| / (1 + max|b|)``, where b is the returned
-    value and a the companion; for a batch, the max over members of each
-    member's own estimate.  With ``estimate=False`` the companion is not
-    made and the estimate is NaN; the result is the same.
+    at t_n + dt) is the result; at theta = 1 the predictor is.
+
+    The estimate compares the result with an explicit extrapolation p of the
+    full right-hand side f = (lap(u) + explicit_u, linear_v + explicit_v),
+    which costs no solve.  ``history = (f_u, f_v, dt_prev)`` holds f at the
+    start of the previous accepted step and that step's size; with it p is
+    the variable-step Adams-Bashforth 2 extrapolation
+
+        p = y_n + dt * ((1 + w/2) * f_n - (w/2) * f_prev),   w = dt / dt_prev,
+
+    and without it (the first step of a run) p is forward Euler.  The
+    estimate is ``c * d``, where d is the larger over u and v of
+    ``max|p - b| / (1 + max|b|)`` with b the returned value (for a batch,
+    the max over members of each member's own d).  At theta = 0.5 with a
+    history, ``c = w / (3 * (1 + w))`` turns d, O(dt**3), into the
+    trapezoidal local error; otherwise ``c = 1`` and d, O(dt**2), is led by
+    the error of the first-order result.  Diffusion and decay are in f, so
+    the estimate sees their time error too.
 
     ``terms`` are the t_n terms ``model.split_terms(state, coeffs, params)``;
     they depend on the state alone, not on dt, so every step from one state
     can share them.  They are computed here when not given.
 
     Raises :class:`StepRejected` when the result leaves the admissible
-    region (negative beyond the clamp band, or non-finite) or the companion
+    region (negative beyond the clamp band, or non-finite) or the estimate
     is non-finite; the caller is expected to retry with a smaller step.
     """
     if dt <= 0.0:
@@ -271,39 +287,41 @@ def step(
         terms = split_terms(state, coeffs, params)
     lap_u, lin_v, eu_n, ev_n = terms
 
-    def solve_pair(
-        th: float, exp_u: np.ndarray, exp_v: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The th-weighted implicit solve with the given explicit terms."""
-        rhs_u_lin = u + dt * (1.0 - th) * lap_u + dt * exp_u
-        rhs_v_lin = v + dt * (1.0 - th) * lin_v + dt * exp_v
-        u_new = solve_shifted(grid, 1.0, th * dt, rhs_u_lin)
-        v_new = solve_shifted(grid, 1.0 + th * dt * lam / tau, th * dt / tau, rhs_v_lin)
+    def solve_pair(exp_u: np.ndarray, exp_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The theta-weighted implicit solve with the given explicit terms."""
+        rhs_u_lin = u + dt * (1.0 - theta) * lap_u + dt * exp_u
+        rhs_v_lin = v + dt * (1.0 - theta) * lin_v + dt * exp_v
+        u_new = solve_shifted(grid, 1.0, theta * dt, rhs_u_lin)
+        v_new = solve_shifted(grid, 1.0 + theta * dt * lam / tau, theta * dt / tau, rhs_v_lin)
         if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
             raise StepRejected("step produced non-finite values")
         return u_new, v_new
 
-    u_new, v_new = solve_pair(theta, eu_n, ev_n)  # the predictor
-    if theta < 1.0 or estimate:
+    u_new, v_new = solve_pair(eu_n, ev_n)  # the predictor
+    if theta < 1.0:
         u_star = np.maximum(u_new, 0.0)
         v_star = np.maximum(v_new, 0.0)
         eu_s = explicit_u(grid, u_star, v_star, t + dt, coeffs, params)
         ev_s = explicit_v(u_star, params)
+        u_new, v_new = solve_pair((1.0 - theta) * eu_n + theta * eu_s,
+                                  (1.0 - theta) * ev_n + theta * ev_s)
 
-    def weighted(weight: float) -> tuple[np.ndarray, np.ndarray]:
-        """Explicit terms weighted between t_n and the predictor."""
-        return (1.0 - weight) * eu_n + weight * eu_s, (1.0 - weight) * ev_n + weight * ev_s
+    f_u, f_v = _rhs(terms)
+    if history is None:  # w = 0 makes p forward Euler
+        fp_u, fp_v, w, c = f_u, f_v, 0.0, 1.0
+    else:
+        fp_u, fp_v, dt_prev = history
+        w = dt / dt_prev
+        c = w / (3.0 * (1.0 + w)) if theta == 0.5 else 1.0
 
-    if theta < 1.0:
-        u_new, v_new = solve_pair(theta, *weighted(theta))
-    err = math.nan
-    if estimate:
-        if theta == 0.5:
-            u_alt, v_alt = solve_pair(1.0, eu_n, ev_n)
-        else:
-            u_alt, v_alt = solve_pair(0.5, *weighted(0.5))
-        err = float(np.max(np.maximum(
-            _err_norm(grid, u_alt, u_new), _err_norm(grid, v_alt, v_new))))
+    def deviation(y: np.ndarray, f: np.ndarray, f_prev: np.ndarray, b: np.ndarray):
+        """Scaled distance of the result b from the extrapolation of y."""
+        return _err_norm(grid, y + dt * ((1.0 + 0.5 * w) * f - 0.5 * w * f_prev), b)
+
+    err = c * float(np.max(np.maximum(deviation(u, f_u, fp_u, u_new),
+                                      deviation(v, f_v, fp_v, v_new))))
+    if not math.isfinite(err):
+        raise StepRejected("error estimate is non-finite")
 
     axes = grid.axes
     scale = np.maximum(1.0, np.maximum(np.abs(u).max(axis=axes), np.abs(v).max(axis=axes)))
@@ -318,6 +336,12 @@ def step(
     u_new.flags.writeable = False
     v_new.flags.writeable = False
     return ModelState(t + dt, u_new, v_new), err
+
+
+def _rhs(terms: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The full right-hand side (f_u, f_v) from the split ``(lap_u, lin_v, eu, ev)``."""
+    lap_u, lin_v, eu, ev = terms
+    return lap_u + eu, lin_v + ev
 
 
 def _err_norm(grid: Grid, a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -414,8 +438,9 @@ def run(
         next_idx += 1
 
     dt = cfg.dt_init
-    order = cfg.design_order
+    second = cfg.design_order == 2
     terms = None  # t_n terms of `state`, shared by its attempts
+    history = None  # (f_u, f_v, dt) of the last accepted step, for the extrapolation
     while state.t < t_end - tiny:
         dt = min(dt, cfg.dt_max)
         guard = advective_dt_limit(grid, state, params, cfg)
@@ -434,7 +459,8 @@ def run(
         if terms is None:
             terms = split_terms(state, coeffs, params)
         try:
-            new, err = step(state, dt_try, coeffs, params, cfg, stats=local, terms=terms)
+            new, err = step(state, dt_try, coeffs, params, cfg, stats=local, terms=terms,
+                            history=history)
         except StepRejected:
             stats.rejected_positivity += 1
             dt = max(0.25 * dt_try, cfg.dt_min)
@@ -444,16 +470,22 @@ def run(
                 ) from None
             continue
 
-        # err ~ dt**2: a per-step test at order 2, per unit step at order 1
-        tol, power = cfg.error_tol * dt_try ** (2 - order), order
+        # err ~ dt**order; the test is per unit step (err <= tol * dt), except
+        # per step on the forward Euler estimate of a first step at theta = 0.5
+        order = 3 if second and history is not None else 2
+        if second and history is None:
+            tol, power = cfg.error_tol, order
+        else:
+            tol, power = cfg.error_tol * dt_try, order - 1
         if tol < _ROUNDOFF_FLOOR:
-            tol, power = _ROUNDOFF_FLOOR, 2  # a fixed floor makes any test per step
+            tol, power = _ROUNDOFF_FLOOR, order  # a fixed floor makes any test per step
         if err <= tol:
             stats.accepted += 1
             stats.merge_clamps(local)
             stats.min_dt = min(stats.min_dt, dt_try)
             stats.max_dt = max(stats.max_dt, dt_try)
             state = ModelState(target, new.u, new.v) if hit else new
+            history = (*_rhs(terms), dt_try)
             terms = None
             while next_idx < samples.size and samples[next_idx] <= state.t + tiny:
                 record(ModelState(float(samples[next_idx]), state.u, state.v))
@@ -524,7 +556,7 @@ def fixed_step_run(
     dt = (t_end - state0.t) / n_steps
     state = state0
     for _ in range(n_steps):
-        state, _ = step(state, dt, coeffs, params, cfg, estimate=False)
+        state, _ = step(state, dt, coeffs, params, cfg)
     if not math.isclose(state.t, t_end, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(t_end))):
         state = ModelState(t_end, state.u, state.v)
     return state

@@ -288,6 +288,23 @@ class TestSimulate:
         u = rows[:, 1]
         assert np.max(np.abs(u - 1.0)) < 1e-6
 
+    def test_column_writer_matches_cell_path(self, tmp_path):
+        # the one-pass column formatting writes the same bytes as _cell per value
+        from chemostab.cli import _write_csv
+        from chemostab.grid import Grid
+
+        grid = Grid((1.0, 2.0), (17, 19))  # more nodes than one formatting block
+        x, y = grid.coords()
+        u = np.cos(3.0 * x) * np.exp(y)
+        u.flat[[0, 7, 100, 256, 300, 322]] = [0.0, 1e16, 1.5e-07, -0.0, 5e-324, 0.1 + 0.2]
+        columns = (x, y, u, u[::-1] * 0.3)
+        rows = zip(*(a.ravel() for a in columns))  # numpy scalars, as _cell takes them
+        _write_csv(tmp_path / "cells.csv", ["# meta"], "x,y,u,v", rows)
+        _write_csv(tmp_path / "columns.csv", ["# meta"], "x,y,u,v", columns=columns)
+        text = (tmp_path / "columns.csv").read_bytes()
+        assert text == (tmp_path / "cells.csv").read_bytes()
+        assert b",0.0," in text and b",1e+16," in text and b",1.5e-07," in text
+
     def test_zero_length_run_single_row(self, tmp_path):
         cfg_path = write_config(tmp_path, text=BASE.replace("t_end: 40.0", "t_end: 0.0"))
         assert main(["simulate", "--config", str(cfg_path)]) == 0
@@ -366,6 +383,12 @@ class TestSimulate:
         pytest.param("stability-experiment", "u: {profile: constant, value: 5.0}",
                      "u: {profile: bump, center: [0.3, 0.9]}", "experiment.seeds[1].u.center",
                      id="seed-center-too-long"),
+        pytest.param("stability-experiment", "u: {profile: constant, value: 5.0}",
+                     "u: {profile: cosine, baseline: 0.0, amplitude: 1.0}",
+                     "experiment.seeds[1].u", id="seed-u-negative"),
+        pytest.param("stability-experiment", "v: {profile: constant, value: 0.0}}\n    - {u",
+                     "v: {profile: constant, value: -0.5}}\n    - {u",
+                     "experiment.seeds[0].v", id="seed-v-negative"),
         pytest.param("simulate", "u: {profile: constant, value: 0.1}", "u: {profile: file}",
                      "initial.u.path", id="file-without-path"),
         pytest.param("simulate", "a0: {kind: constant, value: 1.0}",

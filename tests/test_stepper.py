@@ -194,10 +194,10 @@ class TestRun:
         monkeypatch.setattr(stepper_mod, "step", counting("step", stepper_mod.step))
         return calls
 
-    @pytest.mark.parametrize("theta, solves", [(0.5, 6), (1.0, 4)])
+    @pytest.mark.parametrize("theta, solves", [(0.5, 4), (1.0, 2)])
     def test_one_step_call_per_attempt(self, grid, monkeypatch, theta, solves):
-        # one accepted attempt: lap(u) and lap(v) at t_n, the solves for u and
-        # v of the result and of its companion, all from the same step()
+        # one accepted attempt: lap(u) and lap(v) at t_n and the solves for u
+        # and v of the result, all from the same step(); the estimate solves nothing
         calls = self.count_calls(monkeypatch)
         params = ModelParams(chi=0.1, tau=1.0, lam=1.0, mu=1.0)
         cfg = StepperConfig(dt_init=0.5, dt_max=0.5, theta_scheme=theta)
@@ -214,6 +214,35 @@ class TestRun:
         cfg = StepperConfig(theta_scheme=theta)
         fixed_step_run(flat_state(grid, 1.0, 1.0), 0.5, 3, const_set(grid), params, cfg)
         assert calls == {"lap": 6, "solve": 3 * solves, "step": 3}
+
+    def test_history_is_last_accepted_step(self, grid, monkeypatch):
+        # attempts before the first acceptance extrapolate by forward Euler
+        # (no history); each later one by AB2 from the last accepted step,
+        # which a rejected attempt leaves in place
+        import chemostab.stepper as stepper_mod
+
+        attempts = []
+        original = stepper_mod.step
+
+        def recording(state, dt, *args, history=None, **kwargs):
+            attempts.append((state.t, dt, history))
+            return original(state, dt, *args, history=history, **kwargs)
+
+        monkeypatch.setattr(stepper_mod, "step", recording)
+        params = ModelParams(chi=0.2, tau=1.0, lam=1.0, mu=1.0)
+        cfg = StepperConfig(error_tol=1e-7, dt_init=0.2, dt_max=0.5)
+        traj = run(flat_state(grid, 0.3, 0.1), 2.0, const_set(grid), params, cfg,
+                   sample_times=[0.0, 2.0])
+        assert traj.stats.rejected_error > 0
+        assert len(attempts) == traj.stats.accepted + traj.stats.rejected_error
+        last_dt = None
+        for (t, dt, history), following in zip(attempts, attempts[1:] + [(math.inf,)]):
+            if last_dt is None:
+                assert history is None
+            else:
+                assert history[2] == last_dt
+            if following[0] > t:  # accepted: the next attempt starts later
+                last_dt = dt
 
     def test_determinism_bit_identical(self, grid):
         params = ModelParams(chi=0.2, tau=1.0, lam=1.0, mu=1.0)
@@ -442,6 +471,105 @@ class TestPositivityControl:
         _check_clamp_budget(traj([1.0, 1.0]))
         with pytest.raises(PositivityBudgetError, match="member 1"):
             _check_clamp_budget(traj([1.0, 0.01]))
+
+
+class TestErrorEstimate:
+    """The solve-free estimate: the result against an explicit extrapolation of f."""
+
+    @staticmethod
+    def setup(chi, growth):
+        grid = Grid((1.0,), (41,))
+        x = grid.axis_coords[0]
+        coeffs = const_set(grid, *growth)
+        params = ModelParams(chi=chi, tau=1.0, lam=1.0, mu=1.0 if chi else 1e-3)
+        state = ModelState(0.0, 1.0 + 0.2 * np.cos(np.pi * x), 0.5 + 0.1 * np.cos(np.pi * x))
+        return coeffs, params, state
+
+    @staticmethod
+    def second_step(state, dt, coeffs, params, cfg, dt_prev=None):
+        """A step of dt_prev (default dt) from state, then one of dt with the first as history.
+
+        Returns the state after the first step, the result of the second and its estimate.
+        """
+        from chemostab.model import split_terms
+        from chemostab.stepper import _rhs
+
+        dt_prev = dt if dt_prev is None else dt_prev
+        mid, _ = step(state, dt_prev, coeffs, params, cfg)
+        history = (*_rhs(split_terms(state, coeffs, params)), dt_prev)
+        return (mid, *step(mid, dt, coeffs, params, cfg, history=history))
+
+    def estimate_after_one_step(self, state, dt, coeffs, params, cfg):
+        """The estimate of a second step of dt, with the first as its history (w = 1)."""
+        return self.second_step(state, dt, coeffs, params, cfg)[2]
+
+    @pytest.mark.parametrize("theta, factor", [(0.5, 8.0), (1.0, 4.0)])
+    def test_estimate_order(self, theta, factor):
+        # O(dt**3) at theta = 0.5 (the corrector's own error), O(dt**2) at theta = 1
+        coeffs, params, state = self.setup(0.3, (1.0, 1.0, 0.2))
+        cfg = StepperConfig(theta_scheme=theta)
+        ests = [self.estimate_after_one_step(state, dt, coeffs, params, cfg)
+                for dt in (2e-3, 1e-3)]
+        assert ests[0] / ests[1] == pytest.approx(factor, rel=0.1)
+
+    @pytest.mark.parametrize("chi", [0.3, 0.0])
+    @pytest.mark.parametrize("w", [0.5, 1.0, 2.0])
+    def test_trapezoidal_estimate_is_corrector_error(self, chi, w):
+        # at theta = 0.5 the scaled AB2 difference is the returned corrector's
+        # own local error, here against 256 substeps from the same state
+        coeffs, params, state = self.setup(chi, (1.0, 1.0, 0.2) if chi else (0.0, 0.0, 0.0))
+        cfg = StepperConfig()
+        dt = 0.005
+        mid, out, err = self.second_step(state, dt, coeffs, params, cfg, dt_prev=dt / w)
+        ref = fixed_step_run(mid, mid.t + dt, 256, coeffs, params, cfg)
+        actual = max(np.abs(out.u - ref.u).max() / (1.0 + np.abs(out.u).max()),
+                     np.abs(out.v - ref.v).max() / (1.0 + np.abs(out.v).max()))
+        assert 0.9 <= err / actual <= 1.35
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_estimate_sees_implicit_error(self, theta):
+        # no drift and no growth: all time error is that of diffusion and decay
+        coeffs, params, state = self.setup(0.0, (0.0, 0.0, 0.0))
+        cfg = StepperConfig(theta_scheme=theta)
+        err = self.estimate_after_one_step(state, 0.01, coeffs, params, cfg)
+        assert err > 1e-7
+        assert step(state, 0.01, coeffs, params, cfg)[1] > 1e-7
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_without_history_forward_euler(self, theta):
+        from chemostab.model import split_terms
+
+        coeffs, params, state = self.setup(0.3, (1.0, 1.0, 0.2))
+        dt = 0.01
+        out, err = step(state, dt, coeffs, params, StepperConfig(theta_scheme=theta))
+        lap_u, lin_v, eu, ev = split_terms(state, coeffs, params)
+        d = max(np.abs(state.u + dt * (lap_u + eu) - out.u).max() / (1.0 + np.abs(out.u).max()),
+                np.abs(state.v + dt * (lin_v + ev) - out.v).max() / (1.0 + np.abs(out.v).max()))
+        assert err == pytest.approx(d, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_extrapolation_rejected(self, bad):
+        coeffs, params, state = self.setup(0.3, (1.0, 1.0, 0.2))
+        history = (np.full(41, bad), np.zeros(41), 0.01)
+        with pytest.raises(StepRejected):
+            step(state, 0.01, coeffs, params, StepperConfig(), history=history)
+
+    def test_batched_history(self):
+        # a batch carries its leading axis through the history; each member's
+        # estimate is its own, and the batch reports the max
+        from chemostab.model import split_terms
+        from chemostab.stepper import _rhs
+
+        coeffs, params, state = self.setup(0.3, (1.0, 1.0, 0.2))
+        other = ModelState(0.0, 2.0 * state.u, 0.5 * state.v)
+        batch = ModelState(0.0, np.stack([state.u, other.u]), np.stack([state.v, other.v]))
+        cfg = StepperConfig()
+        dt = 0.01
+        alone = [self.estimate_after_one_step(s, dt, coeffs, params, cfg) for s in (state, other)]
+        mid, _ = step(batch, dt, coeffs, params, cfg)
+        history = (*_rhs(split_terms(batch, coeffs, params)), dt)
+        _, err = step(mid, dt, coeffs, params, cfg, history=history)
+        assert err == pytest.approx(max(alone), rel=1e-10)
 
 
 class TestTemporalAccuracy:
