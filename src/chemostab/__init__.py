@@ -24,7 +24,6 @@ from .errors import (
     CoefficientRangeError,
     GridMismatchError,
     HypothesisFailure,
-    ObserverError,
     PositivityBudgetError,
     SolverError,
     StepRejected,

@@ -29,7 +29,6 @@ from .config import (
     build_initial_field,
     build_params,
     build_stepper,
-    config_hash,
     parse_config,
 )
 from .coefficients import CoefficientSet, ConstantCoefficient, validate_roles
@@ -58,7 +57,7 @@ RATE_SLACK = 0.05
 
 
 def _metadata_lines(cfg: RunConfig, extra: dict | None = None) -> list[str]:
-    lines = [f"# chemostab {__version__}", f"# config_hash: {config_hash(cfg)}"]
+    lines = [f"# chemostab {__version__}", f"# config_hash: {cfg.content_hash}"]
     for key, val in (extra or {}).items():
         lines.append(f"# {key}: {val}")
     return lines
@@ -107,7 +106,7 @@ def _write_csv(path: Path, meta: list[str], header: str, rows=(), columns=None) 
 
 def _out_path(cfg: RunConfig, out_dir: str | None, kind: str) -> Path:
     base = Path(out_dir) if out_dir else Path(cfg.output["dir"])
-    return base / f"{cfg.output['name']}_{config_hash(cfg)}_{kind}.csv"
+    return base / f"{cfg.output['name']}_{cfg.content_hash}_{kind}.csv"
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:

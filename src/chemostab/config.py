@@ -39,7 +39,6 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "serialize_config",
-    "config_hash",
     "build_grid",
     "build_params",
     "build_coefficients",
@@ -382,11 +381,6 @@ def _normalize(raw) -> RunConfig:
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical YAML text; parse(serialize(parse(x))) == parse(x)."""
     return yaml.safe_dump(asdict(cfg), sort_keys=True, default_flow_style=False)
-
-
-def config_hash(cfg: RunConfig) -> str:
-    """Stable content hash of the normalized config (first 12 hex chars)."""
-    return cfg.content_hash
 
 
 def apply_override(cfg: RunConfig, path: str, value: float) -> RunConfig:

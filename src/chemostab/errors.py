@@ -53,14 +53,6 @@ class PositivityBudgetError(SolverError):
     """Cumulative clamped mass exceeded the per-run budget."""
 
 
-class ObserverError(ChemostabError, RuntimeError):
-    """An observer callback raised; carries the sample time for context."""
-
-    def __init__(self, message: str, t: float):
-        super().__init__(message)
-        self.t = t
-
-
 class TBackInsufficientError(ChemostabError, RuntimeError):
     """Pullback horizon too short: seed-independence gap above tolerance."""
 

@@ -148,9 +148,8 @@ def trajectory_gap(run_a: Trajectory, run_b: Trajectory) -> GapSeries:
         raise GridMismatchError("runs were sampled at different times")
     t = np.array(run_a.times, dtype=float)
     grid = run_a.grid
-    # every sample at once: the norms reduce each stacked sample separately
-    ua, va, ub, vb = (np.stack([getattr(s, k) for s in traj.states])
-                      for traj in (run_a, run_b) for k in ("u", "v"))
+    # every sample at once: the norms reduce each sample separately
+    ua, va, ub, vb = run_a.u, run_a.v, run_b.u, run_b.v
     w_l2, w_li = norms(grid, ua - ub)
     p_l2, p_li = norms(grid, va - vb)
     e = w_l2**2 + p_l2**2

@@ -72,11 +72,11 @@ class Grid:
             if n < 3:
                 raise ValueError(f"axis {k}: need at least 3 nodes, got {n}")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.extents)
 
-    @property
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(e / (n - 1) for e, n in zip(self.extents, self.counts))
 
@@ -92,7 +92,7 @@ class Grid:
         """The grid axes of a field, counted from the end (reduce over these per member)."""
         return tuple(range(-self.dim, 0))
 
-    @property
+    @cached_property
     def node_count(self) -> int:
         total = 1
         for n in self.counts:

@@ -46,7 +46,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -54,7 +55,6 @@ from .coefficients import CoefficientSet
 from .errors import (
     ConfigError,
     GridMismatchError,
-    ObserverError,
     PositivityBudgetError,
     StepRejected,
     StepSizeUnderflowError,
@@ -145,48 +145,66 @@ class RunStats:
 
 @dataclass
 class Trajectory:
-    """States sampled at requested times plus scalar diagnostics series.
+    """States sampled at requested times; the diagnostic series derive from them.
 
-    For a batched run the states carry the batch axis and each series has
-    one column per member, shape ``(samples, K)``; :meth:`members` splits it.
+    ``u`` and ``v`` are read-only arrays with one sampled state per row,
+    shape ``(samples, *state.shape)``.  Each series (``mass_u``, ``mass_v``,
+    ``min_u``, ``sup_u``, ``w2inf_v``) holds one value per sample, computed
+    on first use.  For a batched run the rows carry the batch axis and each
+    series has one column per member, shape ``(samples, K)``;
+    :meth:`members` splits it.
     """
 
     grid: Grid
     times: np.ndarray
-    states: list[ModelState]
-    mass_u: np.ndarray
-    mass_v: np.ndarray
-    min_u: np.ndarray
-    sup_u: np.ndarray
-    w2inf_v: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
     stats: RunStats
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.times)
 
     @property
     def final(self) -> ModelState:
-        return self.states[-1]
+        return ModelState(float(self.times[-1]), self.u[-1], self.v[-1])
+
+    @cached_property
+    def mass_u(self) -> np.ndarray:
+        return integrate_values(self.grid, self.u)
+
+    @cached_property
+    def mass_v(self) -> np.ndarray:
+        return integrate_values(self.grid, self.v)
+
+    @cached_property
+    def min_u(self) -> np.ndarray:
+        return self.u.min(axis=self.grid.axes)
+
+    @cached_property
+    def sup_u(self) -> np.ndarray:
+        return np.abs(self.u).max(axis=self.grid.axes)
+
+    @cached_property
+    def w2inf_v(self) -> np.ndarray:
+        # one sample at a time: the stencils of the whole stack would need
+        # several temporaries of its size
+        return np.array([w2inf_norm(self.grid, v) for v in self.v])
 
     def members(self) -> list["Trajectory"]:
         """Split a batched run into one trajectory per member.
 
-        Each member keeps the shared times and step counts and its own
-        states, series and clamp counters; the states are read-only views.
+        Each member keeps the shared times and step counts and gets views of
+        its own samples and its own clamp counters.
         """
-        if self.mass_u.ndim != 2:
+        if self.u.ndim != self.grid.dim + 2:
             raise ValueError("not a batched trajectory")
         stats = self.stats
         return [
             Trajectory(
                 grid=self.grid,
                 times=self.times,
-                states=[ModelState(s.t, s.u[k], s.v[k]) for s in self.states],
-                mass_u=self.mass_u[:, k],
-                mass_v=self.mass_v[:, k],
-                min_u=self.min_u[:, k],
-                sup_u=self.sup_u[:, k],
-                w2inf_v=self.w2inf_v[:, k],
+                u=self.u[:, k],
+                v=self.v[:, k],
                 stats=replace(
                     stats,
                     clamped_mass_u=float(stats.clamped_mass_u[k]),
@@ -194,7 +212,7 @@ class Trajectory:
                     clamped_nodes=int(stats.clamped_nodes[k]),
                 ),
             )
-            for k in range(self.mass_u.shape[1])
+            for k in range(self.u.shape[1])
         ]
 
 
@@ -370,7 +388,6 @@ def run(
     coeffs: CoefficientSet,
     params: ModelParams,
     cfg: StepperConfig,
-    observers: Sequence[Callable[[ModelState], None]] = (),
     sample_times: Sequence[float] | None = None,
     sample_dt: float | None = None,
 ) -> Trajectory:
@@ -413,29 +430,23 @@ def run(
     batch = state0.u.shape[: state0.u.ndim - grid.dim]
     stats = RunStats(clamped_mass_u=np.zeros(batch), clamped_mass_v=np.zeros(batch),
                      clamped_nodes=np.zeros(batch, dtype=int))
-    recorded: list[ModelState] = []
-    diag = {"mass_u": [], "mass_v": [], "min_u": [], "sup_u": [], "w2inf_v": []}
-    axes = grid.axes
-
-    def record(st: ModelState) -> None:
-        recorded.append(st)
-        diag["mass_u"].append(integrate_values(grid, st.u))
-        diag["mass_v"].append(integrate_values(grid, st.v))
-        diag["min_u"].append(st.u.min(axis=axes))
-        diag["sup_u"].append(np.abs(st.u).max(axis=axes))
-        diag["w2inf_v"].append(w2inf_norm(grid, st.v))
-        for obs in observers:
-            try:
-                obs(st)
-            except Exception as exc:  # noqa: BLE001 - context added, then re-raised
-                raise ObserverError(f"observer {obs!r} failed at t={st.t}: {exc}", st.t) from exc
+    times = np.empty(samples.size)
+    u_samples = np.empty((samples.size, *state0.u.shape))
+    v_samples = np.empty_like(u_samples)
 
     next_idx = 0
+
+    def record(t: float, st: ModelState) -> None:
+        nonlocal next_idx
+        times[next_idx] = t
+        u_samples[next_idx] = st.u
+        v_samples[next_idx] = st.v
+        next_idx += 1
+
     state = state0
     tiny = 1e-12 * max(1.0, abs(t0), abs(t_end))
     while next_idx < samples.size and samples[next_idx] <= t0 + tiny:
-        record(state)
-        next_idx += 1
+        record(t0, state)
 
     dt = cfg.dt_init
     second = cfg.design_order == 2
@@ -488,8 +499,7 @@ def run(
             history = (*_rhs(terms), dt_try)
             terms = None
             while next_idx < samples.size and samples[next_idx] <= state.t + tiny:
-                record(ModelState(float(samples[next_idx]), state.u, state.v))
-                next_idx += 1
+                record(samples[next_idx], state)
             ratio = tol / err if err > 0.0 else 1e6
             dt = dt_try * min(5.0, max(0.2, cfg.safety * ratio ** (1.0 / power)))
             if hit:
@@ -505,23 +515,12 @@ def run(
             dt = dt_try * min(0.5, max(0.1, cfg.safety * ratio ** (1.0 / power)))
         dt = max(dt, cfg.dt_min)
 
-    if next_idx < samples.size:
-        # t_end reached within tolerance; flush any remaining samples
-        while next_idx < samples.size:
-            record(ModelState(float(samples[next_idx]), state.u, state.v))
-            next_idx += 1
+    while next_idx < samples.size:  # t_end reached within tolerance; flush the rest
+        record(samples[next_idx], state)
 
-    traj = Trajectory(
-        grid=grid,
-        times=np.array([s.t for s in recorded]),
-        states=recorded,
-        mass_u=np.array(diag["mass_u"]),
-        mass_v=np.array(diag["mass_v"]),
-        min_u=np.array(diag["min_u"]),
-        sup_u=np.array(diag["sup_u"]),
-        w2inf_v=np.array(diag["w2inf_v"]),
-        stats=stats,
-    )
+    u_samples.flags.writeable = False
+    v_samples.flags.writeable = False
+    traj = Trajectory(grid=grid, times=times, u=u_samples, v=v_samples, stats=stats)
     _check_clamp_budget(traj)
     return traj
 

@@ -198,11 +198,11 @@ def trajectory_gap_loop(run_a, run_b):
     grid = run_a.grid
     rows = []
     scale = 0.0
-    for sa, sb in zip(run_a.states, run_b.states):
-        w_l2, w_li = norms(grid, sa.u - sb.u)
-        p_l2, p_li = norms(grid, sa.v - sb.v)
+    for ua, va, ub, vb in zip(run_a.u, run_a.v, run_b.u, run_b.v):
+        w_l2, w_li = norms(grid, ua - ub)
+        p_l2, p_li = norms(grid, va - vb)
         rows.append((w_l2 ** 2 + p_l2 ** 2, w_l2, p_l2, w_li, p_li))
-        scale = max(scale, *(float(np.abs(a).max()) for a in (sa.u, sa.v, sb.u, sb.v)))
+        scale = max(scale, *(float(np.abs(a).max()) for a in (ua, va, ub, vb)))
     return (*(np.array(col) for col in zip(*rows)), scale)
 
 

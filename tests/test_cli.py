@@ -26,7 +26,6 @@ from chemostab.config import (
     build_initial,
     build_params,
     build_stepper,
-    config_hash,
     parse_config,
     serialize_config,
 )
@@ -79,7 +78,7 @@ class TestConfigParsing:
         cfg = parse_config(BASE.replace("OUTDIR", "out"))
         again = parse_config(serialize_config(cfg))
         assert cfg == again
-        assert config_hash(cfg) == config_hash(again)
+        assert cfg.content_hash == again.content_hash
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError) as info:
@@ -605,7 +604,7 @@ class TestConfigAsData:
                 point = override(cfg, path, value)
             except ConfigError as exc:
                 return "error", str(exc)
-            return point, config_hash(point)
+            return point, point.content_hash
 
         direct = outcome(apply_override)
         assert direct == outcome(apply_override_via_yaml)

@@ -98,8 +98,8 @@ class TestTrajectoryGap:
         gap = trajectory_gap(a, b)
         grid = a.grid
         for k in (0, 17, 50, 100):
-            w = a.states[k].u - b.states[k].u
-            phi = a.states[k].v - b.states[k].v
+            w = a.u[k] - b.u[k]
+            phi = a.v[k] - b.v[k]
             e_direct = integrate_values(grid, w * w) + integrate_values(grid, phi * phi)
             assert gap.E[k] == pytest.approx(e_direct, rel=1e-12, abs=1e-300)
 
@@ -249,9 +249,8 @@ class TestEntireSolution:
             const_set(grid), PARAMS, cfg, t_back=30.0, t_span=(0.0, 5.0),
             sample_dt=0.25, tolerance=1e-6,
         )
-        for st in entire.trajectory.states:
-            assert np.max(np.abs(st.u - 1.0)) < 1e-4
-            assert np.max(np.abs(st.v - 1.0)) < 1e-4
+        assert np.max(np.abs(entire.trajectory.u - 1.0)) < 1e-4
+        assert np.max(np.abs(entire.trajectory.v - 1.0)) < 1e-4
         assert entire.seed_gap < 1e-6
 
     def test_insufficient_horizon_raises_with_gap(self, grid):

@@ -10,7 +10,6 @@ from chemostab import (
     GridMismatchError,
     ModelParams,
     ModelState,
-    ObserverError,
     StepRejected,
     StepSizeUnderflowError,
     StepperConfig,
@@ -18,6 +17,7 @@ from chemostab import (
     integrate_values,
     run,
     step,
+    w2inf_norm,
 )
 
 from oracles import logistic_exact, scalar_imex_step
@@ -171,8 +171,8 @@ class TestRun:
                    sample_dt=5.0)
         assert abs(traj.final.u[0] - 1.0) < 1e-6
         # intermediate samples track the closed form too
-        for t, st in zip(traj.times, traj.states):
-            assert abs(st.u[0] - logistic_exact(t, 0.1)) < 1e-6
+        for t, u in zip(traj.times, traj.u):
+            assert abs(u[0] - logistic_exact(t, 0.1)) < 1e-6
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -251,7 +251,7 @@ class TestRun:
         for _ in range(2):
             traj = run(flat_state(grid, 0.3, 0.1), 5.0, const_set(grid), params, cfg,
                        sample_dt=0.5)
-            out.append(np.concatenate([s.u for s in traj.states]))
+            out.append(traj.u)
         assert np.array_equal(out[0], out[1])
 
     def test_explicit_sample_times_honored(self, grid):
@@ -260,23 +260,6 @@ class TestRun:
         traj = run(flat_state(grid, 0.5, 0.0), 2.0, const_set(grid), params,
                    StepperConfig(), sample_times=times)
         assert np.allclose(traj.times, times, atol=1e-12)
-
-    def test_observers_receive_samples(self, grid):
-        params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
-        seen = []
-        run(flat_state(grid, 0.5, 0.0), 1.0, const_set(grid), params, StepperConfig(),
-            observers=[lambda st: seen.append(st.t)], sample_dt=0.25)
-        assert seen == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_observer_failure_wrapped(self, grid):
-        params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
-
-        def bad(st):
-            raise RuntimeError("boom")
-
-        with pytest.raises(ObserverError):
-            run(flat_state(grid, 0.5, 0.0), 1.0, const_set(grid), params,
-                StepperConfig(), observers=[bad])
 
     def test_negative_initial_rejected(self, grid):
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
@@ -316,9 +299,8 @@ class TestRun:
         params = ModelParams(chi=0.5, tau=0.7, lam=1.2, mu=0.9)
         traj = run(flat_state(grid, 2.0, 0.3), 3.0, const_set(grid, 1.0, 1.0, 0.2),
                    params, StepperConfig(), sample_dt=0.3)
-        for st in traj.states:
-            assert np.isfinite(st.u).all()
-            assert np.isfinite(st.v).all()
+        assert np.isfinite(traj.u).all()
+        assert np.isfinite(traj.v).all()
 
 
 class TestTwoDimensions:
@@ -347,7 +329,7 @@ class TestTwoDimensions:
         m0 = traj.mass_u[0]
         assert np.allclose(traj.mass_u, m0, rtol=1e-11)
         # diffusion flattens toward the mean
-        spread0 = traj.states[0].u.max() - traj.states[0].u.min()
+        spread0 = traj.u[0].max() - traj.u[0].min()
         spread1 = traj.final.u.max() - traj.final.u.min()
         assert spread1 < spread0
 
@@ -396,15 +378,25 @@ class TestBatchedRun:
         alones = [run(ModelState(0.0, u0, v0), 3.0, coeffs, params, cfg, sample_dt=0.5)
                   for u0, v0 in zip(us, vs)]
         assert len(members) == len(us)
-        for member, alone in zip(members, alones):
+        kernels = {
+            "mass_u": lambda u, v: integrate_values(grid, u),
+            "mass_v": lambda u, v: integrate_values(grid, v),
+            "min_u": lambda u, v: u.min(),
+            "sup_u": lambda u, v: np.abs(u).max(),
+            "w2inf_v": lambda u, v: w2inf_norm(grid, v),
+        }
+        for k, (member, alone) in enumerate(zip(members, alones)):
             assert np.array_equal(member.times, alone.times)
-            for sm, sa in zip(member.states, alone.states):
-                for a, b in ((sm.u, sa.u), (sm.v, sa.v)):
-                    assert np.abs(a - b).max() <= 10 * cfg.error_tol * (1.0 + np.abs(b).max())
-            # the member's series are its own, not the batch's
-            assert np.array_equal(member.mass_u, [integrate_values(grid, s.u)
-                                                  for s in member.states])
-            assert np.array_equal(member.min_u, [s.u.min() for s in member.states])
+            for a, b in ((member.u, alone.u), (member.v, alone.v)):
+                assert a.shape == b.shape
+                bound = 10 * cfg.error_tol * (1.0 + np.abs(b).max(axis=grid.axes))
+                assert np.all(np.abs(a - b).max(axis=grid.axes) <= bound)
+            # the member's series are its own, bit for bit the per-sample kernels,
+            # and equal to its column of the batch's series
+            for name, kernel in kernels.items():
+                expected = [kernel(u, v) for u, v in zip(member.u, member.v)]
+                assert np.array_equal(getattr(member, name), expected), name
+                assert np.array_equal(getattr(batched, name)[:, k], expected), name
             assert member.stats.accepted == batched.stats.accepted
         # one controller: no member alone takes more steps than the batch
         assert batched.stats.accepted >= max(alone.stats.accepted for alone in alones)
@@ -442,13 +434,9 @@ class TestPositivityControl:
 
         grid = Grid((1.0,), (5,))
         stats = RunStats(clamped_mass_u=1.0)  # far beyond 1e-8 of peak mass
-        traj = Trajectory(
-            grid=grid, times=np.array([0.0]),
-            states=[flat_state(grid, 1.0, 0.0)],
-            mass_u=np.array([1.0]), mass_v=np.array([0.0]),
-            min_u=np.array([1.0]), sup_u=np.array([1.0]),
-            w2inf_v=np.array([0.0]), stats=stats,
-        )
+        traj = Trajectory(grid=grid, times=np.array([0.0]), u=np.full((1, 5), 1.0),
+                          v=np.zeros((1, 5)), stats=stats)
+        assert traj.mass_u[0] == 1.0  # the weights of this grid sum to 1
         with pytest.raises(PositivityBudgetError):
             _check_clamp_budget(traj)
 
@@ -460,13 +448,11 @@ class TestPositivityControl:
         # 1e-9 is within member 0's budget (peak mass 1) but not member 1's (peak 0.01)
         stats = RunStats(clamped_mass_u=np.array([1e-9, 1e-9]), clamped_mass_v=np.zeros(2),
                          clamped_nodes=np.array([1, 1]))
-        state = ModelState(0.0, np.full((2, 5), 1.0), np.zeros((2, 5)))
 
         def traj(peaks):
-            col = np.array([peaks])
-            return Trajectory(grid=grid, times=np.array([0.0]), states=[state], mass_u=col,
-                              mass_v=0 * col, min_u=col, sup_u=col, w2inf_v=0 * col,
-                              stats=stats)
+            # one sample of two flat members; a flat field's mass is its value here
+            u = np.array([[np.full(5, p) for p in peaks]])
+            return Trajectory(grid=grid, times=np.array([0.0]), u=u, v=0 * u, stats=stats)
 
         _check_clamp_budget(traj([1.0, 1.0]))
         with pytest.raises(PositivityBudgetError, match="member 1"):
