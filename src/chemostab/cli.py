@@ -113,13 +113,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
     grid = build_grid(cfg)
     params = build_params(cfg)
     coeffs = build_coefficients(cfg, grid)
-    u0, v0 = build_initial(cfg, grid, seed)
+    state0 = ModelState(0.0, *build_initial(cfg, grid, seed))  # holds the only copy of u0, v0
     stepper_cfg = build_stepper(cfg)
     t_end = cfg.experiment["t_end"]
-    traj = run(
-        ModelState(0.0, u0, v0), t_end, coeffs, params, stepper_cfg,
-        sample_dt=cfg.experiment.get("sample_dt"),
-    )
+    traj = run(state0, t_end, coeffs, params, stepper_cfg,
+               sample_dt=cfg.experiment.get("sample_dt"))
     meta = _metadata_lines(cfg, {"t_end": t_end})
     _write_csv(_out_path(cfg, out_dir, "series"), meta, "t,mass_u,mass_v,min_u,sup_u,w2inf_v",
                columns=(traj.times, traj.mass_u, traj.mass_v, traj.min_u, traj.sup_u,

@@ -15,17 +15,18 @@ exact by construction rather than approximate.
 Each term is defined once, as an array kernel, in the split the IMEX stepper
 marches: the implicit-linear part ``lap(u)`` and ``(lap(v) - lam*v)/tau``,
 and the explicit part ``-chi*div(u grad v) + reaction`` and ``mu*u/tau``.
+Each part is one array stacked like the state, row 0 for u and row 1 for v.
 ``rhs_u`` and ``rhs_v`` are sums of those same terms.
 
-A state is a time and two read-only nodal arrays; the grid they live on is
-the coefficients' grid (``coeffs.grid``), passed where no coefficients are.
-The arrays may carry a leading batch axis, ``(K, *grid.counts)``: K members
-at one time, each its own solution (see ``stepper.run``).
+A state is a time and one read-only stack ``uv`` of shape ``(2, *shape)``,
+whose rows are u and v, on the coefficients' grid (``coeffs.grid``).  The
+shape is ``grid.counts``, or ``(K, *grid.counts)`` with a leading batch axis:
+K members at one time, each its own solution (see ``stepper.run``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .errors import GridMismatchError
 from .grid import Grid, chemotaxis_values, integrate_values, laplacian_values
 
 __all__ = [
-    "ModelParams", "ModelState", "reaction_values", "linear_v", "explicit_u", "explicit_v",
+    "ModelParams", "ModelState", "reaction_values", "implicit_part", "explicit_part",
     "split_terms", "rhs_u", "rhs_v", "mass_rate",
 ]
 
@@ -68,26 +69,37 @@ class ModelParams:
             raise ValueError(f"mu must be positive, got {self.mu}")
 
 
-@dataclass(frozen=True, eq=False)  # arrays have no single truth value, so states compare by identity
+# arrays have no single truth value, so states compare by identity (eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ModelState:
-    """Time plus the nodal arrays u and v: read-only float arrays of one shape.
+    """Time plus the read-only stack ``uv = (u, v)``, shape ``(2, *shape)``; u and v view its rows.
 
-    The shape is ``grid.counts``, or ``(K, *grid.counts)`` for a batch of K members.
+    ``ModelState(t, u, v)`` stacks a copy of two arrays of one shape, and
+    :meth:`from_stack` wraps a stack.
     """
 
     t: float
-    u: np.ndarray
-    v: np.ndarray
+    uv: np.ndarray
+    u: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        for name in ("u", "v"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.flags.writeable:  # copied, so later writes by the caller cannot reach it
-                arr = arr.copy()
-                arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.u.shape != self.v.shape:
-            raise GridMismatchError(f"u has shape {self.u.shape} but v has {self.v.shape}")
+    def __init__(self, t: float, u, v):
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        if u.shape != v.shape:
+            raise GridMismatchError(f"u has shape {u.shape} but v has {v.shape}")
+        self._set(t, np.stack([u, v]))
+
+    @classmethod
+    def from_stack(cls, t: float, uv: np.ndarray) -> "ModelState":
+        """The state over ``uv``; a writable stack is copied, out of the caller's reach."""
+        state = cls.__new__(cls)
+        state._set(t, uv.copy() if uv.flags.writeable else uv)
+        return state
+
+    def _set(self, t: float, uv: np.ndarray) -> None:
+        uv.flags.writeable = False
+        for name, value in (("t", t), ("uv", uv), ("u", uv[0]), ("v", uv[1])):
+            object.__setattr__(self, name, value)
 
 
 def reaction_values(grid: Grid, u: np.ndarray, t: float, coeffs: CoefficientSet) -> np.ndarray:
@@ -100,51 +112,45 @@ def reaction_values(grid: Grid, u: np.ndarray, t: float, coeffs: CoefficientSet)
     return u * (a0 - a1 * u - a2 * mass)
 
 
-def linear_v(grid: Grid, v: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Implicit-linear chemical term (lap(v) - lam*v) / tau."""
-    return (laplacian_values(grid, v) - params.lam * v) / params.tau
+def implicit_part(grid: Grid, uv: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Implicit-linear terms, stacked: ``(lap(u), (lap(v) - lam*v) / tau)``."""
+    out = laplacian_values(grid, uv)
+    out[1] -= params.lam * uv[1]
+    out[1] /= params.tau
+    return out
 
 
-def explicit_u(
-    grid: Grid, u: np.ndarray, v: np.ndarray, t: float,
-    coeffs: CoefficientSet, params: ModelParams,
+def explicit_part(
+    grid: Grid, uv: np.ndarray, t: float, coeffs: CoefficientSet, params: ModelParams
 ) -> np.ndarray:
-    """Explicit population term: drift plus reaction."""
-    return chemotaxis_values(grid, u, v, params.chi) + reaction_values(grid, u, t, coeffs)
-
-
-def explicit_v(u: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Explicit chemical term mu*u / tau."""
-    return params.mu * u / params.tau
+    """Explicit terms, stacked: ``(drift + reaction, mu*u / tau)``."""
+    u, v = uv
+    out = np.empty_like(uv)
+    np.add(chemotaxis_values(grid, u, v, params.chi), reaction_values(grid, u, t, coeffs),
+           out=out[0])
+    np.multiply(params.mu, u, out=out[1])
+    out[1] /= params.tau
+    return out
 
 
 def split_terms(
     state: ModelState, coeffs: CoefficientSet, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The right-hand side at ``state`` in its IMEX split.
-
-    Returns ``(lap(u), linear_v, explicit_u, explicit_v)``; the implicit
-    population term is the Laplacian itself.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """The right-hand side at ``state`` in its IMEX split: ``(implicit_part, explicit_part)``."""
     grid = coeffs.grid
-    u, v = state.u, state.v
-    return (
-        laplacian_values(grid, u),
-        linear_v(grid, v, params),
-        explicit_u(grid, u, v, state.t, coeffs, params),
-        explicit_v(u, params),
-    )
+    return (implicit_part(grid, state.uv, params),
+            explicit_part(grid, state.uv, state.t, coeffs, params))
 
 
 def rhs_u(state: ModelState, coeffs: CoefficientSet, params: ModelParams) -> np.ndarray:
     """Full population right-hand side: diffusion + drift + reaction."""
-    lap_u, _, exp_u, _ = split_terms(state, coeffs, params)
-    return lap_u + exp_u
+    imp, exp = split_terms(state, coeffs, params)
+    return imp[0] + exp[0]
 
 
 def rhs_v(grid: Grid, state: ModelState, params: ModelParams) -> np.ndarray:
     """Chemical right-hand side (lap(v) - lam*v + mu*u) / tau."""
-    return linear_v(grid, state.v, params) + explicit_v(state.u, params)
+    return implicit_part(grid, state.uv, params)[1] + params.mu * state.u / params.tau
 
 
 def mass_rate(

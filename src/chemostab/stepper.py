@@ -9,6 +9,11 @@ the explicit terms weighted theta between t_n and the predictor, is the
 result, which restores second order at theta = 0.5; at theta = 1 the
 predictor is the result.
 
+The pair (u, v) is marched as one stack, ``ModelState.uv``: each
+right-hand side, stage solve, finiteness check, extrapolation, norm and
+clamp runs once on it, so an attempt makes 2 solve calls at theta < 1 and 1
+at theta = 1, and the stack rounds exactly as two fields (see ``implicit``).
+
 Step control compares the result with an explicit extrapolation of the
 full right-hand side f, so each attempt is one ``step()`` and the estimate
 costs no solve.  Diffusion and decay are in f, so the estimate sees their
@@ -34,7 +39,7 @@ budget.
 A state may carry a leading batch axis, ``(K, *grid.counts)``: K members
 (seeds of one experiment) that share coefficients, grid and time span are
 stepped together, so each attempt costs one ``step()`` and one solve per
-unknown for all of them.  Every member gets the same dt.  The error of an
+stage for all of them.  Every member gets the same dt.  The error of an
 attempt is the max over members of each member's own scaled estimate, the
 advective guard is the min over members, and a member below its own
 positivity band rejects the whole attempt.  Clamped mass is counted and
@@ -61,7 +66,7 @@ from .errors import (
 )
 from .grid import Grid, gradient_neumann, integrate_values, w2inf_norm
 from .implicit import solve_shifted
-from .model import ModelParams, ModelState, explicit_u, explicit_v, split_terms
+from .model import ModelParams, ModelState, explicit_part, split_terms
 
 __all__ = [
     "StepperConfig",
@@ -100,6 +105,10 @@ class StepperConfig:
     error_tol: float = 1.0e-6
 
     def __post_init__(self):
+        if not 0.0 < self.dt_min < math.inf:  # dt_min <= 0 disables run()'s underflow guards
+            raise ConfigError("dt_min", f"must be finite and positive, got {self.dt_min}")
+        if math.isnan(self.dt_max):
+            raise ConfigError("dt_max", "must not be NaN")
         if not (self.dt_min <= self.dt_init <= self.dt_max):
             raise ConfigError(
                 "dt_init",
@@ -164,7 +173,7 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    @property
+    @cached_property  # stacks a copy of the last sample, once
     def final(self) -> ModelState:
         return ModelState(float(self.times[-1]), self.u[-1], self.v[-1])
 
@@ -226,29 +235,32 @@ def _check_shape(state: ModelState, grid: Grid) -> None:
 
 
 def _clamp_negatives(
-    vals: np.ndarray, scale: np.ndarray, floor: float, grid: Grid, label: str
-) -> tuple[np.ndarray, np.ndarray | float, np.ndarray | int]:
-    """Clamp negative values inside each member's band to ``floor``.
+    uv: np.ndarray, start: np.ndarray, floor: float, grid: Grid
+) -> tuple[np.ndarray, Sequence, Sequence]:
+    """Clamp negative values of the stack ``uv`` inside each member's band to ``floor``.
 
-    ``scale`` holds each member's state scale.  Returns the values and, per
-    member, the clamped mass and node count.  A member below its band raises
+    The band is scaled by the member's largest value in the step's ``start``
+    stack.  Returns the values and, per field and member, the clamped mass
+    and node count.  A member below its band in either field raises
     :class:`StepRejected`, which rejects the attempt for the whole batch.
     """
-    rows = vals.reshape(-1, grid.node_count)  # one row per member
-    worst = rows.min(axis=1)
+    rows = uv.reshape(-1, grid.node_count)  # one row per field and member
+    worst = rows.min(axis=1).reshape(2, -1)
     if worst.min() >= 0.0:
-        return vals, 0.0, 0
+        return uv, (0.0, 0.0), (0, 0)
+    scale = np.maximum(1.0, np.abs(start).max(axis=grid.axes).max(axis=0))
     band = -_NEG_BAND * np.ravel(scale)
-    k = int(np.argmin(worst - band))
-    if worst[k] < band[k]:
-        raise StepRejected(f"{label} fell to {worst[k]} (band {band[k]})", float(worst[k]))
+    for label, low in zip("uv", worst):
+        k = int(np.argmin(low - band))
+        if low[k] < band[k]:
+            raise StepRejected(f"{label} fell to {low[k]} (band {band[k]})", float(low[k]))
     weights = grid.weights.ravel()
     mask = rows < 0.0
-    batch = vals.shape[: vals.ndim - grid.dim]
+    fields = uv.shape[: uv.ndim - grid.dim]  # (2, *batch)
     clamped_mass = np.array([np.sum(weights[m] * (-r[m])) for r, m in zip(rows, mask)])
-    out = vals.copy()
-    out[vals < 0.0] = floor
-    return out, clamped_mass.reshape(batch), mask.sum(axis=1).reshape(batch)
+    out = uv.copy()
+    out[uv < 0.0] = floor
+    return out, clamped_mass.reshape(fields), mask.sum(axis=1).reshape(fields)
 
 
 def step(
@@ -258,35 +270,31 @@ def step(
     params: ModelParams,
     cfg: StepperConfig,
     stats: RunStats | None = None,
-    terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
-    history: tuple[np.ndarray, np.ndarray, float] | None = None,
+    terms: tuple[np.ndarray, np.ndarray] | None = None,
+    history: tuple[np.ndarray, float] | None = None,
 ) -> tuple[ModelState, float]:
     """Advance one IMEX step of size dt; return the new state and its error estimate.
 
-    Every step makes a predictor (explicit terms at t_n).  At theta < 1 a
-    corrector (explicit terms weighted theta between t_n and the predictor
-    at t_n + dt) is the result; at theta = 1 the predictor is.
+    A predictor (explicit terms at t_n) and, at theta < 1, a corrector
+    (explicit terms weighted theta between t_n and the predictor) each make
+    one solve of the stack ``state.uv``; the last of them is the result b.
 
-    The estimate compares the result with an explicit extrapolation p of the
-    full right-hand side f = (lap(u) + explicit_u, linear_v + explicit_v),
-    which costs no solve.  ``history = (f_u, f_v, dt_prev)`` holds f at the
-    start of the previous accepted step and that step's size; with it p is
-    the variable-step Adams-Bashforth 2 extrapolation
+    The estimate is ``c * max|p - b| / (1 + max|b|)``, each member and field
+    scaled by its own max and the max taken over all of them, where p
+    extrapolates y_n by the full right-hand side f = implicit + explicit
+    part, at no solve.  ``history = (f_prev, dt_prev)`` holds f at the start
+    of the previous accepted step and that step's size; with it p is the
+    variable-step Adams-Bashforth 2 extrapolation
 
         p = y_n + dt * ((1 + w/2) * f_n - (w/2) * f_prev),   w = dt / dt_prev,
 
-    and without it (the first step of a run) p is forward Euler.  The
-    estimate is ``c * d``, where d is the larger over u and v of
-    ``max|p - b| / (1 + max|b|)`` with b the returned value (for a batch,
-    the max over members of each member's own d).  At theta = 0.5 with a
-    history, ``c = w / (3 * (1 + w))`` turns d, O(dt**3), into the
-    trapezoidal local error; otherwise ``c = 1`` and d, O(dt**2), is led by
-    the error of the first-order result.  Diffusion and decay are in f, so
-    the estimate sees their time error too.
+    and without it (the first step of a run) p is forward Euler.  At
+    theta = 0.5 with a history, ``c = w / (3 * (1 + w))`` turns the O(dt**3)
+    difference into the trapezoidal local error; otherwise ``c = 1`` and the
+    O(dt**2) difference is led by the error of the first-order result.
 
-    ``terms`` are the t_n terms ``model.split_terms(state, coeffs, params)``;
-    they depend on the state alone, not on dt, so every step from one state
-    can share them.  They are computed here when not given.
+    ``terms`` are the t_n terms ``model.split_terms(state, coeffs, params)``,
+    shared by every step from one state; they are computed here when not given.
 
     Raises :class:`StepRejected` when the result leaves the admissible
     region (negative beyond the clamp band, or non-finite) or the estimate
@@ -297,74 +305,50 @@ def step(
     grid = coeffs.grid
     _check_shape(state, grid)
     theta = cfg.theta_scheme
-    t = state.t
-    u, v = state.u, state.v
-    tau, lam = params.tau, params.lam
+    t, y = state.t, state.uv
 
     if terms is None:
         terms = split_terms(state, coeffs, params)
-    lap_u, lin_v, eu_n, ev_n = terms
+    imp, exp_n = terms
+    # per field: u solves (I - theta dt Lap), v (1 + theta dt lam/tau) I - (theta dt/tau) Lap
+    a = np.array([1.0, 1.0 + theta * dt * params.lam / params.tau])
+    b = np.array([theta * dt, theta * dt / params.tau])
 
-    def solve_pair(exp_u: np.ndarray, exp_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve(exp: np.ndarray) -> np.ndarray:
         """The theta-weighted implicit solve with the given explicit terms."""
-        rhs_u_lin = u + dt * (1.0 - theta) * lap_u + dt * exp_u
-        rhs_v_lin = v + dt * (1.0 - theta) * lin_v + dt * exp_v
-        u_new = solve_shifted(grid, 1.0, theta * dt, rhs_u_lin)
-        v_new = solve_shifted(grid, 1.0 + theta * dt * lam / tau, theta * dt / tau, rhs_v_lin)
-        if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
+        y_new = solve_shifted(grid, a, b, y + dt * (1.0 - theta) * imp + dt * exp)
+        if not np.isfinite(y_new).all():
             raise StepRejected("step produced non-finite values")
-        return u_new, v_new
+        return y_new
 
-    u_new, v_new = solve_pair(eu_n, ev_n)  # the predictor
+    y_new = solve(exp_n)  # the predictor
     if theta < 1.0:
-        u_star = np.maximum(u_new, 0.0)
-        v_star = np.maximum(v_new, 0.0)
-        eu_s = explicit_u(grid, u_star, v_star, t + dt, coeffs, params)
-        ev_s = explicit_v(u_star, params)
-        u_new, v_new = solve_pair((1.0 - theta) * eu_n + theta * eu_s,
-                                  (1.0 - theta) * ev_n + theta * ev_s)
+        exp_s = explicit_part(grid, np.maximum(y_new, 0.0), t + dt, coeffs, params)
+        y_new = solve((1.0 - theta) * exp_n + theta * exp_s)
 
-    f_u, f_v = _rhs(terms)
+    f = imp + exp_n
     if history is None:  # w = 0 makes p forward Euler
-        fp_u, fp_v, w, c = f_u, f_v, 0.0, 1.0
+        f_prev, w, c = f, 0.0, 1.0
     else:
-        fp_u, fp_v, dt_prev = history
+        f_prev, dt_prev = history
         w = dt / dt_prev
         c = w / (3.0 * (1.0 + w)) if theta == 0.5 else 1.0
-
-    def deviation(y: np.ndarray, f: np.ndarray, f_prev: np.ndarray, b: np.ndarray):
-        """Scaled distance of the result b from the extrapolation of y."""
-        return _err_norm(grid, y + dt * ((1.0 + 0.5 * w) * f - 0.5 * w * f_prev), b)
-
-    err = c * float(np.max(np.maximum(deviation(u, f_u, fp_u, u_new),
-                                      deviation(v, f_v, fp_v, v_new))))
+    p = y + dt * ((1.0 + 0.5 * w) * f - 0.5 * w * f_prev)
+    axes = grid.axes
+    err = c * float(np.max(np.abs(p - y_new).max(axis=axes)
+                           / (1.0 + np.abs(y_new).max(axis=axes))))
     if not math.isfinite(err):
         raise StepRejected("error estimate is non-finite")
 
-    axes = grid.axes
-    scale = np.maximum(1.0, np.maximum(np.abs(u).max(axis=axes), np.abs(v).max(axis=axes)))
-    u_new, cu, nu = _clamp_negatives(u_new, scale, cfg.positivity_floor, grid, "u")
-    v_new, cv, nv = _clamp_negatives(v_new, scale, cfg.positivity_floor, grid, "v")
+    y_new, mass, nodes = _clamp_negatives(y_new, y, cfg.positivity_floor, grid)
     if stats is not None:
-        stats.clamped_mass_u += cu
-        stats.clamped_mass_v += cv
-        stats.clamped_nodes += nu + nv
+        stats.clamped_mass_u += mass[0]
+        stats.clamped_mass_v += mass[1]
+        stats.clamped_nodes += nodes[0] + nodes[1]
 
     # finite (checked above), clamped to a finite floor, and owned by this step
-    u_new.flags.writeable = False
-    v_new.flags.writeable = False
-    return ModelState(t + dt, u_new, v_new), err
-
-
-def _rhs(terms: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The full right-hand side (f_u, f_v) from the split ``(lap_u, lin_v, eu, ev)``."""
-    lap_u, lin_v, eu, ev = terms
-    return lap_u + eu, lin_v + ev
-
-
-def _err_norm(grid: Grid, a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-    """max|a - b| relative to 1 + max|b|, per member."""
-    return np.abs(a - b).max(axis=grid.axes) / (1.0 + np.abs(b).max(axis=grid.axes))
+    y_new.flags.writeable = False
+    return ModelState.from_stack(t + dt, y_new), err
 
 
 def advective_dt_limit(
@@ -410,8 +394,8 @@ def run(
     t0 = state0.t
     if t_end < t0:
         raise ValueError(f"t_end={t_end} precedes start time {t0}")
-    if float(state0.u.min()) < 0.0 or float(state0.v.min()) < 0.0:
-        raise ValueError("initial data must be nonnegative")
+    if not (np.isfinite(state0.uv).all() and state0.uv.min() >= 0.0):
+        raise ValueError("initial data must be finite and nonnegative")
 
     if sample_times is not None:
         samples = np.asarray(sorted(float(s) for s in sample_times), dtype=float)
@@ -451,7 +435,7 @@ def run(
     dt = cfg.dt_init
     second = cfg.design_order == 2
     terms = None  # t_n terms of `state`, shared by its attempts
-    history = None  # (f_u, f_v, dt) of the last accepted step, for the extrapolation
+    history = None  # (f, dt) of the last accepted step, for the extrapolation
     while state.t < t_end - tiny:
         dt = min(dt, cfg.dt_max)
         guard = advective_dt_limit(grid, state, params, cfg)
@@ -495,8 +479,8 @@ def run(
             stats.merge_clamps(local)
             stats.min_dt = min(stats.min_dt, dt_try)
             stats.max_dt = max(stats.max_dt, dt_try)
-            state = ModelState(target, new.u, new.v) if hit else new
-            history = (*_rhs(terms), dt_try)
+            state = ModelState.from_stack(target, new.uv) if hit else new
+            history = (terms[0] + terms[1], dt_try)
             terms = None
             while next_idx < samples.size and samples[next_idx] <= state.t + tiny:
                 record(samples[next_idx], state)
@@ -557,5 +541,5 @@ def fixed_step_run(
     for _ in range(n_steps):
         state, _ = step(state, dt, coeffs, params, cfg)
     if not math.isclose(state.t, t_end, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(t_end))):
-        state = ModelState(t_end, state.u, state.v)
+        state = ModelState.from_stack(t_end, state.uv)
     return state

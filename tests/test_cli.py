@@ -364,6 +364,14 @@ class TestSimulate:
                      "stepper.safety", id="safety-above-one"),
         pytest.param("simulate", "dt_max: 0.5", "dt_max: 0.5\n  dt_init: 1.0",
                      "stepper.dt_init", id="dt_init-above-dt_max"),
+        pytest.param("simulate", "dt_max: 0.5", "dt_max: 0.5\n  dt_min: -1.0",
+                     "stepper.dt_min", id="dt_min-negative"),
+        pytest.param("simulate", "dt_max: 0.5", "dt_max: 0.5\n  dt_min: 0.0",
+                     "stepper.dt_min", id="dt_min-zero"),
+        pytest.param("simulate", "dt_max: 0.5", "dt_max: 0.5\n  dt_min: .nan",
+                     "stepper.dt_min", id="dt_min-nan"),
+        pytest.param("simulate", "dt_max: 0.5", "dt_max: .nan", "stepper.dt_max",
+                     id="dt_max-nan"),
         pytest.param("simulate", "u: {profile: constant, value: 0.1}", "u: {profile: [1]}",
                      "initial.u.profile", id="profile-unhashable"),
         pytest.param("simulate", "a0: {kind: constant, value: 1.0}",

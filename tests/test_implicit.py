@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,11 @@ class TestSolveShifted:
             solve_shifted(grid, 0.0, 0.1, np.ones(5))
         with pytest.raises(ValueError):
             solve_shifted(grid, 1.0, -0.1, np.ones(5))
+        # one shift per field of a stack: any bad entry is rejected
+        for a, b in [((1.0, 0.0), (0.1, 0.1)), ((1.0, -2.0), (0.1, 0.1)),
+                     ((1.0, 1.0), (0.1, -0.1)), ((1.0, math.nan), (0.1, 0.1))]:
+            with pytest.raises(ValueError, match="need a > 0 and b >= 0"):
+                solve_shifted(grid, np.array(a), np.array(b), np.ones((2, 5)))
 
 
 @pytest.mark.parametrize("extents,counts", [((1.0,), (23,)), ((1.0, 2.0), (9, 13))],
@@ -111,3 +118,23 @@ def test_batched_solve_matches_members(extents, counts):
     batched = solve_shifted(grid, 1.3, 0.2, rhs)
     stacked = np.stack([solve_shifted(grid, 1.3, 0.2, r) for r in rhs])
     assert np.abs(batched - stacked).max() <= 1e-13 * np.abs(stacked).max()
+
+
+@pytest.mark.parametrize("extents,shape", [
+    ((1.0,), (2, 23)),
+    ((1.0,), (2, 3, 23)),
+    ((1.0, 2.0), (2, 9, 13)),
+    ((1.0, 2.0), (2, 3, 9, 13)),
+], ids=["1d", "1d-batched", "2d", "2d-batched"])
+def test_per_field_shifts_solve_each_field_alone(extents, shape):
+    # a stack with one shift per field: each field is solved bit for bit as
+    # it is alone, an unbatched 1D field as a vector product
+    grid = Grid(extents, shape[-len(extents):])
+    rhs = np.random.default_rng(7).uniform(-1, 1, shape)
+    a, b = np.array([1.0, 1.7]), np.array([0.2, 0.05])
+    stacked = solve_shifted(grid, a, b, rhs)
+    assert stacked.shape == rhs.shape
+    for k in range(2):
+        assert np.array_equal(stacked[k], solve_shifted(grid, a[k], b[k], rhs[k]))
+        if len(shape) == grid.dim + 1:
+            assert_matches_oracle(grid, a[k], b[k], rhs[k], stacked[k])

@@ -10,6 +10,7 @@ from chemostab import (
     GridMismatchError,
     ModelParams,
     ModelState,
+    RunStats,
     StepRejected,
     StepSizeUnderflowError,
     StepperConfig,
@@ -20,7 +21,7 @@ from chemostab import (
     w2inf_norm,
 )
 
-from oracles import logistic_exact, scalar_imex_step
+from oracles import field_by_field_step, logistic_exact, scalar_imex_step
 
 
 def const_set(grid, a0=1.0, a1=1.0, a2=0.0):
@@ -194,26 +195,27 @@ class TestRun:
         monkeypatch.setattr(stepper_mod, "step", counting("step", stepper_mod.step))
         return calls
 
-    @pytest.mark.parametrize("theta, solves", [(0.5, 4), (1.0, 2)])
+    @pytest.mark.parametrize("theta, solves", [(0.5, 2), (1.0, 1)])
     def test_one_step_call_per_attempt(self, grid, monkeypatch, theta, solves):
-        # one accepted attempt: lap(u) and lap(v) at t_n and the solves for u
-        # and v of the result, all from the same step(); the estimate solves nothing
+        # one accepted attempt: one Laplacian of the (u, v) stack at t_n and one
+        # solve of the stack per stage, all from the same step(); the estimate
+        # solves nothing
         calls = self.count_calls(monkeypatch)
         params = ModelParams(chi=0.1, tau=1.0, lam=1.0, mu=1.0)
         cfg = StepperConfig(dt_init=0.5, dt_max=0.5, theta_scheme=theta)
         traj = run(flat_state(grid, 1.0, 1.0), 0.5, const_set(grid), params, cfg,
                    sample_times=[0.0, 0.5])
         assert traj.stats.accepted == 1 and traj.stats.rejected_error == 0
-        assert calls == {"lap": 2, "solve": solves, "step": 1}
+        assert calls == {"lap": 1, "solve": solves, "step": 1}
 
-    @pytest.mark.parametrize("theta, solves", [(0.5, 4), (1.0, 2)])
+    @pytest.mark.parametrize("theta, solves", [(0.5, 2), (1.0, 1)])
     def test_fixed_step_run_makes_no_companion(self, grid, monkeypatch, theta, solves):
         # the refinement march discards the estimate, so it pays only for the result
         calls = self.count_calls(monkeypatch)
         params = ModelParams(chi=0.1, tau=1.0, lam=1.0, mu=1.0)
         cfg = StepperConfig(theta_scheme=theta)
         fixed_step_run(flat_state(grid, 1.0, 1.0), 0.5, 3, const_set(grid), params, cfg)
-        assert calls == {"lap": 6, "solve": 3 * solves, "step": 3}
+        assert calls == {"lap": 3, "solve": 3 * solves, "step": 3}
 
     def test_history_is_last_accepted_step(self, grid, monkeypatch):
         # attempts before the first acceptance extrapolate by forward Euler
@@ -240,7 +242,7 @@ class TestRun:
             if last_dt is None:
                 assert history is None
             else:
-                assert history[2] == last_dt
+                assert history[1] == last_dt
             if following[0] > t:  # accepted: the next attempt starts later
                 last_dt = dt
 
@@ -267,6 +269,19 @@ class TestRun:
                          np.full(grid.counts, 0.0))
         with pytest.raises(ValueError):
             run(bad, 1.0, const_set(grid), params, StepperConfig())
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["u", "v"])
+    def test_non_finite_initial_rejected(self, grid, field, bad, batched):
+        # rejected up front, not by every attempt down to dt_min
+        shape = (2, *grid.counts) if batched else grid.counts
+        fields = {"u": np.full(shape, 0.5), "v": np.full(shape, 0.1)}
+        fields[field].reshape(-1, grid.node_count)[-1, 2] = bad
+        params = ModelParams(chi=0.1, tau=1.0, lam=1.0, mu=1.0)
+        with pytest.raises(ValueError, match="initial data must be finite and nonnegative"):
+            run(ModelState(0.0, fields["u"], fields["v"]), 1.0, const_set(grid), params,
+                StepperConfig())
 
     def test_backwards_time_rejected(self, grid):
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
@@ -478,11 +493,10 @@ class TestErrorEstimate:
         Returns the state after the first step, the result of the second and its estimate.
         """
         from chemostab.model import split_terms
-        from chemostab.stepper import _rhs
 
         dt_prev = dt if dt_prev is None else dt_prev
         mid, _ = step(state, dt_prev, coeffs, params, cfg)
-        history = (*_rhs(split_terms(state, coeffs, params)), dt_prev)
+        history = (sum(split_terms(state, coeffs, params)), dt_prev)
         return (mid, *step(mid, dt, coeffs, params, cfg, history=history))
 
     def estimate_after_one_step(self, state, dt, coeffs, params, cfg):
@@ -528,15 +542,15 @@ class TestErrorEstimate:
         coeffs, params, state = self.setup(0.3, (1.0, 1.0, 0.2))
         dt = 0.01
         out, err = step(state, dt, coeffs, params, StepperConfig(theta_scheme=theta))
-        lap_u, lin_v, eu, ev = split_terms(state, coeffs, params)
-        d = max(np.abs(state.u + dt * (lap_u + eu) - out.u).max() / (1.0 + np.abs(out.u).max()),
-                np.abs(state.v + dt * (lin_v + ev) - out.v).max() / (1.0 + np.abs(out.v).max()))
+        f_u, f_v = sum(split_terms(state, coeffs, params))
+        d = max(np.abs(state.u + dt * f_u - out.u).max() / (1.0 + np.abs(out.u).max()),
+                np.abs(state.v + dt * f_v - out.v).max() / (1.0 + np.abs(out.v).max()))
         assert err == pytest.approx(d, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_extrapolation_rejected(self, bad):
         coeffs, params, state = self.setup(0.3, (1.0, 1.0, 0.2))
-        history = (np.full(41, bad), np.zeros(41), 0.01)
+        history = (np.stack([np.full(41, bad), np.zeros(41)]), 0.01)
         with pytest.raises(StepRejected):
             step(state, 0.01, coeffs, params, StepperConfig(), history=history)
 
@@ -544,7 +558,6 @@ class TestErrorEstimate:
         # a batch carries its leading axis through the history; each member's
         # estimate is its own, and the batch reports the max
         from chemostab.model import split_terms
-        from chemostab.stepper import _rhs
 
         coeffs, params, state = self.setup(0.3, (1.0, 1.0, 0.2))
         other = ModelState(0.0, 2.0 * state.u, 0.5 * state.v)
@@ -553,9 +566,77 @@ class TestErrorEstimate:
         dt = 0.01
         alone = [self.estimate_after_one_step(s, dt, coeffs, params, cfg) for s in (state, other)]
         mid, _ = step(batch, dt, coeffs, params, cfg)
-        history = (*_rhs(split_terms(batch, coeffs, params)), dt)
+        history = (sum(split_terms(batch, coeffs, params)), dt)
         _, err = step(mid, dt, coeffs, params, cfg, history=history)
         assert err == pytest.approx(max(alone), rel=1e-10)
+
+
+class TestStackedStep:
+    """The stacked step rounds exactly as the field-by-field reference step."""
+
+    @staticmethod
+    def setup(case):
+        if case == "2d":
+            grid = Grid((1.0, 2.0), (9, 13))
+            x, y = grid.coords()
+            u = 1.0 + 0.3 * np.cos(np.pi * x) + 0.2 * np.cos(np.pi * y)
+        else:
+            grid = Grid((1.0,), (41,))
+            x = y = grid.axis_coords[0]
+            u = 1.0 + 0.3 * np.cos(np.pi * x)
+        v = 0.5 + 0.2 * np.cos(2 * np.pi * x) * np.cos(np.pi * y / 2)
+        if case == "1d-batched":
+            u, v = np.stack([u, 2.0 * u, 0.5 * u]), np.stack([v, 0.3 * v, v + 1.0])
+        params = ModelParams(chi=0.3, tau=0.8, lam=1.2, mu=0.9)
+        return const_set(grid, 1.0, 1.0, 0.2), params, ModelState(0.0, u, v)
+
+    @pytest.mark.parametrize("with_history", [False, True], ids=["first", "ab2"])
+    @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("case", ["1d", "1d-batched", "2d"])
+    def test_matches_field_by_field(self, case, theta, with_history):
+        from chemostab.model import split_terms
+
+        coeffs, params, state = self.setup(case)
+        cfg = StepperConfig(theta_scheme=theta)
+        history = ref_history = None
+        if with_history:  # f of an earlier state, so that w = 0.5 and f_prev != f_n
+            earlier = ModelState(0.0, 0.9 * state.u, 1.1 * state.v)
+            f_prev = sum(split_terms(earlier, coeffs, params))
+            history, ref_history = (f_prev, 0.02), (f_prev[0], f_prev[1], 0.02)
+        stats = RunStats()
+        out, err = step(state, 0.01, coeffs, params, cfg, stats=stats, history=history)
+        u, v, ref_err, *_ = field_by_field_step(state, 0.01, coeffs, params, cfg,
+                                                history=ref_history)
+        assert err > 0.0
+        assert err == ref_err
+        assert np.array_equal(out.u, u) and np.array_equal(out.v, v)
+        assert out.uv.shape == (2, *state.u.shape)
+        assert stats.clamped_nodes == 0
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    def test_clamp_matches_field_by_field(self, batched):
+        # a spike diffused over a short step leaves round-off negatives far
+        # away, inside the band, in u and (through mu*u) in v
+        grid = Grid((1.0,), (41,))
+        u = np.zeros((2, 41) if batched else 41)
+        u[..., 20] = 1.0
+        if batched:
+            u[1, 20], u[1, 5] = 0.0, 3.0
+        state = ModelState(0.0, u, np.zeros_like(u))
+        coeffs = const_set(grid, 0.0, 0.0, 0.0)
+        params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
+        cfg = StepperConfig(theta_scheme=1.0)
+        stats = RunStats()
+        out, err = step(state, 1e-4, coeffs, params, cfg, stats=stats)
+        u_ref, v_ref, err_ref, mass_u, mass_v, nodes = field_by_field_step(
+            state, 1e-4, coeffs, params, cfg)
+        assert np.array_equal(out.u, u_ref) and np.array_equal(out.v, v_ref)
+        assert err == err_ref
+        assert np.all(mass_u > 0.0) and np.all(mass_v > 0.0)
+        assert np.array_equal(stats.clamped_mass_u, mass_u)
+        assert np.array_equal(stats.clamped_mass_v, mass_v)
+        assert np.array_equal(stats.clamped_nodes, nodes)
+        assert out.uv.min() == 0.0
 
 
 class TestTemporalAccuracy:
