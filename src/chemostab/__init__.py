@@ -56,7 +56,7 @@ from .grid import (
     norms,
     w2inf_norm,
 )
-from .model import ModelParams, ModelState, mass_rate, reaction_values, rhs_u, rhs_v
+from .model import ModelParams, ModelState, mass_rate, reaction_values, split_terms
 from .stability import (
     ConvexBound,
     HypothesisVerdict,

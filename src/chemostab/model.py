@@ -15,8 +15,8 @@ exact by construction rather than approximate.
 Each term is defined once, as an array kernel, in the split the IMEX stepper
 marches: the implicit-linear part ``lap(u)`` and ``(lap(v) - lam*v)/tau``,
 and the explicit part ``-chi*div(u grad v) + reaction`` and ``mu*u/tau``.
-Each part is one array stacked like the state, row 0 for u and row 1 for v.
-``rhs_u`` and ``rhs_v`` are sums of those same terms.
+Each part is one array stacked like the state, row 0 for u and row 1 for v;
+their sum is the full right-hand side f.
 
 A state is a time and one read-only stack ``uv`` of shape ``(2, *shape)``,
 whose rows are u and v, on the coefficients' grid (``coeffs.grid``).  The
@@ -36,7 +36,7 @@ from .grid import Grid, chemotaxis_values, integrate_values, laplacian_values
 
 __all__ = [
     "ModelParams", "ModelState", "reaction_values", "implicit_part", "explicit_part",
-    "split_terms", "rhs_u", "rhs_v", "mass_rate",
+    "split_terms", "mass_rate",
 ]
 
 
@@ -142,26 +142,15 @@ def split_terms(
             explicit_part(grid, state.uv, state.t, coeffs, params))
 
 
-def rhs_u(state: ModelState, coeffs: CoefficientSet, params: ModelParams) -> np.ndarray:
-    """Full population right-hand side: diffusion + drift + reaction."""
-    imp, exp = split_terms(state, coeffs, params)
-    return imp[0] + exp[0]
-
-
-def rhs_v(grid: Grid, state: ModelState, params: ModelParams) -> np.ndarray:
-    """Chemical right-hand side (lap(v) - lam*v + mu*u) / tau."""
-    return implicit_part(grid, state.uv, params)[1] + params.mu * state.u / params.tau
-
-
 def mass_rate(
     state: ModelState, coeffs: CoefficientSet, params: ModelParams
 ) -> tuple[float, float]:
     """Reaction-only mass rates.
 
     Diffusion and drift integrate to zero under the no-flux boundary, so
-    the first entry equals the integral of rhs_u up to round-off; the second
-    is the tau-scaled chemical rate -lam*mass(v) + mu*mass(u), which equals
-    tau times the integral of rhs_v.
+    the first entry equals the integral of f's u row (f the two parts of
+    ``split_terms`` summed) up to round-off; the second is the tau-scaled
+    chemical rate -lam*mass(v) + mu*mass(u), tau times that of f's v row.
     """
     grid = coeffs.grid
     u = state.u

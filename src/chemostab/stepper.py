@@ -25,11 +25,12 @@ dt**3 y''' (1 + w) / (4 w), w = dt / dt_prev, while the trapezoidal local
 error is -dt**3 y''' / 12, so the scaled difference times w / (3 (1 + w))
 estimates the returned corrector's own error, O(dt**3).  At theta > 0.5 the
 O(dt**2) error of the result leads the difference, which is the estimate as
-it stands.  The test is per unit step (err <= tol * dt) in both cases, so
-halving the tolerance roughly halves the realized global error; only the
-forward Euler estimate, O(dt**2), of a first step at theta = 0.5 is tested
-per step (err <= tol).  A fixed round-off floor keeps a tolerance too small
-to resolve from stalling the controller.  An advective guard
+it stands.  The step-size policy is one pure function, :func:`control`:
+the test is per unit step (err <= tol * dt) in both cases, so halving the
+tolerance roughly halves the realized global error; only the forward Euler
+estimate, O(dt**2), of a first step at theta = 0.5 is tested per step
+(err <= tol).  A fixed round-off floor keeps a tolerance too small to
+resolve from stalling the controller.  An advective guard
 dt <= safety * h / max|chi grad v| caps the explicit drift; diffusion needs
 no guard because it is implicit.  Positivity is protected by rejection:
 values below -1e-12 * state scale reject the step, values inside that band
@@ -73,6 +74,7 @@ __all__ = [
     "RunStats",
     "Trajectory",
     "step",
+    "control",
     "run",
     "fixed_step_run",
     "advective_dt_limit",
@@ -366,6 +368,31 @@ def advective_dt_limit(
     return cfg.safety * limit
 
 
+def control(err: float | None, dt_try: float, first: bool, cfg: StepperConfig) -> tuple[bool, float]:
+    """The step-size policy: whether an attempt of ``dt_try`` passes, and the next dt to try.
+
+    ``err`` is :func:`step`'s estimate, or None for an attempt that raised
+    :class:`StepRejected`; ``first`` says that no accepted step precedes it.
+    The next dt is ``dt_try`` times ``safety * (tol / err) ** (1 / power)``
+    clamped to [0.2, 5] on acceptance and [0.1, 0.5] on rejection, or times
+    1/4 after ``StepRejected``, and at least ``dt_min``.
+    """
+    if err is None:
+        return False, max(0.25 * dt_try, cfg.dt_min)
+    second = cfg.design_order == 2
+    order = 3 if second and not first else 2  # err ~ dt**order
+    per_step = second and first
+    tol = cfg.error_tol if per_step else cfg.error_tol * dt_try
+    if tol < _ROUNDOFF_FLOOR:
+        tol, per_step = _ROUNDOFF_FLOOR, True  # a fixed floor makes any test per step
+    power = order if per_step else order - 1
+    # a Python bool: a numpy tol (the floor, or a sample time's dt_try) gives np.bool_
+    accepted = bool(err <= tol)
+    factor = cfg.safety * (tol / err if err > 0.0 else 1e6) ** (1.0 / power)
+    low, high = (0.2, 5.0) if accepted else (0.1, 0.5)
+    return accepted, max(dt_try * min(high, max(low, factor)), cfg.dt_min)
+
+
 def run(
     state0: ModelState,
     t_end: float,
@@ -433,7 +460,6 @@ def run(
         record(t0, state)
 
     dt = cfg.dt_init
-    second = cfg.design_order == 2
     terms = None  # t_n terms of `state`, shared by its attempts
     history = None  # (f, dt) of the last accepted step, for the extrapolation
     while state.t < t_end - tiny:
@@ -457,47 +483,31 @@ def run(
             new, err = step(state, dt_try, coeffs, params, cfg, stats=local, terms=terms,
                             history=history)
         except StepRejected:
-            stats.rejected_positivity += 1
-            dt = max(0.25 * dt_try, cfg.dt_min)
+            err = None  # the attempt left the admissible region; control shrinks dt
+        accepted, dt = control(err, dt_try, history is None, cfg)
+        if not accepted:
+            if err is None:
+                stats.rejected_positivity += 1
+            else:
+                stats.rejected_error += 1
             if dt_try <= cfg.dt_min * (1.0 + 1e-9):
-                raise StepSizeUnderflowError(
-                    f"positivity rejection at dt_min, t={state.t}", state
-                ) from None
+                cause = ("positivity rejection at dt_min" if err is None
+                         else f"error control stuck at dt_min (err={err})")
+                raise StepSizeUnderflowError(f"{cause}, t={state.t}", state)
             continue
 
-        # err ~ dt**order; the test is per unit step (err <= tol * dt), except
-        # per step on the forward Euler estimate of a first step at theta = 0.5
-        order = 3 if second and history is not None else 2
-        if second and history is None:
-            tol, power = cfg.error_tol, order
-        else:
-            tol, power = cfg.error_tol * dt_try, order - 1
-        if tol < _ROUNDOFF_FLOOR:
-            tol, power = _ROUNDOFF_FLOOR, order  # a fixed floor makes any test per step
-        if err <= tol:
-            stats.accepted += 1
-            stats.merge_clamps(local)
-            stats.min_dt = min(stats.min_dt, dt_try)
-            stats.max_dt = max(stats.max_dt, dt_try)
-            state = ModelState.from_stack(target, new.uv) if hit else new
-            history = (terms[0] + terms[1], dt_try)
-            terms = None
-            while next_idx < samples.size and samples[next_idx] <= state.t + tiny:
-                record(samples[next_idx], state)
-            ratio = tol / err if err > 0.0 else 1e6
-            dt = dt_try * min(5.0, max(0.2, cfg.safety * ratio ** (1.0 / power)))
-            if hit:
-                # clipping to a sample time should not shrink the controller
-                dt = max(dt, dt_candidate)
-        else:
-            stats.rejected_error += 1
-            if dt_try <= cfg.dt_min * (1.0 + 1e-9):
-                raise StepSizeUnderflowError(
-                    f"error control stuck at dt_min (err={err}), t={state.t}", state
-                )
-            ratio = tol / err
-            dt = dt_try * min(0.5, max(0.1, cfg.safety * ratio ** (1.0 / power)))
-        dt = max(dt, cfg.dt_min)
+        stats.accepted += 1
+        stats.merge_clamps(local)
+        stats.min_dt = min(stats.min_dt, dt_try)
+        stats.max_dt = max(stats.max_dt, dt_try)
+        state = ModelState.from_stack(target, new.uv) if hit else new
+        history = (terms[0] + terms[1], dt_try)
+        terms = None
+        while next_idx < samples.size and samples[next_idx] <= state.t + tiny:
+            record(samples[next_idx], state)
+        if hit:
+            # clipping to a sample time should not shrink the controller
+            dt = max(dt, dt_candidate)
 
     while next_idx < samples.size:  # t_end reached within tolerance; flush the rest
         record(samples[next_idx], state)

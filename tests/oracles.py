@@ -244,6 +244,35 @@ def field_by_field_step(state, dt, coeffs, params, cfg, history=None):
     return u_new, v_new, err, mass_u, mass_v, nodes_u + nodes_v
 
 
+def inline_control(err, dt_try, first: bool, cfg):
+    """Reference for ``stepper.control``: the decision as the march loop once made it inline.
+
+    One branch per verdict, each with its own ratio and clamp, and a separate
+    4x shrink for an attempt that raised ``StepRejected`` (``err is None``).
+    Returns ``(accepted, dt_next)``.
+    """
+    roundoff_floor = 100.0 * np.finfo(float).eps
+    if err is None:
+        return False, max(0.25 * dt_try, cfg.dt_min)
+    second = cfg.design_order == 2
+    order = 3 if second and not first else 2
+    if second and first:
+        tol, power = cfg.error_tol, order
+    else:
+        tol, power = cfg.error_tol * dt_try, order - 1
+    if tol < roundoff_floor:
+        tol, power = roundoff_floor, order
+    if err <= tol:
+        accepted = True
+        ratio = tol / err if err > 0.0 else 1e6
+        dt = dt_try * min(5.0, max(0.2, cfg.safety * ratio ** (1.0 / power)))
+    else:
+        accepted = False
+        ratio = tol / err
+        dt = dt_try * min(0.5, max(0.1, cfg.safety * ratio ** (1.0 / power)))
+    return accepted, max(dt, cfg.dt_min)
+
+
 def gronwall_loop(series, report, eps: float, t_entry: float):
     """Interval-by-interval reference for ``gronwall_check_series``.
 

@@ -159,7 +159,8 @@ def test_criterion_5_mass_identity():
                            rng.uniform(-1.0, 1.0))
         state = cs.ModelState(0.0, u, v)
         du, _ = cs.mass_rate(state, coeffs, params)
-        total = cs.integrate_values(grid, cs.rhs_u(state, coeffs, params))
+        imp, exp = cs.split_terms(state, coeffs, params)
+        total = cs.integrate_values(grid, (imp + exp)[0])
         lap = cs.laplacian_values(grid, u)
         chem = cs.chemotaxis_values(grid, u, v, params.chi)
         scale = (1.0 + cs.integrate_values(grid, np.abs(lap))

@@ -15,9 +15,8 @@ from chemostab import (
     chemotaxis_values,
     mass_rate,
     reaction_values,
-    rhs_u,
-    rhs_v,
     spatial_profile,
+    split_terms,
 )
 
 
@@ -27,6 +26,12 @@ def const_set(grid, a0=1.0, a1=1.0, a2=0.0):
         ConstantCoefficient(grid, 1, a1),
         ConstantCoefficient(grid, 2, a2),
     )
+
+
+def full_rhs(state, coeffs, params):
+    """f = implicit + explicit part, the right-hand side the stepper extrapolates."""
+    imp, exp = split_terms(state, coeffs, params)
+    return imp + exp
 
 
 @pytest.fixture
@@ -54,7 +59,7 @@ class TestRhsU:
     def test_extinction_is_equilibrium(self, grid):
         params = ModelParams(chi=1.0, tau=1.0, lam=1.0, mu=1.0)
         state = ModelState(0.0, np.full(grid.counts, 0.0), np.full(grid.counts, 2.0))
-        out = rhs_u(state, const_set(grid), params)
+        out = full_rhs(state, const_set(grid), params)[0]
         assert np.all(out == 0.0)
 
     def test_flat_reduction_to_ode(self, grid):
@@ -62,14 +67,14 @@ class TestRhsU:
         a0, a1, a2 = 1.3, 0.4, 0.2
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
         state = ModelState(0.0, np.full(grid.counts, c), np.full(grid.counts, 5.0))
-        out = rhs_u(state, const_set(grid, a0, a1, a2), params)
+        out = full_rhs(state, const_set(grid, a0, a1, a2), params)[0]
         expected = c * (a0 - a1 * c - a2 * grid.volume * c)
         assert np.allclose(out, expected, rtol=1e-14)
 
     def test_carrying_capacity(self, grid):
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
         state = ModelState(0.0, np.full(grid.counts, 1.0), np.full(grid.counts, 0.0))
-        out = rhs_u(state, const_set(grid, 1.0, 1.0, 0.0), params)
+        out = full_rhs(state, const_set(grid, 1.0, 1.0, 0.0), params)[0]
         assert np.allclose(out, 0.0, atol=1e-14)
 
     def test_reaction_vanishes_where_u_zero(self, grid):
@@ -91,7 +96,7 @@ class TestRhsU:
         cs = const_set(grid)
 
         def out(chi):
-            return rhs_u(state, cs, ModelParams(chi=chi, tau=1.0, lam=1.0, mu=1.0))
+            return full_rhs(state, cs, ModelParams(chi=chi, tau=1.0, lam=1.0, mu=1.0))[0]
 
         lhs = out(0.4) + out(1.1) - out(0.0)
         rhs = out(1.5)
@@ -105,12 +110,12 @@ class TestRhsV:
         state = ModelState(
             0.0, np.full(grid.counts, c), np.full(grid.counts, params.mu * c / params.lam)
         )
-        assert np.allclose(rhs_v(grid, state, params), 0.0, atol=1e-14)
+        assert np.allclose(full_rhs(state, const_set(grid), params)[1], 0.0, atol=1e-14)
 
     def test_production(self, grid):
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=2.0)
         state = ModelState(0.0, np.full(grid.counts, 1.0), np.full(grid.counts, 0.0))
-        out = rhs_v(grid, state, params)
+        out = full_rhs(state, const_set(grid), params)[1]
         assert np.allclose(out, 2.0, rtol=1e-14)
 
     def test_tau_scaling_exact(self, grid):
@@ -118,8 +123,9 @@ class TestRhsV:
         u = rng.uniform(0.0, 2.0, 21)
         v = rng.uniform(0.0, 2.0, 21)
         state = ModelState(0.0, u, v)
-        full = rhs_v(grid, state, ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0))
-        halved = rhs_v(grid, state, ModelParams(chi=0.0, tau=0.5, lam=1.0, mu=1.0))
+        cs = const_set(grid)
+        full = full_rhs(state, cs, ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0))[1]
+        halved = full_rhs(state, cs, ModelParams(chi=0.0, tau=0.5, lam=1.0, mu=1.0))[1]
         assert np.array_equal(halved, 2.0 * full)
 
 
@@ -140,8 +146,8 @@ class TestMassRate:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_divergence_theorem_identity(self, seed):
-        # transport terms integrate to zero, so integrate(rhs_u) matches the
-        # reaction-only rate, and tau*integrate(rhs_v) matches the chemical one
+        # transport terms integrate to zero, so the integral of f's u row matches
+        # the reaction-only rate, and tau times that of its v row the chemical one
         rng = np.random.default_rng(seed)
         grid = Grid((1.0, 1.5), (7, 9)) if seed % 2 else Grid((2.0,), (33,))
         shape = grid.counts
@@ -159,8 +165,9 @@ class TestMassRate:
         )
         state = ModelState(0.3, u, v)
         du, dv = mass_rate(state, cs, params)
-        total_u = integrate_values(grid, rhs_u(state, cs, params))
-        total_v = integrate_values(grid, rhs_v(grid, state, params))
+        f = full_rhs(state, cs, params)
+        total_u = integrate_values(grid, f[0])
+        total_v = integrate_values(grid, f[1])
         lap = laplacian_values(grid, u)
         chem = chemotaxis_values(grid, u, v, params.chi)
         scale = 1.0 + integrate_values(grid, np.abs(lap)) + integrate_values(

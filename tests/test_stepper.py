@@ -21,7 +21,8 @@ from chemostab import (
     w2inf_norm,
 )
 
-from oracles import field_by_field_step, logistic_exact, scalar_imex_step
+from chemostab.stepper import control
+from oracles import field_by_field_step, inline_control, logistic_exact, scalar_imex_step
 
 
 def const_set(grid, a0=1.0, a1=1.0, a2=0.0):
@@ -156,6 +157,71 @@ class TestStateContract:
             traj.final.u[0] = 1.0
         with pytest.raises(ValueError):
             traj.final.v[0] = 1.0
+
+
+class TestControl:
+    FLOOR = 100.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("error_tol", [1e-4, 1e-7, 1e-17])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_matches_inline_reference(self, theta, error_tol, first):
+        # error_tol=1e-17 lies below the round-off floor; errors are drawn on
+        # and around every tolerance the test can use, and a numpy dt_try is
+        # what landing on a sample time passes
+        cfg = StepperConfig(dt_min=1e-9, theta_scheme=theta, error_tol=error_tol)
+        rng = np.random.default_rng(7)
+        dts = [1e-9, 2e-9, 1e-3, 0.25, *rng.uniform(1e-6, 0.3, 6)]
+        for dt_try in dts + [np.float64(dt) for dt in dts]:
+            tols = (error_tol, error_tol * dt_try, self.FLOOR)
+            errs = [0.0, None, *rng.uniform(0.0, 1.0, 3) * 10.0 ** rng.integers(-18, 0, 3)]
+            for tol in tols:
+                errs += [tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0),
+                         tol * 1e-6, tol * 0.9, tol * 1.1, tol * 1e6]
+            for err in errs:
+                accepted, dt_next = control(err, dt_try, first, cfg)
+                assert type(accepted) is bool
+                assert (accepted, dt_next) == inline_control(err, dt_try, first, cfg), (err, dt_try)
+
+    def test_first_step_at_half_theta_is_per_step(self):
+        # the forward Euler estimate of a first step at theta=0.5 is tested
+        # against error_tol itself, every later estimate against error_tol*dt
+        cfg = StepperConfig(error_tol=1e-4, theta_scheme=0.5)
+        assert control(5e-5, 0.01, True, cfg)[0] is True
+        assert control(5e-5, 0.01, False, cfg)[0] is False
+        cfg = StepperConfig(error_tol=1e-4, theta_scheme=1.0)
+        assert control(5e-5, 0.01, True, cfg)[0] is False
+
+    def test_floor_makes_the_test_per_step(self):
+        # error_tol*dt below the floor: err is tested against the floor itself,
+        # and the next dt takes the root of the estimate's full order
+        cfg = StepperConfig(error_tol=1e-16, theta_scheme=1.0)
+        dt_try = 1e-3
+        assert control(self.FLOOR, dt_try, False, cfg) == (True, dt_try * cfg.safety)
+        assert control(self.FLOOR / 4.0, dt_try, False, cfg) == (
+            True, dt_try * cfg.safety * 2.0)
+        assert control(2.0 * self.FLOOR, dt_try, False, cfg)[0] is False
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_zero_error_grows_dt_five_fold(self, first):
+        assert control(0.0, 0.01, first, StepperConfig()) == (True, 0.01 * 5.0)
+
+    def test_rejection_shrinks_between_tenth_and_half(self):
+        cfg = StepperConfig(error_tol=1e-6, theta_scheme=1.0, dt_min=1e-12)
+        dt_try = 0.01
+        tol = cfg.error_tol * dt_try
+        assert control(tol * 1.01, dt_try, False, cfg) == (False, dt_try * 0.5)
+        assert control(tol * 1e6, dt_try, False, cfg) == (False, dt_try * 0.1)
+        for err in tol * np.geomspace(1.001, 1e3, 25):
+            accepted, dt_next = control(err, dt_try, False, cfg)
+            assert not accepted
+            assert 0.1 * dt_try <= dt_next <= 0.5 * dt_try
+
+    def test_step_rejected_shrinks_four_fold_to_dt_min(self):
+        cfg = StepperConfig(dt_min=1e-6)
+        assert control(None, 0.01, False, cfg) == (False, 0.25 * 0.01)
+        assert control(None, 2e-6, True, cfg) == (False, 1e-6)
+        assert control(1.0, 2e-6, False, cfg) == (False, 1e-6)
 
 
 class TestRun:
@@ -295,6 +361,35 @@ class TestRun:
         with pytest.raises(StepSizeUnderflowError) as info:
             run(flat_state(grid, 0.1, 0.0), 5.0, const_set(grid), params, cfg)
         assert info.value.state is not None
+
+    def test_positivity_rejections_shrink_to_underflow(self, grid, monkeypatch):
+        # every attempt leaves the admissible region: each is counted, dt
+        # shrinks 4x per attempt down to dt_min, and the attempt at dt_min ends the run
+        import chemostab.stepper as stepper_mod
+
+        attempts, created = [], []
+
+        def rejecting(state, dt, *args, **kwargs):
+            attempts.append(dt)
+            raise StepRejected("u fell below the band", -1.0)
+
+        def recording_stats(*args, **kwargs):
+            created.append(RunStats(*args, **kwargs))
+            return created[-1]
+
+        monkeypatch.setattr(stepper_mod, "step", rejecting)
+        monkeypatch.setattr(stepper_mod, "RunStats", recording_stats)
+        params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
+        cfg = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=1.0)
+        with pytest.raises(StepSizeUnderflowError, match="positivity rejection at dt_min"):
+            run(flat_state(grid, 0.5, 0.0), 1.0, const_set(grid), params, cfg,
+                sample_times=[0.0, 1.0])
+        assert attempts[-1] == cfg.dt_min
+        assert attempts[:-1] == [1e-3 * 0.25 ** k for k in range(len(attempts) - 1)]
+        assert 0.25 * attempts[-2] < cfg.dt_min
+        stats = created[0]  # the run's own counters; the others are per attempt
+        assert stats.rejected_positivity == len(attempts) == 11
+        assert stats.rejected_error == 0 and stats.accepted == 0
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_tiny_error_tol_is_floored_at_round_off(self, theta):
