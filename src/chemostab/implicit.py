@@ -69,6 +69,17 @@ def _dct1_matrix(n: int) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=1)  # the stages of one step share their shifts
+def _divisor(grid: Grid, a: tuple, b: tuple, ndim: int) -> np.ndarray:
+    """The symbol of a*I - b*Lap scaled by the round trip, one shift per leading index."""
+    scale = math.prod(2 * (n - 1) for n in grid.counts)
+    shape = (-1,) + (1,) * (ndim - 1)
+    a, b = np.reshape(a, shape), np.reshape(b, shape)
+    out = scale * a + (scale * b) * _neg_symbol(grid)
+    out.flags.writeable = False
+    return out
+
+
 def solve_shifted(grid: Grid, a, b, rhs: np.ndarray) -> np.ndarray:
     """Solve (a*I - b*Lap) x = rhs for a > 0, b >= 0: scalars, or one per leading field."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -82,8 +93,6 @@ def solve_shifted(grid: Grid, a, b, rhs: np.ndarray) -> np.ndarray:
         return x @ mats[0].T if grid.dim == 1 else mats[0] @ x @ mats[1].T
 
     spec = dct1(rhs[:, None] if vectors else rhs)
-    scale = math.prod(2 * (n - 1) for n in grid.counts)
-    shape = (-1,) + (1,) * (spec.ndim - 1)  # one shift per leading index
-    spec /= scale * a.reshape(shape) + (scale * b.reshape(shape)) * _neg_symbol(grid)
+    spec /= _divisor(grid, tuple(a.flat), tuple(b.flat), spec.ndim)
     x = dct1(spec)
     return x[:, 0] if vectors else x

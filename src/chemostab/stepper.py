@@ -265,6 +265,14 @@ def _clamp_negatives(
     return out, clamped_mass.reshape(fields), mask.sum(axis=1).reshape(fields)
 
 
+def _terms(
+    state: ModelState, coeffs: CoefficientSet, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The t_n terms of ``state``: the implicit and explicit parts and their sum f."""
+    imp, exp = split_terms(state, coeffs, params)
+    return imp, exp, imp + exp
+
+
 def step(
     state: ModelState,
     dt: float,
@@ -272,7 +280,7 @@ def step(
     params: ModelParams,
     cfg: StepperConfig,
     stats: RunStats | None = None,
-    terms: tuple[np.ndarray, np.ndarray] | None = None,
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     history: tuple[np.ndarray, float] | None = None,
 ) -> tuple[ModelState, float]:
     """Advance one IMEX step of size dt; return the new state and its error estimate.
@@ -295,8 +303,9 @@ def step(
     difference into the trapezoidal local error; otherwise ``c = 1`` and the
     O(dt**2) difference is led by the error of the first-order result.
 
-    ``terms`` are the t_n terms ``model.split_terms(state, coeffs, params)``,
-    shared by every step from one state; they are computed here when not given.
+    ``terms`` are the t_n terms ``(implicit, explicit, f)``, the two parts of
+    ``model.split_terms(state, coeffs, params)`` and their sum, shared by
+    every step from one state; they are computed here when not given.
 
     Raises :class:`StepRejected` when the result leaves the admissible
     region (negative beyond the clamp band, or non-finite) or the estimate
@@ -309,9 +318,7 @@ def step(
     theta = cfg.theta_scheme
     t, y = state.t, state.uv
 
-    if terms is None:
-        terms = split_terms(state, coeffs, params)
-    imp, exp_n = terms
+    imp, exp_n, f = _terms(state, coeffs, params) if terms is None else terms
     # per field: u solves (I - theta dt Lap), v (1 + theta dt lam/tau) I - (theta dt/tau) Lap
     a = np.array([1.0, 1.0 + theta * dt * params.lam / params.tau])
     b = np.array([theta * dt, theta * dt / params.tau])
@@ -328,7 +335,6 @@ def step(
         exp_s = explicit_part(grid, np.maximum(y_new, 0.0), t + dt, coeffs, params)
         y_new = solve((1.0 - theta) * exp_n + theta * exp_s)
 
-    f = imp + exp_n
     if history is None:  # w = 0 makes p forward Euler
         f_prev, w, c = f, 0.0, 1.0
     else:
@@ -478,7 +484,7 @@ def run(
 
         local = RunStats()
         if terms is None:
-            terms = split_terms(state, coeffs, params)
+            terms = _terms(state, coeffs, params)
         try:
             new, err = step(state, dt_try, coeffs, params, cfg, stats=local, terms=terms,
                             history=history)
@@ -501,7 +507,7 @@ def run(
         stats.min_dt = min(stats.min_dt, dt_try)
         stats.max_dt = max(stats.max_dt, dt_try)
         state = ModelState.from_stack(target, new.uv) if hit else new
-        history = (terms[0] + terms[1], dt_try)
+        history = (terms[2], dt_try)
         terms = None
         while next_idx < samples.size and samples[next_idx] <= state.t + tiny:
             record(samples[next_idx], state)
