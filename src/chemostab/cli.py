@@ -79,23 +79,31 @@ def _write_text(path: Path, meta: list[str], chunks) -> None:
 
 
 def _column_lines(columns):
-    """CSV lines of equal-length numeric arrays, one per column.
+    """CSV lines of equal-length arrays, one per column.
 
-    Each column is formatted 256 values at a time, to the same text ``_cell``
-    gives each value; the blocks bound the Python floats alive at once.
+    A numeric column is formatted 256 values at a time, to the same text
+    ``_cell`` gives each value; the blocks bound the Python floats alive at
+    once.  An object column holds its text already (see ``_coord_texts``).
     """
     flat = [np.ravel(c) for c in columns]
     fmt = ",".join(["%s"] * len(flat)) + "\n"
     for start in range(0, flat[0].size, 256):
-        cells = (map(repr, c[start:start + 256].tolist()) for c in flat)
+        blocks = (c[start:start + 256].tolist() for c in flat)
+        cells = (b if c.dtype == object else map(repr, b) for c, b in zip(flat, blocks))
         yield from (fmt % row for row in zip(*cells))
+
+
+def _coord_texts(grid) -> tuple[np.ndarray, ...]:
+    """``grid.coords()`` as text, each distinct axis coordinate formatted once."""
+    axes = [np.array(list(map(repr, a.tolist())), dtype=object) for a in grid.axis_coords]
+    return np.meshgrid(*axes, indexing="ij")
 
 
 def _write_csv(path: Path, meta: list[str], header: str, rows=(), columns=None) -> None:
     """Write the metadata, the header and the body, from ``rows`` or ``columns``.
 
     ``rows`` are tuples of cells formatted by ``_cell``; ``columns`` are
-    equal-length numeric arrays, one per CSV column (see ``_column_lines``).
+    equal-length arrays, one per CSV column (see ``_column_lines``).
     """
     if columns is None:
         lines = (",".join(_cell(v) for v in row) + "\n" for row in rows)
@@ -125,7 +133,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
     # one row per node in C order: its coordinates, then u and v
     header = "x,u,v" if grid.dim == 1 else "x,y,u,v"
     _write_csv(_out_path(cfg, out_dir, "final"), meta, header,
-               columns=(*grid.coords(), traj.final.u, traj.final.v))
+               columns=(*_coord_texts(grid), traj.final.u, traj.final.v))
     clamped = float(traj.stats.clamped_mass_u + traj.stats.clamped_mass_v)
     print(f"simulate complete t={traj.final.t!r} mass_u={float(traj.mass_u[-1])!r} "
           f"accepted={traj.stats.accepted} rejected={traj.stats.rejected_error} "

@@ -304,6 +304,27 @@ class TestSimulate:
         assert text == (tmp_path / "cells.csv").read_bytes()
         assert b",0.0," in text and b",1e+16," in text and b",1.5e-07," in text
 
+    @pytest.mark.parametrize("axes", [
+        ((1.0,), (37,)),
+        ((1.0, 2.0), (17, 19)),
+    ])
+    def test_coordinate_texts_match_numeric_columns(self, tmp_path, axes):
+        # each distinct coordinate is formatted once, to the text of every node's value
+        from types import SimpleNamespace
+
+        from chemostab.cli import _coord_texts, _write_csv
+        from chemostab.grid import Grid
+
+        grid = Grid(*axes)
+        u = np.cos(3.0 * grid.coords()[0])
+        for g in (grid, SimpleNamespace(axis_coords=tuple(-a[::-1] for a in grid.axis_coords))):
+            x = np.meshgrid(*g.axis_coords, indexing="ij")  # -0.0 leads the second grid
+            _write_csv(tmp_path / "numeric.csv", [], "x,u", columns=(*x, u))
+            _write_csv(tmp_path / "text.csv", [], "x,u", columns=(*_coord_texts(g), u))
+            text = (tmp_path / "text.csv").read_bytes()
+            assert text == (tmp_path / "numeric.csv").read_bytes()
+        assert b"\n-0.0," in text
+
     def test_zero_length_run_single_row(self, tmp_path):
         cfg_path = write_config(tmp_path, text=BASE.replace("t_end: 40.0", "t_end: 0.0"))
         assert main(["simulate", "--config", str(cfg_path)]) == 0
