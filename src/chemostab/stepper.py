@@ -25,17 +25,31 @@ dt**3 y''' (1 + w) / (4 w), w = dt / dt_prev, while the trapezoidal local
 error is -dt**3 y''' / 12, so the scaled difference times w / (3 (1 + w))
 estimates the returned corrector's own error, O(dt**3).  At theta > 0.5 the
 O(dt**2) error of the result leads the difference, which is the estimate as
-it stands.  The step-size policy is one pure function, :func:`control`:
-the test is per unit step (err <= tol * dt) in both cases, so halving the
-tolerance roughly halves the realized global error; only the forward Euler
-estimate, O(dt**2), of a first step at theta = 0.5 is tested per step
-(err <= tol).  A fixed round-off floor keeps a tolerance too small to
-resolve from stalling the controller.  An advective guard
-dt <= safety * h / max|chi grad v| caps the explicit drift; diffusion needs
-no guard because it is implicit.  Positivity is protected by rejection:
-values below -1e-12 * state scale reject the step, values inside that band
-are clamped to the floor and the clamped mass is charged against a per-run
-budget.
+it stands.
+
+The step-size policy is one pure function, :func:`control`.  Its test is
+per unit step, err <= tol * dt, so halving the tolerance roughly halves the
+realized global error; only the forward Euler estimate, O(dt**2), of a
+first step at theta = 0.5 is tested per step (err <= tol).  The test is
+credited for contraction.  A local error le that lands in a component
+decaying at rate rho adds about le / (rho * dt) to the global error instead
+of piling up, and this system forgets its initial data: every positive
+solution is drawn to the one entire solution.  So :func:`run` measures rho,
+the decay rate of the error constant kappa = err / dt**order between
+accepted steps, and the test becomes err <= tol * dt * max(1, 0.3 * rho),
+never looser than per step (err <= tol).  The credit does not depend on
+tol, so the global error stays proportional to it; the extra error is about
+0.3 * tol per e-fold of kappa (Shampine, "Tolerance proportionality in ODE
+codes", LNM 1386, 1989; Hairer, Norsett and Wanner I, section II.4).  A
+fixed round-off floor keeps a tolerance too small to resolve from stalling
+the controller; a floored test gets no credit, and an estimate at the floor
+resets rho to 0.
+
+An advective guard dt <= safety * h / max|chi grad v| caps the explicit
+drift; diffusion needs no guard because it is implicit.  Positivity is
+protected by rejection: values below -1e-12 * state scale reject the step,
+values inside that band are clamped to the floor and the clamped mass is
+charged against a per-run budget.
 
 A state may carry a leading batch axis, ``(K, *grid.counts)``: K members
 (seeds of one experiment) that share coefficients, grid and time span are
@@ -85,6 +99,10 @@ _CLAMP_BUDGET = 1.0e-8     # clamped mass allowed per run, relative to max mass
 # error estimates below this are round-off: the extrapolation and the result
 # of one step differ by a few ulp of the state even as dt -> 0
 _ROUNDOFF_FLOOR = 100.0 * np.finfo(float).eps
+# weight of the contraction credit: a step whose error constant decays at rate
+# rho is tested against error_tol * dt * max(1, _CREDIT * rho); 0.5 breaks the
+# halving of the diffusion error at theta = 0.75
+_CREDIT = 0.3
 
 
 @dataclass(frozen=True)
@@ -94,8 +112,10 @@ class StepperConfig:
     ``error_tol`` bounds the error estimate of one step (see :func:`step`)
     relative to the state's size, per unit of model time: the trapezoidal
     local error at ``theta_scheme = 0.5`` (second order), the result's own
-    first-order error at ``theta_scheme > 0.5``.  Either way the realized
-    global error scales with it.
+    first-order error at ``theta_scheme > 0.5``.  While the estimate's error
+    constant decays at a rate rho > 1 / 0.3, the bound per unit time is
+    raised by the factor 0.3 * rho, up to ``error_tol`` per step (see
+    :func:`control`).  Either way the realized global error scales with it.
     """
 
     dt_init: float = 1.0e-3
@@ -142,6 +162,7 @@ class RunStats:
     accepted: int = 0
     rejected_error: int = 0
     rejected_positivity: int = 0
+    credited: int = 0  # accepted steps that passed only with the contraction credit
     clamped_mass_u: float | np.ndarray = 0.0
     clamped_mass_v: float | np.ndarray = 0.0
     clamped_nodes: int | np.ndarray = 0
@@ -374,23 +395,39 @@ def advective_dt_limit(
     return cfg.safety * limit
 
 
-def control(err: float | None, dt_try: float, first: bool, cfg: StepperConfig) -> tuple[bool, float]:
+def _estimate_order(first: bool, cfg: StepperConfig) -> int:
+    """The power of dt that :func:`step`'s estimate scales with."""
+    return 3 if cfg.design_order == 2 and not first else 2
+
+
+def control(
+    err: float | None, dt_try: float, first: bool, cfg: StepperConfig, rho: float = 0.0
+) -> tuple[bool, float]:
     """The step-size policy: whether an attempt of ``dt_try`` passes, and the next dt to try.
 
     ``err`` is :func:`step`'s estimate, or None for an attempt that raised
     :class:`StepRejected`; ``first`` says that no accepted step precedes it.
+    ``rho >= 0`` is the rate at which the estimate's error constant has been
+    decaying (measured by :func:`run`).  The test is per unit step,
+    ``err <= error_tol * dt * max(1, _CREDIT * rho)``, but never looser than
+    per step (``err <= error_tol``); a first step at theta = 0.5 and a
+    tolerance below the round-off floor are tested per step, without credit.
     The next dt is ``dt_try`` times ``safety * (tol / err) ** (1 / power)``
     clamped to [0.2, 5] on acceptance and [0.1, 0.5] on rejection, or times
     1/4 after ``StepRejected``, and at least ``dt_min``.
     """
     if err is None:
         return False, max(0.25 * dt_try, cfg.dt_min)
-    second = cfg.design_order == 2
-    order = 3 if second and not first else 2  # err ~ dt**order
-    per_step = second and first
+    order = _estimate_order(first, cfg)  # err ~ dt**order
+    per_step = cfg.design_order == 2 and first
     tol = cfg.error_tol if per_step else cfg.error_tol * dt_try
     if tol < _ROUNDOFF_FLOOR:
         tol, per_step = _ROUNDOFF_FLOOR, True  # a fixed floor makes any test per step
+    elif not per_step and _CREDIT * rho > 1.0 and tol < cfg.error_tol:
+        # a contracting error adds up to about tol / rho, not tol per unit time
+        tol *= _CREDIT * rho
+        if tol >= cfg.error_tol:
+            tol, per_step = cfg.error_tol, True
     power = order if per_step else order - 1
     # a Python bool: a numpy tol (the floor, or a sample time's dt_try) gives np.bool_
     accepted = bool(err <= tol)
@@ -414,6 +451,14 @@ def run(
     spacing); an explicit ``sample_times`` sequence overrides both and is
     honored exactly, which is what aligned multi-run comparisons rely on.
     A zero-length run returns the single initial sample.
+
+    After each accepted step that had a history and whose estimate is above
+    the round-off floor, the decay rate of kappa = err / dt**order since the
+    previous such step is measured over the gap between the two steps'
+    midpoints and clipped at 0; :func:`control` gets the smaller of the last
+    two rates as ``rho``.  An estimate at the floor resets it to 0.
+    ``stats.credited`` counts the accepted steps that passed only with that
+    credit.
 
     A ``state0`` of shape ``(K, *grid.counts)`` marches K members under one
     controller: each attempt is accepted when the max over members of their
@@ -468,6 +513,9 @@ def run(
     dt = cfg.dt_init
     terms = None  # t_n terms of `state`, shared by its attempts
     history = None  # (f, dt) of the last accepted step, for the extrapolation
+    rho = 0.0  # contraction rate of the error constant, control's credit
+    rate = 0.0  # the last measured rate; rho is the smaller of the last two
+    kappa = None  # (err / dt**order, dt) of the last accepted step measured
     while state.t < t_end - tiny:
         dt = min(dt, cfg.dt_max)
         guard = advective_dt_limit(grid, state, params, cfg)
@@ -490,7 +538,7 @@ def run(
                             history=history)
         except StepRejected:
             err = None  # the attempt left the admissible region; control shrinks dt
-        accepted, dt = control(err, dt_try, history is None, cfg)
+        accepted, dt = control(err, dt_try, history is None, cfg, rho)
         if not accepted:
             if err is None:
                 stats.rejected_positivity += 1
@@ -503,6 +551,17 @@ def run(
             continue
 
         stats.accepted += 1
+        if rho > 0.0 and not control(err, dt_try, history is None, cfg)[0]:
+            stats.credited += 1
+        if history is not None:  # a first step's estimate has another constant
+            if err > _ROUNDOFF_FLOOR:
+                k = err / dt_try ** _estimate_order(False, cfg)
+                if kappa is not None:
+                    latest = max(0.0, math.log(kappa[0] / k) / (0.5 * (kappa[1] + dt_try)))
+                    rho, rate = min(rate, latest), latest
+                kappa = (k, dt_try)
+            else:  # round-off: the estimate says nothing of its decay
+                rho, rate, kappa = 0.0, 0.0, None
         stats.merge_clamps(local)
         stats.min_dt = min(stats.min_dt, dt_try)
         stats.max_dt = max(stats.max_dt, dt_try)

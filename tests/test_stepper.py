@@ -182,6 +182,8 @@ class TestControl:
                 accepted, dt_next = control(err, dt_try, first, cfg)
                 assert type(accepted) is bool
                 assert (accepted, dt_next) == inline_control(err, dt_try, first, cfg), (err, dt_try)
+                # no contraction, no credit: the same decision bit for bit
+                assert control(err, dt_try, first, cfg, 0.0) == (accepted, dt_next)
 
     def test_first_step_at_half_theta_is_per_step(self):
         # the forward Euler estimate of a first step at theta=0.5 is tested
@@ -201,6 +203,46 @@ class TestControl:
         assert control(self.FLOOR / 4.0, dt_try, False, cfg) == (
             True, dt_try * cfg.safety * 2.0)
         assert control(2.0 * self.FLOOR, dt_try, False, cfg)[0] is False
+
+    @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("error_tol", [1e-2, 1e-4, 1e-7])
+    def test_credit_never_looser_than_per_step(self, theta, error_tol):
+        # the credit widens the per-unit-step test up to err <= error_tol and
+        # no further; it only ever turns a rejection into an acceptance
+        cfg = StepperConfig(dt_min=1e-9, theta_scheme=theta, error_tol=error_tol)
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            dt_try = float(10.0 ** rng.uniform(-6, np.log10(cfg.dt_max)))
+            rho = float(10.0 ** rng.uniform(-1, 5))
+            err = float(error_tol * 10.0 ** rng.uniform(-7, 1))
+            plain = control(err, dt_try, False, cfg)
+            credited = control(err, dt_try, False, cfg, rho)
+            assert credited[0] <= (err <= max(error_tol, error_tol * dt_try))
+            assert plain[0] <= credited[0]
+            if not plain[0] and credited[0]:
+                assert err <= error_tol * dt_try * 0.3 * rho
+
+    def test_credit_scales_the_unit_step_test(self):
+        cfg = StepperConfig(error_tol=1e-4, theta_scheme=0.5)
+        dt_try, tol = 0.01, 1e-6  # tol = error_tol * dt_try
+        assert control(2.5 * tol, dt_try, False, cfg)[0] is False
+        assert control(2.5 * tol, dt_try, False, cfg, 10.0)[0] is True  # 0.3 * 10 = 3
+        assert control(3.5 * tol, dt_try, False, cfg, 10.0)[0] is False
+        # no credit below a rate of 1 / 0.3, nor on the per-step first test at theta = 0.5
+        assert control(tol * 1.01, dt_try, False, cfg, 3.0) == control(tol * 1.01, dt_try, False, cfg)
+        assert control(2.0 * tol, dt_try, True, cfg, 1e6) == control(2.0 * tol, dt_try, True, cfg)
+        # capped at the per-step test, whose next dt takes the estimate's full order
+        assert control(cfg.error_tol, dt_try, False, cfg, 1e6) == (True, dt_try * cfg.safety)
+        assert control(1.01 * cfg.error_tol, dt_try, False, cfg, 1e6)[0] is False
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_floor_turns_the_credit_off(self, theta):
+        # error_tol * dt below round-off: the floor's per-step test, whatever rho
+        cfg = StepperConfig(error_tol=1e-16, theta_scheme=theta)
+        for dt_try in (1e-3, 0.05, 0.2):
+            for err in (0.5 * self.FLOOR, self.FLOOR, 2.0 * self.FLOOR, 1e-12):
+                for rho in (10.0, 1e3, 1e9):
+                    assert control(err, dt_try, False, cfg, rho) == control(err, dt_try, False, cfg)
 
     @pytest.mark.parametrize("first", [True, False])
     def test_zero_error_grows_dt_five_fold(self, first):
@@ -311,6 +353,58 @@ class TestRun:
                 assert history[1] == last_dt
             if following[0] > t:  # accepted: the next attempt starts later
                 last_dt = dt
+
+    def test_contraction_rate_bookkeeping(self, grid, monkeypatch):
+        # run measures rho from kappa = err / dt**3 between accepted steps that
+        # have a history, over the gap between their midpoints, hands control
+        # the smaller of the last two rates, and forgets all of it when an
+        # estimate sits at the round-off floor
+        import chemostab.stepper as stepper_mod
+
+        floor = TestControl.FLOOR
+        n = [0]
+
+        def scripted(state, dt, *args, **kwargs):
+            # kappa decays at rate 20, but one attempt fails and two sit at the floor
+            n[0] += 1
+            kappa = 10.0 * math.exp(-20.0 * state.t)
+            err = {6: 1.0, 12: 0.5 * floor, 25: 0.0}.get(n[0], kappa * dt**3)
+            return ModelState.from_stack(state.t + dt, state.uv), err
+
+        seen = []
+
+        def spy(err, dt_try, first, cfg, *rho):
+            out = control(err, dt_try, first, cfg, *rho)
+            if rho:  # the decision; run asks again without rho to count credited steps
+                seen.append((err, dt_try, first, rho[0], out[0]))
+            return out
+
+        monkeypatch.setattr(stepper_mod, "step", scripted)
+        monkeypatch.setattr(stepper_mod, "control", spy)
+        params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
+        cfg = StepperConfig(error_tol=1e-4, dt_max=0.01)
+        traj = run(flat_state(grid, 1.0, 1.0), 0.3, const_set(grid), params, cfg,
+                   sample_times=[0.0, 0.3])
+        assert len(seen) == n[0] > 30
+
+        rho, rate, kappa = 0.0, 0.0, None
+        resets = credited = 0
+        for err, dt, first, rho_seen, accepted in seen:
+            assert rho_seen == rho
+            if not accepted or first:
+                continue
+            credited += rho > 0.0 and not control(err, dt, first, cfg)[0]
+            if err <= floor:
+                rho, rate, kappa = 0.0, 0.0, None
+                resets += 1
+                continue
+            k = err / dt**3
+            if kappa is not None:
+                latest = max(0.0, math.log(kappa[0] / k) / (0.5 * (kappa[1] + dt)))
+                rho, rate = min(rate, latest), latest
+            kappa = (k, dt)
+        assert resets >= 2 and any(r > 0.0 for _, _, _, r, _ in seen)
+        assert traj.stats.credited == credited > 0
 
     def test_determinism_bit_identical(self, grid):
         params = ModelParams(chi=0.2, tau=1.0, lam=1.0, mu=1.0)
@@ -800,5 +894,34 @@ class TestTemporalAccuracy:
             out = run(state0, t_end, cs, params, cfg, sample_times=[0.0, t_end]).final
             errs.append(max(np.abs(out.u - ref.u).max(), np.abs(out.v - ref.v).max()))
         assert errs[0] <= tols[0]
+        for k in range(2):
+            assert 1.3 <= errs[k] / errs[k + 1] <= 3.2
+
+    def test_contracting_layer_is_not_over_resolved(self):
+        # every mode of the initial data decays (rates 1 + pi**2 k**2 for u
+        # near 1, and 1 for v), so a local error is damped instead of adding
+        # up; with the contraction credit the steps of the layer grow with
+        # its decay, and the global error stays below and proportional to tol
+        grid = Grid((1.0,), (33,))
+        x = grid.axis_coords[0]
+        params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
+        cs = const_set(grid)
+        state0 = ModelState(0.0, 1.0 + 0.05 * np.cos(2 * np.pi * x) + 0.05 * np.cos(3 * np.pi * x),
+                            np.zeros(33))
+        t_end = 0.5
+        ref = fixed_step_run(state0, t_end, 4000, cs, params, StepperConfig())
+        tols = (4e-5, 2e-5, 1e-5)
+        errs = []
+        for tol in tols:
+            traj = run(state0, t_end, cs, params, StepperConfig(error_tol=tol),
+                       sample_times=[0.0, t_end])
+            stats = traj.stats
+            # 233, 327 and 460 attempts under the per-unit-step test alone
+            assert stats.accepted + stats.rejected_error <= 150
+            assert 0 < stats.credited <= stats.accepted
+            out = traj.final
+            errs.append(max(np.abs(out.u - ref.u).max(), np.abs(out.v - ref.v).max()))
+        for tol, err in zip(tols, errs):
+            assert err <= tol
         for k in range(2):
             assert 1.3 <= errs[k] / errs[k + 1] <= 3.2
