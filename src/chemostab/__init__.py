@@ -71,7 +71,6 @@ from .stability import (
     compute_M2_convex,
     decay_integrand,
     estimate_theta,
-    report_to_csv,
 )
 from .stepper import RunStats, StepperConfig, Trajectory, fixed_step_run, run, step
 

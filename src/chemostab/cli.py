@@ -44,11 +44,12 @@ from .experiments import (
 from .grid import Grid, laplacian_values
 from .model import ModelParams, ModelState
 from .stability import (
+    HypothesisVerdict,
     KnownConstants,
+    StabilityReport,
     check_H2,
     compute_M2_convex,
     estimate_theta,
-    report_to_csv,
 )
 from .stepper import fixed_step_run, run
 
@@ -68,14 +69,6 @@ def _cell(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
-
-
-def _write_text(path: Path, meta: list[str], chunks) -> None:
-    """Write the '#' metadata lines, then the body's text chunks."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.writelines(line + "\n" for line in meta)
-        fh.writelines(chunks)
 
 
 def _column_lines(columns):
@@ -99,17 +92,54 @@ def _coord_texts(grid) -> tuple[np.ndarray, ...]:
     return np.meshgrid(*axes, indexing="ij")
 
 
-def _write_csv(path: Path, meta: list[str], header: str, rows=(), columns=None) -> None:
+def _write_csv(path: Path, meta: list[str], header: str, rows=(), columns=None) -> list[str]:
     """Write the metadata, the header and the body, from ``rows`` or ``columns``.
 
-    ``rows`` are tuples of cells formatted by ``_cell``; ``columns`` are
-    equal-length arrays, one per CSV column (see ``_column_lines``).
+    Every output file is written here.  ``rows`` are tuples of cells
+    formatted by ``_cell``; ``columns`` are equal-length arrays, one per CSV
+    column (see ``_column_lines``).  Returns the body lines made from
+    ``rows``; columns are streamed and not kept.
     """
-    if columns is None:
-        lines = (",".join(_cell(v) for v in row) + "\n" for row in rows)
-    else:
-        lines = _column_lines(columns)
-    _write_text(path, meta, itertools.chain([header + "\n"], lines))
+    body = [",".join(map(_cell, row)) + "\n" for row in rows]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in [*meta, header])
+        fh.writelines(body if columns is None else _column_lines(columns))
+    return body
+
+
+def _constants(c: KnownConstants) -> list[tuple[str, float, str]]:
+    """(name, value, provenance) of each constant the report has."""
+    return [(name, getattr(c, name), c.provenance.get(name, "config"))
+            for name in ("M1", "M2", "eta", "C3_tilde") if getattr(c, name) is not None]
+
+
+def _describe(verdict: HypothesisVerdict) -> str:
+    """One verdict line: name, status, margins to 6 digits, then the notes."""
+    margin_txt = " ".join(f"{k}={v:.6g}" for k, v in verdict.margins.items())
+    note_txt = ("; " + "; ".join(verdict.notes)) if verdict.notes else ""
+    return f"{verdict.name}: {verdict.status} {margin_txt}{note_txt}"
+
+
+def _write_report(path: Path, meta: list[str], report: StabilityReport) -> None:
+    """The stability CSV: a '#' block of the report's verdict, then one row per sampled time."""
+    c = report.constants
+    block = [
+        "# stability report",
+        f"# window: {report.window[0]!r} {report.window[1]!r}",
+        f"# theta: {report.theta!r}",
+        f"# quad_error: {report.quad_error!r}",
+        f"# conclusion: {report.conclusion}",
+    ]
+    if report.eps_suggested is not None:
+        block.append(f"# eps_suggested: {report.eps_suggested!r}")
+    block += [f"# {name}: {val!r} ({prov})" for name, val, prov in _constants(c)]
+    if c.cq1_pairs:
+        block.append("# cq1_pairs: " + " ".join(f"({q!r},{cq!r})" for q, cq in c.cq1_pairs))
+    block += [f"# {_describe(v)}" for v in (report.h1_ok, report.h2_ok, report.h3_ok)]
+    block += [f"# note: {note}" for note in report.notes]
+    _write_csv(path, [*meta, *block], "t,L1,L2,h",
+               columns=(report.ts, report.L1_series, report.L2_series, report.h_series))
 
 
 def _out_path(cfg: RunConfig, out_dir: str | None, kind: str) -> Path:
@@ -187,17 +217,13 @@ def _stability_report(cfg: RunConfig, seed: int | None):
 
 def cmd_stability(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
     report = _stability_report(cfg, seed)
-    _write_text(_out_path(cfg, out_dir, "stability"), _metadata_lines(cfg),
-                [report_to_csv(report)])
+    _write_report(_out_path(cfg, out_dir, "stability"), _metadata_lines(cfg), report)
     theta_txt = "nan" if math.isnan(report.theta) else f"{report.theta:.6g}"
     print(f"{report.conclusion} theta={theta_txt}")
     for verdict in (report.h1_ok, report.h2_ok, report.h3_ok):
-        print(verdict.describe())
-    for name in ("M1", "M2", "eta", "C3_tilde"):
-        val = getattr(report.constants, name)
-        if val is not None:
-            prov = report.constants.provenance.get(name, "config")
-            print(f"{name}={val:.6g} ({prov})")
+        print(_describe(verdict))
+    for name, val, prov in _constants(report.constants):
+        print(f"{name}={val:.6g} ({prov})")
     return 0
 
 
@@ -294,7 +320,7 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
                    "fraction,worst_margin,n_intervals,t_entry,max_slack",
                    [(grw.fraction, grw.worst_margin, grw.n_intervals, t_entry, grw.max_slack)])
 
-    _write_text(_out_path(cfg, out_dir, "stability"), meta, [report_to_csv(report)])
+    _write_report(_out_path(cfg, out_dir, "stability"), meta, report)
 
     print(f"pairwise_gap_final={gap_final!r} gap_ok={str(gap_final < FINAL_GAP_TOL).lower()}")
     print(f"theta={report.theta!r} eps={eps!r} fitted_rate={fit.rate!r} r2={fit.r2!r} "
@@ -334,9 +360,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
     rows = [one_point(values) for values in points]
 
     header = ",".join(paths) + ",h1,h2,h3,theta,conclusion,error"
-    _write_csv(_out_path(cfg, out_dir, "sweep"), _metadata_lines(cfg), header, rows)
-    for row in rows:
-        print(",".join(_cell(v) for v in row))
+    body = _write_csv(_out_path(cfg, out_dir, "sweep"), _metadata_lines(cfg), header, rows)
+    sys.stdout.writelines(body)
     return 0
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "compute_L2",
     "decay_integrand",
     "estimate_theta",
-    "report_to_csv",
 ]
 
 HOLDS = "holds"
@@ -115,11 +114,6 @@ class HypothesisVerdict:
     @property
     def ok(self) -> bool:
         return self.status == HOLDS
-
-    def describe(self) -> str:
-        margin_txt = " ".join(f"{k}={v:.6g}" for k, v in self.margins.items())
-        note_txt = ("; " + "; ".join(self.notes)) if self.notes else ""
-        return f"{self.name}: {self.status} {margin_txt}{note_txt}"
 
 
 @dataclass(frozen=True)
@@ -428,30 +422,3 @@ def estimate_theta(
         eps_suggested=eps_suggested, coeffs=coeffs, params=params,
         notes=tuple(notes),
     )
-
-
-def report_to_csv(report: StabilityReport) -> str:
-    """Flat serialization: '#' header block, then one row per sampled time."""
-    lines = ["# stability report"]
-    lines.append(f"# window: {report.window[0]!r} {report.window[1]!r}")
-    lines.append(f"# theta: {report.theta!r}")
-    lines.append(f"# quad_error: {report.quad_error!r}")
-    lines.append(f"# conclusion: {report.conclusion}")
-    if report.eps_suggested is not None:
-        lines.append(f"# eps_suggested: {report.eps_suggested!r}")
-    c = report.constants
-    for name in ("M1", "M2", "eta", "C3_tilde"):
-        val = getattr(c, name)
-        if val is not None:
-            lines.append(f"# {name}: {val!r} ({c.provenance.get(name, 'config')})")
-    if c.cq1_pairs:
-        pairs = " ".join(f"({q!r},{cc!r})" for q, cc in c.cq1_pairs)
-        lines.append(f"# cq1_pairs: {pairs}")
-    for verdict in (report.h1_ok, report.h2_ok, report.h3_ok):
-        lines.append(f"# {verdict.describe()}")
-    for note in report.notes:
-        lines.append(f"# note: {note}")
-    lines.append("t,L1,L2,h")
-    for t, l1, l2, h in zip(report.ts, report.L1_series, report.L2_series, report.h_series):
-        lines.append(f"{float(t)!r},{float(l1)!r},{float(l2)!r},{float(h)!r}")
-    return "\n".join(lines) + "\n"

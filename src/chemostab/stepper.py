@@ -48,7 +48,7 @@ resets rho to 0.
 An advective guard dt <= safety * h / max|chi grad v| caps the explicit
 drift; diffusion needs no guard because it is implicit.  Positivity is
 protected by rejection: values below -1e-12 * state scale reject the step,
-values inside that band are clamped to the floor and the clamped mass is
+values inside that band are clamped to zero and the clamped mass is
 charged against a per-run budget.
 
 A state may carry a leading batch axis, ``(K, *grid.counts)``: K members
@@ -79,7 +79,7 @@ from .errors import (
     StepRejected,
     StepSizeUnderflowError,
 )
-from .grid import Grid, gradient_neumann, integrate_values, w2inf_norm
+from .grid import Grid, integrate_values, w2inf_norm
 from .implicit import solve_shifted
 from .model import ModelParams, ModelState, explicit_part, split_terms
 
@@ -122,7 +122,6 @@ class StepperConfig:
     dt_min: float = 1.0e-12
     dt_max: float = 0.25
     safety: float = 0.8
-    positivity_floor: float = 0.0
     theta_scheme: float = 0.5
     error_tol: float = 1.0e-6
 
@@ -142,8 +141,6 @@ class StepperConfig:
             raise ConfigError("theta_scheme", f"must be in [0.5, 1], got {self.theta_scheme}")
         if not 0.0 < self.error_tol < math.inf:
             raise ConfigError("error_tol", "must be finite and positive")
-        if not 0.0 <= self.positivity_floor < math.inf:
-            raise ConfigError("positivity_floor", "must be finite and nonnegative")
 
     @property
     def design_order(self) -> int:
@@ -218,9 +215,11 @@ class Trajectory:
 
     @cached_property
     def w2inf_v(self) -> np.ndarray:
-        # one sample at a time: the stencils of the whole stack would need
-        # several temporaries of its size
-        return np.array([w2inf_norm(self.grid, v) for v in self.v])
+        # blocks of whole samples, at most 2**15 values unless one sample is
+        # larger: the stencils of a block need several temporaries of its size
+        per = max(1, 2**15 // self.v[0].size)
+        return np.concatenate([w2inf_norm(self.grid, self.v[i:i + per])
+                               for i in range(0, len(self.v), per)])
 
     def members(self) -> list["Trajectory"]:
         """Split a batched run into one trajectory per member.
@@ -258,9 +257,9 @@ def _check_shape(state: ModelState, grid: Grid) -> None:
 
 
 def _clamp_negatives(
-    uv: np.ndarray, start: np.ndarray, floor: float, grid: Grid
+    uv: np.ndarray, start: np.ndarray, grid: Grid
 ) -> tuple[np.ndarray, Sequence, Sequence]:
-    """Clamp negative values of the stack ``uv`` inside each member's band to ``floor``.
+    """Clamp negative values of the stack ``uv`` inside each member's band to zero.
 
     The band is scaled by the member's largest value in the step's ``start``
     stack.  Returns the values and, per field and member, the clamped mass
@@ -282,7 +281,7 @@ def _clamp_negatives(
     fields = uv.shape[: uv.ndim - grid.dim]  # (2, *batch)
     clamped_mass = np.array([np.sum(weights[m] * (-r[m])) for r, m in zip(rows, mask)])
     out = uv.copy()
-    out[uv < 0.0] = floor
+    out[uv < 0.0] = 0.0
     return out, clamped_mass.reshape(fields), mask.sum(axis=1).reshape(fields)
 
 
@@ -369,13 +368,13 @@ def step(
     if not math.isfinite(err):
         raise StepRejected("error estimate is non-finite")
 
-    y_new, mass, nodes = _clamp_negatives(y_new, y, cfg.positivity_floor, grid)
+    y_new, mass, nodes = _clamp_negatives(y_new, y, grid)
     if stats is not None:
         stats.clamped_mass_u += mass[0]
         stats.clamped_mass_v += mass[1]
         stats.clamped_nodes += nodes[0] + nodes[1]
 
-    # finite (checked above), clamped to a finite floor, and owned by this step
+    # finite (checked above), clamped to zero, and owned by this step
     y_new.flags.writeable = False
     return ModelState.from_stack(t + dt, y_new), err
 
@@ -387,9 +386,11 @@ def advective_dt_limit(
     if params.chi == 0.0:
         return math.inf
     limit = math.inf
-    grads = gradient_neumann(grid, state.v)
-    for h, g in zip(grid.spacing, grads):
-        speed = abs(params.chi) * float(np.abs(g).max())
+    for axis, h in zip(grid.axes, grid.spacing):
+        # central differences (v[i+1] - v[i-1]) / 2h; dividing the largest jump
+        # once gives the same max, since division by 2h > 0 is monotone
+        v = np.swapaxes(state.v, 0, axis)
+        speed = abs(params.chi) * (float(np.abs(v[2:] - v[:-2]).max()) / (2.0 * h))
         if speed > 0.0:
             limit = min(limit, h / speed)
     return cfg.safety * limit

@@ -236,7 +236,7 @@ def field_by_field_step(state, dt, coeffs, params, cfg, history=None):
         weights = grid.weights.ravel()
         mass = np.array([np.sum(weights[r < 0.0] * (-r[r < 0.0])) for r in rows])
         out = vals.copy()
-        out[vals < 0.0] = cfg.positivity_floor
+        out[vals < 0.0] = 0.0
         return out, mass.reshape(batch), (rows < 0.0).sum(axis=1).reshape(batch)
 
     u_new, mass_u, nodes_u = clamp(u_new)
@@ -271,6 +271,63 @@ def inline_control(err, dt_try, first: bool, cfg):
         ratio = tol / err
         dt = dt_try * min(0.5, max(0.1, cfg.safety * ratio ** (1.0 / power)))
     return accepted, max(dt, cfg.dt_min)
+
+
+def report_csv_reference(report) -> str:
+    """The stability report as the ``stability`` module once serialized it itself.
+
+    A '#' block (window, theta, quad_error, conclusion, eps_suggested, the
+    constants with provenance, cq1_pairs, the H1-H3 verdicts with their
+    margins, notes), the header, then one row per sampled time, each value
+    through ``float`` and ``repr``.
+    """
+
+    def describe(verdict):
+        margin_txt = " ".join(f"{k}={v:.6g}" for k, v in verdict.margins.items())
+        note_txt = ("; " + "; ".join(verdict.notes)) if verdict.notes else ""
+        return f"{verdict.name}: {verdict.status} {margin_txt}{note_txt}"
+
+    lines = ["# stability report"]
+    lines.append(f"# window: {report.window[0]!r} {report.window[1]!r}")
+    lines.append(f"# theta: {report.theta!r}")
+    lines.append(f"# quad_error: {report.quad_error!r}")
+    lines.append(f"# conclusion: {report.conclusion}")
+    if report.eps_suggested is not None:
+        lines.append(f"# eps_suggested: {report.eps_suggested!r}")
+    c = report.constants
+    for name in ("M1", "M2", "eta", "C3_tilde"):
+        val = getattr(c, name)
+        if val is not None:
+            lines.append(f"# {name}: {val!r} ({c.provenance.get(name, 'config')})")
+    if c.cq1_pairs:
+        pairs = " ".join(f"({q!r},{cc!r})" for q, cc in c.cq1_pairs)
+        lines.append(f"# cq1_pairs: {pairs}")
+    for verdict in (report.h1_ok, report.h2_ok, report.h3_ok):
+        lines.append(f"# {describe(verdict)}")
+    for note in report.notes:
+        lines.append(f"# note: {note}")
+    lines.append("t,L1,L2,h")
+    for t, l1, l2, h in zip(report.ts, report.L1_series, report.L2_series, report.h_series):
+        lines.append(f"{float(t)!r},{float(l1)!r},{float(l2)!r},{float(h)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def advective_dt_limit_gradient(grid, v, chi: float, safety: float) -> float:
+    """The advective guard from the full central-difference gradient of ``v``.
+
+    ``safety * min over axes of h / (|chi| * max|grad v|)``, with the
+    gradient divided by 2h at every node.
+    """
+    from chemostab import gradient_neumann
+
+    if chi == 0.0:
+        return math.inf
+    limit = math.inf
+    for h, g in zip(grid.spacing, gradient_neumann(grid, v)):
+        speed = abs(chi) * float(np.abs(g).max())
+        if speed > 0.0:
+            limit = min(limit, h / speed)
+    return safety * limit
 
 
 def gronwall_loop(series, report, eps: float, t_entry: float):

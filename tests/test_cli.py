@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chemostab import ModelState, measure_constants, run
+from chemostab import cli
 from chemostab.cli import main
 from chemostab.config import (
     _normalize,
@@ -30,7 +31,7 @@ from chemostab.config import (
     serialize_config,
 )
 from chemostab.errors import ConfigError
-from oracles import apply_override_via_yaml
+from oracles import apply_override_via_yaml, report_csv_reference
 
 BASE = """
 grid:
@@ -71,6 +72,26 @@ def write_config(tmp_path, text=BASE, **extra):
 def data_section(path: Path) -> str:
     return "".join(ln for ln in path.read_text().splitlines(keepends=True)
                    if not ln.startswith("#"))
+
+
+def capture_reports(monkeypatch) -> list:
+    """Record every StabilityReport the CLI computes."""
+    reports = []
+    real = cli.estimate_theta
+
+    def spy(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "estimate_theta", spy)
+    return reports
+
+
+def assert_report_file(cfg_path: Path, report, pattern: str) -> None:
+    """The stability CSV is the metadata lines, then the old serializer's text, byte for byte."""
+    (path,) = (cfg_path.parent / "out").glob(pattern)
+    meta = "".join(line + "\n" for line in cli._metadata_lines(parse_config(cfg_path.read_text())))
+    assert path.read_bytes() == (meta + report_csv_reference(report)).encode()
 
 
 class TestConfigParsing:
@@ -393,6 +414,8 @@ class TestSimulate:
                      "stepper.dt_min", id="dt_min-nan"),
         pytest.param("simulate", "dt_max: 0.5", "dt_max: .nan", "stepper.dt_max",
                      id="dt_max-nan"),
+        pytest.param("simulate", "dt_max: 0.5", "dt_max: 0.5\n  positivity_floor: 0.0",
+                     "stepper.positivity_floor", id="positivity_floor-removed"),
         pytest.param("simulate", "u: {profile: constant, value: 0.1}", "u: {profile: [1]}",
                      "initial.u.profile", id="profile-unhashable"),
         pytest.param("simulate", "a0: {kind: constant, value: 1.0}",
@@ -538,6 +561,27 @@ class TestStability:
         assert printed == [f"{name}={getattr(expected, name):.6g} (measured)"
                            for name in ("M1", "M2", "eta", "C3_tilde")]
 
+    @pytest.mark.parametrize("full", [True, False], ids=["measured-cq1-eps", "inconclusive"])
+    def test_written_report_matches_reference(self, tmp_path, monkeypatch, full):
+        if full:  # measured eta (and its note), convex-formula M2, cq1_pairs, eps_suggested
+            text = STABILITY.replace("chi: 0.0", "chi: 0.3").replace(
+                "  constants: {M2: 1.0, eta: 0.9, C3_tilde: 1.0}\n",
+                "  measure: true\n  cq1_pairs: [[1.5, 8.0], [3.0, 2.0]]\n")
+            text += "initial:\n  u: {profile: constant, value: 3.0}\n"
+        else:  # no eta or C3_tilde: empty series
+            text = STABILITY.replace("{M2: 1.0, eta: 0.9, C3_tilde: 1.0}", "{M2: 1.0}")
+        cfg_path = write_config(tmp_path, text=text)
+        reports = capture_reports(monkeypatch)
+        assert main(["stability", "--config", str(cfg_path)]) == 0
+        (report,) = reports
+        if full:
+            assert report.constants.provenance["eta"] == "measured"
+            assert report.constants.cq1_pairs and report.notes
+            assert report.eps_suggested is not None
+        else:
+            assert report.ts.size == 0 and report.conclusion == "inconclusive"
+        assert_report_file(cfg_path, report, "crit_*_stability.csv")
+
 
 SWEEP = STABILITY + """
 """
@@ -601,6 +645,22 @@ class TestSweep:
         assert "params.tau" in by_tau[0.0][-1]
         assert by_tau[1.0][-2] == "criterion_holds"
         assert by_tau[0.5][-2] != "error"
+
+    def test_stdout_is_csv_body(self, tmp_path, capsys):
+        # the printed rows are the lines written below the header, error rows included
+        text = STABILITY.replace(
+            "experiment:",
+            "experiment:\n  sweep:\n    axes:\n      params.tau: [1.0, 0.0]\n"
+            "      params.chi: [0.0, 0.5]",
+        )
+        cfg_path = write_config(tmp_path, text=text)
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        out = capsys.readouterr().out
+        (path,) = (tmp_path / "out").glob("crit_*_sweep.csv")
+        header, body = data_section(path).split("\n", 1)
+        assert header == "params.tau,params.chi,h1,h2,h3,theta,conclusion,error"
+        assert out == body
+        assert out.count(",error,") == 2 and out.count("\n") == 4
 
 
 # every normalizer that a sweep point passes through: nested time and space
@@ -702,6 +762,14 @@ class TestStabilityExperiment:
         assert list(outdir.glob("exp_*_persistence.csv"))
         assert list(outdir.glob("exp_*_bounds_0.csv"))
         assert list(outdir.glob("exp_*_stability.csv"))
+
+    def test_written_report_matches_reference(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, text=EXPERIMENT)
+        reports = capture_reports(monkeypatch)
+        assert main(["stability-experiment", "--config", str(cfg_path)]) == 0
+        (report,) = reports
+        assert report.ts.size == 201
+        assert_report_file(cfg_path, report, "exp_*_stability.csv")
 
     def test_failing_pullback_gate_writes_nothing(self, tmp_path, capsys):
         # t_back = t_end / 2 = 1 leaves the two seeds far apart (gap about 0.5)

@@ -22,9 +22,10 @@ from chemostab import (
     compute_M2_convex,
     decay_integrand,
     estimate_theta,
-    report_to_csv,
     spatial_profile,
 )
+from chemostab.cli import _write_report
+from oracles import report_csv_reference
 
 WINDOW = (0.0, 10.0)
 
@@ -375,11 +376,18 @@ class TestTheta:
 
 
 class TestReportSerialization:
-    def test_csv_roundtrip_structure(self):
+    """The stability CSV as the CLI writes it, against the old serializer's text."""
+
+    def written(self, tmp_path, report):
+        path = tmp_path / "report.csv"
+        _write_report(path, ["# meta"], report)
+        return path.read_text()
+
+    def test_csv_roundtrip_structure(self, tmp_path):
         constants = KnownConstants(M2=1.0, eta=0.9, C3_tilde=1.0,
                                    provenance={"M2": "config"})
         report = estimate_theta(const_set(grid1()), params(), constants, (0.0, 2.0), 21)
-        text = report_to_csv(report)
+        text = self.written(tmp_path, report)
         lines = text.strip().split("\n")
         header_lines = [ln for ln in lines if ln.startswith("#")]
         data_lines = [ln for ln in lines if not ln.startswith("#")]
@@ -387,3 +395,28 @@ class TestReportSerialization:
         assert len(data_lines) - 1 == report.ts.size
         assert any("theta" in ln for ln in header_lines)
         assert any("conclusion: criterion_holds" in ln for ln in header_lines)
+
+    def test_full_report_matches_reference(self, tmp_path):
+        # every optional line of the '#' block: eps_suggested, M1, measured eta,
+        # cq1_pairs, notes; a tabulated coefficient adds a regularity note
+        grid = grid1()
+        a0 = TabulatedCoefficient(grid, 0, np.array([0.0, 1.0, 2.0]),
+                                  np.array([[1.0] * 11, [1.2] * 11, [0.9] * 11]))
+        cs = CoefficientSet(a0, ConstantCoefficient(grid, 1, 1.2),
+                            ConstantCoefficient(grid, 2, -0.05))
+        constants = KnownConstants(
+            M1=1.5, M2=1.2, eta=0.95, C3_tilde=0.3, cq1_pairs=((2.0, 1.5), (3.0, 2.0)),
+            provenance={"M1": "measured", "M2": "convex-formula", "eta": "measured",
+                        "C3_tilde": "measured"})
+        report = estimate_theta(cs, params(chi=0.1), constants, (0.0, 2.0), 41)
+        assert report.eps_suggested is not None and report.notes
+        assert report.constants.cq1_pairs
+        assert self.written(tmp_path, report) == "# meta\n" + report_csv_reference(report)
+
+    def test_inconclusive_report_matches_reference(self, tmp_path):
+        report = estimate_theta(const_set(grid1()), params(), KnownConstants(M2=1.0),
+                                (0.0, 1.0), 11)
+        assert report.ts.size == 0 and report.eps_suggested is None
+        text = self.written(tmp_path, report)
+        assert text == "# meta\n" + report_csv_reference(report)
+        assert text.endswith("t,L1,L2,h\n")
