@@ -175,17 +175,15 @@ def _burn_ins(cfg: RunConfig) -> tuple[float, float, float]:
     return tuple(cfg.experiment.get("burn_ins", [cfg.experiment["t_end"] / 6.0] * 3))
 
 
-def _resolve_constants(cfg: RunConfig, grid, coeffs, params, window,
-                       trajectories) -> KnownConstants:
+def _resolve_constants(cfg: RunConfig, coeffs, params, window, trajectories) -> KnownConstants:
     """config > convex-formula (M2 under the convex hypothesis) > measured.
 
     ``trajectories()`` supplies the runs to measure from; it is called only
     when a constant is still missing.
     """
     constants = build_constants(cfg)
-    h2 = check_H2(coeffs, params, grid.dim, True, window)
-    if constants.M2 is None and h2.ok:
-        bound = compute_M2_convex(coeffs, params, grid.dim, window)
+    if constants.M2 is None and check_H2(coeffs, params, window).ok:
+        bound = compute_M2_convex(coeffs, params, window)
         constants = constants.with_values("convex-formula", M2=bound.M2)
     if constants.missing("M1", "M2", "eta", "C3_tilde"):
         trajs = trajectories()
@@ -209,7 +207,7 @@ def _stability_report(cfg: RunConfig, seed: int | None):
         return [run(ModelState(0.0, u0, v0), cfg.experiment["t_end"], coeffs, params,
                     stepper_cfg, sample_dt=cfg.experiment.get("sample_dt"))]
 
-    constants = _resolve_constants(cfg, grid, coeffs, params, window, trajectories)
+    constants = _resolve_constants(cfg, coeffs, params, window, trajectories)
     report = estimate_theta(coeffs, params, constants, window,
                             n_samples=cfg.experiment["n_samples"])
     return report
@@ -258,10 +256,19 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
                 sample_dt=sample_dt).members()
 
     burn = _burn_ins(cfg)
-    constants = _resolve_constants(cfg, grid, coeffs, params, window, lambda: trajs)
+    constants = _resolve_constants(cfg, coeffs, params, window, lambda: trajs)
     report = estimate_theta(coeffs, params, constants, window, n_samples=exp["n_samples"])
 
-    # the pullback gate runs before any output, so a failing gate writes nothing
+    # the rate fit and the pullback gate run before any output, so a bad
+    # fit_window or a failing gate writes nothing
+    gaps = {pair: trajectory_gap(trajs[pair[0]], trajs[pair[1]])
+            for pair in itertools.combinations(range(len(trajs)), 2)}
+    fit_window = tuple(exp.get("fit_window", [t_end / 6.0, 2.0 * t_end / 3.0]))
+    try:
+        fit = fit_decay_rate(gaps[0, 1], fit_window)
+    except ValueError as exc:
+        raise ConfigError("experiment.fit_window", str(exc)) from exc
+
     entire_gap = math.nan
     t_back = exp.get("t_back")
     if t_back is None:
@@ -288,11 +295,7 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
                "seed,eta_hat,xi_hat,burn_in,persisted", persistence_rows)
 
     gap_final = 0.0
-    first_gap = None
-    for i, j in itertools.combinations(range(len(trajs)), 2):
-        gap = trajectory_gap(trajs[i], trajs[j])
-        if first_gap is None:
-            first_gap = gap
+    for (i, j), gap in gaps.items():
         gap_final = max(gap_final, float(gap.w_Linf[-1]), float(gap.phi_Linf[-1]))
         _write_csv(_out_path(cfg, out_dir, f"gap_{i}_{j}"), meta,
                    "t,E,w_L2,phi_L2,w_Linf,phi_Linf",
@@ -301,8 +304,6 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
     eps = exp.get("eps")
     if eps is None:
         eps = report.eps_suggested or 0.0
-    fit_window = tuple(exp.get("fit_window", [t_end / 6.0, 2.0 * t_end / 3.0]))
-    fit = fit_decay_rate(first_gap, fit_window)
 
     if report.theta < 0.0 and not math.isnan(report.theta):
         rate_ok = "true" if (fit.floored or fit.rate <= report.theta + eps + RATE_SLACK) else "false"
@@ -367,9 +368,9 @@ def cmd_sweep(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
 
 def _flat_logistic_setup(grid: Grid, params: ModelParams):
     coeffs = CoefficientSet(
-        ConstantCoefficient(grid, 0, 1.0),
-        ConstantCoefficient(grid, 1, 1.0),
-        ConstantCoefficient(grid, 2, 0.0),
+        ConstantCoefficient(grid, 1.0),
+        ConstantCoefficient(grid, 1.0),
+        ConstantCoefficient(grid, 0.0),
     )
     flat_params = ModelParams(chi=0.0, tau=params.tau, lam=params.lam, mu=params.mu)
     return coeffs, flat_params

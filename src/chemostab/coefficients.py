@@ -12,7 +12,7 @@ The configuration-facing family is deliberately small and declarative:
 
 Library callers may additionally inject arbitrary evaluators through
 :class:`CallableCoefficient`, which satisfies the same contract but only
-supports sampled (nested, monotone-in-refinement) global envelopes.
+supports sampled global envelopes.
 
 Spatial infima/suprema are taken over grid nodes, an inner approximation of
 the continuum envelope that is consistent with the discretized dynamics.
@@ -110,19 +110,11 @@ class TimeFactor:
 
 
 class CoefficientSpec:
-    """Common contract for coefficient kinds.
+    """Common contract for coefficient kinds; the ``CoefficientSet`` slot a
+    coefficient fills (a0, a1 or a2) is its role."""
 
-    ``role`` is the coefficient index: 0 for intrinsic growth, 1 for local
-    competition, 2 for the nonlocal (total-mass) term.
-    """
-
-    kind = "abstract"
-
-    def __init__(self, grid: Grid, role: int):
-        if role not in (0, 1, 2):
-            raise ValueError(f"role must be 0, 1, or 2, got {role}")
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.role = role
 
     def eval(self, t: float) -> np.ndarray:
         """Nodal values at ``t``, shaped like ``grid.counts``; calls may share
@@ -137,24 +129,19 @@ class CoefficientSpec:
         lo, hi = np.array(bounds).T.reshape((2,) + ts.shape)
         return lo, hi
 
-    def global_envelope(
-        self, t_window: tuple[float, float], n_samples: int = 65
-    ) -> tuple[float, float]:
+    def global_envelope(self, t_window: tuple[float, float]) -> tuple[float, float]:
         """(inf, sup) over the window and the whole domain.
 
-        Exact for the constant, separable, and tabulated kinds; sampled with
-        a nested dyadic rule otherwise, so refining ``n_samples`` can only
-        widen the result.
+        Exact for the constant, separable, and tabulated kinds; sampled at
+        evenly spaced times otherwise.
         """
-        t0, t1 = _check_window(t_window, n_samples)
-        return self._global_envelope(t0, t1, n_samples)
+        t0, t1 = float(t_window[0]), float(t_window[1])
+        if not t1 > t0:
+            raise ValueError(f"empty time window [{t0}, {t1}]")
+        return self._global_envelope(t0, t1)
 
-    def _global_envelope(self, t0, t1, n_samples):
+    def _global_envelope(self, t0, t1):
         raise NotImplementedError
-
-    @property
-    def period(self) -> float | None:
-        return None
 
     @property
     def regularity_note(self) -> str | None:
@@ -162,20 +149,9 @@ class CoefficientSpec:
         return None
 
 
-def _check_window(t_window, n_samples) -> tuple[float, float]:
-    t0, t1 = float(t_window[0]), float(t_window[1])
-    if not t1 > t0:
-        raise ValueError(f"empty time window [{t0}, {t1}]")
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    return t0, t1
-
-
 class ConstantCoefficient(CoefficientSpec):
-    kind = "constant"
-
-    def __init__(self, grid: Grid, role: int, value: float):
-        super().__init__(grid, role)
+    def __init__(self, grid: Grid, value: float):
+        super().__init__(grid)
         self.value = float(value)
         self._values = np.full(grid.counts, self.value)
         self._values.flags.writeable = False  # one array, shared by every eval
@@ -187,17 +163,15 @@ class ConstantCoefficient(CoefficientSpec):
         values = np.full(np.shape(t), self.value)
         return values, values
 
-    def _global_envelope(self, t0, t1, n_samples):
+    def _global_envelope(self, t0, t1):
         return self.value, self.value
 
 
 class SeparableCoefficient(CoefficientSpec):
     """g(t) * h(x) with g from the closed family and h sampled on the grid."""
 
-    kind = "separable"
-
-    def __init__(self, grid: Grid, role: int, time: TimeFactor, space: Field):
-        super().__init__(grid, role)
+    def __init__(self, grid: Grid, time: TimeFactor, space: Field):
+        super().__init__(grid)
         if space.grid != grid:
             raise ValueError("spatial profile lives on a different grid")
         self.time = time
@@ -214,7 +188,7 @@ class SeparableCoefficient(CoefficientSpec):
         at_hi = require_finite(g * self.space.max())
         return np.minimum(at_lo, at_hi), np.maximum(at_lo, at_hi)
 
-    def _global_envelope(self, t0, t1, n_samples):
+    def _global_envelope(self, t0, t1):
         period = self.time.period
         if period is not None and (t1 - t0) >= period:
             g_lo, g_hi = self.time.extrema_on(t0, t0 + period)
@@ -223,10 +197,6 @@ class SeparableCoefficient(CoefficientSpec):
         h_lo, h_hi = self.space.min(), self.space.max()
         products = [g_lo * h_lo, g_lo * h_hi, g_hi * h_lo, g_hi * h_hi]
         return min(products), max(products)
-
-    @property
-    def period(self) -> float | None:
-        return self.time.period
 
 
 class TabulatedCoefficient(CoefficientSpec):
@@ -237,10 +207,8 @@ class TabulatedCoefficient(CoefficientSpec):
     Clamped evaluations are flagged on the instance.
     """
 
-    kind = "tabulated"
-
-    def __init__(self, grid: Grid, role: int, knots, tables, clamp: bool = True):
-        super().__init__(grid, role)
+    def __init__(self, grid: Grid, knots, tables, clamp: bool = True):
+        super().__init__(grid)
         knots = np.asarray(knots, dtype=float)
         if knots.ndim != 1 or knots.size < 2:
             raise ValueError("need at least two time knots")
@@ -274,7 +242,7 @@ class TabulatedCoefficient(CoefficientSpec):
         s = (t - t_lo) / (t_hi - t_lo)
         return require_finite((1.0 - s) * self.tables[i] + s * self.tables[i + 1])
 
-    def _global_envelope(self, t0, t1, n_samples):
+    def _global_envelope(self, t0, t1):
         # Linear interpolation attains its extremes at knots (or clamped
         # window endpoints), so evaluating there is exact.
         inner = self.knots[(self.knots > t0) & (self.knots < t1)]
@@ -289,28 +257,16 @@ class TabulatedCoefficient(CoefficientSpec):
 class CallableCoefficient(CoefficientSpec):
     """Caller-supplied evaluator ``fn(t) -> array of grid samples``."""
 
-    kind = "callable"
-
-    def __init__(self, grid: Grid, role: int, fn, period: float | None = None):
-        super().__init__(grid, role)
+    def __init__(self, grid: Grid, fn):
+        super().__init__(grid)
         self.fn = fn
-        self._period = period
 
     def eval(self, t: float) -> np.ndarray:
         return require_finite(np.asarray(self.fn(float(t)), dtype=float).reshape(self.grid.counts))
 
-    def _global_envelope(self, t0, t1, n_samples):
-        # Nested dyadic samples: doubling the request reuses every previous
-        # sample point, so refinement can only widen the envelope.
-        m = 1
-        while m + 1 < n_samples:
-            m *= 2
-        lo, hi = self.envelope(np.linspace(t0, t1, m + 1))
+    def _global_envelope(self, t0, t1):
+        lo, hi = self.envelope(np.linspace(t0, t1, 65))
         return float(lo.min()), float(hi.max())
-
-    @property
-    def period(self) -> float | None:
-        return self._period
 
     @property
     def regularity_note(self) -> str | None:
@@ -452,7 +408,6 @@ def spatial_profile(grid: Grid, profile: str, **params) -> Field:
 def validate_roles(
     coeffs: CoefficientSet,
     t_window: tuple[float, float],
-    n_samples: int = 65,
     require_positive_growth: bool = False,
 ) -> None:
     """Enforce the sign conventions the theory needs from each role.
@@ -460,13 +415,13 @@ def validate_roles(
     Local competition must have a positive all-time infimum; intrinsic growth
     must too when persistence experiments are requested.
     """
-    a1_inf, _ = coeffs.a1.global_envelope(t_window, n_samples)
+    a1_inf, _ = coeffs.a1.global_envelope(t_window)
     if not a1_inf > 0.0:
         raise ValueError(
             f"local competition coefficient must have positive infimum, got {a1_inf}"
         )
     if require_positive_growth:
-        a0_inf, _ = coeffs.a0.global_envelope(t_window, n_samples)
+        a0_inf, _ = coeffs.a0.global_envelope(t_window)
         if not a0_inf > 0.0:
             raise ValueError(
                 f"growth coefficient must have positive infimum for persistence runs, got {a0_inf}"

@@ -413,17 +413,17 @@ def build_params(cfg: RunConfig) -> ModelParams:
     return ModelParams(chi=p["chi"], tau=p["tau"], lam=p["lambda"], mu=p["mu"])
 
 
-def _build_coefficient(block: dict, grid: Grid, role: int, name: str):
+def _build_coefficient(block: dict, grid: Grid, name: str):
     if block["kind"] == "constant":
-        return ConstantCoefficient(grid, role, block["value"])
+        return ConstantCoefficient(grid, block["value"])
     if block["kind"] == "separable":
         time = TimeFactor(**block["time"])
         space = build_profile_field(grid, block["space"], f"{name}.space", table=SPATIAL_PROFILES)
-        return SeparableCoefficient(grid, role, time, space)
+        return SeparableCoefficient(grid, time, space)
     if block["kind"] == "tabulated":
         knots, tables = _read_table(block["table_file"], grid, name)
         try:
-            return TabulatedCoefficient(grid, role, knots, tables, clamp=block["clamp"])
+            return TabulatedCoefficient(grid, knots, tables, clamp=block["clamp"])
         except ValueError as exc:
             raise ConfigError(f"{name}.table_file", f"{block['table_file']}: {exc}") from exc
     raise ConfigError(name, f"unknown kind {block['kind']!r}")
@@ -444,9 +444,9 @@ def _read_table(path: str, grid: Grid, name: str):
 
 def build_coefficients(cfg: RunConfig, grid: Grid) -> CoefficientSet:
     return CoefficientSet(
-        a0=_build_coefficient(cfg.a0, grid, 0, "a0"),
-        a1=_build_coefficient(cfg.a1, grid, 1, "a1"),
-        a2=_build_coefficient(cfg.a2, grid, 2, "a2"),
+        a0=_build_coefficient(cfg.a0, grid, "a0"),
+        a1=_build_coefficient(cfg.a1, grid, "a1"),
+        a2=_build_coefficient(cfg.a2, grid, "a2"),
     )
 
 

@@ -29,10 +29,6 @@ class HypothesisFailure(ChemostabError, ValueError):
 class StepRejected(ChemostabError):
     """Internal signal: a trial step left the admissible region."""
 
-    def __init__(self, message: str, worst_value: float = 0.0):
-        super().__init__(message)
-        self.worst_value = worst_value
-
 
 class StepSizeUnderflowError(ChemostabError, RuntimeError):
     """The adaptive controller was pushed below dt_min.

@@ -15,8 +15,10 @@ second-derivative bound on the chemical) enter with recorded provenance
 because measured surrogates weaken the claim.
 
 Envelope quantities over a time window are sampled at the window's
-quadrature nodes; spatial envelopes are nodal and therefore inner
-approximations of the continuum values.
+quadrature nodes; the hypothesis checks and the convex-formula M2 share one
+sampling of ``HYPOTHESIS_SAMPLES`` nodes, so a verdict and the constant it
+licenses see the same times.  Spatial envelopes are nodal and therefore
+inner approximations of the continuum values.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .errors import HypothesisFailure
+from .errors import ConfigError, HypothesisFailure
 from .model import ModelParams
 
 __all__ = [
@@ -52,6 +54,9 @@ INCONCLUSIVE = "inconclusive"
 
 CRITERION_HOLDS = "criterion_holds"
 CRITERION_FAILS = "criterion_fails"
+
+# window samples of every hypothesis check and of the convex-formula M2
+HYPOTHESIS_SAMPLES = 513
 
 
 def pos(x):
@@ -145,23 +150,19 @@ def _competition(coeffs: CoefficientSet, ts: np.ndarray) -> tuple[float, float, 
 
 
 def compute_M2_convex(
-    coeffs: CoefficientSet,
-    params: ModelParams,
-    n: int,
-    window: tuple[float, float],
-    n_samples: int = 257,
+    coeffs: CoefficientSet, params: ModelParams, window: tuple[float, float]
 ) -> ConvexBound:
     """Eventual amplitude bound on convex domains (tau = 1, chi > 0 regime).
 
     Formula chain:
         M0    = 1.5 * vol * a0_sup / inf_t(a1_inf(t) - vol*neg(a2_inf(t)))
         M0_ai = a0_sup + 2*lam + sup_t(neg(a2_inf(t))) * M0
-        M2    = M0_ai^2 / (4 * (a1_inf - n*mu*chi/4))
+        M2    = M0_ai^2 / (4 * (a1_inf - n*mu*chi/4)),   n = coeffs.grid.dim
 
     Preconditions: a1_inf > n*mu*chi/4 and the M0 denominator positive;
     violations raise :class:`HypothesisFailure` naming the inequality.
     """
-    ts = _window_samples(window, n_samples)
+    ts = _window_samples(window, HYPOTHESIS_SAMPLES)
     a0_sup = float(coeffs.a0.envelope(ts)[1].max())
     a1_inf, m0_denom, neg_a2_inf_sup = _competition(coeffs, ts)
     if not m0_denom > 0.0:
@@ -169,7 +170,7 @@ def compute_M2_convex(
             f"inf_t(a1_inf(t) - vol*neg(a2_inf(t))) = {m0_denom} is not positive",
             "nonlocal-competition-balance",
         )
-    amp_denom = a1_inf - n * params.mu * params.chi / 4.0
+    amp_denom = a1_inf - coeffs.grid.dim * params.mu * params.chi / 4.0
     if not amp_denom > 0.0:
         raise HypothesisFailure(
             f"a1_inf - n*mu*chi/4 = {amp_denom} is not positive",
@@ -186,7 +187,6 @@ def check_H1(
     params: ModelParams,
     constants: KnownConstants,
     window: tuple[float, float],
-    n_samples: int = 257,
 ) -> HypothesisVerdict:
     """Growth-vs-drift and nonlocal-balance inequalities.
 
@@ -196,7 +196,7 @@ def check_H1(
     it is only inconclusive (except chi = 0, where the threshold is exactly
     zero).  The second inequality is exact up to window sampling.
     """
-    a1_inf, balance, _ = _competition(coeffs, _window_samples(window, n_samples))
+    a1_inf, balance, _ = _competition(coeffs, _window_samples(window, HYPOTHESIS_SAMPLES))
     margins: dict[str, float] = {"nonlocal_balance": balance}
     notes: list[str] = []
 
@@ -212,7 +212,8 @@ def check_H1(
         q_floor = max(1.0, 0.5 * coeffs.grid.dim)
         usable = [(q, c) for q, c in constants.cq1_pairs if q > q_floor]
         if not usable:
-            raise ValueError(f"all supplied q values violate q > max(1, n/2) = {q_floor}")
+            raise ConfigError("experiment.cq1_pairs",
+                              f"all supplied q values violate q > max(1, n/2) = {q_floor}")
         threshold = min(
             ((q - 1.0) / q) * c ** (1.0 / (q + 1.0)) * params.mu ** (1.0 / (q + 1.0))
             for q, c in usable
@@ -237,32 +238,25 @@ def check_H1(
 
 
 def check_H2(
-    coeffs: CoefficientSet,
-    params: ModelParams,
-    n: int,
-    domain_is_rectangle: bool = True,
-    window: tuple[float, float] = (0.0, 1.0),
-    n_samples: int = 257,
+    coeffs: CoefficientSet, params: ModelParams, window: tuple[float, float]
 ) -> HypothesisVerdict:
-    """Convex-domain hypothesis: convexity, tau = 1, chi > 0, competition
-    strength, and the nonlocal balance inequality."""
-    a1_inf, balance, _ = _competition(coeffs, _window_samples(window, n_samples))
+    """Convex-domain hypothesis: tau = 1, chi > 0, competition strength, and
+    the nonlocal balance inequality.  Every grid is an interval or a
+    rectangle, so the domain is convex."""
+    a1_inf, balance, _ = _competition(coeffs, _window_samples(window, HYPOTHESIS_SAMPLES))
     margins = {
         "tau_gap": abs(params.tau - 1.0),
         "chi": params.chi,
-        "competition_margin": a1_inf - n * params.mu * params.chi / 4.0,
+        "competition_margin": a1_inf - coeffs.grid.dim * params.mu * params.chi / 4.0,
         "nonlocal_balance": balance,
     }
     clauses = [
-        bool(domain_is_rectangle),  # rectangles are convex
         params.tau == 1.0,
         params.chi > 0.0,
         margins["competition_margin"] > 0.0,
         balance > 0.0,
     ]
-    status = HOLDS if all(clauses) else FAILS
-    notes = () if domain_is_rectangle else ("domain not known to be convex",)
-    return HypothesisVerdict("H2", status, margins, notes)
+    return HypothesisVerdict("H2", HOLDS if all(clauses) else FAILS, margins)
 
 
 def check_H3(params: ModelParams, constants: KnownConstants) -> HypothesisVerdict:
@@ -369,9 +363,8 @@ def estimate_theta(
     for the periodic family a window of one period is exact.  Missing
     constants yield an inconclusive report with empty series.
     """
-    n = coeffs.grid.dim
-    h1 = check_H1(coeffs, params, constants, window, n_samples=min(n_samples, 513))
-    h2 = check_H2(coeffs, params, n, True, window, n_samples=min(n_samples, 513))
+    h1 = check_H1(coeffs, params, constants, window)
+    h2 = check_H2(coeffs, params, window)
     h3 = check_H3(params, constants)
     notes = list(coeffs.regularity_notes())
     if constants.provenance.get("eta") == "measured":

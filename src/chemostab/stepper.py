@@ -275,7 +275,7 @@ def _clamp_negatives(
     for label, low in zip("uv", worst):
         k = int(np.argmin(low - band))
         if low[k] < band[k]:
-            raise StepRejected(f"{label} fell to {low[k]} (band {band[k]})", float(low[k]))
+            raise StepRejected(f"{label} fell to {low[k]} (band {band[k]})")
     weights = grid.weights.ravel()
     mask = rows < 0.0
     fields = uv.shape[: uv.ndim - grid.dim]  # (2, *batch)

@@ -232,7 +232,7 @@ def field_by_field_step(state, dt, coeffs, params, cfg, history=None):
         band = -1.0e-12 * np.ravel(scale)
         worst = rows.min(axis=1)
         if np.any(worst < band):
-            raise StepRejected("fell below the band", float(worst.min()))
+            raise StepRejected("fell below the band")
         weights = grid.weights.ravel()
         mass = np.array([np.sum(weights[r < 0.0] * (-r[r < 0.0])) for r in rows])
         out = vals.copy()

@@ -25,9 +25,9 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 def const_set(grid, a0=1.0, a1=1.0, a2=0.0):
     return cs.CoefficientSet(
-        cs.ConstantCoefficient(grid, 0, a0),
-        cs.ConstantCoefficient(grid, 1, a1),
-        cs.ConstantCoefficient(grid, 2, a2),
+        cs.ConstantCoefficient(grid, a0),
+        cs.ConstantCoefficient(grid, a1),
+        cs.ConstantCoefficient(grid, a2),
     )
 
 
@@ -98,8 +98,7 @@ def test_criterion_2_decay_rate_vs_theta(bench):
 def test_criterion_3_convex_amplitude_constants():
     grid = cs.Grid((1.0,), (11,))
     out = cs.compute_M2_convex(
-        const_set(grid), cs.ModelParams(chi=1.0, tau=1.0, lam=1.0, mu=1.0),
-        1, (0.0, 10.0),
+        const_set(grid), cs.ModelParams(chi=1.0, tau=1.0, lam=1.0, mu=1.0), (0.0, 10.0),
     )
     ok = (abs(out.M0 - 1.5) <= 1e-12 and abs(out.M0_ai - 3.0) <= 1e-12
           and abs(out.M2 - 3.0) <= 1e-12)
@@ -226,9 +225,9 @@ def test_criterion_7_persistence_and_bounds(bench):
 def test_criterion_8_entire_solution_seed_independence():
     grid = cs.Grid((1.0,), (5,))
     tf = cs.TimeFactor("sinusoid", offset=1.0, amplitude=0.2, frequency=1.0)
-    a0 = cs.SeparableCoefficient(grid, 0, tf, cs.spatial_profile(grid, "constant", value=1.0))
-    coeffs = cs.CoefficientSet(a0, cs.ConstantCoefficient(grid, 1, 1.0),
-                               cs.ConstantCoefficient(grid, 2, 0.0))
+    a0 = cs.SeparableCoefficient(grid, tf, cs.spatial_profile(grid, "constant", value=1.0))
+    coeffs = cs.CoefficientSet(a0, cs.ConstantCoefficient(grid, 1.0),
+                               cs.ConstantCoefficient(grid, 0.0))
     params = cs.ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
     cfg = cs.StepperConfig(error_tol=1e-6, dt_max=0.25)
     entire = cs.approximate_entire_solution(

@@ -101,6 +101,14 @@ class TestConfigParsing:
         assert cfg == again
         assert cfg.content_hash == again.content_hash
 
+    @pytest.mark.parametrize("name,expected", [("BASE", "8b16f8dd51c8"),
+                                               ("EXPERIMENT", "6e494446595e")])
+    def test_content_hash_pinned(self, name, expected):
+        # the hash covers every default of the normalized config, so adding or
+        # removing a config key moves it (and every output file name) on purpose
+        text = {"BASE": BASE, "EXPERIMENT": EXPERIMENT}[name]
+        assert parse_config(text.replace("OUTDIR", "out")).content_hash == expected
+
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError) as info:
             parse_config(BASE.replace("OUTDIR", "out") + "\nbogus: {a: 1}\n")
@@ -199,7 +207,7 @@ class TestTabulatedAndFileInputs:
         grid = build_grid(cfg)
         coeffs = build_coefficients(cfg, grid)
         assert coeffs.a0.eval(5.0)[0] == pytest.approx(1.5)
-        assert coeffs.a0.global_envelope((0.0, 10.0), 10) == (1.0, 2.0)
+        assert coeffs.a0.global_envelope((0.0, 10.0)) == (1.0, 2.0)
 
     def test_tabulated_wrong_columns_named(self, tmp_path):
         table = tmp_path / "bad.csv"
@@ -456,14 +464,19 @@ class TestSimulate:
         pytest.param("simulate", "u: {profile: constant, value: 0.1}",
                      "u: {profile: cosine, amplitude: null}", "initial.u.amplitude",
                      id="profile-parameter-null"),
+        pytest.param("stability-experiment", "fit_window: [8.0, 30.0]",
+                     "fit_window: [50.0, 60.0]", "experiment.fit_window",
+                     id="fit_window-beyond-samples"),
     ])
     def test_bad_value_named_without_traceback(self, tmp_path, capsys, command, old, new, key):
         text = EXPERIMENT if command == "stability-experiment" else BASE
+        assert old in text
         cfg_path = write_config(tmp_path, text=text.replace(old, new))
         assert main([command, "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert key in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # nothing written before the error
 
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent.yaml"]) == 1
@@ -533,6 +546,46 @@ class TestStability:
         h1_line = next(ln for ln in out.splitlines() if ln.startswith("H1:"))
         assert "holds" in h1_line
         assert "drift_margin=0.77026" in h1_line
+
+    def test_unusable_cq1_pairs_named(self, tmp_path, capsys):
+        # chi != 0 and no q > max(1, n/2) = 1: H1 has no usable pair
+        text = STABILITY.replace("chi: 0.0", "chi: 0.3").replace(
+            "experiment:", "experiment:\n  cq1_pairs: [[1.0, 2.0]]")
+        cfg_path = write_config(tmp_path, text=text)
+        assert main(["stability", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: experiment.cq1_pairs: ")
+        assert not (tmp_path / "out").exists()
+        # a sweep gives the point an error row naming the key, and goes on
+        text = text.replace("experiment:", "experiment:\n  sweep: {axes: {params.chi: [0.0, 0.3]}}")
+        cfg_path = write_config(tmp_path, text=text)
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        ok_row, error_row = capsys.readouterr().out.splitlines()
+        assert ok_row.endswith(",criterion_holds,")
+        assert error_row.startswith("0.3,,,,nan,error,experiment.cq1_pairs: ")
+
+    def test_h2_verdict_licenses_convex_m2(self, tmp_path, capsys):
+        # a1 = 0.5749 + 0.5 sin(1.2 t) dips to 0.0749 < n*mu*chi/4 = 0.075 between
+        # window samples, so H2's competition clause fails by 1e-4: the
+        # convex-formula M2 needs H2, and both must come from one window sampling
+        text = (STABILITY.replace("chi: 0.0", "chi: 0.3")
+                .replace("a1: {kind: constant, value: 1.0}",
+                         "a1: {kind: separable, space: {profile: constant, value: 1.0}, time: "
+                         "{form: sinusoid, offset: 0.5749, amplitude: 0.5, frequency: 1.2}}")
+                .replace("n_samples: 101", "n_samples: 2001")
+                .replace("{M2: 1.0, eta: 0.9, C3_tilde: 1.0}", "{eta: 0.05, C3_tilde: 1.0}"))
+        cfg_path = write_config(tmp_path, text=text)
+        assert main(["stability", "--config", str(cfg_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        (report,) = (tmp_path / "out").glob("crit_*_stability.csv")
+        block = [ln[2:] for ln in report.read_text().splitlines() if ln.startswith("# ")]
+        for lines in (out, block):
+            h2 = next(ln for ln in lines if ln.startswith("H2:"))
+            convex = [ln for ln in lines if "(convex-formula)" in ln]
+            assert not (h2.startswith("H2: fails") and convex)
+        assert next(ln for ln in out if ln.startswith("H2:")).startswith("H2: fails")
+        assert not any(ln.startswith("M2=") for ln in out)
+        assert "H3: inconclusive ; M2 unavailable" in out
 
     def test_missing_cq1_prints_h1_inconclusive(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, text=STABILITY.replace("chi: 0.0", "chi: 0.3"))

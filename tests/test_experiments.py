@@ -35,9 +35,9 @@ from oracles import gronwall_loop, logistic_exact, periodic_logistic_oracle, tra
 
 def const_set(grid, a0=1.0, a1=1.0, a2=0.0):
     return CoefficientSet(
-        ConstantCoefficient(grid, 0, a0),
-        ConstantCoefficient(grid, 1, a1),
-        ConstantCoefficient(grid, 2, a2),
+        ConstantCoefficient(grid, a0),
+        ConstantCoefficient(grid, a1),
+        ConstantCoefficient(grid, a2),
     )
 
 
@@ -177,9 +177,9 @@ class TestPersistence:
 
     def test_periodic_floor_matches_ode_oracle(self, grid):
         time = TimeFactor("sinusoid", offset=1.0, amplitude=0.2, frequency=1.0)
-        a0 = SeparableCoefficient(grid, 0, time, spatial_profile(grid, "constant", value=1.0))
-        cs = CoefficientSet(a0, ConstantCoefficient(grid, 1, 1.0),
-                            ConstantCoefficient(grid, 2, 0.0))
+        a0 = SeparableCoefficient(grid, time, spatial_profile(grid, "constant", value=1.0))
+        cs = CoefficientSet(a0, ConstantCoefficient(grid, 1.0),
+                            ConstantCoefficient(grid, 0.0))
         cfg = StepperConfig(error_tol=3e-6, dt_max=0.1)
         burn = 30.0
         t_end = burn + 4.0 * math.pi
@@ -296,11 +296,11 @@ class TestGronwall:
         # h, K and the neighbour Lipschitz windows all vary between intervals
         ramp = spatial_profile(grid, "linear-ramp", start=-0.5, stop=1.0)
         cs = CoefficientSet(
-            SeparableCoefficient(grid, 0, TimeFactor("sinusoid", offset=1.0, amplitude=0.8,
-                                                     frequency=1.3), ramp),
-            ConstantCoefficient(grid, 1, 1.2),
-            SeparableCoefficient(grid, 2, TimeFactor("sinusoid", offset=0.0, amplitude=0.3,
-                                                     frequency=0.7), ramp),
+            SeparableCoefficient(grid, TimeFactor("sinusoid", offset=1.0, amplitude=0.8,
+                                                  frequency=1.3), ramp),
+            ConstantCoefficient(grid, 1.2),
+            SeparableCoefficient(grid, TimeFactor("sinusoid", offset=0.0, amplitude=0.3,
+                                                  frequency=0.7), ramp),
         )
         constants = KnownConstants(M2=1.1, eta=0.9, C3_tilde=1.0)
         report = estimate_theta(cs, PARAMS, constants, (0.0, 10.0), 101)

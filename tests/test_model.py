@@ -22,9 +22,9 @@ from chemostab import (
 
 def const_set(grid, a0=1.0, a1=1.0, a2=0.0):
     return CoefficientSet(
-        ConstantCoefficient(grid, 0, a0),
-        ConstantCoefficient(grid, 1, a1),
-        ConstantCoefficient(grid, 2, a2),
+        ConstantCoefficient(grid, a0),
+        ConstantCoefficient(grid, a1),
+        ConstantCoefficient(grid, a2),
     )
 
 
@@ -158,10 +158,10 @@ class TestMassRate:
             lam=rng.uniform(0.5, 2.0), mu=rng.uniform(0.5, 2.0),
         )
         cs = CoefficientSet(
-            SeparableCoefficient(grid, 0, TimeFactor("constant", value=1.2),
-                               spatial_profile(grid, "sine", offset=1.0, amplitude=0.5)),
-            ConstantCoefficient(grid, 1, 0.8),
-            ConstantCoefficient(grid, 2, rng.uniform(-0.5, 0.5)),
+            SeparableCoefficient(grid, TimeFactor("constant", value=1.2),
+                                 spatial_profile(grid, "sine", offset=1.0, amplitude=0.5)),
+            ConstantCoefficient(grid, 0.8),
+            ConstantCoefficient(grid, rng.uniform(-0.5, 0.5)),
         )
         state = ModelState(0.3, u, v)
         du, dv = mass_rate(state, cs, params)

@@ -25,6 +25,7 @@ from chemostab import (
     spatial_profile,
 )
 from chemostab.cli import _write_report
+from chemostab.errors import ConfigError
 from oracles import report_csv_reference
 
 WINDOW = (0.0, 10.0)
@@ -36,9 +37,9 @@ def grid1():
 
 def const_set(grid, a0=1.0, a1=1.0, a2=0.0):
     return CoefficientSet(
-        ConstantCoefficient(grid, 0, a0),
-        ConstantCoefficient(grid, 1, a1),
-        ConstantCoefficient(grid, 2, a2),
+        ConstantCoefficient(grid, a0),
+        ConstantCoefficient(grid, a1),
+        ConstantCoefficient(grid, a2),
     )
 
 
@@ -75,24 +76,24 @@ class TestKnownConstants:
 class TestConvexAmplitudeBound:
     def test_reference_point(self):
         # vol=1, n=1, a0=a1=1, a2=0, lam=mu=chi=1
-        out = compute_M2_convex(const_set(grid1()), params(chi=1.0), 1, WINDOW)
+        out = compute_M2_convex(const_set(grid1()), params(chi=1.0), WINDOW)
         assert out.M0 == pytest.approx(1.5, abs=1e-12)
         assert out.M0_ai == pytest.approx(3.0, abs=1e-12)
         assert out.M2 == pytest.approx(3.0, abs=1e-12)
 
     def test_vanishing_drift_limit(self):
-        out = compute_M2_convex(const_set(grid1()), params(chi=1e-300), 1, WINDOW)
+        out = compute_M2_convex(const_set(grid1()), params(chi=1e-300), WINDOW)
         assert out.M2 == pytest.approx(2.25, abs=1e-12)
 
     def test_denominator_boundary_fails(self):
         with pytest.raises(HypothesisFailure) as info:
-            compute_M2_convex(const_set(grid1(), a1=0.25), params(chi=1.0, mu=1.0), 1, WINDOW)
+            compute_M2_convex(const_set(grid1(), a1=0.25), params(chi=1.0, mu=1.0), WINDOW)
         assert "competition-vs-drift" == info.value.inequality
 
     def test_nonlocal_balance_fails(self):
         # vol * neg(a2_inf) = 1.5 > a1 = 1
         with pytest.raises(HypothesisFailure) as info:
-            compute_M2_convex(const_set(grid1(), a2=-1.5), params(chi=0.1), 1, WINDOW)
+            compute_M2_convex(const_set(grid1(), a2=-1.5), params(chi=0.1), WINDOW)
         assert info.value.inequality == "nonlocal-competition-balance"
 
 
@@ -128,27 +129,30 @@ class TestH1:
 
     def test_invalid_q_rejected(self):
         constants = KnownConstants(cq1_pairs=((0.5, 8.0),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="experiment.cq1_pairs"):
             check_H1(const_set(grid1()), params(chi=0.3), constants, WINDOW)
 
 
 class TestH2:
     def test_holds(self):
-        verdict = check_H2(const_set(grid1()), params(chi=1.0, tau=1.0), 1, True, WINDOW)
+        verdict = check_H2(const_set(grid1()), params(chi=1.0, tau=1.0), WINDOW)
         assert verdict.ok
         assert verdict.margins["competition_margin"] == pytest.approx(0.75, abs=1e-12)
 
     def test_tau_clause(self):
-        verdict = check_H2(const_set(grid1()), params(chi=1.0, tau=0.5), 1, True, WINDOW)
+        verdict = check_H2(const_set(grid1()), params(chi=1.0, tau=0.5), WINDOW)
         assert verdict.status == "fails"
 
     def test_chi_clause(self):
-        verdict = check_H2(const_set(grid1()), params(chi=-0.1, tau=1.0), 1, True, WINDOW)
+        verdict = check_H2(const_set(grid1()), params(chi=-0.1, tau=1.0), WINDOW)
         assert verdict.status == "fails"
 
     def test_rectangle_reports_convex(self):
-        verdict = check_H2(const_set(grid1()), params(chi=1.0), 1, True, WINDOW)
-        assert "domain not known to be convex" not in verdict.notes
+        # the dimension n of the competition clause is the grid's
+        grid2 = Grid((1.0, 2.0), (5, 7))
+        verdict = check_H2(const_set(grid2), params(chi=1.0), WINDOW)
+        assert verdict.ok and verdict.notes == ()
+        assert verdict.margins["competition_margin"] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestH3:
@@ -268,8 +272,8 @@ class TestTheta:
     def periodic_setup(self):
         g = grid1()
         time = TimeFactor("sinusoid", offset=1.0, amplitude=1.0, frequency=1.0)
-        a0 = SeparableCoefficient(g, 0, time, spatial_profile(g, "constant", value=1.0))
-        cs = CoefficientSet(a0, ConstantCoefficient(g, 1, 1.0), ConstantCoefficient(g, 2, 0.0))
+        a0 = SeparableCoefficient(g, time, spatial_profile(g, "constant", value=1.0))
+        cs = CoefficientSet(a0, ConstantCoefficient(g, 1.0), ConstantCoefficient(g, 0.0))
         # L2 - L1 = (1 + sin t) + mu^2/(2*lam*tau) - 2*eta = sin t - 0.1
         p = params(chi=0.0, tau=1.0, lam=3.0, mu=1.0)
         eta = (1.0 + 1.0 / 6.0 + 0.1) / 2.0
@@ -306,16 +310,16 @@ class TestTheta:
         g = Grid((1.5,), (21,))
         ramp = spatial_profile(g, "linear-ramp", start=-0.4, stop=1.0)
         wave = spatial_profile(g, "sine", offset=1.0, amplitude=0.5, mode=2.0)
-        a2 = SeparableCoefficient(g, 2, TimeFactor("sinusoid", offset=-0.1, amplitude=0.6,
-                                                   frequency=1.7), ramp)
+        a2 = SeparableCoefficient(g, TimeFactor("sinusoid", offset=-0.1, amplitude=0.6,
+                                                frequency=1.7), ramp)
         if kind == "separable":
-            a0 = SeparableCoefficient(g, 0, TimeFactor("expdecay", limit=1.0, amplitude=0.5,
-                                                       rate=0.3), wave)
+            a0 = SeparableCoefficient(g, TimeFactor("expdecay", limit=1.0, amplitude=0.5,
+                                                    rate=0.3), wave)
         else:
-            a0 = TabulatedCoefficient(g, 0, [1.0, 2.5, 4.0],
+            a0 = TabulatedCoefficient(g, [1.0, 2.5, 4.0],
                                       [wave.values, 2.0 * wave.values, ramp.values + 1.0])
-        a1 = SeparableCoefficient(g, 1, TimeFactor("sinusoid", offset=2.0, amplitude=0.5,
-                                                   frequency=0.9), wave)
+        a1 = SeparableCoefficient(g, TimeFactor("sinusoid", offset=2.0, amplitude=0.5,
+                                                frequency=0.9), wave)
         cs = CoefficientSet(a0, a1, a2)
         p = params(chi=-0.4, tau=0.8, lam=1.3, mu=0.9)
         constants = KnownConstants(M2=1.4, eta=0.6, C3_tilde=1.1)
@@ -400,10 +404,10 @@ class TestReportSerialization:
         # every optional line of the '#' block: eps_suggested, M1, measured eta,
         # cq1_pairs, notes; a tabulated coefficient adds a regularity note
         grid = grid1()
-        a0 = TabulatedCoefficient(grid, 0, np.array([0.0, 1.0, 2.0]),
+        a0 = TabulatedCoefficient(grid, np.array([0.0, 1.0, 2.0]),
                                   np.array([[1.0] * 11, [1.2] * 11, [0.9] * 11]))
-        cs = CoefficientSet(a0, ConstantCoefficient(grid, 1, 1.2),
-                            ConstantCoefficient(grid, 2, -0.05))
+        cs = CoefficientSet(a0, ConstantCoefficient(grid, 1.2),
+                            ConstantCoefficient(grid, -0.05))
         constants = KnownConstants(
             M1=1.5, M2=1.2, eta=0.95, C3_tilde=0.3, cq1_pairs=((2.0, 1.5), (3.0, 2.0)),
             provenance={"M1": "measured", "M2": "convex-formula", "eta": "measured",

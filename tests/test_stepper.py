@@ -35,9 +35,9 @@ from oracles import (
 
 def const_set(grid, a0=1.0, a1=1.0, a2=0.0):
     return CoefficientSet(
-        ConstantCoefficient(grid, 0, a0),
-        ConstantCoefficient(grid, 1, a1),
-        ConstantCoefficient(grid, 2, a2),
+        ConstantCoefficient(grid, a0),
+        ConstantCoefficient(grid, a1),
+        ConstantCoefficient(grid, a2),
     )
 
 
@@ -467,7 +467,7 @@ class TestRun:
 
         def rejecting(state, dt, *args, **kwargs):
             attempts.append(dt)
-            raise StepRejected("u fell below the band", -1.0)
+            raise StepRejected("u fell below the band")
 
         def recording_stats(*args, **kwargs):
             created.append(RunStats(*args, **kwargs))
