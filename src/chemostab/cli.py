@@ -116,9 +116,9 @@ def _constants(c: KnownConstants) -> list[tuple[str, float, str]]:
 
 def _describe(verdict: HypothesisVerdict) -> str:
     """One verdict line: name, status, margins to 6 digits, then the notes."""
-    margin_txt = " ".join(f"{k}={v:.6g}" for k, v in verdict.margins.items())
-    note_txt = ("; " + "; ".join(verdict.notes)) if verdict.notes else ""
-    return f"{verdict.name}: {verdict.status} {margin_txt}{note_txt}"
+    margin_txt = "".join(f" {k}={v:.6g}" for k, v in verdict.margins.items())
+    note_txt = "".join(f"; {note}" for note in verdict.notes)
+    return f"{verdict.name}: {verdict.status}{margin_txt}{note_txt}"
 
 
 def _write_report(path: Path, meta: list[str], report: StabilityReport) -> None:
@@ -192,12 +192,20 @@ def _resolve_constants(cfg: RunConfig, coeffs, params, window, trajectories) -> 
     return constants
 
 
+def _window(cfg: RunConfig) -> tuple[float, float]:
+    """The stability window: ``experiment.window``, by default [0, t_end]."""
+    t0, t1 = cfg.experiment.get("window", [0.0, cfg.experiment["t_end"]])
+    if not t1 > t0:  # a configured window is checked when parsed; the default is not
+        raise ConfigError("experiment.window", f"the default [0, t_end] = [{t0}, {t1}] is empty")
+    return t0, t1
+
+
 def _stability_report(cfg: RunConfig, seed: int | None):
     grid = build_grid(cfg)
     params = build_params(cfg)
     coeffs = build_coefficients(cfg, grid)
     stepper_cfg = build_stepper(cfg)
-    window = tuple(cfg.experiment.get("window", [0.0, cfg.experiment["t_end"]]))
+    window = _window(cfg)
     validate_roles(coeffs, window)
 
     def trajectories():
@@ -238,7 +246,7 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
     if not t_end > 0.0:
         raise ConfigError("experiment.t_end", "must be positive for stability-experiment")
     sample_dt = exp.get("sample_dt") or t_end / 200.0
-    window = tuple(exp.get("window", [0.0, t_end]))
+    window = _window(cfg)
     validate_roles(coeffs, window, require_positive_growth=True)
 
     states = [tuple(build_initial_field(grid, blk[k], f"experiment.seeds[{i}].{k}", seed)

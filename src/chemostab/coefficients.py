@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
-from .errors import CoefficientRangeError, ConfigError
+from .errors import ChemostabError, CoefficientRangeError, ConfigError
 from .grid import Field, Grid, require_finite
 
 __all__ = [
@@ -56,7 +56,16 @@ class TimeFactor:
     ``constant``: g(t) = value
     ``sinusoid``: g(t) = offset + amplitude * sin(frequency * t + phase)
     ``expdecay``: g(t) = limit + amplitude * exp(-rate * t)
+
+    ``PARAMS`` names each form's parameters (its config keys): finite, and a
+    sinusoid's frequency nonnegative.  A bad value raises ConfigError keyed by its field.
     """
+
+    PARAMS: ClassVar[dict[str, tuple[str, ...]]] = {
+        "constant": ("value",),
+        "sinusoid": ("offset", "amplitude", "frequency", "phase"),
+        "expdecay": ("limit", "amplitude", "rate"),
+    }
 
     form: str
     value: float = 1.0
@@ -68,10 +77,13 @@ class TimeFactor:
     rate: float = 0.0
 
     def __post_init__(self):
-        if self.form not in ("constant", "sinusoid", "expdecay"):
-            raise ValueError(f"unknown time factor form {self.form!r}")
+        if not isinstance(self.form, str) or self.form not in self.PARAMS:
+            raise ConfigError("form", f"unknown time form {self.form!r}")
+        for name in self.PARAMS[self.form]:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(name, "must be finite")
         if self.form == "sinusoid" and self.frequency < 0.0:
-            raise ValueError("sinusoid frequency must be nonnegative")
+            raise ConfigError("frequency", f"must be nonnegative, got {self.frequency}")
 
     def __call__(self, t):
         if self.form == "constant":
@@ -91,22 +103,21 @@ class TimeFactor:
             return 2.0 * math.pi / self.frequency
         return None
 
-    def extrema_on(self, t0: float, t1: float) -> tuple[float, float]:
-        """Exact (min, max) of g over [t0, t1]."""
-        if self.form == "constant":
-            return self.value, self.value
-        ts = [t0, t1]
-        if self.form == "sinusoid":
-            if self.frequency == 0.0 or self.amplitude == 0.0:
-                val = float(self(t0))
-                return val, val
-            # interior critical points: frequency*t + phase = pi/2 + k*pi
-            k_lo = math.ceil((self.frequency * t0 + self.phase - math.pi / 2) / math.pi)
-            k_hi = math.floor((self.frequency * t1 + self.phase - math.pi / 2) / math.pi)
-            for k in range(k_lo, k_hi + 1):
-                ts.append((math.pi / 2 + k * math.pi - self.phase) / self.frequency)
-        vals = [float(self(t)) for t in ts]
-        return min(vals), max(vals)
+    def extreme_times(self, t0: float, t1: float) -> list[float]:
+        """Times at which g attains its min and max over [t0, t1]; a window
+        longer than one period is cut to its first period."""
+        if self.form == "expdecay":  # monotone
+            return [t0, t1]
+        period = self.period
+        if period is None:  # constant in t
+            return [t0]
+        if t1 - t0 >= period:
+            t1 = t0 + period
+        # interior critical points: frequency*t + phase = pi/2 + k*pi
+        k_lo = math.ceil((self.frequency * t0 + self.phase - math.pi / 2) / math.pi)
+        k_hi = math.floor((self.frequency * t1 + self.phase - math.pi / 2) / math.pi)
+        return [t0, t1, *((math.pi / 2 + k * math.pi - self.phase) / self.frequency
+                          for k in range(k_lo, k_hi + 1))]
 
 
 class CoefficientSpec:
@@ -130,17 +141,19 @@ class CoefficientSpec:
         return lo, hi
 
     def global_envelope(self, t_window: tuple[float, float]) -> tuple[float, float]:
-        """(inf, sup) over the window and the whole domain.
+        """(inf, sup) over the window and the domain: ``envelope`` at ``_extreme_times``.
 
         Exact for the constant, separable, and tabulated kinds; sampled at
-        evenly spaced times otherwise.
+        evenly spaced times otherwise.  A non-finite value raises ValueError.
         """
         t0, t1 = float(t_window[0]), float(t_window[1])
         if not t1 > t0:
             raise ValueError(f"empty time window [{t0}, {t1}]")
-        return self._global_envelope(t0, t1)
+        lo, hi = self.envelope(np.array(self._extreme_times(t0, t1)))
+        return float(lo.min()), float(hi.max())
 
-    def _global_envelope(self, t0, t1):
+    def _extreme_times(self, t0: float, t1: float):
+        """Times in [t0, t1] at which the envelope attains its extremes there."""
         raise NotImplementedError
 
     @property
@@ -163,8 +176,8 @@ class ConstantCoefficient(CoefficientSpec):
         values = np.full(np.shape(t), self.value)
         return values, values
 
-    def _global_envelope(self, t0, t1):
-        return self.value, self.value
+    def _extreme_times(self, t0, t1):
+        return [t0]
 
 
 class SeparableCoefficient(CoefficientSpec):
@@ -188,15 +201,9 @@ class SeparableCoefficient(CoefficientSpec):
         at_hi = require_finite(g * self.space.max())
         return np.minimum(at_lo, at_hi), np.maximum(at_lo, at_hi)
 
-    def _global_envelope(self, t0, t1):
-        period = self.time.period
-        if period is not None and (t1 - t0) >= period:
-            g_lo, g_hi = self.time.extrema_on(t0, t0 + period)
-        else:
-            g_lo, g_hi = self.time.extrema_on(t0, t1)
-        h_lo, h_hi = self.space.min(), self.space.max()
-        products = [g_lo * h_lo, g_lo * h_hi, g_hi * h_lo, g_hi * h_hi]
-        return min(products), max(products)
+    def _extreme_times(self, t0, t1):
+        # g*h is monotone in g at each node, so its extremes lie at g's
+        return self.time.extreme_times(t0, t1)
 
 
 class TabulatedCoefficient(CoefficientSpec):
@@ -242,12 +249,10 @@ class TabulatedCoefficient(CoefficientSpec):
         s = (t - t_lo) / (t_hi - t_lo)
         return require_finite((1.0 - s) * self.tables[i] + s * self.tables[i + 1])
 
-    def _global_envelope(self, t0, t1):
+    def _extreme_times(self, t0, t1):
         # Linear interpolation attains its extremes at knots (or clamped
         # window endpoints), so evaluating there is exact.
-        inner = self.knots[(self.knots > t0) & (self.knots < t1)]
-        lo, hi = self.envelope(np.concatenate(([t0, t1], inner)))
-        return float(lo.min()), float(hi.max())
+        return np.concatenate(([t0, t1], self.knots[(self.knots > t0) & (self.knots < t1)]))
 
     @property
     def regularity_note(self) -> str | None:
@@ -264,9 +269,8 @@ class CallableCoefficient(CoefficientSpec):
     def eval(self, t: float) -> np.ndarray:
         return require_finite(np.asarray(self.fn(float(t)), dtype=float).reshape(self.grid.counts))
 
-    def _global_envelope(self, t0, t1):
-        lo, hi = self.envelope(np.linspace(t0, t1, 65))
-        return float(lo.min()), float(hi.max())
+    def _extreme_times(self, t0, t1):
+        return np.linspace(t0, t1, 65)
 
     @property
     def regularity_note(self) -> str | None:
@@ -413,16 +417,18 @@ def validate_roles(
     """Enforce the sign conventions the theory needs from each role.
 
     Local competition must have a positive all-time infimum; intrinsic growth
-    must too when persistence experiments are requested.
+    must too when persistence experiments are requested.  A failure or a
+    non-finite envelope raises ConfigError keyed by the slot (``a1``, ``a0``).
     """
-    a1_inf, _ = coeffs.a1.global_envelope(t_window)
-    if not a1_inf > 0.0:
-        raise ValueError(
-            f"local competition coefficient must have positive infimum, got {a1_inf}"
-        )
+    rules = [("a1", "local competition coefficient must have positive infimum")]
     if require_positive_growth:
-        a0_inf, _ = coeffs.a0.global_envelope(t_window)
-        if not a0_inf > 0.0:
-            raise ValueError(
-                f"growth coefficient must have positive infimum for persistence runs, got {a0_inf}"
-            )
+        rules.append(("a0", "growth coefficient must have positive infimum for persistence runs"))
+    for slot, rule in rules:
+        try:
+            inf, _ = getattr(coeffs, slot).global_envelope(t_window)
+        except ChemostabError:  # a tabulated range error is a runtime error
+            raise
+        except ValueError as exc:
+            raise ConfigError(slot, str(exc)) from exc
+        if not inf > 0.0:
+            raise ConfigError(slot, f"{rule}, got {inf}")

@@ -57,13 +57,6 @@ _EXPERIMENT_KEYS = {
     "gap_tolerance", "sweep",
 }
 
-_TIME_KEYS = {
-    "constant": {"value"},
-    "sinusoid": {"offset", "amplitude", "frequency", "phase"},
-    "expdecay": {"limit", "amplitude", "rate"},
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Normalized configuration; block contents are plain dicts."""
@@ -91,6 +84,14 @@ class RunConfig:
 
 def _fail(key: str, message: str):
     raise ConfigError(key, message)
+
+
+def _build(key: str, cls, **values):
+    """``cls(**values)``; a ConfigError the type raises is re-keyed under ``key``."""
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        _fail(f"{key}.{exc.key}", exc.message)
 
 
 def _check_keys(block: dict, allowed: set[str], path: str):
@@ -163,33 +164,22 @@ def _interval(raw, key: str) -> list[float]:
 def _norm_grid(raw: dict) -> dict:
     _check_keys(raw, {"dim", "extents", "counts"}, "grid")
     extents = _float_list(raw.get("extents", [1.0]), "grid.extents")
-    counts_raw = raw.get("counts")
-    if counts_raw is None:
+    if raw.get("counts") is None:
         _fail("grid.counts", "required")
-    counts = [_integral(c, "grid.counts") for c in _float_list(counts_raw, "grid.counts")]
+    counts = [_integral(c, "grid.counts") for c in _float_list(raw["counts"], "grid.counts")]
     dim = _as_int(raw, "dim", "grid", default=len(extents))
     if dim != len(extents):
         _fail("grid.dim", f"dim={dim} but {len(extents)} extents given")
-    if len(counts) != len(extents):
-        _fail("grid.counts", "must match extents in length")
-    if dim not in (1, 2):
-        _fail("grid.dim", "must be 1 or 2")
-    for k, e in enumerate(extents):
-        if not 0.0 < e < math.inf:
-            _fail("grid.extents", f"axis {k}: must be positive and finite")
-    for k, c in enumerate(counts):
-        if c < 3:
-            _fail("grid.counts", f"axis {k}: need at least 3 nodes")
+    _build("grid", Grid, extents=extents, counts=counts)
     return {"dim": dim, "extents": extents, "counts": counts}
 
 
 def _norm_params(raw: dict) -> dict:
     _check_keys(raw, {"chi", "tau", "lambda", "mu"}, "params")
-    chi = _as_float(raw, "chi", "params", default=0.0, finite=True)
-    tau = _as_positive(raw, "tau", "params", required=True)
-    lam = _as_positive(raw, "lambda", "params", required=True)
-    mu = _as_positive(raw, "mu", "params", required=True)
-    return {"chi": chi, "tau": tau, "lambda": lam, "mu": mu}
+    out = {"chi": _as_float(raw, "chi", "params", default=0.0)}
+    out.update((key, _as_float(raw, key, "params", required=True)) for key in ("tau", "lambda", "mu"))
+    _build("params", ModelParams, chi=out["chi"], tau=out["tau"], lam=out["lambda"], mu=out["mu"])
+    return out
 
 
 def _norm_profile(raw, path: str, table: dict, what: str) -> dict:
@@ -239,19 +229,14 @@ def _norm_coefficient(raw: dict, name: str) -> dict:
         time_raw = raw.get("time", {"form": "constant", "value": 1.0})
         if not isinstance(time_raw, dict) or "form" not in time_raw:
             _fail(f"{name}.time", "expected a mapping with a 'form' key")
-        form = time_raw["form"]
-        if not isinstance(form, str) or form not in _TIME_KEYS:
-            _fail(f"{name}.time.form", f"unknown time form {form!r}")
-        _check_keys(time_raw, _TIME_KEYS[form] | {"form"}, f"{name}.time")
-        time = {"form": form}
-        for key in time_raw:
-            if key == "frequency":
-                time[key] = _as_positive(time_raw, key, f"{name}.time", required=True, allow_zero=True)
-            elif key != "form":
-                time[key] = _as_float(time_raw, key, f"{name}.time", required=True, finite=True)
+        form = _build(f"{name}.time", TimeFactor, form=time_raw["form"]).form  # picks the keys
+        _check_keys(time_raw, {"form", *TimeFactor.PARAMS[form]}, f"{name}.time")
+        time = {key: _as_float(time_raw, key, f"{name}.time", required=True)
+                for key in time_raw if key != "form"}
+        _build(f"{name}.time", TimeFactor, form=form, **time)
         space = _norm_profile(raw.get("space", {"profile": "constant", "value": 1.0}),
                               f"{name}.space", SPATIAL_PROFILES, "spatial")
-        return {"kind": "separable", "time": time, "space": space}
+        return {"kind": "separable", "time": {"form": form, **time}, "space": space}
     if kind == "tabulated":
         _check_keys(raw, {"kind", "table_file", "clamp"}, name)
         path = raw.get("table_file")
@@ -270,10 +255,7 @@ def _norm_stepper(raw: dict) -> dict:
     names = [f.name for f in fields(StepperConfig)]
     _check_keys(raw, set(names), "stepper")
     out = {name: _as_float(raw, name, "stepper", default=getattr(defaults, name)) for name in names}
-    try:
-        StepperConfig(**out)
-    except ConfigError as exc:
-        _fail(f"stepper.{exc.key}", exc.message)
+    _build("stepper", StepperConfig, **out)
     return out
 
 
@@ -296,6 +278,7 @@ def _norm_experiment(raw: dict) -> dict:
             for k in ("M1", "M2", "eta", "C3_tilde")
             if cblock.get(k) is not None
         }
+        _build("experiment.constants", KnownConstants, **out["constants"])
     if "cq1_pairs" in raw and raw["cq1_pairs"] is not None:
         pairs = raw["cq1_pairs"]
         if not isinstance(pairs, (list, tuple)):
@@ -420,26 +403,15 @@ def _build_coefficient(block: dict, grid: Grid, name: str):
         time = TimeFactor(**block["time"])
         space = build_profile_field(grid, block["space"], f"{name}.space", table=SPATIAL_PROFILES)
         return SeparableCoefficient(grid, time, space)
-    if block["kind"] == "tabulated":
-        knots, tables = _read_table(block["table_file"], grid, name)
-        try:
-            return TabulatedCoefficient(grid, knots, tables, clamp=block["clamp"])
-        except ValueError as exc:
-            raise ConfigError(f"{name}.table_file", f"{block['table_file']}: {exc}") from exc
-    raise ConfigError(name, f"unknown kind {block['kind']!r}")
-
-
-def _read_table(path: str, grid: Grid, name: str):
+    path = block["table_file"]  # tabulated: a time column, then one column per node
     try:
         raw = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{name}.table_file", f"cannot read {path}: {exc}") from exc
-    if raw.shape[1] != 1 + grid.node_count:
-        raise ConfigError(
-            f"{name}.table_file",
-            f"expected 1 + {grid.node_count} columns, got {raw.shape[1]}",
-        )
-    return raw[:, 0], [row for row in raw[:, 1:]]
+    try:
+        return TabulatedCoefficient(grid, raw[:, 0], raw[:, 1:], clamp=block["clamp"])
+    except ValueError as exc:
+        raise ConfigError(f"{name}.table_file", f"{path}: {exc}") from exc
 
 
 def build_coefficients(cfg: RunConfig, grid: Grid) -> CoefficientSet:
@@ -472,8 +444,4 @@ def build_constants(cfg: RunConfig) -> KnownConstants:
     exp = cfg.experiment
     values = dict(exp.get("constants", {}))
     pairs = tuple((q, c) for q, c in exp.get("cq1_pairs", []))
-    provenance = {k: "config" for k in values}
-    try:
-        return KnownConstants(cq1_pairs=pairs, provenance=provenance, **values)
-    except ValueError as exc:
-        raise ConfigError("experiment.constants", str(exc)) from exc
+    return KnownConstants(cq1_pairs=pairs, provenance=dict.fromkeys(values, "config"), **values)

@@ -29,6 +29,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "Grid",
     "Field",
@@ -51,7 +53,8 @@ class Grid:
     extents : tuple of float
         Physical side lengths, one per axis.
     counts : tuple of int
-        Node counts per axis, each at least 3.
+        Node counts per axis, each at least 3.  A bad extent or count raises
+        :class:`ConfigError` keyed ``extents`` or ``counts``.
     """
 
     extents: tuple[float, ...]
@@ -63,14 +66,14 @@ class Grid:
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "counts", counts)
         if len(extents) not in (1, 2):
-            raise ValueError(f"grid dimension must be 1 or 2, got {len(extents)}")
+            raise ConfigError("extents", f"expected 1 or 2 axes, got {len(extents)}")
         if len(counts) != len(extents):
-            raise ValueError("extents and counts must have the same length")
+            raise ConfigError("counts", "must match extents in length")
         for k, (ell, n) in enumerate(zip(extents, counts)):
             if not (ell > 0.0 and np.isfinite(ell)):
-                raise ValueError(f"axis {k}: extent must be positive and finite")
+                raise ConfigError("extents", f"axis {k}: must be positive and finite")
             if n < 3:
-                raise ValueError(f"axis {k}: need at least 3 nodes, got {n}")
+                raise ConfigError("counts", f"axis {k}: need at least 3 nodes, got {n}")
 
     @cached_property
     def dim(self) -> int:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .errors import GridMismatchError
+from .errors import ConfigError, GridMismatchError
 from .grid import Grid, chemotaxis_values, integrate_values, laplacian_values
 
 __all__ = [
@@ -46,9 +46,9 @@ class ModelParams:
 
     chi: chemotactic sensitivity (signed). tau: chemical time constant.
     lam: chemical degradation rate. mu: chemical production rate.
-    tau, lam, mu must be positive; the stability hypotheses additionally
-    want tau <= 1, which is reported by the hypothesis checkers rather than
-    enforced here.
+    All are finite and tau, lam, mu positive; a bad value raises ConfigError
+    keyed by its config name (``lambda`` for lam).  The stability hypotheses
+    also want tau <= 1, which the hypothesis checkers report, not enforce.
     """
 
     chi: float
@@ -57,16 +57,11 @@ class ModelParams:
     mu: float
 
     def __post_init__(self):
-        for name in ("chi", "tau", "lam", "mu"):
-            val = getattr(self, name)
-            if not np.isfinite(val):
-                raise ValueError(f"{name} must be finite")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.lam <= 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.mu <= 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not np.isfinite(self.chi):
+            raise ConfigError("chi", f"must be finite, got {self.chi}")
+        for key, val in (("tau", self.tau), ("lambda", self.lam), ("mu", self.mu)):
+            if not 0.0 < val < np.inf:
+                raise ConfigError(key, f"must be finite and positive, got {val}")
 
 
 # arrays have no single truth value, so states compare by identity (eq=False)

@@ -78,6 +78,7 @@ class KnownConstants:
     simulations; conservative only in the failing direction for eta).
     ``cq1_pairs`` lists (q, C_{q+1}) pairs for the growth-vs-drift check;
     the constant is not computable here and is accepted as opaque input.
+    A bad value raises ConfigError keyed by its field.
     """
 
     M1: float | None = None
@@ -91,9 +92,9 @@ class KnownConstants:
         for name in ("M1", "M2", "eta", "C3_tilde"):
             val = getattr(self, name)
             if val is not None and not val > 0.0:
-                raise ValueError(f"{name} must be positive when present, got {val}")
+                raise ConfigError(name, f"must be positive when present, got {val}")
         if self.M2 is not None and self.eta is not None and self.M2 < self.eta:
-            raise ValueError(f"need M2 >= eta, got M2={self.M2}, eta={self.eta}")
+            raise ConfigError("M2", f"must be at least eta={self.eta}, got {self.M2}")
         object.__setattr__(self, "cq1_pairs", tuple((float(q), float(c)) for q, c in self.cq1_pairs))
         object.__setattr__(self, "provenance", dict(self.provenance))
 

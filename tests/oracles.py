@@ -283,9 +283,9 @@ def report_csv_reference(report) -> str:
     """
 
     def describe(verdict):
-        margin_txt = " ".join(f"{k}={v:.6g}" for k, v in verdict.margins.items())
+        margin_txt = "".join(f" {k}={v:.6g}" for k, v in verdict.margins.items())
         note_txt = ("; " + "; ".join(verdict.notes)) if verdict.notes else ""
-        return f"{verdict.name}: {verdict.status} {margin_txt}{note_txt}"
+        return f"{verdict.name}: {verdict.status}{margin_txt}{note_txt}"
 
     lines = ["# stability report"]
     lines.append(f"# window: {report.window[0]!r} {report.window[1]!r}")

@@ -16,7 +16,15 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chemostab import ModelState, measure_constants, run
+from chemostab import (
+    Grid,
+    KnownConstants,
+    ModelParams,
+    ModelState,
+    TimeFactor,
+    measure_constants,
+    run,
+)
 from chemostab import cli
 from chemostab.cli import main
 from chemostab.config import (
@@ -125,6 +133,44 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as info:
             parse_config(bad)
         assert "params.tau" in str(info.value)
+
+    @pytest.mark.parametrize("build,field,old,new,key", [
+        pytest.param(lambda: Grid((1.0,) * 3, (5,) * 3), "extents", "extents: [1.0]\n  counts: [31]",
+                     "extents: [1.0, 1.0, 1.0]\n  counts: [5, 5, 5]", "grid.extents", id="grid-3-axes"),
+        pytest.param(lambda: Grid((1.0,), (2,)), "counts", "counts: [31]", "counts: [2]",
+                     "grid.counts", id="grid-2-nodes"),
+        pytest.param(lambda: ModelParams(chi=0.0, tau=1.0, lam=0.0, mu=1.0), "lambda",
+                     "lambda: 1.0", "lambda: 0.0", "params.lambda", id="params-lambda-zero"),
+        pytest.param(lambda: ModelParams(chi=math.nan, tau=1.0, lam=1.0, mu=1.0), "chi",
+                     "chi: 0.0", "chi: .nan", "params.chi", id="params-chi-nan"),
+        pytest.param(lambda: TimeFactor("sinusoid", frequency=-1.0), "frequency",
+                     "a0: {kind: constant, value: 1.0}",
+                     "a0: {kind: separable, time: {form: sinusoid, frequency: -1.0}}",
+                     "a0.time.frequency", id="time-frequency-negative"),
+        pytest.param(lambda: TimeFactor("expdecay", rate=math.inf), "rate",
+                     "a0: {kind: constant, value: 1.0}",
+                     "a0: {kind: separable, time: {form: expdecay, rate: .inf}}",
+                     "a0.time.rate", id="time-rate-inf"),
+        pytest.param(lambda: TimeFactor("wobble"), "form", "a0: {kind: constant, value: 1.0}",
+                     "a0: {kind: separable, time: {form: wobble}}", "a0.time.form",
+                     id="time-form-unknown"),
+        pytest.param(lambda: KnownConstants(M2=0.0), "M2", "sample_dt: 2.0",
+                     "sample_dt: 2.0\n  constants: {M2: 0.0}", "experiment.constants.M2",
+                     id="constants-M2-zero"),
+        pytest.param(lambda: KnownConstants(M2=0.5, eta=1.0), "M2", "sample_dt: 2.0",
+                     "sample_dt: 2.0\n  constants: {M2: 0.5, eta: 1.0}",
+                     "experiment.constants.M2", id="constants-M2-below-eta"),
+    ])
+    def test_type_keys_its_error(self, build, field, old, new, key):
+        # the type that holds a value judges it, keyed by the field; the
+        # config re-keys that error under the block, with the same message
+        with pytest.raises(ConfigError) as held:
+            build()
+        assert held.value.key == field
+        assert old in BASE
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(BASE.replace("OUTDIR", "out").replace(old, new))
+        assert (parsed.value.key, parsed.value.message) == (key, held.value.message)
 
     def test_builders(self):
         cfg = parse_config(BASE.replace("OUTDIR", "out"))
@@ -389,6 +435,8 @@ class TestSimulate:
                      id="experiment-t_end-zero"),
         pytest.param("stability-experiment", "window: [0.0, 40.0]", "window: [0.0, .inf]",
                      "experiment.window", id="window-inf"),
+        pytest.param("stability", "t_end: 40.0", "t_end: 0.0", "experiment.window",
+                     id="default-window-empty"),
         pytest.param("simulate", "chi: 0.0", "chi: .nan", "params.chi", id="chi-nan"),
         pytest.param("simulate", "chi: 0.0", "chi: .inf", "params.chi", id="chi-inf"),
         pytest.param("stability-experiment", "burn_ins: [8.0, 8.0, 8.0]",
@@ -528,6 +576,7 @@ class TestStability:
         assert main(["stability", "--config", str(cfg_path)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("inconclusive")
+        assert "H3: inconclusive; M2 unavailable" in out.splitlines()  # no margins, no stray space
 
     def test_convex_formula_provenance(self, tmp_path, capsys):
         text = STABILITY.replace("chi: 0.0", "chi: 1.0").replace(
@@ -699,6 +748,21 @@ class TestSweep:
         assert "params.tau" in by_tau[0.0][-1]
         assert by_tau[1.0][-2] == "criterion_holds"
         assert by_tau[0.5][-2] != "error"
+
+    def test_bad_role_point_recorded(self, tmp_path, capsys):
+        # a1 without a positive infimum is an error row naming a1, and the CSV is written
+        text = STABILITY.replace(
+            "experiment:",
+            "experiment:\n  sweep: {axes: {a1.value: [1.0, 0.0]}}",
+        )
+        cfg_path = write_config(tmp_path, text=text)
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        ok_row, error_row = capsys.readouterr().out.splitlines()
+        assert ok_row.endswith(",criterion_holds,")
+        assert error_row == ("0.0,,,,nan,error,a1: local competition coefficient must have "
+                             "positive infimum; got 0.0")
+        (path,) = (tmp_path / "out").glob("crit_*_sweep.csv")
+        assert data_section(path).endswith(error_row + "\n")
 
     def test_stdout_is_csv_body(self, tmp_path, capsys):
         # the printed rows are the lines written below the header, error rows included
@@ -972,7 +1036,7 @@ def test_traced_stability_experiment_marks_setup_end(tmp_path, monkeypatch):
 FUZZ_KEYS = ("grid.counts", "experiment.t_end", "experiment.sample_dt", "experiment.n_samples",
              "experiment.gap_tolerance", "params.chi", "params.tau", "params.lambda",
              "params.mu", "initial.u.axis", "initial.u.center", "a0.space.axis",
-             "a0.space.width", "a0.value")
+             "a0.space.width", "a0.value", "a1.value")
 
 # a block that takes the fuzzed parameter, for keys whose block EXPERIMENT lacks
 FUZZ_BLOCKS = {
@@ -991,10 +1055,12 @@ FUZZ_BLOCKS = {
 @example(command="simulate", key="experiment.t_end", value=math.inf)
 @example(command="simulate", key="initial.u.axis", value=3)
 @example(command="stability", key="a0.space.axis", value=-1)
+@example(command="stability-experiment", key="a0.value", value=0)
+@example(command="stability", key="a1.value", value=0)
 @settings(max_examples=60, deadline=None)
 def test_cli_fuzz_exit_codes(command, key, value):
     # any single bad number ends in a documented exit code, never an exception
-    # or a traceback
+    # or a traceback, and a config error names the fuzzed key's block
     cfg = yaml.safe_load(EXPERIMENT)
     cfg["grid"]["counts"] = [11]
     cfg["stepper"]["error_tol"] = 1.0e-3
@@ -1013,5 +1079,8 @@ def test_cli_fuzz_exit_codes(command, key, value):
         path.write_text(yaml.safe_dump(cfg))
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            assert main([command, "--config", str(path)]) in (0, 1, 2)
+            code = main([command, "--config", str(path)])
+        assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith(f"config error: {parents[0]}")

@@ -19,6 +19,7 @@ from chemostab import (
     validate_roles,
 )
 from chemostab.coefficients import INITIAL_PROFILES, SPATIAL_PROFILES, build_profile_field
+from chemostab.errors import ConfigError
 
 from oracles import (
     PROFILE_KEYS,
@@ -184,6 +185,17 @@ class TestGlobalEnvelope:
         assert (lo, hi) == (np.sin(3.7 * ts).min(), np.sin(3.7 * ts).max())
         assert -1.0 < lo and hi < 1.0  # the sampled envelope is an inner estimate
 
+    def test_extreme_times(self):
+        # the window is cut to one period before the critical times are found
+        sine = TimeFactor("sinusoid", amplitude=1.0, frequency=2.0, phase=0.3)
+        ts = sine.extreme_times(0.0, 10.0)
+        assert ts[:2] == [0.0, math.pi]
+        assert np.allclose(np.abs(np.sin(2.0 * np.array(ts[2:]) + 0.3)), 1.0)
+        assert len(ts) == 4 and all(0.0 < t < math.pi for t in ts[2:])
+        assert TimeFactor("expdecay", rate=1.0).extreme_times(1.0, 3.0) == [1.0, 3.0]
+        assert TimeFactor("constant").extreme_times(1.0, 3.0) == [1.0]
+        assert TimeFactor("sinusoid", frequency=0.0).extreme_times(1.0, 3.0) == [1.0]
+
     def test_empty_window_rejected(self, grid):
         spec = ConstantCoefficient(grid, 1.0)
         with pytest.raises(ValueError):
@@ -229,6 +241,32 @@ class TestCoefficientSet:
         )
         with pytest.raises(ValueError):
             validate_roles(bad, (0.0, 1.0))
+
+    def test_validate_roles_names_slot(self, grid):
+        one, zero = ConstantCoefficient(grid, 1.0), ConstantCoefficient(grid, 0.0)
+        with pytest.raises(ConfigError) as info:
+            validate_roles(CoefficientSet(one, zero, zero), (0.0, 1.0))
+        assert info.value.key == "a1" and info.value.message.endswith("got 0.0")
+        with pytest.raises(ConfigError) as info:
+            validate_roles(CoefficientSet(zero, one, zero), (0.0, 1.0), require_positive_growth=True)
+        assert info.value.key == "a0" and info.value.message.endswith("got 0.0")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+    @pytest.mark.parametrize("slot", ["a0", "a1"])
+    def test_non_finite_envelope_names_slot(self, grid, slot):
+        roles = {"a0": ConstantCoefficient(grid, 1.0), "a1": ConstantCoefficient(grid, 1.0),
+                 "a2": ConstantCoefficient(grid, 0.0)}
+        roles[slot] = separable(grid, TimeFactor("expdecay", limit=1.0, amplitude=1.0, rate=-1.0),
+                                value=1.0)  # exp(800) overflows
+        with pytest.raises(ConfigError) as info:
+            validate_roles(CoefficientSet(**roles), (0.0, 800.0), require_positive_growth=True)
+        assert info.value.key == slot and "non-finite" in info.value.message
+
+    def test_range_error_is_not_a_config_error(self, grid):
+        table = TabulatedCoefficient(grid, [0.0, 1.0], [np.ones(101)] * 2, clamp=False)
+        cs = CoefficientSet(ConstantCoefficient(grid, 1.0), table, ConstantCoefficient(grid, 0.0))
+        with pytest.raises(CoefficientRangeError):
+            validate_roles(cs, (0.0, 2.0))
 
     def test_regularity_notes(self, grid):
         cs = CoefficientSet(
