@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands: simulate | stability | stability-experiment | sweep | converge.
-Every output CSV starts with '#' metadata lines (including the config content
-hash) so reruns are attributable; data sections are byte-identical across
-reruns of the same config.  Exit codes: 0 = completed with a verdict (even a
-failing one), 1 = configuration error, 2 = runtime/solver error.
+Each command is a compute function that returns its result and neither
+writes nor prints (``simulate``, ``stability_report``,
+``stability_experiment``, ``sweep``, ``converge``), and a ``cmd_*`` that
+calls it once, then writes and prints.  ``_write_csv`` names and writes every
+output file: '#' metadata lines (including the config content hash, so reruns
+are attributable), the header, then a data section that is byte-identical
+across reruns of the same config.  Exit codes: 0 = completed with a verdict
+(even a failing one), 1 = configuration error, 2 = runtime/solver error.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +39,11 @@ from .config import (
 from .coefficients import CoefficientSet, ConstantCoefficient, validate_roles
 from .errors import ChemostabError, ConfigError
 from .experiments import (
+    EntireSolution,
+    FitResult,
+    GapSeries,
+    GronwallResult,
+    PersistenceEstimate,
     approximate_entire_solution,
     estimate_persistence,
     fit_decay_rate,
@@ -51,17 +61,10 @@ from .stability import (
     compute_M2_convex,
     estimate_theta,
 )
-from .stepper import fixed_step_run, run
+from .stepper import Trajectory, fixed_step_run, run
 
 FINAL_GAP_TOL = 1.0e-3
 RATE_SLACK = 0.05
-
-
-def _metadata_lines(cfg: RunConfig, extra: dict | None = None) -> list[str]:
-    lines = [f"# chemostab {__version__}", f"# config_hash: {cfg.content_hash}"]
-    for key, val in (extra or {}).items():
-        lines.append(f"# {key}: {val}")
-    return lines
 
 
 def _cell(v) -> str:
@@ -92,16 +95,21 @@ def _coord_texts(grid) -> tuple[np.ndarray, ...]:
     return np.meshgrid(*axes, indexing="ij")
 
 
-def _write_csv(path: Path, meta: list[str], header: str, rows=(), columns=None) -> list[str]:
-    """Write the metadata, the header and the body, from ``rows`` or ``columns``.
+def _write_csv(cfg: RunConfig, out_dir: str | None, kind: str, header: str, rows=(),
+               columns=None, block=()) -> list[str]:
+    """Write ``<output.name>_<hash>_<kind>.csv`` under ``out_dir``, by default ``output.dir``.
 
-    Every output file is written here.  ``rows`` are tuples of cells
-    formatted by ``_cell``; ``columns`` are equal-length arrays, one per CSV
-    column (see ``_column_lines``).  Returns the body lines made from
-    ``rows``; columns are streamed and not kept.
+    Every output file is named and written here: the version and config-hash
+    lines, the ``block`` lines, the header, then the body from ``rows`` (tuples
+    of cells formatted by ``_cell``) or ``columns`` (equal-length arrays, one
+    per CSV column, streamed by ``_column_lines``).  Returns the body lines
+    made from ``rows``.
     """
     body = [",".join(map(_cell, row)) + "\n" for row in rows]
+    name = f"{cfg.output['name']}_{cfg.content_hash}_{kind}.csv"
+    path = Path(out_dir or cfg.output["dir"]) / name
     path.parent.mkdir(parents=True, exist_ok=True)
+    meta = [f"# chemostab {__version__}", f"# config_hash: {cfg.content_hash}", *block]
     with open(path, "w") as fh:
         fh.writelines(line + "\n" for line in [*meta, header])
         fh.writelines(body if columns is None else _column_lines(columns))
@@ -121,7 +129,7 @@ def _describe(verdict: HypothesisVerdict) -> str:
     return f"{verdict.name}: {verdict.status}{margin_txt}{note_txt}"
 
 
-def _write_report(path: Path, meta: list[str], report: StabilityReport) -> None:
+def _write_report(cfg: RunConfig, out_dir: str | None, report: StabilityReport) -> None:
     """The stability CSV: a '#' block of the report's verdict, then one row per sampled time."""
     c = report.constants
     block = [
@@ -138,32 +146,31 @@ def _write_report(path: Path, meta: list[str], report: StabilityReport) -> None:
         block.append("# cq1_pairs: " + " ".join(f"({q!r},{cq!r})" for q, cq in c.cq1_pairs))
     block += [f"# {_describe(v)}" for v in (report.h1_ok, report.h2_ok, report.h3_ok)]
     block += [f"# note: {note}" for note in report.notes]
-    _write_csv(path, [*meta, *block], "t,L1,L2,h",
+    _write_csv(cfg, out_dir, "stability", "t,L1,L2,h", block=block,
                columns=(report.ts, report.L1_series, report.L2_series, report.h_series))
 
 
-def _out_path(cfg: RunConfig, out_dir: str | None, kind: str) -> Path:
-    base = Path(out_dir) if out_dir else Path(cfg.output["dir"])
-    return base / f"{cfg.output['name']}_{cfg.content_hash}_{kind}.csv"
-
-
-def cmd_simulate(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
+def simulate(cfg: RunConfig, seed: int | None = None) -> Trajectory:
+    """One run from the configured initial state to ``experiment.t_end``."""
     grid = build_grid(cfg)
     params = build_params(cfg)
     coeffs = build_coefficients(cfg, grid)
     state0 = ModelState(0.0, *build_initial(cfg, grid, seed))  # holds the only copy of u0, v0
     stepper_cfg = build_stepper(cfg)
-    t_end = cfg.experiment["t_end"]
-    traj = run(state0, t_end, coeffs, params, stepper_cfg,
+    return run(state0, cfg.experiment["t_end"], coeffs, params, stepper_cfg,
                sample_dt=cfg.experiment.get("sample_dt"))
-    meta = _metadata_lines(cfg, {"t_end": t_end})
-    _write_csv(_out_path(cfg, out_dir, "series"), meta, "t,mass_u,mass_v,min_u,sup_u,w2inf_v",
+
+
+def cmd_simulate(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
+    traj = simulate(cfg, seed)
+    block = [f"# t_end: {cfg.experiment['t_end']}"]
+    _write_csv(cfg, out_dir, "series", "t,mass_u,mass_v,min_u,sup_u,w2inf_v", block=block,
                columns=(traj.times, traj.mass_u, traj.mass_v, traj.min_u, traj.sup_u,
                         traj.w2inf_v))
     # one row per node in C order: its coordinates, then u and v
-    header = "x,u,v" if grid.dim == 1 else "x,y,u,v"
-    _write_csv(_out_path(cfg, out_dir, "final"), meta, header,
-               columns=(*_coord_texts(grid), traj.final.u, traj.final.v))
+    header = "x,u,v" if traj.grid.dim == 1 else "x,y,u,v"
+    _write_csv(cfg, out_dir, "final", header, block=block,
+               columns=(*_coord_texts(traj.grid), traj.final.u, traj.final.v))
     clamped = float(traj.stats.clamped_mass_u + traj.stats.clamped_mass_v)
     print(f"simulate complete t={traj.final.t!r} mass_u={float(traj.mass_u[-1])!r} "
           f"accepted={traj.stats.accepted} rejected={traj.stats.rejected_error} "
@@ -182,13 +189,17 @@ def _resolve_constants(cfg: RunConfig, coeffs, params, window, trajectories) -> 
     when a constant is still missing.
     """
     constants = build_constants(cfg)
+    convex = {}
     if constants.M2 is None and check_H2(coeffs, params, window).ok:
-        bound = compute_M2_convex(coeffs, params, window)
-        constants = constants.with_values("convex-formula", M2=bound.M2)
-    if constants.missing("M1", "M2", "eta", "C3_tilde"):
-        trajs = trajectories()
+        convex["M2"] = compute_M2_convex(coeffs, params, window).M2
+    needed = {"M1", "M2", "eta", "C3_tilde"} - convex.keys()
+    trajs = trajectories() if constants.missing(*needed) else []
+    try:  # a resolved constant that contradicts a configured one names the configured key
+        constants = constants.with_values("convex-formula", **convex)
         if trajs:
             constants = measure_constants(trajs, _burn_ins(cfg), base=constants)
+    except ConfigError as exc:
+        raise ConfigError(f"experiment.constants.{exc.key}", exc.message) from exc
     return constants
 
 
@@ -200,7 +211,8 @@ def _window(cfg: RunConfig) -> tuple[float, float]:
     return t0, t1
 
 
-def _stability_report(cfg: RunConfig, seed: int | None):
+def stability_report(cfg: RunConfig, seed: int | None = None) -> StabilityReport:
+    """H1-H3 and theta over the window, from the constants ``_resolve_constants`` gives."""
     grid = build_grid(cfg)
     params = build_params(cfg)
     coeffs = build_coefficients(cfg, grid)
@@ -216,14 +228,13 @@ def _stability_report(cfg: RunConfig, seed: int | None):
                     stepper_cfg, sample_dt=cfg.experiment.get("sample_dt"))]
 
     constants = _resolve_constants(cfg, coeffs, params, window, trajectories)
-    report = estimate_theta(coeffs, params, constants, window,
-                            n_samples=cfg.experiment["n_samples"])
-    return report
+    return estimate_theta(coeffs, params, constants, window,
+                          n_samples=cfg.experiment["n_samples"])
 
 
 def cmd_stability(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
-    report = _stability_report(cfg, seed)
-    _write_report(_out_path(cfg, out_dir, "stability"), _metadata_lines(cfg), report)
+    report = stability_report(cfg, seed)
+    _write_report(cfg, out_dir, report)
     theta_txt = "nan" if math.isnan(report.theta) else f"{report.theta:.6g}"
     print(f"{report.conclusion} theta={theta_txt}")
     for verdict in (report.h1_ok, report.h2_ok, report.h3_ok):
@@ -233,7 +244,32 @@ def cmd_stability(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
     return 0
 
 
-def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
+@dataclass(frozen=True)
+class StabilityExperiment:
+    """What ``stability-experiment`` computes, before anything is written.
+
+    ``gaps`` is keyed by seed pair (i, j).  ``rate_ok`` is None unless theta < 0,
+    ``gronwall`` None unless eps > 0, and ``entire`` None when ``t_back`` is 0.
+    """
+
+    trajectories: tuple[Trajectory, ...]
+    gaps: dict[tuple[int, int], GapSeries]
+    persistence: tuple[PersistenceEstimate, ...]
+    report: StabilityReport
+    fit: FitResult
+    eps: float
+    rate_ok: bool | None
+    gronwall: GronwallResult | None
+    entire: EntireSolution | None
+
+    @property
+    def gap_final(self) -> float:
+        """The largest sup-norm gap of any pair at the last sample."""
+        return max(0.0, *(float(x[-1]) for g in self.gaps.values() for x in (g.w_Linf, g.phi_Linf)))
+
+
+def stability_experiment(cfg: RunConfig, seed: int | None = None) -> StabilityExperiment:
+    """Run the seeds as one batch, fit the rate, run the pullback gate and the Gronwall check."""
     grid = build_grid(cfg)
     params = build_params(cfg)
     coeffs = build_coefficients(cfg, grid)
@@ -263,12 +299,9 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
     trajs = run(ModelState(0.0, u0, v0), t_end, coeffs, params, stepper_cfg,
                 sample_dt=sample_dt).members()
 
-    burn = _burn_ins(cfg)
     constants = _resolve_constants(cfg, coeffs, params, window, lambda: trajs)
     report = estimate_theta(coeffs, params, constants, window, n_samples=exp["n_samples"])
 
-    # the rate fit and the pullback gate run before any output, so a bad
-    # fit_window or a failing gate writes nothing
     gaps = {pair: trajectory_gap(trajs[pair[0]], trajs[pair[1]])
             for pair in itertools.combinations(range(len(trajs)), 2)}
     fit_window = tuple(exp.get("fit_window", [t_end / 6.0, 2.0 * t_end / 3.0]))
@@ -277,146 +310,123 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
     except ValueError as exc:
         raise ConfigError("experiment.fit_window", str(exc)) from exc
 
-    entire_gap = math.nan
-    t_back = exp.get("t_back")
-    if t_back is None:
-        t_back = t_end / 2.0
+    entire = None
+    t_back = t_end / 2.0 if exp.get("t_back") is None else exp["t_back"]
     if t_back > 0.0:
         span = tuple(exp.get("t_span", [0.0, max(1.0, t_end / 8.0)]))
         entire = approximate_entire_solution(
             coeffs, params, stepper_cfg, t_back, span,
             seeds=states[:2], sample_dt=sample_dt, tolerance=exp["gap_tolerance"])
-        entire_gap = entire.seed_gap
 
-    meta = _metadata_lines(cfg)
-    for idx, traj in enumerate(trajs):
-        _write_csv(_out_path(cfg, out_dir, f"bounds_{idx}"), meta,
-                   "t,mass_u,sup_u,w2inf_v",
-                   columns=(traj.times, traj.mass_u, traj.sup_u, traj.w2inf_v))
-    persistence_rows = []
-    for idx, traj in enumerate(trajs):
-        est = estimate_persistence(traj, burn[1])
-        persistence_rows.append(
-            (idx, est.eta_hat, est.xi_hat if est.xi_hat is not None else math.nan,
-             est.burn_in, str(est.persisted).lower()))
-    _write_csv(_out_path(cfg, out_dir, "persistence"), meta,
-               "seed,eta_hat,xi_hat,burn_in,persisted", persistence_rows)
-
-    gap_final = 0.0
-    for (i, j), gap in gaps.items():
-        gap_final = max(gap_final, float(gap.w_Linf[-1]), float(gap.phi_Linf[-1]))
-        _write_csv(_out_path(cfg, out_dir, f"gap_{i}_{j}"), meta,
-                   "t,E,w_L2,phi_L2,w_Linf,phi_Linf",
-                   columns=(gap.t, gap.E, gap.w_L2, gap.phi_L2, gap.w_Linf, gap.phi_Linf))
-
-    eps = exp.get("eps")
-    if eps is None:
-        eps = report.eps_suggested or 0.0
-
-    if report.theta < 0.0 and not math.isnan(report.theta):
-        rate_ok = "true" if (fit.floored or fit.rate <= report.theta + eps + RATE_SLACK) else "false"
-    else:
-        rate_ok = "not-applicable"
-
+    persistence = tuple(estimate_persistence(traj, _burn_ins(cfg)[1]) for traj in trajs)
+    eps = (report.eps_suggested or 0.0) if exp.get("eps") is None else exp["eps"]
+    rate_ok = ((fit.floored or fit.rate <= report.theta + eps + RATE_SLACK)
+               if report.theta < 0.0 else None)
     grw = gronwall_check((trajs[0], trajs[1]), report, eps) if eps > 0.0 else None
+    return StabilityExperiment(tuple(trajs), gaps, persistence, report, fit, eps, rate_ok,
+                               grw, entire)
+
+
+def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
+    res = stability_experiment(cfg, seed)
+    for idx, traj in enumerate(res.trajectories):
+        _write_csv(cfg, out_dir, f"bounds_{idx}", "t,mass_u,sup_u,w2inf_v",
+                   columns=(traj.times, traj.mass_u, traj.sup_u, traj.w2inf_v))
+    _write_csv(cfg, out_dir, "persistence", "seed,eta_hat,xi_hat,burn_in,persisted",
+               [(i, p.eta_hat, math.nan if p.xi_hat is None else p.xi_hat, p.burn_in,
+                 str(p.persisted).lower()) for i, p in enumerate(res.persistence)])
+    for (i, j), gap in res.gaps.items():
+        _write_csv(cfg, out_dir, f"gap_{i}_{j}", "t,E,w_L2,phi_L2,w_Linf,phi_Linf",
+                   columns=(gap.t, gap.E, gap.w_L2, gap.phi_L2, gap.w_Linf, gap.phi_Linf))
+    grw = res.gronwall
     if grw is not None:
-        grw_meta = [*meta, "# gronwall verdict block", f"# eps: {eps!r}",
-                    f"# band: {grw.band[0]!r} {grw.band[1]!r}",
-                    f"# conclusive: {str(grw.conclusive).lower()}",
-                    *(f"# note: {note}" for note in grw.notes)]
+        block = ["# gronwall verdict block", f"# eps: {res.eps!r}",
+                 f"# band: {grw.band[0]!r} {grw.band[1]!r}",
+                 f"# conclusive: {str(grw.conclusive).lower()}",
+                 *(f"# note: {note}" for note in grw.notes)]
         t_entry = grw.t_entry if grw.t_entry is not None else math.nan
-        _write_csv(_out_path(cfg, out_dir, "gronwall"), grw_meta,
-                   "fraction,worst_margin,n_intervals,t_entry,max_slack",
-                   [(grw.fraction, grw.worst_margin, grw.n_intervals, t_entry, grw.max_slack)])
+        _write_csv(cfg, out_dir, "gronwall", "fraction,worst_margin,n_intervals,t_entry,max_slack",
+                   [(grw.fraction, grw.worst_margin, grw.n_intervals, t_entry, grw.max_slack)],
+                   block=block)
+    _write_report(cfg, out_dir, res.report)
 
-    _write_report(_out_path(cfg, out_dir, "stability"), meta, report)
-
-    print(f"pairwise_gap_final={gap_final!r} gap_ok={str(gap_final < FINAL_GAP_TOL).lower()}")
-    print(f"theta={report.theta!r} eps={eps!r} fitted_rate={fit.rate!r} r2={fit.r2!r} "
-          f"rate_le_theta_plus_eps={rate_ok}")
+    rate_ok = "not-applicable" if res.rate_ok is None else str(res.rate_ok).lower()
+    print(f"pairwise_gap_final={res.gap_final!r} "
+          f"gap_ok={str(res.gap_final < FINAL_GAP_TOL).lower()}")
+    print(f"theta={res.report.theta!r} eps={res.eps!r} fitted_rate={res.fit.rate!r} "
+          f"r2={res.fit.r2!r} rate_le_theta_plus_eps={rate_ok}")
     if grw is not None and grw.conclusive:
         print(f"gronwall_fraction={grw.fraction!r} worst_margin={grw.worst_margin!r} "
               f"max_slack={grw.max_slack!r}")
     elif grw is not None:
         print("gronwall=inconclusive " + "; ".join(grw.notes))
-    if not math.isnan(entire_gap):
-        print(f"entire_solution_gap={entire_gap!r} tolerance={exp['gap_tolerance']!r}")
-    print(f"conclusion={report.conclusion}")
+    if res.entire is not None:
+        print(f"entire_solution_gap={res.entire.seed_gap!r} tolerance={res.entire.tolerance!r}")
+    print(f"conclusion={res.report.conclusion}")
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
-    exp = cfg.experiment
-    sweep = exp.get("sweep")
-    if not sweep:
+def sweep(cfg: RunConfig, seed: int | None = None) -> list[tuple]:
+    """One row per point of the cartesian sweep: the point's values, then its verdict or error."""
+    if not cfg.experiment.get("sweep"):
         raise ConfigError("experiment.sweep", "sweep axes required")
-    axes = sweep["axes"]
-    paths = list(axes.keys())
-    points = list(itertools.product(*(axes[p] for p in paths)))
+    axes = cfg.experiment["sweep"]["axes"]
 
     def one_point(values):
         point_cfg = cfg
         try:
-            for path, value in zip(paths, values):
+            for path, value in zip(axes, values):
                 point_cfg = apply_override(point_cfg, path, value)
-            report = _stability_report(point_cfg, seed)
-            theta = report.theta
+            report = stability_report(point_cfg, seed)
             return (*values, report.h1_ok.status, report.h2_ok.status,
-                    report.h3_ok.status, theta, report.conclusion, "")
+                    report.h3_ok.status, report.theta, report.conclusion, "")
         except ChemostabError as exc:
             return (*values, "", "", "", math.nan, "error", str(exc).replace(",", ";"))
 
-    rows = [one_point(values) for values in points]
+    return [one_point(values) for values in itertools.product(*axes.values())]
 
-    header = ",".join(paths) + ",h1,h2,h3,theta,conclusion,error"
-    body = _write_csv(_out_path(cfg, out_dir, "sweep"), _metadata_lines(cfg), header, rows)
-    sys.stdout.writelines(body)
+
+def cmd_sweep(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
+    rows = sweep(cfg, seed)
+    header = ",".join(cfg.experiment["sweep"]["axes"]) + ",h1,h2,h3,theta,conclusion,error"
+    sys.stdout.writelines(_write_csv(cfg, out_dir, "sweep", header, rows))
     return 0
 
 
-def _flat_logistic_setup(grid: Grid, params: ModelParams):
-    coeffs = CoefficientSet(
-        ConstantCoefficient(grid, 1.0),
-        ConstantCoefficient(grid, 1.0),
-        ConstantCoefficient(grid, 0.0),
-    )
-    flat_params = ModelParams(chi=0.0, tau=params.tau, lam=params.lam, mu=params.mu)
-    return coeffs, flat_params
-
-
-def cmd_converge(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
+def converge(cfg: RunConfig) -> list[tuple]:
+    """Refinement rows: ("spatial", level, h, Laplacian error on a Neumann cosine),
+    then ("temporal", steps, dt, u at t=2) of a fixed-step flat logistic run."""
     grid = build_grid(cfg)
     params = build_params(cfg)
     rows = []
-
-    # spatial study: second-difference error on a Neumann-compatible cosine
-    errors = []
-    counts = grid.counts
     for level in range(3):
-        g = Grid(grid.extents, tuple((c - 1) * 2**level + 1 for c in counts))
+        g = Grid(grid.extents, tuple((c - 1) * 2**level + 1 for c in grid.counts))
         f = math.prod(np.cos(np.pi * x / e) for x, e in zip(g.coords(), g.extents))
         exact = -sum((np.pi / e) ** 2 for e in g.extents) * f
-        err = float(np.abs(laplacian_values(g, f) - exact).max())
-        errors.append(err)
-        rows.append(("spatial", level, max(g.spacing), err))
-    spatial_orders = [math.log2(errors[k] / errors[k + 1]) for k in range(len(errors) - 1)]
+        rows.append(("spatial", level, max(g.spacing),
+                     float(np.abs(laplacian_values(g, f) - exact).max())))
 
-    # temporal study: flat logistic reduction, fixed-step Richardson triplet
-    coeffs, flat_params = _flat_logistic_setup(grid, params)
+    # fixed-step Richardson triplet on constant coefficients without drift
+    coeffs = CoefficientSet(*(ConstantCoefficient(grid, a) for a in (1.0, 1.0, 0.0)))
+    flat_params = ModelParams(chi=0.0, tau=params.tau, lam=params.lam, mu=params.mu)
     stepper_cfg = build_stepper(cfg)
     state0 = ModelState(0.0, np.full(grid.counts, 0.1), np.zeros(grid.counts))
     t_end = 2.0
-    finals = []
     for n_steps in (20, 40, 80):
         state = fixed_step_run(state0, t_end, n_steps, coeffs, flat_params, stepper_cfg)
-        finals.append(float(state.u.flat[0]))
-        rows.append(("temporal", n_steps, t_end / n_steps, finals[-1]))
-    temporal_order = math.log2(abs(finals[0] - finals[1]) / abs(finals[1] - finals[2]))
+        rows.append(("temporal", n_steps, t_end / n_steps, float(state.u.flat[0])))
+    return rows
 
-    _write_csv(_out_path(cfg, out_dir, "converge"), _metadata_lines(cfg),
-               "study,level,h_or_dt,value", rows)
+
+def cmd_converge(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
+    rows = converge(cfg)
+    _write_csv(cfg, out_dir, "converge", "study,level,h_or_dt,value", rows)
+    errors = [value for study, _, _, value in rows if study == "spatial"]
+    finals = [value for study, _, _, value in rows if study == "temporal"]
+    spatial_orders = [math.log2(errors[k] / errors[k + 1]) for k in range(len(errors) - 1)]
+    temporal_order = math.log2(abs(finals[0] - finals[1]) / abs(finals[1] - finals[2]))
     print(f"spatial_orders={[round(o, 3) for o in spatial_orders]}")
-    print(f"temporal_order={temporal_order:.3f} theta_scheme={stepper_cfg.theta_scheme!r}")
+    print(f"temporal_order={temporal_order:.3f} theta_scheme={cfg.stepper['theta_scheme']!r}")
     return 0
 
 

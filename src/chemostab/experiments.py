@@ -117,10 +117,8 @@ class EntireSolution:
     """Kept segment of a pullback run, labeled with the seed-independence gap."""
 
     trajectory: Trajectory
-    gap_series: GapSeries
     seed_gap: float
     tolerance: float
-    t_back: float
 
 
 @dataclass(frozen=True)
@@ -295,10 +293,7 @@ def approximate_entire_solution(
             f"increase t_back (currently {t_back})",
             achieved, tolerance,
         )
-    return EntireSolution(
-        trajectory=trajs[0], gap_series=gap, seed_gap=achieved,
-        tolerance=tolerance, t_back=float(t_back),
-    )
+    return EntireSolution(trajectory=trajs[0], seed_gap=achieved, tolerance=tolerance)
 
 
 def _band_entry_time(pair: tuple[Trajectory, Trajectory], lo: float, hi: float) -> float | None:

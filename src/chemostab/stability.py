@@ -94,6 +94,9 @@ class KnownConstants:
             if val is not None and not val > 0.0:
                 raise ConfigError(name, f"must be positive when present, got {val}")
         if self.M2 is not None and self.eta is not None and self.M2 < self.eta:
+            source = self.provenance.get("M2", "config")
+            if source != "config":  # then eta is the value to blame
+                raise ConfigError("eta", f"must be at most M2={self.M2} ({source}), got {self.eta}")
             raise ConfigError("M2", f"must be at least eta={self.eta}, got {self.M2}")
         object.__setattr__(self, "cq1_pairs", tuple((float(q), float(c)) for q, c in self.cq1_pairs))
         object.__setattr__(self, "provenance", dict(self.provenance))

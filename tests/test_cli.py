@@ -25,7 +25,7 @@ from chemostab import (
     measure_constants,
     run,
 )
-from chemostab import cli
+from chemostab import __version__, cli
 from chemostab.cli import main
 from chemostab.config import (
     _normalize,
@@ -82,24 +82,25 @@ def data_section(path: Path) -> str:
                    if not ln.startswith("#"))
 
 
-def capture_reports(monkeypatch) -> list:
-    """Record every StabilityReport the CLI computes."""
-    reports = []
-    real = cli.estimate_theta
-
-    def spy(*args, **kwargs):
-        reports.append(real(*args, **kwargs))
-        return reports[-1]
-
-    monkeypatch.setattr(cli, "estimate_theta", spy)
-    return reports
+def metadata(cfg) -> str:
+    """The two '#' lines that open every output file of ``cfg``."""
+    return f"# chemostab {__version__}\n# config_hash: {cfg.content_hash}\n"
 
 
 def assert_report_file(cfg_path: Path, report, pattern: str) -> None:
     """The stability CSV is the metadata lines, then the old serializer's text, byte for byte."""
     (path,) = (cfg_path.parent / "out").glob(pattern)
-    meta = "".join(line + "\n" for line in cli._metadata_lines(parse_config(cfg_path.read_text())))
+    meta = metadata(parse_config(cfg_path.read_text()))
     assert path.read_bytes() == (meta + report_csv_reference(report)).encode()
+
+
+def written_csv(tmp_path, kind: str, header: str, **body) -> bytes:
+    """The bytes ``cli._write_csv`` writes for ``kind`` of the BASE config, under tmp_path."""
+    cfg = parse_config(BASE.replace("OUTDIR", "out"))
+    cli._write_csv(cfg, str(tmp_path), kind, header, **body)
+    text = (tmp_path / f"flat_{cfg.content_hash}_{kind}.csv").read_bytes()
+    assert text.startswith(metadata(cfg).encode())
+    return text
 
 
 class TestConfigParsing:
@@ -364,7 +365,6 @@ class TestSimulate:
 
     def test_column_writer_matches_cell_path(self, tmp_path):
         # the one-pass column formatting writes the same bytes as _cell per value
-        from chemostab.cli import _write_csv
         from chemostab.grid import Grid
 
         grid = Grid((1.0, 2.0), (17, 19))  # more nodes than one formatting block
@@ -373,10 +373,9 @@ class TestSimulate:
         u.flat[[0, 7, 100, 256, 300, 322]] = [0.0, 1e16, 1.5e-07, -0.0, 5e-324, 0.1 + 0.2]
         columns = (x, y, u, u[::-1] * 0.3)
         rows = zip(*(a.ravel() for a in columns))  # numpy scalars, as _cell takes them
-        _write_csv(tmp_path / "cells.csv", ["# meta"], "x,y,u,v", rows)
-        _write_csv(tmp_path / "columns.csv", ["# meta"], "x,y,u,v", columns=columns)
-        text = (tmp_path / "columns.csv").read_bytes()
-        assert text == (tmp_path / "cells.csv").read_bytes()
+        cells = written_csv(tmp_path, "cells", "x,y,u,v", rows=rows, block=["# meta"])
+        text = written_csv(tmp_path, "columns", "x,y,u,v", columns=columns, block=["# meta"])
+        assert text == cells
         assert b",0.0," in text and b",1e+16," in text and b",1.5e-07," in text
 
     @pytest.mark.parametrize("axes", [
@@ -387,17 +386,16 @@ class TestSimulate:
         # each distinct coordinate is formatted once, to the text of every node's value
         from types import SimpleNamespace
 
-        from chemostab.cli import _coord_texts, _write_csv
+        from chemostab.cli import _coord_texts
         from chemostab.grid import Grid
 
         grid = Grid(*axes)
         u = np.cos(3.0 * grid.coords()[0])
         for g in (grid, SimpleNamespace(axis_coords=tuple(-a[::-1] for a in grid.axis_coords))):
             x = np.meshgrid(*g.axis_coords, indexing="ij")  # -0.0 leads the second grid
-            _write_csv(tmp_path / "numeric.csv", [], "x,u", columns=(*x, u))
-            _write_csv(tmp_path / "text.csv", [], "x,u", columns=(*_coord_texts(g), u))
-            text = (tmp_path / "text.csv").read_bytes()
-            assert text == (tmp_path / "numeric.csv").read_bytes()
+            numeric = written_csv(tmp_path, "numeric", "x,u", columns=(*x, u))
+            text = written_csv(tmp_path, "text", "x,u", columns=(*_coord_texts(g), u))
+            assert text == numeric
         assert b"\n-0.0," in text
 
     def test_zero_length_run_single_row(self, tmp_path):
@@ -515,6 +513,10 @@ class TestSimulate:
         pytest.param("stability-experiment", "fit_window: [8.0, 30.0]",
                      "fit_window: [50.0, 60.0]", "experiment.fit_window",
                      id="fit_window-beyond-samples"),
+        # the convex-formula M2 falls below the configured eta: eta is the key to blame
+        pytest.param("stability-experiment", "n_samples: 201",
+                     "n_samples: 201\n  constants: {eta: 50.0, C3_tilde: 1.0}",
+                     "experiment.constants.eta", id="eta-above-convex-M2"),
     ])
     def test_bad_value_named_without_traceback(self, tmp_path, capsys, command, old, new, key):
         text = EXPERIMENT if command == "stability-experiment" else BASE
@@ -529,13 +531,30 @@ class TestSimulate:
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent.yaml"]) == 1
 
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg_path = write_config(tmp_path)
-        main(["simulate", "--config", str(cfg_path)])
-        series = list((tmp_path / "out").glob("flat_*_series.csv"))[0]
-        first = data_section(series)
-        main(["simulate", "--config", str(cfg_path)])
-        assert data_section(series) == first
+    @pytest.mark.parametrize("command", ["simulate", "stability", "stability-experiment",
+                                         "sweep", "converge"])
+    def test_byte_identical_reruns(self, tmp_path, capsys, command):
+        # a rerun writes every file with the same bytes, '#' lines included, and prints the same
+        sweep = STABILITY.replace("experiment:",
+                                  "experiment:\n  sweep: {axes: {params.chi: [0.0, 0.5]}}")
+        text = {"stability": STABILITY, "stability-experiment": EXPERIMENT,
+                "sweep": sweep}.get(command, BASE)
+        cfg_path = write_config(tmp_path, text=text)
+        runs = []
+        for _ in range(2):
+            assert main([command, "--config", str(cfg_path)]) == 0
+            files = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+            runs.append((files, capsys.readouterr().out))
+        assert runs[0][0] and runs[0] == runs[1]
+
+    def test_step_underflow_writes_nothing(self, tmp_path, capsys):
+        # the run fails before any output, so no output directory is made
+        text = BASE.replace("error_tol: 1.0e-8",
+                            "error_tol: 1.0e-15\n  dt_min: 1.0e-3\n  dt_init: 1.0e-3")
+        cfg_path = write_config(tmp_path, text=text)
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "StepSizeUnderflowError"
+        assert not (tmp_path / "out").exists()
 
 
 STABILITY = """
@@ -665,7 +684,7 @@ class TestStability:
                            for name in ("M1", "M2", "eta", "C3_tilde")]
 
     @pytest.mark.parametrize("full", [True, False], ids=["measured-cq1-eps", "inconclusive"])
-    def test_written_report_matches_reference(self, tmp_path, monkeypatch, full):
+    def test_written_report_matches_reference(self, tmp_path, full):
         if full:  # measured eta (and its note), convex-formula M2, cq1_pairs, eps_suggested
             text = STABILITY.replace("chi: 0.0", "chi: 0.3").replace(
                 "  constants: {M2: 1.0, eta: 0.9, C3_tilde: 1.0}\n",
@@ -674,9 +693,8 @@ class TestStability:
         else:  # no eta or C3_tilde: empty series
             text = STABILITY.replace("{M2: 1.0, eta: 0.9, C3_tilde: 1.0}", "{M2: 1.0}")
         cfg_path = write_config(tmp_path, text=text)
-        reports = capture_reports(monkeypatch)
+        report = cli.stability_report(parse_config(cfg_path.read_text()))
         assert main(["stability", "--config", str(cfg_path)]) == 0
-        (report,) = reports
         if full:
             assert report.constants.provenance["eta"] == "measured"
             assert report.constants.cq1_pairs and report.notes
@@ -748,6 +766,17 @@ class TestSweep:
         assert "params.tau" in by_tau[0.0][-1]
         assert by_tau[1.0][-2] == "criterion_holds"
         assert by_tau[0.5][-2] != "error"
+        # an eta above the convex-formula M2 exits 1 naming eta, and in a sweep is its error row
+        text = (STABILITY.replace("chi: 0.0", "chi: 0.3")
+                .replace("{M2: 1.0, eta: 0.9, C3_tilde: 1.0}", "{eta: 50.0, C3_tilde: 1.0}"))
+        cfg_path = write_config(tmp_path, text=text)
+        assert main(["stability", "--config", str(cfg_path)]) == 1
+        message = "experiment.constants.eta: must be at most M2=2.4324324324324325 (convex-formula)"
+        assert capsys.readouterr().err == f"config error: {message}, got 50.0\n"
+        cfg_path = write_config(tmp_path, text=text.replace(
+            "experiment:", "experiment:\n  sweep: {axes: {params.mu: [1.0]}}"))
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().out == f"1.0,,,,nan,error,{message}; got 50.0\n"
 
     def test_bad_role_point_recorded(self, tmp_path, capsys):
         # a1 without a positive infimum is an error row naming a1, and the CSV is written
@@ -881,13 +910,27 @@ class TestStabilityExperiment:
         assert list(outdir.glob("exp_*_bounds_0.csv"))
         assert list(outdir.glob("exp_*_stability.csv"))
 
-    def test_written_report_matches_reference(self, tmp_path, monkeypatch):
+    def test_written_report_matches_reference(self, tmp_path):
         cfg_path = write_config(tmp_path, text=EXPERIMENT)
-        reports = capture_reports(monkeypatch)
+        report = cli.stability_experiment(parse_config(cfg_path.read_text())).report
         assert main(["stability-experiment", "--config", str(cfg_path)]) == 0
-        (report,) = reports
         assert report.ts.size == 201
         assert_report_file(cfg_path, report, "exp_*_stability.csv")
+
+    def test_library_verdict_matches_cli(self, tmp_path, capsys):
+        # the record stability_experiment returns holds the verdict the CLI prints
+        cfg_path = write_config(tmp_path, text=EXPERIMENT)
+        assert main(["stability-experiment", "--config", str(cfg_path)]) == 0
+        printed = dict(tok.split("=", 1) for tok in capsys.readouterr().out.split() if "=" in tok)
+        lib_cfg = parse_config(EXPERIMENT.replace("OUTDIR", str(tmp_path / "lib")))
+        res = cli.stability_experiment(lib_cfg)
+        assert not (tmp_path / "lib").exists()  # computing writes nothing
+        assert printed["conclusion"] == res.report.conclusion == "criterion_holds"
+        assert printed["rate_le_theta_plus_eps"] == str(res.rate_ok).lower() == "true"
+        assert printed["gap_ok"] == str(res.gap_final < cli.FINAL_GAP_TOL).lower() == "true"
+        assert res.gronwall.conclusive
+        assert printed["gronwall_fraction"] == repr(res.gronwall.fraction)
+        assert len(res.trajectories) == 2 and list(res.gaps) == [(0, 1)]
 
     def test_failing_pullback_gate_writes_nothing(self, tmp_path, capsys):
         # t_back = t_end / 2 = 1 leaves the two seeds far apart (gap about 0.5)

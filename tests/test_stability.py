@@ -24,7 +24,9 @@ from chemostab import (
     estimate_theta,
     spatial_profile,
 )
+from chemostab import __version__
 from chemostab.cli import _write_report
+from chemostab.config import parse_config
 from chemostab.errors import ConfigError
 from oracles import report_csv_reference
 
@@ -66,6 +68,14 @@ class TestKnownConstants:
         with pytest.raises(ValueError):
             KnownConstants(M2=0.5, eta=1.0)
         KnownConstants(M2=1.0, eta=1.0)
+
+    @pytest.mark.parametrize("source,key", [("config", "M2"), ("convex-formula", "eta"),
+                                            ("measured", "eta")])
+    def test_band_error_names_the_given_constant(self, source, key):
+        # an M2 that was derived or measured is not the value to blame; eta is
+        with pytest.raises(ConfigError) as info:
+            KnownConstants(eta=1.0, provenance={"eta": "config"}).with_values(source, M2=0.5)
+        assert info.value.key == key
 
     def test_provenance_recorded(self):
         c = KnownConstants().with_values("measured", eta=0.5)
@@ -382,10 +392,14 @@ class TestTheta:
 class TestReportSerialization:
     """The stability CSV as the CLI writes it, against the old serializer's text."""
 
+    CFG = parse_config("grid: {extents: [1.0], counts: [11]}\n"
+                       "params: {chi: 0.0, tau: 1.0, lambda: 1.0, mu: 1.0}\n"
+                       "output: {name: report}\n")
+    META = f"# chemostab {__version__}\n# config_hash: {CFG.content_hash}\n"
+
     def written(self, tmp_path, report):
-        path = tmp_path / "report.csv"
-        _write_report(path, ["# meta"], report)
-        return path.read_text()
+        _write_report(self.CFG, str(tmp_path), report)
+        return (tmp_path / f"report_{self.CFG.content_hash}_stability.csv").read_text()
 
     def test_csv_roundtrip_structure(self, tmp_path):
         constants = KnownConstants(M2=1.0, eta=0.9, C3_tilde=1.0,
@@ -415,12 +429,12 @@ class TestReportSerialization:
         report = estimate_theta(cs, params(chi=0.1), constants, (0.0, 2.0), 41)
         assert report.eps_suggested is not None and report.notes
         assert report.constants.cq1_pairs
-        assert self.written(tmp_path, report) == "# meta\n" + report_csv_reference(report)
+        assert self.written(tmp_path, report) == self.META + report_csv_reference(report)
 
     def test_inconclusive_report_matches_reference(self, tmp_path):
         report = estimate_theta(const_set(grid1()), params(), KnownConstants(M2=1.0),
                                 (0.0, 1.0), 11)
         assert report.ts.size == 0 and report.eps_suggested is None
         text = self.written(tmp_path, report)
-        assert text == "# meta\n" + report_csv_reference(report)
+        assert text == self.META + report_csv_reference(report)
         assert text.endswith("t,L1,L2,h\n")
