@@ -31,18 +31,16 @@ from .errors import (
     TBackInsufficientError,
 )
 from .experiments import (
-    BoundsEstimate,
     EntireSolution,
     FitResult,
     GapSeries,
     GronwallResult,
     PersistenceEstimate,
     approximate_entire_solution,
-    estimate_bounds,
+    band_entry_time,
     estimate_persistence,
     fit_decay_rate,
     gronwall_check,
-    gronwall_check_series,
     measure_constants,
     trajectory_gap,
 )

@@ -45,6 +45,7 @@ from .experiments import (
     GronwallResult,
     PersistenceEstimate,
     approximate_entire_solution,
+    band_entry_time,
     estimate_persistence,
     fit_decay_rate,
     gronwall_check,
@@ -224,6 +225,8 @@ def stability_report(cfg: RunConfig, seed: int | None = None) -> StabilityReport
         if not cfg.experiment.get("measure"):
             return []
         u0, v0 = build_initial(cfg, grid, seed)
+        if not u0.max() > 0.0:
+            raise ConfigError("initial.u", "population must not vanish identically when measuring")
         return [run(ModelState(0.0, u0, v0), cfg.experiment["t_end"], coeffs, params,
                     stepper_cfg, sample_dt=cfg.experiment.get("sample_dt"))]
 
@@ -322,7 +325,8 @@ def stability_experiment(cfg: RunConfig, seed: int | None = None) -> StabilityEx
     eps = (report.eps_suggested or 0.0) if exp.get("eps") is None else exp["eps"]
     rate_ok = ((fit.floored or fit.rate <= report.theta + eps + RATE_SLACK)
                if report.theta < 0.0 else None)
-    grw = gronwall_check((trajs[0], trajs[1]), report, eps) if eps > 0.0 else None
+    grw = (gronwall_check(gaps[0, 1], report, eps, band_entry_time(trajs[:2], report, eps))
+           if eps > 0.0 else None)
     return StabilityExperiment(tuple(trajs), gaps, persistence, report, fit, eps, rate_ok,
                                grw, entire)
 

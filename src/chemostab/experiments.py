@@ -6,7 +6,10 @@ dynamics: any two positive solutions merge exponentially (so a pullback run
 from far in the past approximates the unique entire solution), the
 population eventually lives in a fixed band [eta, M2], and the squared gap
 E(t) between two runs decays no slower than the averaged threshold theta
-predicts.
+predicts.  Each is read once from what a run already holds:
+``measure_constants`` reads the band and the chemical bound straight off the
+runs' sampled series, and ``gronwall_check`` judges a gap series that
+``trajectory_gap`` made.
 """
 
 from __future__ import annotations
@@ -26,18 +29,16 @@ from .stepper import StepperConfig, Trajectory, run
 __all__ = [
     "GapSeries",
     "PersistenceEstimate",
-    "BoundsEstimate",
     "FitResult",
     "EntireSolution",
     "GronwallResult",
     "trajectory_gap",
     "fit_decay_rate",
     "estimate_persistence",
-    "estimate_bounds",
     "measure_constants",
     "approximate_entire_solution",
+    "band_entry_time",
     "gronwall_check",
-    "gronwall_check_series",
 ]
 
 _MACHINE_EPS = float(np.finfo(float).eps)
@@ -81,26 +82,6 @@ class PersistenceEstimate:
     xi_hat: float | None
     burn_in: float
     persisted: bool
-
-
-@dataclass(frozen=True)
-class BoundsEstimate:
-    """Measured eventual bounds: mass (M1), amplitude (M2), chemical W2inf (C3)."""
-
-    M1_hat: float
-    M2_hat: float
-    C3_hat: float
-    burn_ins: tuple[float, float, float]
-    volume: float
-
-    def __post_init__(self):
-        if not (self.M1_hat > 0.0 and self.M2_hat > 0.0 and self.C3_hat > 0.0):
-            raise ValueError("measured bounds must be positive")
-        if self.M1_hat > self.M2_hat * self.volume * (1.0 + 1e-12):
-            raise ValueError(
-                f"mass bound {self.M1_hat} exceeds amplitude bound x volume "
-                f"{self.M2_hat * self.volume}"
-            )
 
 
 @dataclass(frozen=True)
@@ -184,14 +165,18 @@ def fit_decay_rate(series: GapSeries, window: tuple[float, float]) -> FitResult:
     return FitResult(rate=slope, r2=r2, floored=False)
 
 
+def _after_burn_in(traj: Trajectory, series: np.ndarray, burn_in: float) -> np.ndarray:
+    """The samples of one of ``traj``'s series from ``burn_in`` (offset from its start) on."""
+    cutoff = float(traj.times[0]) + burn_in
+    if traj.times[-1] < cutoff:
+        raise ValueError(f"trajectory ends at {traj.times[-1]}, before burn-in {cutoff}")
+    return series[traj.times >= cutoff - 1e-12]
+
+
 def estimate_persistence(traj: Trajectory, burn_in: float) -> PersistenceEstimate:
     """Persistence floor after burn_in (offset from the trajectory start)."""
     t0 = float(traj.times[0])
-    cutoff = t0 + burn_in
-    if traj.times[-1] < cutoff:
-        raise ValueError(f"trajectory ends at {traj.times[-1]}, before burn-in {cutoff}")
-    after = traj.times >= cutoff - 1e-12
-    eta_hat = float(traj.min_u[after].min())
+    eta_hat = float(_after_burn_in(traj, traj.min_u, burn_in).min())
     if eta_hat <= 0.0:
         return PersistenceEstimate(eta_hat=max(eta_hat, 0.0), xi_hat=None,
                                    burn_in=burn_in, persisted=False)
@@ -203,49 +188,33 @@ def estimate_persistence(traj: Trajectory, burn_in: float) -> PersistenceEstimat
     return PersistenceEstimate(eta_hat=eta_hat, xi_hat=xi_hat, burn_in=burn_in, persisted=True)
 
 
-def estimate_bounds(
-    traj: Trajectory, burn_ins: tuple[float, float, float]
-) -> BoundsEstimate:
-    """Eventual mass/amplitude/chemical-regularity bounds after burn-ins.
-
-    burn_ins = (mass, amplitude, chemical) offsets from the start.
-    """
-    t0 = float(traj.times[0])
-    t1, t2, t_star = (t0 + float(b) for b in burn_ins)
-    for cutoff, label in ((t1, "mass"), (t2, "amplitude"), (t_star, "chemical")):
-        if traj.times[-1] < cutoff:
-            raise ValueError(f"trajectory too short for {label} burn-in at {cutoff}")
-    m1 = float(traj.mass_u[traj.times >= t1 - 1e-12].max())
-    m2 = float(traj.sup_u[traj.times >= t2 - 1e-12].max())
-    c3 = float(traj.w2inf_v[traj.times >= t_star - 1e-12].max())
-    return BoundsEstimate(
-        M1_hat=m1, M2_hat=m2, C3_hat=c3,
-        burn_ins=tuple(float(b) for b in burn_ins), volume=traj.grid.volume,
-    )
-
-
 def measure_constants(
     trajectories: list[Trajectory],
     burn_ins: tuple[float, float, float],
     base: KnownConstants | None = None,
 ) -> KnownConstants:
-    """Pool measured bounds and the persistence floor across runs.
+    """Pool the eventual bounds and the persistence floor across runs.
 
-    Bounds take the max across runs (a bound must cover every run); the
-    persistence floor takes the min.  Entries already present in ``base``
-    are kept, so user-supplied constants win over measurements.
+    ``burn_ins`` = (mass, amplitude, chemical) offsets from each run's start.
+    M1, M2 and C3_tilde are the largest ``mass_u``, ``sup_u`` and ``w2inf_v``
+    of any run after its burn-in, since a bound must cover every run.  eta is
+    the smallest ``min_u`` after the amplitude burn-in, measured only when it
+    is positive, that is when every run persisted.  Entries already present
+    in ``base`` are kept, so user-supplied constants win over measurements.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
-    bounds = [estimate_bounds(traj, burn_ins) for traj in trajectories]
-    floors = [estimate_persistence(traj, burn_ins[1]) for traj in trajectories]
-    measured: dict[str, float] = {
-        "M1": max(b.M1_hat for b in bounds),
-        "M2": max(b.M2_hat for b in bounds),
-        "C3_tilde": max(b.C3_hat for b in bounds),
-    }
-    if all(f.persisted for f in floors):
-        measured["eta"] = min(f.eta_hat for f in floors)
+    m1, m2, c3 = (max(float(_after_burn_in(t, getattr(t, name), b).max()) for t in trajectories)
+                  for name, b in zip(("mass_u", "sup_u", "w2inf_v"), burn_ins))
+    eta = min(float(_after_burn_in(t, t.min_u, burn_ins[1]).min()) for t in trajectories)
+    if not (m1 > 0.0 and m2 > 0.0 and c3 > 0.0):
+        raise ValueError("measured bounds must be positive")
+    volume = max(t.grid.volume for t in trajectories)
+    if m1 > m2 * volume * (1.0 + 1e-12):
+        raise ValueError(f"mass bound {m1} exceeds amplitude bound x volume {m2 * volume}")
+    measured = {"M1": m1, "M2": m2, "C3_tilde": c3}
+    if eta > 0.0:  # every run persisted
+        measured["eta"] = eta
     base = base or KnownConstants()
     fill = {k: v for k, v in measured.items() if getattr(base, k) is None}
     return base.with_values("measured", **fill)
@@ -296,8 +265,19 @@ def approximate_entire_solution(
     return EntireSolution(trajectory=trajs[0], seed_gap=achieved, tolerance=tolerance)
 
 
-def _band_entry_time(pair: tuple[Trajectory, Trajectory], lo: float, hi: float) -> float | None:
-    """First sample time after which both runs stay inside [lo, hi]."""
+def _gronwall_band(constants: KnownConstants, eps: float) -> tuple[float, float]:
+    """The eps-widened band [eta - eps, M2 + eps]; every criterion constant is needed."""
+    missing = constants.missing("M2", "eta", "C3_tilde")
+    if missing:
+        raise ValueError(f"report constants incomplete: {', '.join(missing)}")
+    return (constants.eta - eps, constants.M2 + eps)
+
+
+def band_entry_time(
+    pair: tuple[Trajectory, Trajectory], report: StabilityReport, eps: float
+) -> float | None:
+    """First sample time after which both runs stay inside the report's eps-widened band."""
+    lo, hi = _gronwall_band(report.constants, eps)
     a, b = pair
     inside = (
         (a.min_u >= lo) & (a.sup_u <= hi) & (b.min_u >= lo) & (b.sup_u <= hi)
@@ -308,27 +288,27 @@ def _band_entry_time(pair: tuple[Trajectory, Trajectory], lo: float, hi: float) 
     return float(a.times[int(np.argmax(stays))])
 
 
-def _gronwall_band(constants: KnownConstants, eps: float) -> tuple[float, float]:
-    """The eps-widened band [eta - eps, M2 + eps]; every criterion constant is needed."""
-    missing = constants.missing("M2", "eta", "C3_tilde")
-    if missing:
-        raise ValueError(f"report constants incomplete: {', '.join(missing)}")
-    return (constants.eta - eps, constants.M2 + eps)
-
-
-def gronwall_check_series(
+def gronwall_check(
     series: GapSeries,
     report: StabilityReport,
     eps: float,
-    t_entry: float,
+    t_entry: float | None,
 ) -> GronwallResult:
-    """Check d(E/2)/dt <= (h(t) + K(t, eps)) * E on sampled finite differences.
+    """Check d(E/2)/dt <= (h(t) + K(t, eps)) * E on ``series`` from ``t_entry`` on.
 
-    The slack per interval is ``2*dt*Lip + floor/dt`` where Lip is a local
-    Lipschitz estimate of E from neighboring increments and the floor
-    absorbs round-off noise once E reaches the measurement floor.
+    ``t_entry`` is where the pair settled into the band (``band_entry_time``);
+    None means it never did, and the result is inconclusive.  The slack per
+    interval is ``2*dt*Lip + floor/dt`` where Lip is a local Lipschitz
+    estimate of E from neighboring increments and the floor absorbs round-off
+    noise once E reaches the measurement floor.
     """
     band = _gronwall_band(report.constants, eps)
+    if t_entry is None:
+        return GronwallResult(
+            fraction=math.nan, worst_margin=math.nan, n_intervals=0,
+            t_entry=None, band=band, eps=eps, max_slack=0.0, conclusive=False,
+            notes=(f"runs never settled into the band [{band[0]:.6g}, {band[1]:.6g}]",),
+        )
     mask = series.t >= t_entry - 1e-12
     t = series.t[mask]
     e = series.E[mask]
@@ -356,21 +336,3 @@ def gronwall_check_series(
         worst_margin=float(margin.max()), n_intervals=margin.size, t_entry=t_entry, band=band,
         eps=eps, max_slack=float(slack.max()), conclusive=True,
     )
-
-
-def gronwall_check(
-    pair: tuple[Trajectory, Trajectory],
-    report: StabilityReport,
-    eps: float,
-) -> GronwallResult:
-    """Band-gated differential-inequality check along a trajectory pair."""
-    band = _gronwall_band(report.constants, eps)
-    t_entry = _band_entry_time(pair, band[0], band[1])
-    if t_entry is None:
-        return GronwallResult(
-            fraction=math.nan, worst_margin=math.nan, n_intervals=0,
-            t_entry=None, band=band, eps=eps, max_slack=0.0, conclusive=False,
-            notes=(f"runs never settled into the band [{band[0]:.6g}, {band[1]:.6g}]",),
-        )
-    series = trajectory_gap(*pair)
-    return gronwall_check_series(series, report, eps, t_entry)

@@ -377,43 +377,35 @@ def estimate_theta(
             "contraction, so failing verdicts are conservative but passing ones are not"
         )
 
+    # the window's ends are the first and last samples: linspace keeps its end points
+    window = (float(window[0]), float(window[1]))
+    ts = l1 = l2 = h = np.array([])
+    theta = quad_error = math.nan
+    conclusion, eps_suggested = INCONCLUSIVE, None
     missing = constants.missing("M2", "eta", "C3_tilde")
     if missing:
         notes.append(f"constants missing: {', '.join(missing)}; criterion not evaluable")
-        empty = np.array([])
-        return StabilityReport(
-            window=(float(window[0]), float(window[1])),
-            ts=empty, L1_series=empty, L2_series=empty, h_series=empty,
-            theta=math.nan, quad_error=math.nan, constants=constants,
-            h1_ok=h1, h2_ok=h2, h3_ok=h3, conclusion=INCONCLUSIVE,
-            eps_suggested=None, coeffs=coeffs, params=params, notes=tuple(notes),
-        )
-
-    ts = _window_samples(window, n_samples)
-    l1 = compute_L1(ts, coeffs, constants)
-    l2 = compute_L2(ts, coeffs, params, constants)
-    clamp = -params.lam / (2.0 * params.tau)
-    h = np.maximum(clamp, l2 - l1)
-    span = float(ts[-1] - ts[0])
-    theta = float(np.trapezoid(h, ts)) / span
-    theta_coarse = float(np.trapezoid(h[::2], ts[::2])) / span
-    quad_error = abs(theta - theta_coarse)
-
-    if theta < -quad_error:
-        conclusion = CRITERION_HOLDS
-    elif theta > quad_error:
-        conclusion = CRITERION_FAILS
     else:
-        conclusion = INCONCLUSIVE
-        notes.append("theta within quadrature error of zero")
-
-    eps_suggested = None
-    if theta < 0.0 and constants.eta is not None:
-        eps_suggested = min(-theta, constants.eta) / 10.0
+        ts = _window_samples(window, n_samples)
+        l1 = compute_L1(ts, coeffs, constants)
+        l2 = compute_L2(ts, coeffs, params, constants)
+        clamp = -params.lam / (2.0 * params.tau)
+        h = np.maximum(clamp, l2 - l1)
+        span = float(ts[-1] - ts[0])
+        theta = float(np.trapezoid(h, ts)) / span
+        theta_coarse = float(np.trapezoid(h[::2], ts[::2])) / span
+        quad_error = abs(theta - theta_coarse)
+        if theta < -quad_error:
+            conclusion = CRITERION_HOLDS
+        elif theta > quad_error:
+            conclusion = CRITERION_FAILS
+        else:
+            notes.append("theta within quadrature error of zero")
+        if theta < 0.0:
+            eps_suggested = min(-theta, constants.eta) / 10.0
 
     return StabilityReport(
-        window=(float(ts[0]), float(ts[-1])),
-        ts=ts, L1_series=l1, L2_series=l2, h_series=h,
+        window=window, ts=ts, L1_series=l1, L2_series=l2, h_series=h,
         theta=theta, quad_error=quad_error, constants=constants,
         h1_ok=h1, h2_ok=h2, h3_ok=h3, conclusion=conclusion,
         eps_suggested=eps_suggested, coeffs=coeffs, params=params,

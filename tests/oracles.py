@@ -331,7 +331,7 @@ def advective_dt_limit_gradient(grid, v, chi: float, safety: float) -> float:
 
 
 def gronwall_loop(series, report, eps: float, t_entry: float):
-    """Interval-by-interval reference for ``gronwall_check_series``.
+    """Interval-by-interval reference for ``gronwall_check``.
 
     Returns (fraction, worst_margin, max_slack), evaluating h and K at one
     interval midpoint at a time.

@@ -248,7 +248,9 @@ def test_criterion_8_entire_solution_seed_independence():
 def test_criterion_9_gronwall_checker(bench):
     report = bench["report"]
     eps = report.eps_suggested
-    result = cs.gronwall_check((bench["runs"][0], bench["runs"][1]), report, eps)
+    pair = bench["runs"][:2]
+    result = cs.gronwall_check(cs.trajectory_gap(*pair), report, eps,
+                               cs.band_entry_time(pair, report, eps))
     real_ok = (result.conclusive and result.fraction == 1.0
                and result.worst_margin <= 0.0)
 
@@ -258,7 +260,7 @@ def test_criterion_9_gronwall_checker(bench):
     z = np.sqrt(e / 2.0)
     series = cs.GapSeries(t=t, E=e, w_L2=z, phi_L2=z, w_Linf=z, phi_Linf=z,
                           volume=1.0, state_scale=1.0)
-    synthetic = cs.gronwall_check_series(series, report, eps, t_entry=0.0)
+    synthetic = cs.gronwall_check(series, report, eps, t_entry=0.0)
     detect_ok = synthetic.fraction == 0.0
     ok = real_ok and detect_ok
     _verdict(9, ok,

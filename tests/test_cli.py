@@ -517,6 +517,12 @@ class TestSimulate:
         pytest.param("stability-experiment", "n_samples: 201",
                      "n_samples: 201\n  constants: {eta: 50.0, C3_tilde: 1.0}",
                      "experiment.constants.eta", id="eta-above-convex-M2"),
+        # measuring the eventual band needs a population that does not vanish identically
+        pytest.param("stability", "0.1}\n  v: {profile: constant, value: 0.0}\nstepper:\n"
+                     "  error_tol: 1.0e-8\n  dt_max: 0.5\nexperiment:",
+                     "0.0}\n  v: {profile: constant, value: 0.0}\nstepper:\n"
+                     "  error_tol: 1.0e-8\n  dt_max: 0.5\nexperiment:\n  measure: true",
+                     "initial.u", id="measured-u-vanishes"),
     ])
     def test_bad_value_named_without_traceback(self, tmp_path, capsys, command, old, new, key):
         text = EXPERIMENT if command == "stability-experiment" else BASE
@@ -777,6 +783,15 @@ class TestSweep:
             "experiment:", "experiment:\n  sweep: {axes: {params.mu: [1.0]}}"))
         assert main(["sweep", "--config", str(cfg_path)]) == 0
         assert capsys.readouterr().out == f"1.0,,,,nan,error,{message}; got 50.0\n"
+        # a vanishing population to measure is its point's error row naming initial.u
+        text = BASE.replace("sample_dt: 2.0", "sample_dt: 2.0\n  measure: true\n"
+                            "  sweep: {axes: {initial.u.value: [0.0, 0.1]}}")
+        cfg_path = write_config(tmp_path, text=text)
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        error_row, ok_row = capsys.readouterr().out.splitlines()
+        assert error_row == ("0.0,,,,nan,error,initial.u: population must not vanish "
+                             "identically when measuring")
+        assert ok_row.startswith("0.1,") and ok_row.endswith(",criterion_holds,")
 
     def test_bad_role_point_recorded(self, tmp_path, capsys):
         # a1 without a positive infimum is an error row naming a1, and the CSV is written
@@ -931,6 +946,19 @@ class TestStabilityExperiment:
         assert res.gronwall.conclusive
         assert printed["gronwall_fraction"] == repr(res.gronwall.fraction)
         assert len(res.trajectories) == 2 and list(res.gaps) == [(0, 1)]
+
+    def test_persistence_estimated_once_per_seed(self, tmp_path, monkeypatch):
+        # the measured eta and the persistence CSV come from one estimate per seed
+        import chemostab.experiments as experiments
+
+        calls = []
+        estimate = experiments.estimate_persistence
+        for module in (experiments, cli):
+            monkeypatch.setattr(module, "estimate_persistence",
+                                lambda *args: calls.append(args) or estimate(*args))
+        res = cli.stability_experiment(parse_config(EXPERIMENT.replace("OUTDIR", str(tmp_path))))
+        assert res.report.constants.provenance["eta"] == "measured"
+        assert len(calls) == len(res.trajectories) == 2
 
     def test_failing_pullback_gate_writes_nothing(self, tmp_path, capsys):
         # t_back = t_end / 2 = 1 leaves the two seeds far apart (gap about 0.5)

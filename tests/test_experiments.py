@@ -17,12 +17,11 @@ from chemostab import (
     TBackInsufficientError,
     TimeFactor,
     approximate_entire_solution,
-    estimate_bounds,
+    band_entry_time,
     estimate_persistence,
     estimate_theta,
     fit_decay_rate,
     gronwall_check,
-    gronwall_check_series,
     integrate_values,
     measure_constants,
     run,
@@ -202,10 +201,10 @@ class TestBounds:
         cfg = StepperConfig(error_tol=1e-8, dt_max=0.5)
         traj = run(flat_state(grid, 1.0, 1.0), 10.0, const_set(grid), PARAMS, cfg,
                    sample_dt=0.5)
-        est = estimate_bounds(traj, (2.0, 2.0, 2.0))
-        assert est.M1_hat == pytest.approx(grid.volume, rel=1e-10)
-        assert est.M2_hat == pytest.approx(1.0, rel=1e-10)
-        assert est.C3_hat == pytest.approx(1.0, rel=1e-10)
+        est = measure_constants([traj], (2.0, 2.0, 2.0))
+        assert est.M1 == pytest.approx(grid.volume, rel=1e-10)
+        assert est.M2 == pytest.approx(1.0, rel=1e-10)
+        assert est.C3_tilde == pytest.approx(1.0, rel=1e-10)
 
     def test_mu_scaling_of_chemical_bound(self, grid):
         cfg = StepperConfig(error_tol=1e-8, dt_max=0.5)
@@ -214,17 +213,17 @@ class TestBounds:
             p = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=mu)
             traj = run(flat_state(grid, 1.0, 0.0), 40.0, const_set(grid), p, cfg,
                        sample_dt=1.0)
-            hats.append(estimate_bounds(traj, (20.0, 20.0, 20.0)))
-        assert hats[1].C3_hat == pytest.approx(2.0 * hats[0].C3_hat, rel=1e-3)
-        assert hats[1].M2_hat == pytest.approx(hats[0].M2_hat, rel=1e-6)
-        assert hats[1].M1_hat == pytest.approx(hats[0].M1_hat, rel=1e-6)
+            hats.append(measure_constants([traj], (20.0, 20.0, 20.0)))
+        assert hats[1].C3_tilde == pytest.approx(2.0 * hats[0].C3_tilde, rel=1e-3)
+        assert hats[1].M2 == pytest.approx(hats[0].M2, rel=1e-6)
+        assert hats[1].M1 == pytest.approx(hats[0].M1, rel=1e-6)
 
     def test_integral_vs_sup_invariant(self, grid):
         cfg = StepperConfig(error_tol=1e-6)
         traj = run(flat_state(grid, 2.0, 0.0), 5.0, const_set(grid), PARAMS, cfg,
                    sample_dt=0.25)
-        est = estimate_bounds(traj, (1.0, 1.0, 1.0))
-        assert est.M1_hat <= est.M2_hat * grid.volume * (1 + 1e-12)
+        est = measure_constants([traj], (1.0, 1.0, 1.0))
+        assert est.M1 <= est.M2 * grid.volume * (1 + 1e-12)
 
 
 class TestMeasureConstants:
@@ -240,6 +239,37 @@ class TestMeasureConstants:
         assert constants.M2 == 9.0
         assert constants.provenance["M2"] == "config"
         assert constants.provenance["eta"] == "measured"
+
+    def test_batch_pools_members(self, grid):
+        # heterogeneous coefficients and seeds: each member reaches its own bounds
+        ramp = spatial_profile(grid, "linear-ramp", start=0.5, stop=1.5)
+        cs = CoefficientSet(
+            SeparableCoefficient(grid, TimeFactor("sinusoid", offset=1.0, amplitude=0.3,
+                                                  frequency=1.0), ramp),
+            ConstantCoefficient(grid, 1.0),
+            ConstantCoefficient(grid, 0.2),
+        )
+        params = ModelParams(chi=0.2, tau=1.0, lam=1.0, mu=1.0)
+        x = grid.coords()[0]
+        u0 = np.stack([np.full(grid.counts, 0.2), np.full(grid.counts, 3.0),
+                       1.0 + 0.5 * np.cos(np.pi * x)])
+        v0 = np.stack([np.zeros(grid.counts), np.full(grid.counts, 1.0), np.zeros(grid.counts)])
+        members = run(ModelState(0.0, u0, v0), 10.0, cs, params,
+                      StepperConfig(error_tol=1e-6, dt_max=0.25), sample_dt=0.25).members()
+        burn_ins = (3.0, 2.0, 4.0)
+        pooled = measure_constants(members, burn_ins)
+        alone = [measure_constants([m], burn_ins) for m in members]
+        assert len({c.M2 for c in alone}) == 3
+        for name in ("M1", "M2", "C3_tilde"):
+            assert getattr(pooled, name) == max(getattr(c, name) for c in alone)
+        assert pooled.eta == min(c.eta for c in alone)
+
+    def test_vanishing_member_leaves_eta_unmeasured(self, grid, logistic_pair):
+        extinct = run(flat_state(grid, 0.0, 1.0), 10.0, const_set(grid), PARAMS,
+                      StepperConfig(), sample_dt=0.5)
+        constants = measure_constants([logistic_pair[0], extinct], (5.0, 5.0, 5.0))
+        assert constants.eta is None and "eta" not in constants.provenance
+        assert constants.provenance["M2"] == "measured"
 
 
 class TestEntireSolution:
@@ -275,8 +305,9 @@ class TestGronwall:
 
     def test_identical_runs_trivially_satisfied(self, grid, logistic_pair):
         report = self.make_report(grid)
-        result = gronwall_check((logistic_pair[0], logistic_pair[0]), report,
-                                eps=0.05)
+        pair = (logistic_pair[0], logistic_pair[0])
+        result = gronwall_check(trajectory_gap(*pair), report, 0.05,
+                                band_entry_time(pair, report, 0.05))
         assert result.conclusive
         assert result.fraction == 1.0
         assert result.worst_margin <= 0.0
@@ -285,7 +316,7 @@ class TestGronwall:
         report = self.make_report(grid)
         assert report.theta < 0.0
         series = synthetic_series(+1.0, t_end=10.0, n=101)
-        result = gronwall_check_series(series, report, eps=0.05, t_entry=0.0)
+        result = gronwall_check(series, report, eps=0.05, t_entry=0.0)
         assert result.conclusive
         assert result.fraction == 0.0
         assert result.worst_margin > 0.0
@@ -308,7 +339,7 @@ class TestGronwall:
         e = np.exp(-0.8 * t) * (1.0 + 0.4 * np.sin(5.0 * t))
         series = GapSeries(t=t, E=e, w_L2=np.sqrt(e), phi_L2=0.0 * e, w_Linf=np.sqrt(e),
                            phi_Linf=0.0 * e, volume=1.0, state_scale=1.0)
-        result = gronwall_check_series(series, report, eps=0.05, t_entry=t_entry)
+        result = gronwall_check(series, report, eps=0.05, t_entry=t_entry)
         fraction, worst, max_slack = gronwall_loop(series, report, 0.05, t_entry)
         assert result.fraction == fraction
         assert result.worst_margin == worst
@@ -318,13 +349,15 @@ class TestGronwall:
         # a band far above the dynamics is never entered
         constants = KnownConstants(M2=50.0, eta=49.0, C3_tilde=1.0)
         report = estimate_theta(const_set(grid), PARAMS, constants, (0.0, 10.0), 101)
-        result = gronwall_check(tuple(logistic_pair), report, eps=0.1)
+        t_entry = band_entry_time(logistic_pair, report, 0.1)
+        result = gronwall_check(trajectory_gap(*logistic_pair), report, 0.1, t_entry)
         assert not result.conclusive
         assert result.t_entry is None
 
     def test_real_pair_satisfies_inequality(self, grid, logistic_pair):
         report = self.make_report(grid)
-        result = gronwall_check(tuple(logistic_pair), report, eps=0.09)
+        t_entry = band_entry_time(logistic_pair, report, 0.09)
+        result = gronwall_check(trajectory_gap(*logistic_pair), report, 0.09, t_entry)
         assert result.conclusive
         assert result.fraction == 1.0
         assert result.worst_margin <= 0.0
