@@ -199,8 +199,9 @@ def _resolve_constants(cfg: RunConfig, coeffs, params, window, trajectories) -> 
         constants = constants.with_values("convex-formula", **convex)
         if trajs:
             constants = measure_constants(trajs, _burn_ins(cfg), base=constants)
-    except ConfigError as exc:
-        raise ConfigError(f"experiment.constants.{exc.key}", exc.message) from exc
+    except ConfigError as exc:  # keyed by a constant, or by the burn-ins measured after
+        block = "experiment" if exc.key == "burn_ins" else "experiment.constants"
+        raise ConfigError(f"{block}.{exc.key}", exc.message) from exc
     return constants
 
 
@@ -371,20 +372,18 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
 
 
 def sweep(cfg: RunConfig, seed: int | None = None) -> list[tuple]:
-    """One row per point of the cartesian sweep: the point's values, then its verdict or error."""
+    """One row per point of the cartesian sweep: its values, then the verdict of its config
+    (one edit of ``cfg``, so axis order does not matter) or the error ``stability`` would give."""
     if not cfg.experiment.get("sweep"):
         raise ConfigError("experiment.sweep", "sweep axes required")
     axes = cfg.experiment["sweep"]["axes"]
 
     def one_point(values):
-        point_cfg = cfg
         try:
-            for path, value in zip(axes, values):
-                point_cfg = apply_override(point_cfg, path, value)
-            report = stability_report(point_cfg, seed)
+            report = stability_report(apply_override(cfg, dict(zip(axes, values))), seed)
             return (*values, report.h1_ok.status, report.h2_ok.status,
                     report.h3_ok.status, report.theta, report.conclusion, "")
-        except ChemostabError as exc:
+        except (ChemostabError, ValueError) as exc:  # what main reports as exit 1 or 2
             return (*values, "", "", "", math.nan, "error", str(exc).replace(",", ";"))
 
     return [one_point(values) for values in itertools.product(*axes.values())]

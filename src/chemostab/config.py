@@ -6,7 +6,7 @@ silently change a run.  Parsing coerces numbers and fills block defaults, so
 serialize(parse(text)) re-parses to an equal config with a stable content
 hash.  Named profiles (``initial.u``, ``aN.space``, seed states) are declared
 once, in ``coefficients.INITIAL_PROFILES`` and ``SPATIAL_PROFILES``; their
-defaults are filled when built.  A sweep point re-normalizes an edited dict.
+defaults are filled when built.  A sweep point is one edit, normalized once.
 """
 
 from __future__ import annotations
@@ -366,22 +366,21 @@ def serialize_config(cfg: RunConfig) -> str:
     return yaml.safe_dump(asdict(cfg), sort_keys=True, default_flow_style=False)
 
 
-def apply_override(cfg: RunConfig, path: str, value: float) -> RunConfig:
-    """Return a new config with one dotted-path scalar replaced (sweeps).
+def apply_override(cfg: RunConfig, point: dict[str, float]) -> RunConfig:
+    """Return a new config with each ``{dotted path: scalar}`` of ``point`` set (a sweep point).
 
-    The path names a key of the normalized config, so a default can be set.
+    A path names a key of the normalized config, so a default can be set.  The
+    edit is normalized, and so judged, once as a whole: path order does not matter.
     """
     data = asdict(cfg)
-    parts = path.split(".")
-    node = data
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            _fail(path, "no such config entry")
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        _fail(path, "no such config entry")
-    node[leaf] = float(value)
+    for path, value in point.items():
+        keys = path.split(".")
+        node = data
+        for key in keys:
+            if not isinstance(node, dict) or key not in node:
+                _fail(path, "no such config entry")
+            parent, node = node, node[key]
+        parent[keys[-1]] = float(value)
     return _normalize(data)
 
 

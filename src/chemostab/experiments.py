@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .errors import GridMismatchError, TBackInsufficientError
+from .errors import ConfigError, GridMismatchError, TBackInsufficientError
 from .grid import norms
 from .model import ModelParams, ModelState
 from .stability import KnownConstants, StabilityReport, band_perturbation_gain, decay_integrand
@@ -173,18 +173,20 @@ def _after_burn_in(traj: Trajectory, series: np.ndarray, burn_in: float) -> np.n
     return series[traj.times >= cutoff - 1e-12]
 
 
+def _settled_from(times: np.ndarray, inside: np.ndarray) -> float | None:
+    """The first sample time from which ``inside`` holds at every later sample; None if none."""
+    stays = np.logical_and.accumulate(inside[::-1])[::-1]
+    return float(times[int(np.argmax(stays))]) if stays[-1] else None
+
+
 def estimate_persistence(traj: Trajectory, burn_in: float) -> PersistenceEstimate:
     """Persistence floor after burn_in (offset from the trajectory start)."""
-    t0 = float(traj.times[0])
     eta_hat = float(_after_burn_in(traj, traj.min_u, burn_in).min())
     if eta_hat <= 0.0:
         return PersistenceEstimate(eta_hat=max(eta_hat, 0.0), xi_hat=None,
                                    burn_in=burn_in, persisted=False)
-    # earliest time from which the floor holds for every later sample
-    suffix_min = np.minimum.accumulate(traj.min_u[::-1])[::-1]
-    ok = suffix_min >= eta_hat
-    first = int(np.argmax(ok))
-    xi_hat = float(traj.times[first] - t0)
+    # the last sample is after the burn-in, so the floor settles at a sample
+    xi_hat = _settled_from(traj.times, traj.min_u >= eta_hat) - float(traj.times[0])
     return PersistenceEstimate(eta_hat=eta_hat, xi_hat=xi_hat, burn_in=burn_in, persisted=True)
 
 
@@ -201,6 +203,7 @@ def measure_constants(
     the smallest ``min_u`` after the amplitude burn-in, measured only when it
     is positive, that is when every run persisted.  Entries already present
     in ``base`` are kept, so user-supplied constants win over measurements.
+    An M1 above M2 x volume is a ``ConfigError`` keyed ``burn_ins``.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
@@ -210,8 +213,9 @@ def measure_constants(
     if not (m1 > 0.0 and m2 > 0.0 and c3 > 0.0):
         raise ValueError("measured bounds must be positive")
     volume = max(t.grid.volume for t in trajectories)
-    if m1 > m2 * volume * (1.0 + 1e-12):
-        raise ValueError(f"mass bound {m1} exceeds amplitude bound x volume {m2 * volume}")
+    if m1 > m2 * volume * (1.0 + 1e-12):  # a mass burn-in before the amplitude's can do this
+        raise ConfigError("burn_ins", f"mass bound {m1} exceeds amplitude bound x volume "
+                          f"{m2 * volume}")
     measured = {"M1": m1, "M2": m2, "C3_tilde": c3}
     if eta > 0.0:  # every run persisted
         measured["eta"] = eta
@@ -279,13 +283,8 @@ def band_entry_time(
     """First sample time after which both runs stay inside the report's eps-widened band."""
     lo, hi = _gronwall_band(report.constants, eps)
     a, b = pair
-    inside = (
-        (a.min_u >= lo) & (a.sup_u <= hi) & (b.min_u >= lo) & (b.sup_u <= hi)
-    )
-    stays = np.logical_and.accumulate(inside[::-1])[::-1]
-    if not stays.any():
-        return None
-    return float(a.times[int(np.argmax(stays))])
+    return _settled_from(a.times, (a.min_u >= lo) & (a.sup_u <= hi) & (b.min_u >= lo)
+                         & (b.sup_u <= hi))
 
 
 def gronwall_check(

@@ -383,12 +383,12 @@ def trajectory_gap_loop(run_a, run_b):
     return (*(np.array(col) for col in zip(*rows)), scale)
 
 
-def apply_override_via_yaml(cfg, path: str, value: float):
-    """One dotted-path override made through YAML text, as sweeps once did.
+def apply_override_via_yaml(cfg, point: dict):
+    """A sweep point's ``{dotted path: scalar}`` overrides made through YAML text.
 
-    The normalized config is dumped with the scalar replaced and the text is
-    parsed again, so every block goes through the YAML loader and the full
-    document checks.
+    The normalized config is dumped with every scalar of the point replaced
+    and the text is parsed again, once per point, so every block goes through
+    the YAML loader and the full document checks.
     """
     import dataclasses
 
@@ -398,15 +398,16 @@ def apply_override_via_yaml(cfg, path: str, value: float):
     from chemostab.errors import ConfigError
 
     data = dataclasses.asdict(cfg)
-    *parents, leaf = path.split(".")
-    node = data
-    for part in parents:
-        if not isinstance(node, dict) or part not in node:
+    for path, value in point.items():
+        *parents, leaf = path.split(".")
+        node = data
+        for part in parents:
+            if not isinstance(node, dict) or part not in node:
+                raise ConfigError(path, "no such config entry")
+            node = node[part]
+        if not isinstance(node, dict) or leaf not in node:
             raise ConfigError(path, "no such config entry")
-        node = node[part]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(path, "no such config entry")
-    node[leaf] = float(value)
+        node[leaf] = float(value)
     return parse_config(yaml.safe_dump(data))
 
 

@@ -186,11 +186,11 @@ class TestConfigParsing:
 
     def test_apply_override(self):
         cfg = parse_config(BASE.replace("OUTDIR", "out"))
-        cfg2 = apply_override(cfg, "params.chi", 0.7)
+        cfg2 = apply_override(cfg, {"params.chi": 0.7})
         assert cfg2.params["chi"] == 0.7
         assert cfg.params["chi"] == 0.0
         with pytest.raises(ConfigError):
-            apply_override(cfg, "params.nope", 1.0)
+            apply_override(cfg, {"params.nope": 1.0})
 
     @pytest.mark.parametrize("old,new,message", [
         pytest.param("initial:\n  u: {profile: constant, value: 0.1}\n"
@@ -523,6 +523,13 @@ class TestSimulate:
                      "0.0}\n  v: {profile: constant, value: 0.0}\nstepper:\n"
                      "  error_tol: 1.0e-8\n  dt_max: 0.5\nexperiment:\n  measure: true",
                      "initial.u", id="measured-u-vanishes"),
+        # a mass burn-in before the amplitude's, on a falling mass: the measured M1 > M2 x volume
+        pytest.param("stability", "0.1}\n  v: {profile: constant, value: 0.0}\nstepper:\n"
+                     "  error_tol: 1.0e-8\n  dt_max: 0.5\nexperiment:",
+                     "3.0}\n  v: {profile: constant, value: 0.0}\nstepper:\n"
+                     "  error_tol: 1.0e-8\n  dt_max: 0.5\nexperiment:\n  measure: true\n"
+                     "  burn_ins: [0.0, 5.0, 5.0]", "experiment.burn_ins: mass bound",
+                     id="measured-mass-burn-in-first"),
     ])
     def test_bad_value_named_without_traceback(self, tmp_path, capsys, command, old, new, key):
         text = EXPERIMENT if command == "stability-experiment" else BASE
@@ -792,6 +799,49 @@ class TestSweep:
         assert error_row == ("0.0,,,,nan,error,initial.u: population must not vanish "
                              "identically when measuring")
         assert ok_row.startswith("0.1,") and ok_row.endswith(",criterion_holds,")
+        # a burn-in the measurement rejects exits 1 naming experiment.burn_ins, and in a
+        # sweep is every point's error row
+        text = (STABILITY.replace("  constants: {M2: 1.0, eta: 0.9, C3_tilde: 1.0}\n",
+                                  "  measure: true\n  burn_ins: [0.0, 5.0, 5.0]\n")
+                + "initial:\n  u: {profile: constant, value: 3.0}\n")
+        cfg_path = write_config(tmp_path, text=text)
+        assert main(["stability", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: experiment.burn_ins: mass bound ")
+        cfg_path = write_config(tmp_path, text=text.replace(
+            "experiment:", "experiment:\n  sweep: {axes: {params.mu: [1.0, 2.0]}}"))
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 2
+        for mu, row in zip(("1.0", "2.0"), rows):
+            assert row.startswith(f"{mu},,,,nan,error,experiment.burn_ins: mass bound ")
+
+    @pytest.mark.parametrize("axes", ["stepper.dt_min: [0.01], stepper.dt_init: [0.02]",
+                                      "stepper.dt_init: [0.02], stepper.dt_min: [0.01]"],
+                             ids=["dt_min-first", "dt_init-first"])
+    def test_axis_order_does_not_matter(self, tmp_path, capsys, axes):
+        # dt_min 0.01 exceeds the default dt_init 1e-3 alone, but the point sets both:
+        # it is judged as one config, whatever order its axes are declared in
+        text = STABILITY.replace("experiment:", f"experiment:\n  sweep: {{axes: {{{axes}}}}}")
+        cfg_path = write_config(tmp_path, text=text)
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        (row,) = capsys.readouterr().out.splitlines()
+        values = "0.01,0.02" if axes.startswith("stepper.dt_min") else "0.02,0.01"
+        assert row == f"{values},holds,fails,holds,-0.3,criterion_holds,"
+
+    def test_rows_are_stability_verdicts(self, tmp_path):
+        # each row's verdict is that of stability on the point's config, which is one edit
+        text = STABILITY.replace("chi: 0.0", "chi: 0.3").replace(
+            "experiment:", "experiment:\n  cq1_pairs: [[1.5, 8.0]]\n"
+            "  sweep: {axes: {params.chi: [0.1, 1.5], a1.value: [0.5, 2.0]}}")
+        cfg = parse_config(write_config(tmp_path, text=text).read_text())
+        rows = cli.sweep(cfg)
+        assert len(rows) == 4 and {row[6] for row in rows} == {"criterion_holds", "criterion_fails"}
+        for chi, a1, h1, h2, h3, theta, conclusion, error in rows:
+            report = cli.stability_report(apply_override(cfg, {"params.chi": chi, "a1.value": a1}))
+            assert error == ""
+            assert (h1, h2, h3, theta, conclusion) == (
+                report.h1_ok.status, report.h2_ok.status, report.h3_ok.status, report.theta,
+                report.conclusion)
 
     def test_bad_role_point_recorded(self, tmp_path, capsys):
         # a1 without a positive infimum is an error row naming a1, and the CSV is written
@@ -840,22 +890,24 @@ OVERRIDE = BASE.replace("OUTDIR", "out").replace(
 
 
 class TestConfigAsData:
-    @pytest.mark.parametrize("path,value,fails", [
-        pytest.param("a0.time.amplitude", 0.4, False, id="nested-float"),
-        pytest.param("experiment.n_samples", 257.0, False, id="integer-key-given-float"),
-        pytest.param("experiment.eps", 0.01, False, id="normalized-none"),
-        pytest.param("experiment.measure", 1.0, True, id="bool-key"),
-        pytest.param("params.nope", 1.0, True, id="missing-path"),
+    @pytest.mark.parametrize("point,fails", [
+        pytest.param({"a0.time.amplitude": 0.4}, False, id="nested-float"),
+        pytest.param({"experiment.n_samples": 257.0}, False, id="integer-key-given-float"),
+        pytest.param({"experiment.eps": 0.01}, False, id="normalized-none"),
+        pytest.param({"experiment.measure": 1.0}, True, id="bool-key"),
+        pytest.param({"params.nope": 1.0}, True, id="missing-path"),
+        # valid only as a whole: dt_min alone would exceed the default dt_init
+        pytest.param({"stepper.dt_min": 0.01, "stepper.dt_init": 0.02}, False, id="two-paths"),
     ])
-    def test_override_matches_yaml_round_trip(self, path, value, fails):
+    def test_override_matches_yaml_round_trip(self, point, fails):
         cfg = parse_config(OVERRIDE)
 
         def outcome(override):
             try:
-                point = override(cfg, path, value)
+                edited = override(cfg, point)
             except ConfigError as exc:
                 return "error", str(exc)
-            return point, point.content_hash
+            return edited, edited.content_hash
 
         direct = outcome(apply_override)
         assert direct == outcome(apply_override_via_yaml)
@@ -869,7 +921,7 @@ class TestConfigAsData:
 
         monkeypatch.setattr(yaml, "safe_dump", refuse)
         monkeypatch.setattr(yaml, "safe_load", refuse)
-        point = apply_override(cfg, "a0.time.amplitude", 0.4)
+        point = apply_override(cfg, {"a0.time.amplitude": 0.4})
         assert point.a0["time"]["amplitude"] == 0.4
 
     @pytest.mark.parametrize("text", [BASE, STABILITY], ids=["base", "stability"])
