@@ -35,6 +35,7 @@ from .config import (
     build_params,
     build_stepper,
     parse_config,
+    with_seed,
 )
 from .coefficients import CoefficientSet, ConstantCoefficient, validate_roles
 from .errors import ChemostabError, ConfigError
@@ -109,9 +110,14 @@ def _write_csv(cfg: RunConfig, out_dir: str | None, kind: str, header: str, rows
     body = [",".join(map(_cell, row)) + "\n" for row in rows]
     name = f"{cfg.output['name']}_{cfg.content_hash}_{kind}.csv"
     path = Path(out_dir or cfg.output["dir"]) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
     meta = [f"# chemostab {__version__}", f"# config_hash: {cfg.content_hash}", *block]
-    with open(path, "w") as fh:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "w")
+    except OSError as exc:  # the location is bad, not the run
+        raise ConfigError("--out" if out_dir else "output.dir",
+                          f"cannot write {path}: {exc.strerror}") from exc
+    with fh:
         fh.writelines(line + "\n" for line in [*meta, header])
         fh.writelines(body if columns is None else _column_lines(columns))
     return body
@@ -151,19 +157,19 @@ def _write_report(cfg: RunConfig, out_dir: str | None, report: StabilityReport) 
                columns=(report.ts, report.L1_series, report.L2_series, report.h_series))
 
 
-def simulate(cfg: RunConfig, seed: int | None = None) -> Trajectory:
+def simulate(cfg: RunConfig) -> Trajectory:
     """One run from the configured initial state to ``experiment.t_end``."""
     grid = build_grid(cfg)
     params = build_params(cfg)
     coeffs = build_coefficients(cfg, grid)
-    state0 = ModelState(0.0, *build_initial(cfg, grid, seed))  # holds the only copy of u0, v0
+    state0 = ModelState(0.0, *build_initial(cfg, grid))  # holds the only copy of u0, v0
     stepper_cfg = build_stepper(cfg)
     return run(state0, cfg.experiment["t_end"], coeffs, params, stepper_cfg,
                sample_dt=cfg.experiment.get("sample_dt"))
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
-    traj = simulate(cfg, seed)
+def cmd_simulate(cfg: RunConfig, out_dir: str | None) -> int:
+    traj = simulate(cfg)
     block = [f"# t_end: {cfg.experiment['t_end']}"]
     _write_csv(cfg, out_dir, "series", "t,mass_u,mass_v,min_u,sup_u,w2inf_v", block=block,
                columns=(traj.times, traj.mass_u, traj.mass_v, traj.min_u, traj.sup_u,
@@ -213,7 +219,7 @@ def _window(cfg: RunConfig) -> tuple[float, float]:
     return t0, t1
 
 
-def stability_report(cfg: RunConfig, seed: int | None = None) -> StabilityReport:
+def stability_report(cfg: RunConfig) -> StabilityReport:
     """H1-H3 and theta over the window, from the constants ``_resolve_constants`` gives."""
     grid = build_grid(cfg)
     params = build_params(cfg)
@@ -225,7 +231,7 @@ def stability_report(cfg: RunConfig, seed: int | None = None) -> StabilityReport
     def trajectories():
         if not cfg.experiment.get("measure"):
             return []
-        u0, v0 = build_initial(cfg, grid, seed)
+        u0, v0 = build_initial(cfg, grid)
         if not u0.max() > 0.0:
             raise ConfigError("initial.u", "population must not vanish identically when measuring")
         return [run(ModelState(0.0, u0, v0), cfg.experiment["t_end"], coeffs, params,
@@ -236,8 +242,8 @@ def stability_report(cfg: RunConfig, seed: int | None = None) -> StabilityReport
                           n_samples=cfg.experiment["n_samples"])
 
 
-def cmd_stability(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
-    report = stability_report(cfg, seed)
+def cmd_stability(cfg: RunConfig, out_dir: str | None) -> int:
+    report = stability_report(cfg)
     _write_report(cfg, out_dir, report)
     theta_txt = "nan" if math.isnan(report.theta) else f"{report.theta:.6g}"
     print(f"{report.conclusion} theta={theta_txt}")
@@ -272,7 +278,7 @@ class StabilityExperiment:
         return max(0.0, *(float(x[-1]) for g in self.gaps.values() for x in (g.w_Linf, g.phi_Linf)))
 
 
-def stability_experiment(cfg: RunConfig, seed: int | None = None) -> StabilityExperiment:
+def stability_experiment(cfg: RunConfig) -> StabilityExperiment:
     """Run the seeds as one batch, fit the rate, run the pullback gate and the Gronwall check."""
     grid = build_grid(cfg)
     params = build_params(cfg)
@@ -289,7 +295,7 @@ def stability_experiment(cfg: RunConfig, seed: int | None = None) -> StabilityEx
     window = _window(cfg)
     validate_roles(coeffs, window, require_positive_growth=True)
 
-    states = [tuple(build_initial_field(grid, blk[k], f"experiment.seeds[{i}].{k}", seed)
+    states = [tuple(build_initial_field(grid, blk[k], f"experiment.seeds[{i}].{k}")
                     for k in ("u", "v")) for i, blk in enumerate(seeds)]
     if not all(u0.max() > 0.0 for u0, _ in states):
         raise ConfigError("experiment.seeds", "population seed must not vanish identically")
@@ -332,8 +338,8 @@ def stability_experiment(cfg: RunConfig, seed: int | None = None) -> StabilityEx
                                grw, entire)
 
 
-def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
-    res = stability_experiment(cfg, seed)
+def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None) -> int:
+    res = stability_experiment(cfg)
     for idx, traj in enumerate(res.trajectories):
         _write_csv(cfg, out_dir, f"bounds_{idx}", "t,mass_u,sup_u,w2inf_v",
                    columns=(traj.times, traj.mass_u, traj.sup_u, traj.w2inf_v))
@@ -371,7 +377,7 @@ def cmd_stability_experiment(cfg: RunConfig, out_dir: str | None, seed: int | No
     return 0
 
 
-def sweep(cfg: RunConfig, seed: int | None = None) -> list[tuple]:
+def sweep(cfg: RunConfig) -> list[tuple]:
     """One row per point of the cartesian sweep: its values, then the verdict of its config
     (one edit of ``cfg``, so axis order does not matter) or the error ``stability`` would give."""
     if not cfg.experiment.get("sweep"):
@@ -380,7 +386,7 @@ def sweep(cfg: RunConfig, seed: int | None = None) -> list[tuple]:
 
     def one_point(values):
         try:
-            report = stability_report(apply_override(cfg, dict(zip(axes, values))), seed)
+            report = stability_report(apply_override(cfg, dict(zip(axes, values))))
             return (*values, report.h1_ok.status, report.h2_ok.status,
                     report.h3_ok.status, report.theta, report.conclusion, "")
         except (ChemostabError, ValueError) as exc:  # what main reports as exit 1 or 2
@@ -389,8 +395,8 @@ def sweep(cfg: RunConfig, seed: int | None = None) -> list[tuple]:
     return [one_point(values) for values in itertools.product(*axes.values())]
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
-    rows = sweep(cfg, seed)
+def cmd_sweep(cfg: RunConfig, out_dir: str | None) -> int:
+    rows = sweep(cfg)
     header = ",".join(cfg.experiment["sweep"]["axes"]) + ",h1,h2,h3,theta,conclusion,error"
     sys.stdout.writelines(_write_csv(cfg, out_dir, "sweep", header, rows))
     return 0
@@ -421,7 +427,7 @@ def converge(cfg: RunConfig) -> list[tuple]:
     return rows
 
 
-def cmd_converge(cfg: RunConfig, out_dir: str | None, seed: int | None) -> int:
+def cmd_converge(cfg: RunConfig, out_dir: str | None) -> int:
     rows = converge(cfg)
     _write_csv(cfg, out_dir, "converge", "study,level,h_or_dt,value", rows)
     errors = [value for study, _, _, value in rows if study == "spatial"]
@@ -454,7 +460,7 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored: has no effect")
     parser.add_argument("--seed", type=int, default=None,
-                        help="seed override for random initial data")
+                        help="mixed into the seed of every random-positive block of the config")
     args = parser.parse_args(argv)
 
     try:
@@ -465,7 +471,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(text)
-        return _COMMANDS[args.command](cfg, args.out, args.seed)
+        if args.seed is not None:
+            cfg = with_seed(cfg, args.seed)
+        return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

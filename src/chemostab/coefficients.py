@@ -374,11 +374,9 @@ SPATIAL_PROFILES = {
 }
 
 
-def build_profile_field(grid: Grid, block: dict, key: str, seed_override: int | None = None,
-                        table: dict = INITIAL_PROFILES) -> Field:
+def build_profile_field(grid: Grid, block: dict, key: str, table: dict = INITIAL_PROFILES) -> Field:
     """The block ``{profile: name, ...}`` of ``table`` on the grid, unset parameters at
-    their defaults.  Errors name ``key`` (``initial.u``) or the parameter at fault.  A
-    ``seed_override`` is mixed with the declared ``seed``, so distinct seeds stay distinct.
+    their defaults.  Errors name ``key`` (``initial.u``) or the parameter at fault.
     """
     name = block["profile"]
     if name not in table:
@@ -392,8 +390,6 @@ def build_profile_field(grid: Grid, block: dict, key: str, seed_override: int | 
     center = p.get("center")
     if center is not None and not np.isscalar(center) and len(center) != grid.dim:
         raise ConfigError(f"{key}.center", f"expected {grid.dim} numbers, got {len(center)}")
-    if seed_override is not None and "seed" in p:
-        p["seed"] = [seed_override, p["seed"]]
     try:
         # a degenerate parameter (a NaN value, a zero width) gives non-finite values
         with np.errstate(all="ignore"):

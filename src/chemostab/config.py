@@ -6,7 +6,8 @@ silently change a run.  Parsing coerces numbers and fills block defaults, so
 serialize(parse(text)) re-parses to an equal config with a stable content
 hash.  Named profiles (``initial.u``, ``aN.space``, seed states) are declared
 once, in ``coefficients.INITIAL_PROFILES`` and ``SPATIAL_PROFILES``; their
-defaults are filled when built.  A sweep point is one edit, normalized once.
+defaults are filled when built.  A sweep point and the CLI ``--seed`` are each
+one edit, normalized once.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import math
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
+from pathlib import PurePath
 
 import numpy as np
 import yaml
@@ -47,6 +49,7 @@ __all__ = [
     "build_stepper",
     "build_constants",
     "apply_override",
+    "with_seed",
 ]
 
 _TOP_KEYS = {"grid", "params", "a0", "a1", "a2", "initial", "stepper", "experiment", "output"}
@@ -195,13 +198,26 @@ def _norm_profile(raw, path: str, table: dict, what: str) -> dict:
     for key, val in raw.items():
         if key == "path":
             out[key] = str(val)
-        elif key in ("seed", "mode", "axis"):
+        elif key == "seed":
+            out[key] = _as_seed(val, path)
+        elif key in ("mode", "axis"):
             out[key] = _as_int(raw, key, path, required=True)
         elif key == "center" and isinstance(val, (list, tuple)):
             out[key] = _float_list(val, f"{path}.center")
         elif key != "profile":
             out[key] = _as_float(raw, key, path, required=True)
     return out
+
+
+def _as_seed(val, path: str):
+    """``seed``: an integer, or a non-empty list of integers (entropy for ``default_rng``)."""
+    items = val if isinstance(val, list) else [val]
+    if not items:
+        _fail(f"{path}.seed", "expected an integer or a non-empty list of integers")
+    # an int is kept exact: through a float, a seed beyond 2**53 would round
+    out = [v if type(v) is int else _as_int({"seed": v}, "seed", path, required=True)
+           for v in items]
+    return out if isinstance(val, list) else out[0]
 
 
 _DEFAULT_UV = {
@@ -323,10 +339,10 @@ def _norm_experiment(raw: dict) -> dict:
 
 def _norm_output(raw: dict) -> dict:
     _check_keys(raw, {"dir", "name"}, "output")
-    return {
-        "dir": str(raw.get("dir", "out")),
-        "name": str(raw.get("name", "run")),
-    }
+    name = str(raw.get("name", "run"))
+    if name in ("", ".", "..") or PurePath(name).name != name:
+        _fail("output.name", f"expected a plain file stem without a path separator, got {name!r}")
+    return {"dir": str(raw.get("dir", "out")), "name": name}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -384,6 +400,25 @@ def apply_override(cfg: RunConfig, point: dict[str, float]) -> RunConfig:
     return _normalize(data)
 
 
+def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
+    """Return ``cfg`` with the CLI ``--seed`` set on every ``random-positive`` block.
+
+    The blocks of ``initial`` and of ``experiment.seeds`` get ``seed: [seed,
+    declared]``, where ``declared`` is the block's own seed (default 0), so
+    distinct declared seeds stay distinct and the content hash covers ``seed``.
+    """
+    if type(seed) is not int or seed < 0:
+        _fail("--seed", f"expected a non-negative integer, got {seed!r}")
+    data = asdict(cfg)
+    declared_default = INITIAL_PROFILES["random-positive"].defaults["seed"]
+    for state in [data["initial"], *data["experiment"].get("seeds", [])]:
+        for block in state.values():
+            if block["profile"] == "random-positive":
+                declared = block.get("seed", declared_default)
+                block["seed"] = [seed, *declared] if isinstance(declared, list) else [seed, declared]
+    return _normalize(data)
+
+
 # --- builders -------------------------------------------------------------
 
 def build_grid(cfg: RunConfig) -> Grid:
@@ -421,18 +456,17 @@ def build_coefficients(cfg: RunConfig, grid: Grid) -> CoefficientSet:
     )
 
 
-def build_initial_field(grid: Grid, block: dict, key: str, seed_override: int | None = None):
+def build_initial_field(grid: Grid, block: dict, key: str):
     """One block of initial data as read-only nodal values; negative values fail under ``key``."""
-    values = build_profile_field(grid, block, key, seed_override).values
+    values = build_profile_field(grid, block, key).values
     if values.min() < 0.0:
         raise ConfigError(key, "must be nonnegative")
     return values
 
 
-def build_initial(cfg: RunConfig, grid: Grid, seed_override: int | None = None):
+def build_initial(cfg: RunConfig, grid: Grid):
     """The configured ``(u0, v0)`` as read-only nodal arrays."""
-    return tuple(build_initial_field(grid, cfg.initial[k], f"initial.{k}", seed_override)
-                 for k in ("u", "v"))
+    return tuple(build_initial_field(grid, cfg.initial[k], f"initial.{k}") for k in ("u", "v"))
 
 
 def build_stepper(cfg: RunConfig) -> StepperConfig:

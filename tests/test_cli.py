@@ -37,9 +37,10 @@ from chemostab.config import (
     build_stepper,
     parse_config,
     serialize_config,
+    with_seed,
 )
 from chemostab.errors import ConfigError
-from oracles import apply_override_via_yaml, report_csv_reference
+from oracles import apply_override_via_yaml, initial_profile_chain, report_csv_reference
 
 BASE = """
 grid:
@@ -216,6 +217,15 @@ class TestConfigParsing:
         pytest.param("u: {profile: constant, value: 0.1}", "u: {profile: bump, center: [0.5, x]}",
                      "initial.u.center: expected numbers, got [0.5, 'x']",
                      id="initial-non-numeric-center"),
+        pytest.param("u: {profile: constant, value: 0.1}", "u: {profile: random-positive, seed: []}",
+                     "initial.u.seed: expected an integer or a non-empty list of integers",
+                     id="seed-empty-list"),
+        pytest.param("u: {profile: constant, value: 0.1}",
+                     "u: {profile: random-positive, seed: [1, 1.5]}",
+                     "initial.u.seed: expected an integer, got 1.5", id="seed-fractional-entry"),
+        pytest.param("u: {profile: constant, value: 0.1}",
+                     "u: {profile: random-positive, seed: [[1]]}",
+                     "initial.u.seed: not a number: [1]", id="seed-nested-list"),
     ])
     def test_profile_error_messages(self, old, new, message):
         assert old in BASE
@@ -234,7 +244,7 @@ class TestConfigParsing:
         u_b, _ = build_initial(cfg, grid)
         assert np.array_equal(u_a, u_b)
         assert 0.2 <= u_a.min() and u_a.max() <= 0.9
-        u_c, _ = build_initial(cfg, grid, seed_override=8)
+        u_c, _ = build_initial(with_seed(cfg, 8), grid)
         assert not np.array_equal(u_a, u_c)
 
 
@@ -523,6 +533,17 @@ class TestSimulate:
                      "0.0}\n  v: {profile: constant, value: 0.0}\nstepper:\n"
                      "  error_tol: 1.0e-8\n  dt_max: 0.5\nexperiment:\n  measure: true",
                      "initial.u", id="measured-u-vanishes"),
+        pytest.param("simulate", "name: flat", "name: a/b", "output.name", id="name-separator"),
+        pytest.param("simulate", "name: flat", "name: ../escaped", "output.name",
+                     id="name-parent"),
+        pytest.param("simulate", "name: flat", "name: ..", "output.name", id="name-dotdot"),
+        pytest.param("simulate", "name: flat", "name: .", "output.name", id="name-dot"),
+        pytest.param("simulate", "name: flat", "name: ''", "output.name", id="name-empty"),
+        pytest.param("simulate --seed -1", "name: flat", "name: flat", "--seed: ",
+                     id="seed-negative"),
+        # the output location is a path under a file: the flag that gave it is to blame
+        pytest.param("simulate --out CONFIG/sub", "name: flat", "name: flat", "--out: ",
+                     id="out-under-file"),
         # a mass burn-in before the amplitude's, on a falling mass: the measured M1 > M2 x volume
         pytest.param("stability", "0.1}\n  v: {profile: constant, value: 0.0}\nstepper:\n"
                      "  error_tol: 1.0e-8\n  dt_max: 0.5\nexperiment:",
@@ -532,10 +553,12 @@ class TestSimulate:
                      id="measured-mass-burn-in-first"),
     ])
     def test_bad_value_named_without_traceback(self, tmp_path, capsys, command, old, new, key):
+        # ``command`` may carry flags; CONFIG stands for the config file's path
         text = EXPERIMENT if command == "stability-experiment" else BASE
         assert old in text
         cfg_path = write_config(tmp_path, text=text.replace(old, new))
-        assert main([command, "--config", str(cfg_path)]) == 1
+        argv = command.replace("CONFIG", str(cfg_path)).split()
+        assert main([*argv, "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert key in err
         assert "Traceback" not in err
@@ -1083,6 +1106,83 @@ class TestStabilityExperiment:
         out = capsys.readouterr().out
         assert "rate_le_theta_plus_eps=not-applicable" in out
         assert "conclusion=criterion_fails" in out
+
+
+RANDOM = BASE.replace("u: {profile: constant, value: 0.1}",
+                      "u: {profile: random-positive, seed: 3}").replace(
+    "counts: [31]", "counts: [21]").replace("t_end: 40.0", "t_end: 2.0").replace(
+    "error_tol: 1.0e-8", "error_tol: 1.0e-4")  # rough data: a tight tolerance takes seconds
+
+
+class TestSeed:
+    """``--seed`` is one config edit, ``with_seed``, so the content hash covers it."""
+
+    def test_seeded_runs_keep_their_own_files(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, text=RANDOM)
+        cfg = parse_config(cfg_path.read_text())
+        for seed in (1, 2):
+            assert main(["simulate", "--config", str(cfg_path), "--seed", str(seed)]) == 0
+        hashes = [with_seed(cfg, seed).content_hash for seed in (1, 2)]
+        assert len({cfg.content_hash, *hashes}) == 3
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+            f"flat_{h}_{kind}.csv" for h in hashes for kind in ("final", "series"))
+        for h in hashes:
+            for kind in ("final", "series"):
+                lines = (tmp_path / "out" / f"flat_{h}_{kind}.csv").read_text().splitlines()
+                assert lines[1] == f"# config_hash: {h}"
+
+    def test_seeded_data_drawn_from_mixed_entropy(self, tmp_path, capsys):
+        # ``--seed 1`` on a declared seed 3 draws u0 from default_rng([1, 3]), as it did
+        # before the seed became a config edit: the run equals one from that state as a file
+        grid = build_grid(parse_config(RANDOM.replace("OUTDIR", "out")))
+        u0 = initial_profile_chain(grid, {"profile": "random-positive", "seed": 3}, 1)
+        np.savetxt(tmp_path / "u0.csv", u0, delimiter=",", fmt="%.17g")
+        file_block = f"{{profile: file, path: {tmp_path / 'u0.csv'}}}"
+        runs = {"seeded": (RANDOM, ["--seed", "1"]),
+                "file": (RANDOM.replace("{profile: random-positive, seed: 3}", file_block), [])}
+        for name, (text, extra) in runs.items():
+            (tmp_path / name).mkdir()
+            cfg_path = write_config(tmp_path / name, text=text)
+            assert main(["simulate", "--config", str(cfg_path), *extra]) == 0
+        for kind in ("final", "series"):
+            (a,), (b,) = ((tmp_path / name / "out").glob(f"flat_*_{kind}.csv") for name in runs)
+            assert a.name != b.name and data_section(a) == data_section(b)
+
+    def test_experiment_seeds_mixed(self):
+        text = RANDOM.replace("sample_dt: 2.0", "sample_dt: 2.0\n  seeds:\n"
+                              "    - {u: {profile: random-positive}}\n"
+                              "    - {u: {profile: random-positive, seed: [4, 5]}}\n"
+                              "    - {u: {profile: constant, value: 2.0}}")
+        cfg = with_seed(parse_config(text.replace("OUTDIR", "out")), 7)
+        assert cfg.initial["u"]["seed"] == [7, 3]
+        assert [s["u"].get("seed") for s in cfg.experiment["seeds"]] == [[7, 0], [7, 4, 5], None]
+        assert cfg.initial["v"] == {"profile": "constant", "value": 0.0}
+
+    def test_large_seed_kept_exact(self):
+        seed = 2**64 + 1  # beyond a float's integers
+        cfg = with_seed(parse_config(RANDOM.replace("OUTDIR", "out")), seed)
+        assert cfg.initial["u"]["seed"] == [seed, 3]
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_sweep_axis_sets_seed_outright(self, tmp_path, capsys):
+        # under --seed a point is one edit of the seeded config: an axis on the seed
+        # replaces [override, declared], so the rows equal those of the unseeded sweep
+        text = STABILITY.replace(
+            "  constants: {M2: 1.0, eta: 0.9, C3_tilde: 1.0}\n",
+            "  measure: true\n  sweep: {axes: {initial.u.seed: [4, 5]}}\n").replace(
+            "experiment:", "initial:\n  u: {profile: random-positive, seed: 3}\nexperiment:")
+        cfg_path = write_config(tmp_path, text=text)
+        cfg = parse_config(cfg_path.read_text())
+        assert apply_override(with_seed(cfg, 9), {"initial.u.seed": 4}) == apply_override(
+            cfg, {"initial.u.seed": 4})
+        outs = []
+        for extra in ([], ["--seed", "9"]):
+            assert main(["sweep", "--config", str(cfg_path), *extra]) == 0
+            outs.append(capsys.readouterr().out)
+        thetas = [float(row.split(",")[4]) for row in outs[0].splitlines()]
+        assert thetas[0] != thetas[1]  # the seed reaches the measured constants
+        assert outs[0] == outs[1]
+        assert len(list((tmp_path / "out").iterdir())) == 2  # one file per config hash
 
 
 class TestConverge:

@@ -338,7 +338,10 @@ class TestProfileRegistry:
         for name in INITIAL_PROFILES:
             for params in [{}, *cases[name]] if name != "file" else cases[name]:
                 block = {"profile": name, **params}
-                built = build_profile_field(grid, block, "initial.u", seed).values
+                seeded = block  # the block as ``config.with_seed`` leaves it
+                if seed is not None and name == "random-positive":
+                    seeded = {**block, "seed": [seed, block.get("seed", 0)]}
+                built = build_profile_field(grid, seeded, "initial.u").values
                 assert same_bits(built, initial_profile_chain(grid, block, seed)), (name, params)
 
     def test_accepted_keys_match_chain_tables(self):
