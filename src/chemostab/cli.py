@@ -17,6 +17,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,6 +122,25 @@ def _write_csv(cfg: RunConfig, out_dir: str | None, kind: str, header: str, rows
         fh.writelines(line + "\n" for line in [*meta, header])
         fh.writelines(body if columns is None else _column_lines(columns))
     return body
+
+
+def _check_out_dir(cfg: RunConfig, out_dir: str | None) -> None:
+    """Fail before any compute if ``_write_csv`` could not make and write the output directory.
+
+    The nearest existing ancestor of the directory must be a writable,
+    searchable directory; nothing is created.
+    """
+    path = Path(out_dir or cfg.output["dir"])
+    ancestor = path
+    while not os.path.lexists(ancestor) and ancestor != ancestor.parent:
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        reason = f"{ancestor} is not a directory"
+    elif not os.access(ancestor, os.W_OK | os.X_OK):
+        reason = f"{ancestor} is not writable"
+    else:
+        return
+    raise ConfigError("--out" if out_dir else "output.dir", f"cannot write {path}: {reason}")
 
 
 def _constants(c: KnownConstants) -> list[tuple[str, float, str]]:
@@ -473,6 +493,7 @@ def main(argv=None) -> int:
         cfg = parse_config(text)
         if args.seed is not None:
             cfg = with_seed(cfg, args.seed)
+        _check_out_dir(cfg, args.out)
         return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,7 +12,6 @@ one edit, normalized once.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
@@ -36,6 +35,16 @@ from .grid import Grid
 from .model import ModelParams
 from .stability import KnownConstants
 from .stepper import StepperConfig
+
+# hashlib loads OpenSSL, about 3 MB of memory in every command; the
+# interpreter's own SHA-256 gives the same digest
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:  # a build without the built-in module
+        from hashlib import sha256
 
 __all__ = [
     "RunConfig",
@@ -82,7 +91,7 @@ class RunConfig:
         hash, so it is computed once; the blocks are not edited after
         parsing (a sweep point is a new config).
         """
-        return hashlib.sha256(serialize_config(self).encode()).hexdigest()[:12]
+        return sha256(serialize_config(self).encode()).hexdigest()[:12]
 
 
 def _fail(key: str, message: str):
@@ -112,6 +121,8 @@ def _as_float(block: dict, key: str, path: str, default=None, required=False, fi
         return default
     try:
         val = float(block[key])
+    except OverflowError:  # an integer beyond the float range
+        _fail(f"{path}.{key}", "too large for a float")
     except (TypeError, ValueError):
         _fail(f"{path}.{key}", f"not a number: {block[key]!r}")
     if finite and not math.isfinite(val):
@@ -153,6 +164,8 @@ def _float_list(raw, path: str) -> list[float]:
         _fail(path, "expected a list of numbers")
     try:
         return [float(v) for v in raw]
+    except OverflowError:
+        _fail(path, "expected numbers, got an integer too large for a float")
     except (TypeError, ValueError):
         _fail(path, f"expected numbers, got {raw!r}")
 

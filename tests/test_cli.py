@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -67,6 +68,9 @@ output:
   dir: OUTDIR
   name: flat
 """
+
+
+HUGE = "1" + "0" * 400  # a YAML integer too large for a float
 
 
 def write_config(tmp_path, text=BASE, **extra):
@@ -544,6 +548,12 @@ class TestSimulate:
         # the output location is a path under a file: the flag that gave it is to blame
         pytest.param("simulate --out CONFIG/sub", "name: flat", "name: flat", "--out: ",
                      id="out-under-file"),
+        # an integer beyond the float range names its key, in a list or alone
+        pytest.param("stability", "counts: [31]", f"counts: [{HUGE}]", "grid.counts",
+                     id="counts-overflow"),
+        pytest.param("stability", "sample_dt: 2.0", f"sample_dt: 2.0\n  n_samples: {HUGE}",
+                     "experiment.n_samples", id="n_samples-overflow"),
+        pytest.param("stability", "chi: 0.0", f"chi: {HUGE}", "params.chi", id="chi-overflow"),
         # a mass burn-in before the amplitude's, on a falling mass: the measured M1 > M2 x volume
         pytest.param("stability", "0.1}\n  v: {profile: constant, value: 0.0}\nstepper:\n"
                      "  error_tol: 1.0e-8\n  dt_max: 0.5\nexperiment:",
@@ -582,6 +592,25 @@ class TestSimulate:
             files = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
             runs.append((files, capsys.readouterr().out))
         assert runs[0][0] and runs[0] == runs[1]
+
+    @pytest.mark.parametrize("flags,text,key", [
+        (["--out", "CONFIG/sub"], BASE, "--out"),
+        ([], BASE.replace("dir: OUTDIR", "dir: CONFIG/sub"), "output.dir"),
+    ], ids=["out", "output.dir"])
+    def test_bad_output_location_fails_before_compute(self, tmp_path, capsys, monkeypatch,
+                                                      flags, text, key):
+        # the location is checked once the config is parsed, so no run starts
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started before the output location was checked")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(text.replace("CONFIG", str(cfg_path)))
+        argv = [flag.replace("CONFIG", str(cfg_path)) for flag in flags]
+        assert main(["simulate", "--config", str(cfg_path), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: cannot write {cfg_path}/sub: ")
+        assert "Traceback" not in err
 
     def test_step_underflow_writes_nothing(self, tmp_path, capsys):
         # the run fails before any output, so no output directory is made
@@ -1199,14 +1228,32 @@ class TestConverge:
         assert 1.8 <= temporal <= 2.2
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def src_env() -> dict:
+    """The environment of a child interpreter that imports chemostab from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, chemostab.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_command_loads_no_openssl(tmp_path):
+    # the config hash comes from the interpreter's built-in SHA-256, so a command
+    # without a random-positive profile never loads hashlib (and OpenSSL with it)
+    cfg_path = write_config(tmp_path, text=STABILITY)
+    code = ("import sys; from chemostab.cli import main; code = main(sys.argv[1:]); "
+            "print(code, [m for m in ('hashlib', '_hashlib') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code, "stability", "--config", str(cfg_path)],
+                         env=src_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
+    digest = hashlib.sha256(serialize_config(parse_config(cfg_path.read_text())).encode())
+    (path,) = (tmp_path / "out").iterdir()
+    assert path.name == f"crit_{digest.hexdigest()[:12]}_stability.csv"
 
 
 def traced_child(tmp_path, command: str, text: str) -> dict:
