@@ -9,7 +9,6 @@ whose negativity certifies a unique, globally attracting entire solution.
 __version__ = "0.1.0"
 
 from .coefficients import (
-    CallableCoefficient,
     CoefficientSet,
     ConstantCoefficient,
     SeparableCoefficient,
@@ -25,7 +24,6 @@ from .errors import (
     GridMismatchError,
     HypothesisFailure,
     PositivityBudgetError,
-    SolverError,
     StepRejected,
     StepSizeUnderflowError,
     TBackInsufficientError,
@@ -54,7 +52,7 @@ from .grid import (
     norms,
     w2inf_norm,
 )
-from .model import ModelParams, ModelState, mass_rate, reaction_values, split_terms
+from .model import ModelParams, ModelState, reaction_values, split_terms
 from .stability import (
     ConvexBound,
     HypothesisVerdict,

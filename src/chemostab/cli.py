@@ -127,8 +127,9 @@ def _write_csv(cfg: RunConfig, out_dir: str | None, kind: str, header: str, rows
 def _check_out_dir(cfg: RunConfig, out_dir: str | None) -> None:
     """Fail before any compute if ``_write_csv`` could not make and write the output directory.
 
-    The nearest existing ancestor of the directory must be a writable,
-    searchable directory; nothing is created.
+    The nearest existing ancestor of the directory must be a directory that
+    takes a new entry: one uniquely named probe file is created there and
+    removed, so the file system itself decides.  Nothing else is created.
     """
     path = Path(out_dir or cfg.output["dir"])
     ancestor = path
@@ -136,10 +137,14 @@ def _check_out_dir(cfg: RunConfig, out_dir: str | None) -> None:
         ancestor = ancestor.parent
     if not ancestor.is_dir():
         reason = f"{ancestor} is not a directory"
-    elif not os.access(ancestor, os.W_OK | os.X_OK):
-        reason = f"{ancestor} is not writable"
     else:
-        return
+        probe = ancestor / f".chemostab-probe-{os.getpid()}"
+        try:
+            os.close(os.open(probe, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            os.unlink(probe)
+            return
+        except OSError as exc:
+            reason = f"{ancestor} takes no new entry: {exc.strerror}"
     raise ConfigError("--out" if out_dir else "output.dir", f"cannot write {path}: {reason}")
 
 
@@ -484,8 +489,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,7 @@
 
 A coefficient is a scalar function of time and space evaluated on a grid;
 ``eval(t)`` returns its nodal values as an array shaped like ``grid.counts``.
-The configuration-facing family is deliberately small and declarative:
+The family is deliberately small and declarative:
 
 * ``constant`` -- one number;
 * ``separable`` -- a closed-form time factor (constant, sinusoid, or
@@ -10,16 +10,13 @@ The configuration-facing family is deliberately small and declarative:
 * ``tabulated`` -- grid samples at increasing time knots, linearly
   interpolated in time.
 
-Library callers may additionally inject arbitrary evaluators through
-:class:`CallableCoefficient`, which satisfies the same contract but only
-supports sampled global envelopes.
-
 Spatial infima/suprema are taken over grid nodes, an inner approximation of
 the continuum envelope that is consistent with the discretized dynamics.
 ``envelope(t)`` reads them at a whole array of times in one call and returns
 ``(inf, sup)`` arrays shaped like ``t``; a scalar ``t`` gives 0-d arrays.
-All-time envelopes are taken over a caller-declared window; for periodic
-time factors one period is exact.
+All-time envelopes are taken over a caller-declared window and are exact for
+every kind: each kind names the times at which its envelope attains its
+extremes, and for periodic time factors one period suffices.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ __all__ = [
     "ConstantCoefficient",
     "SeparableCoefficient",
     "TabulatedCoefficient",
-    "CallableCoefficient",
     "CoefficientSet",
     "INITIAL_PROFILES",
     "SPATIAL_PROFILES",
@@ -143,8 +139,7 @@ class CoefficientSpec:
     def global_envelope(self, t_window: tuple[float, float]) -> tuple[float, float]:
         """(inf, sup) over the window and the domain: ``envelope`` at ``_extreme_times``.
 
-        Exact for the constant, separable, and tabulated kinds; sampled at
-        evenly spaced times otherwise.  A non-finite value raises ValueError.
+        Exact for every kind.  A non-finite value raises ValueError.
         """
         t0, t1 = float(t_window[0]), float(t_window[1])
         if not t1 > t0:
@@ -257,24 +252,6 @@ class TabulatedCoefficient(CoefficientSpec):
     @property
     def regularity_note(self) -> str | None:
         return "tabulated coefficient: only Lipschitz in t (finite-window estimate)"
-
-
-class CallableCoefficient(CoefficientSpec):
-    """Caller-supplied evaluator ``fn(t) -> array of grid samples``."""
-
-    def __init__(self, grid: Grid, fn):
-        super().__init__(grid)
-        self.fn = fn
-
-    def eval(self, t: float) -> np.ndarray:
-        return require_finite(np.asarray(self.fn(float(t)), dtype=float).reshape(self.grid.counts))
-
-    def _extreme_times(self, t0, t1):
-        return np.linspace(t0, t1, 65)
-
-    @property
-    def regularity_note(self) -> str | None:
-        return "caller-supplied coefficient: envelopes are sampled estimates"
 
 
 @dataclass(frozen=True)

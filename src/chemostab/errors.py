@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: the CLI exits 1 on a
+:class:`ConfigError` and 2 on any other :class:`ChemostabError`."""
 
 from __future__ import annotations
 
@@ -41,11 +42,7 @@ class StepSizeUnderflowError(ChemostabError, RuntimeError):
         self.state = state
 
 
-class SolverError(ChemostabError, RuntimeError):
-    """Fatal numerical failure that retrying with a smaller step cannot fix."""
-
-
-class PositivityBudgetError(SolverError):
+class PositivityBudgetError(ChemostabError, RuntimeError):
     """Cumulative clamped mass exceeded the per-run budget."""
 
 

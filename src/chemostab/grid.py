@@ -16,16 +16,15 @@ arrays shaped like ``grid.counts``.  Kernels index grid axes from the end, so
 a batch of K fields stacked on a leading axis, shape ``(K, *grid.counts)``,
 passes through: stencils act on each member, and reductions
 (``integrate_values``, ``norms``, ``w2inf_norm``) return one value per member,
-a scalar for an unbatched field.  :class:`Field` validates input where it
-enters the program (config profiles, files, spatial profiles): it checks the
-shape against a grid and, through :func:`require_finite`, the values.
+a scalar for an unbatched field.  ``Field(grid, values)`` validates input where
+it enters the program (config profiles, files, spatial profiles): the array's
+shape against the grid and, through :func:`require_finite`, its values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -166,15 +165,6 @@ class Field:
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "Field":
-        return cls(grid, np.full(grid.counts, float(value)))
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn: Callable[..., np.ndarray]) -> "Field":
-        """Sample ``fn(x)`` (1D) or ``fn(x, y)`` (2D) at the nodes."""
-        return cls(grid, np.asarray(fn(*grid.coords()), dtype=float))
 
     def min(self) -> float:
         return float(self.values.min())

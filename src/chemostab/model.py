@@ -9,8 +9,8 @@ and the chemical density v obeys, in method-of-lines form,
     v_t = (lap(v) - lam*v + mu*u) / tau
 
 with no-flux boundaries on both. The nonlocal factor ``total_mass`` uses the
-same trapezoid quadrature as all diagnostics, so the mass identity below is
-exact by construction rather than approximate.
+same trapezoid quadrature as all diagnostics, and diffusion and drift sum to
+zero under its weights, so the u-mass changes only by the reaction's integral.
 
 Each term is defined once, as an array kernel, in the split the IMEX stepper
 marches: the implicit-linear part ``lap(u)`` and ``(lap(v) - lam*v)/tau``,
@@ -36,7 +36,7 @@ from .grid import Grid, chemotaxis_values, integrate_values, laplacian_values
 
 __all__ = [
     "ModelParams", "ModelState", "reaction_values", "implicit_part", "explicit_part",
-    "split_terms", "mass_rate",
+    "split_terms",
 ]
 
 
@@ -136,20 +136,3 @@ def split_terms(
     return (implicit_part(grid, state.uv, params),
             explicit_part(grid, state.uv, state.t, coeffs, params))
 
-
-def mass_rate(
-    state: ModelState, coeffs: CoefficientSet, params: ModelParams
-) -> tuple[float, float]:
-    """Reaction-only mass rates.
-
-    Diffusion and drift integrate to zero under the no-flux boundary, so
-    the first entry equals the integral of f's u row (f the two parts of
-    ``split_terms`` summed) up to round-off; the second is the tau-scaled
-    chemical rate -lam*mass(v) + mu*mass(u), tau times that of f's v row.
-    """
-    grid = coeffs.grid
-    u = state.u
-    du_mass = integrate_values(grid, reaction_values(grid, u, state.t, coeffs))
-    dv_mass = (-params.lam * integrate_values(grid, state.v)
-               + params.mu * integrate_values(grid, u))
-    return du_mass, dv_mass

@@ -110,6 +110,24 @@ def trapezoid_sum(values, weights):
     return total
 
 
+def mass_rate(state, coeffs, params) -> tuple[float, float]:
+    """Reaction-only mass rates: the reference of the mass identity.
+
+    Diffusion and drift integrate to zero under the no-flux boundary, so
+    the first entry equals the integral of f's u row (f the two parts of
+    ``split_terms`` summed) up to round-off; the second is the tau-scaled
+    chemical rate -lam*mass(v) + mu*mass(u), tau times that of f's v row.
+    """
+    from chemostab import integrate_values, reaction_values
+
+    grid = coeffs.grid
+    u = state.u
+    du_mass = integrate_values(grid, reaction_values(grid, u, state.t, coeffs))
+    dv_mass = (-params.lam * integrate_values(grid, state.v)
+               + params.mu * integrate_values(grid, u))
+    return du_mass, dv_mass
+
+
 def axis_laplacian_matrix(grid, axis: int) -> np.ndarray:
     """Dense 1D Neumann Laplacian along one axis (reflected ghosts)."""
     n = grid.counts[axis]
@@ -435,7 +453,7 @@ def spatial_profile_chain(grid, profile: str, **params):
 
     coords = grid.coords()
     if profile == "constant":
-        return Field.constant(grid, params.get("value", 1.0))
+        return Field(grid, np.full(grid.counts, float(params.get("value", 1.0))))
     if profile == "linear-ramp":
         axis = int(params.get("axis", 0))
         start = float(params.get("start", 0.0))
@@ -472,7 +490,7 @@ def initial_profile_chain(grid, block: dict, seed_override=None) -> np.ndarray:
 
     profile = block["profile"]
     if profile == "constant":
-        return Field.constant(grid, block.get("value", 0.0)).values
+        return Field(grid, np.full(grid.counts, float(block.get("value", 0.0)))).values
     if profile == "bump":
         return spatial_profile_chain(grid, **{**block, "profile": "gaussian-bump"}).values
     if profile == "cosine":

@@ -577,6 +577,15 @@ class TestSimulate:
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent.yaml"]) == 1
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        # the file is read as UTF-8 whatever the locale; a bad byte is a config error
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_bytes(b"\x80grid: 1")
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read {cfg_path}: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["simulate", "stability", "stability-experiment",
                                          "sweep", "converge"])
     def test_byte_identical_reruns(self, tmp_path, capsys, command):
@@ -611,6 +620,40 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: cannot write {cfg_path}/sub: ")
         assert "Traceback" not in err
+
+    def test_output_location_refusing_new_entries_fails_before_compute(
+            self, tmp_path, capsys, monkeypatch):
+        # permission bits can say yes while the file system says no (as for root, or
+        # a read-only mount): the check creates an entry, and here that create fails
+        real_open = os.open
+
+        def refusing_open(path, *args, **kwargs):
+            if Path(path).is_relative_to(tmp_path):
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_open(path, *args, **kwargs)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started before the output location was checked")
+
+        monkeypatch.setattr(os, "open", refusing_open)
+        monkeypatch.setattr(cli, "run", no_run)
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "new" / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out: cannot write {out}: ")
+        assert "Permission denied" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
+
+    def test_output_check_leaves_no_entry(self, tmp_path, capsys):
+        # the first run probes the config's directory, the rerun the output directory itself
+        cfg_path = write_config(tmp_path)
+        for _ in range(2):
+            assert main(["simulate", "--config", str(cfg_path)]) == 0
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "out"]
+            names = sorted(p.name for p in (tmp_path / "out").iterdir())
+            assert len(names) == 2 and all(n.startswith("flat_") for n in names)
 
     def test_step_underflow_writes_nothing(self, tmp_path, capsys):
         # the run fails before any output, so no output directory is made

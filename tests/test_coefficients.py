@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chemostab import (
-    CallableCoefficient,
     CoefficientRangeError,
     CoefficientSet,
     ConstantCoefficient,
@@ -75,10 +74,6 @@ class TestEval:
         with pytest.raises(ValueError, match="non-finite"):
             TabulatedCoefficient(grid, [0.0, 1.0], [np.zeros(101), table])
 
-    def test_callable(self, grid):
-        spec = CallableCoefficient(grid, lambda t: np.full(101, t * 2.0))
-        assert np.all(spec.eval(1.5) == 3.0)
-
 
 class TestEnvelope:
     def test_constant(self, grid):
@@ -101,7 +96,6 @@ class TestEnvelope:
 
     @pytest.mark.parametrize("kind", [
         "constant", "separable-negative-time", "separable-expdecay", "tabulated-clamped",
-        "callable",
     ])
     def test_array_matches_per_sample_eval(self, grid, kind):
         # sign-changing profile, so a negative time factor swaps the extremes
@@ -116,8 +110,6 @@ class TestEnvelope:
             "tabulated-clamped": lambda: TabulatedCoefficient(
                 grid, [0.0, 1.5, 4.0],
                 [profile.values, -2.0 * profile.values, np.linspace(-1.0, 3.0, 101)]),
-            "callable": lambda: CallableCoefficient(
-                grid, lambda t: np.sin(t * np.linspace(0.0, 5.0, 101))),
         }
         spec = specs[kind]()
         ts = np.linspace(-1.0, 6.0, 42)  # beyond both tabulated end knots
@@ -177,13 +169,6 @@ class TestGlobalEnvelope:
         lo, hi = spec.global_envelope((0.0, 4.0))
         assert hi == pytest.approx(3.0, rel=1e-12)
         assert lo == pytest.approx(1.0 + 2.0 * math.exp(-2.0), rel=1e-12)
-
-    def test_callable_sampled_at_65_even_times(self, grid):
-        spec = CallableCoefficient(grid, lambda t: np.full(101, math.sin(3.7 * t)))
-        ts = np.linspace(0.0, 10.0, 65)
-        lo, hi = spec.global_envelope((0.0, 10.0))
-        assert (lo, hi) == (np.sin(3.7 * ts).min(), np.sin(3.7 * ts).max())
-        assert -1.0 < lo and hi < 1.0  # the sampled envelope is an inner estimate
 
     def test_extreme_times(self):
         # the window is cut to one period before the critical times are found

@@ -68,7 +68,7 @@ class TestField:
             Field(unit_interval(), vals)
 
     def test_immutable(self):
-        f = Field.constant(unit_interval(), 1.0)
+        f = Field(unit_interval(), np.ones(5))
         with pytest.raises(ValueError):
             f.values[0] = 2.0
         with pytest.raises(AttributeError):
@@ -78,7 +78,7 @@ class TestField:
 class TestLaplacian:
     def test_constants_in_kernel(self):
         for g in (unit_interval(7), Grid((1.0, 2.0), (5, 9))):
-            out = laplacian_values(g, Field.constant(g, 7.0).values)
+            out = laplacian_values(g, Field(g, np.full(g.counts, 7.0)).values)
             assert np.all(out == 0.0)
 
     def test_hand_stencil_values(self):
@@ -105,7 +105,7 @@ class TestLaplacian:
         errors = []
         for n in (33, 65, 129):
             g = unit_interval(n)
-            f = Field.from_function(g, lambda x: np.cos(np.pi * x))
+            f = Field(g, np.cos(np.pi * g.coords()[0]))
             exact = -np.pi**2 * f.values
             errors.append(np.abs(laplacian_values(g, f.values) - exact).max())
         for k in range(2):
@@ -116,9 +116,8 @@ class TestLaplacian:
         errs = []
         for n in (17, 33):
             g = Grid((1.0, 2.0), (n, n))
-            f = Field.from_function(
-                g, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y / 2.0)
-            )
+            x, y = g.coords()
+            f = Field(g, np.cos(np.pi * x) * np.cos(np.pi * y / 2.0))
             exact = -(np.pi**2 + (np.pi / 2.0) ** 2) * f.values
             errs.append(np.abs(laplacian_values(g, f.values) - exact).max())
         assert 3.5 <= errs[0] / errs[1] <= 4.5
@@ -136,7 +135,7 @@ class TestChemotaxis:
     def test_constant_v_gives_zero(self):
         g = unit_interval(9)
         u = random_field(g, 0)
-        out = chemotaxis_values(g, u.values, Field.constant(g, 3.0).values, 2.5)
+        out = chemotaxis_values(g, u.values, Field(g, np.full(g.counts, 3.0)).values, 2.5)
         assert np.all(out == 0.0)
 
     def test_chi_zero_gives_zero(self):
@@ -147,7 +146,7 @@ class TestChemotaxis:
     def test_hand_flux_values(self):
         # 3 nodes, h=0.5, u=1, v=(0,1,0): F_{1/2}=2, F_{3/2}=-2
         g = unit_interval(3)
-        u = Field.constant(g, 1.0)
+        u = Field(g, np.ones(3))
         v = Field(g, np.array([0.0, 1.0, 0.0]))
         out = chemotaxis_values(g, u.values, v.values, 1.0)
         assert out[1] == 8.0
@@ -167,23 +166,24 @@ class TestChemotaxis:
 class TestIntegrate:
     def test_constant(self):
         g = Grid((2.0,), (9,))
-        assert integrate_values(g, Field.constant(g, 1.0).values) == pytest.approx(2.0, abs=1e-15)
+        assert integrate_values(g, Field(g, np.ones(9)).values) == pytest.approx(2.0, abs=1e-15)
 
     def test_affine_exact(self):
         for n in (3, 7, 20):
             g = unit_interval(n)
-            f = Field.from_function(g, lambda x: x)
+            f = Field(g, g.coords()[0])
             assert integrate_values(g, f.values) == pytest.approx(0.5, abs=1e-14)
 
     def test_quadratic_trapezoid_value(self):
         # closed-form composite trapezoid of x^2 on 10 intervals: (2n^2+1)/(6n^2)
         g = unit_interval(11)
-        f = Field.from_function(g, lambda x: x**2)
+        f = Field(g, g.coords()[0] ** 2)
         assert integrate_values(g, f.values) == pytest.approx(0.335, abs=1e-14)
 
     def test_bilinear_exact_2d(self):
         g = Grid((1.0, 2.0), (4, 5))
-        f = Field.from_function(g, lambda x, y: (1.0 + 2.0 * x) * (3.0 + y))
+        x, y = g.coords()
+        f = Field(g, (1.0 + 2.0 * x) * (3.0 + y))
         assert integrate_values(g, f.values) == pytest.approx(16.0, rel=1e-14)
 
     def test_matches_bruteforce_sum(self):
@@ -210,11 +210,11 @@ class TestIntegrate:
 
 class TestNorms:
     def test_zero(self):
-        f = Field.constant(unit_interval(), 0.0)
+        f = Field(unit_interval(), np.zeros(5))
         assert norms(f.grid, f.values) == (0.0, 0.0)
 
     def test_constant(self):
-        f = Field.constant(unit_interval(9), -3.0)
+        f = Field(unit_interval(9), np.full(9, -3.0))
         l2, linf = norms(f.grid, f.values)
         assert l2 == pytest.approx(3.0, rel=1e-14)
         assert linf == 3.0
@@ -237,21 +237,21 @@ class TestDerivativeHelpers:
     def test_gradient_exact_on_quadratics_2d(self):
         # central differences are exact on quadratics at interior nodes
         g = Grid((1.0, 2.0), (5, 9))
-        f = Field.from_function(g, lambda x, y: x * x + 3.0 * y * y)
-        gx, gy = gradient_neumann(g, f.values)
         x, y = g.coords()
+        f = Field(g, x * x + 3.0 * y * y)
+        gx, gy = gradient_neumann(g, f.values)
         assert np.allclose(gx[1:-1, :], 2.0 * x[1:-1, :], rtol=1e-13, atol=1e-13)
         assert np.allclose(gy[:, 1:-1], 6.0 * y[:, 1:-1], rtol=1e-13, atol=1e-13)
         assert np.all(gx[[0, -1], :] == 0.0) and np.all(gy[:, [0, -1]] == 0.0)
 
     def test_w2inf_on_neumann_cosine(self):
         g = unit_interval(201)
-        f = Field.from_function(g, lambda x: np.cos(np.pi * x))
+        f = Field(g, np.cos(np.pi * g.coords()[0]))
         # dominated by the second derivative, pi^2
         assert w2inf_norm(f.grid, f.values) == pytest.approx(np.pi**2, rel=2e-2)
 
     def test_w2inf_flat(self):
-        f = Field.constant(unit_interval(5), 4.0)
+        f = Field(unit_interval(5), np.full(5, 4.0))
         assert w2inf_norm(f.grid, f.values) == 4.0
 
 

@@ -13,11 +13,11 @@ from chemostab import (
     integrate_values,
     laplacian_values,
     chemotaxis_values,
-    mass_rate,
     reaction_values,
     spatial_profile,
     split_terms,
 )
+from oracles import mass_rate
 
 
 def const_set(grid, a0=1.0, a1=1.0, a2=0.0):
