@@ -22,7 +22,6 @@ from .errors import (
     ConfigError,
     CoefficientRangeError,
     GridMismatchError,
-    HypothesisFailure,
     PositivityBudgetError,
     StepRejected,
     StepSizeUnderflowError,
@@ -58,15 +57,10 @@ from .stability import (
     HypothesisVerdict,
     KnownConstants,
     StabilityReport,
-    band_perturbation_gain,
-    check_H1,
-    check_H2,
     check_H3,
-    compute_L1,
-    compute_L2,
-    compute_M2_convex,
-    decay_integrand,
+    decay_terms,
     estimate_theta,
+    hypotheses,
 )
 from .stepper import RunStats, StepperConfig, Trajectory, fixed_step_run, run, step
 

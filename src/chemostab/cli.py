@@ -60,9 +60,8 @@ from .stability import (
     HypothesisVerdict,
     KnownConstants,
     StabilityReport,
-    check_H2,
-    compute_M2_convex,
     estimate_theta,
+    hypotheses,
 )
 from .stepper import Trajectory, fixed_step_run, run
 
@@ -222,8 +221,10 @@ def _resolve_constants(cfg: RunConfig, coeffs, params, window, trajectories) -> 
     """
     constants = build_constants(cfg)
     convex = {}
-    if constants.M2 is None and check_H2(coeffs, params, window).ok:
-        convex["M2"] = compute_M2_convex(coeffs, params, window).M2
+    if constants.M2 is None:
+        bound = hypotheses(coeffs, params, constants, window)[2]
+        if bound is not None:
+            convex["M2"] = bound.M2
     needed = {"M1", "M2", "eta", "C3_tilde"} - convex.keys()
     trajs = trajectories() if constants.missing(*needed) else []
     try:  # a resolved constant that contradicts a configured one names the configured key

@@ -16,17 +16,6 @@ class CoefficientRangeError(ChemostabError, ValueError):
     """Evaluation time outside a tabulated range with clamping disabled."""
 
 
-class HypothesisFailure(ChemostabError, ValueError):
-    """A closed-form constant was requested outside its validity region.
-
-    ``inequality`` names the inequality that failed.
-    """
-
-    def __init__(self, message: str, inequality: str):
-        super().__init__(message)
-        self.inequality = inequality
-
-
 class StepRejected(ChemostabError):
     """Internal signal: a trial step left the admissible region."""
 

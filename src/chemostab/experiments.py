@@ -23,7 +23,7 @@ from .coefficients import CoefficientSet
 from .errors import ConfigError, GridMismatchError, TBackInsufficientError
 from .grid import norms
 from .model import ModelParams, ModelState
-from .stability import KnownConstants, StabilityReport, band_perturbation_gain, decay_integrand
+from .stability import KnownConstants, StabilityReport, decay_terms
 from .stepper import StepperConfig, Trajectory, run
 
 __all__ = [
@@ -323,8 +323,8 @@ def gronwall_check(
     lhs = 0.5 * des / dts
     t_mid = 0.5 * (t[:-1] + t[1:])
     e_mid = 0.5 * (e[:-1] + e[1:])
-    gain = decay_integrand(t_mid, report.coeffs, report.params, report.constants)
-    rhs = (gain + band_perturbation_gain(t_mid, report.coeffs, eps)) * e_mid
+    _, _, h, band_gain = decay_terms(t_mid, report.coeffs, report.params, report.constants, eps)
+    rhs = (h + band_gain) * e_mid
     # local Lipschitz estimate: the largest |dE/dt| over intervals k-1, k, k+1
     padded = np.concatenate(([0.0], rates, [0.0]))
     lip = np.maximum(np.maximum(padded[:-2], rates), padded[2:])

@@ -1,24 +1,42 @@
 """Hypothesis checks and the averaged decay threshold for entire-solution stability.
 
-The criterion machinery evaluates, for a coefficient triple and model
-parameters, the two envelope functions
+With n the grid dimension, vol the domain volume, a1_inf = inf_t a1_inf(t)
+and the nonlocal balance B = inf_t(a1_inf(t) - vol*neg(a2_inf(t))) over a
+window, the hypotheses are
+
+    H1: a1_inf > |chi| * min over (q, C) of ((q-1)/q) * C^(1/(q+1)) * mu^(1/(q+1)),
+        and B > 0
+    H2: tau = 1, chi > 0, a1_inf - n*mu*chi/4 > 0 and B > 0
+    H3: chi*M2 <= 1 and 0 < tau <= 1
+
+and under H2 (every grid is an interval or a rectangle, so the domain is
+convex) the eventual amplitude bound is
+
+    M0    = 1.5 * vol * a0_sup / B
+    M0_ai = a0_sup + 2*lam + sup_t(neg(a2_inf(t))) * M0
+    M2    = M0_ai^2 / (4 * (a1_inf - n*mu*chi/4))
+
+The decay terms at each time t are
 
     L1(t) = 2*eta * (a1_inf(t) + vol * pos(a2_inf(t)))
     L2(t) = a0_sup(t) + vol*M2*(pos(a2_sup(t)) + 2*neg(a2_inf(t)))
             + mu^2/(2*lam*tau) + |chi|/2 * C3 - vol*eta*neg(a2_sup(t))
+    h(t)  = max(-lam/(2*tau), L2(t) - L1(t))
+    K(t, eps) = eps*(2*a1_inf(t) + vol*pos(a2_inf(t)) + vol*neg(a2_inf(t)))
+                + eps*vol*(pos(a2_sup(t)) + neg(a2_sup(t)) + pos(a2_inf(t)) + neg(a2_inf(t)))
 
-their clamped difference h(t) = max(-lam/(2*tau), L2(t) - L1(t)), and the
-windowed trapezoid average theta of h.  A negative theta (beyond quadrature
-error) is the uniqueness-and-exponential-stability criterion; the constants
-eta (persistence floor), M2 (eventual amplitude bound), and C3 (eventual
-second-derivative bound on the chemical) enter with recorded provenance
-because measured surrogates weaken the claim.
+and theta is the windowed trapezoid average of h.  A negative theta (beyond
+quadrature error) is the uniqueness-and-exponential-stability criterion; K
+is the growth an eps-wide band adds to the contraction estimate.  The
+constants eta (persistence floor), M2 (eventual amplitude bound), and C3
+(eventual second-derivative bound on the chemical) enter with recorded
+provenance because measured surrogates weaken the claim.
 
-Envelope quantities over a time window are sampled at the window's
-quadrature nodes; the hypothesis checks and the convex-formula M2 share one
-sampling of ``HYPOTHESIS_SAMPLES`` nodes, so a verdict and the constant it
-licenses see the same times.  Spatial envelopes are nodal and therefore
-inner approximations of the continuum values.
+:func:`hypotheses` reads a1 and a2 once at ``HYPOTHESIS_SAMPLES`` window
+nodes, so H1, H2 and the bound they license see the same times;
+:func:`decay_terms` reads a0, a1 and a2 once at its times.  Spatial
+envelopes are nodal and therefore inner approximations of the continuum
+values.
 """
 
 from __future__ import annotations
@@ -30,7 +48,7 @@ from typing import Mapping
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .errors import ConfigError, HypothesisFailure
+from .errors import ConfigError
 from .model import ModelParams
 
 __all__ = [
@@ -38,13 +56,9 @@ __all__ = [
     "HypothesisVerdict",
     "ConvexBound",
     "StabilityReport",
-    "compute_M2_convex",
-    "check_H1",
-    "check_H2",
+    "hypotheses",
     "check_H3",
-    "compute_L1",
-    "compute_L2",
-    "decay_integrand",
+    "decay_terms",
     "estimate_theta",
 ]
 
@@ -144,66 +158,28 @@ def _window_samples(window: tuple[float, float], n_samples: int) -> np.ndarray:
     return np.linspace(t0, t1, n)
 
 
-def _competition(coeffs: CoefficientSet, ts: np.ndarray) -> tuple[float, float, float]:
-    """inf_t a1_inf(t), the nonlocal balance inf_t(a1_inf(t) - vol*neg(a2_inf(t)))
-    and sup_t neg(a2_inf(t)) over the sample times ``ts``."""
-    a1_inf = coeffs.a1.envelope(ts)[0]
-    neg_a2_inf = neg(coeffs.a2.envelope(ts)[0])
-    balance = a1_inf - coeffs.volume * neg_a2_inf
-    return float(a1_inf.min()), float(balance.min()), float(neg_a2_inf.max())
-
-
-def compute_M2_convex(
-    coeffs: CoefficientSet, params: ModelParams, window: tuple[float, float]
-) -> ConvexBound:
-    """Eventual amplitude bound on convex domains (tau = 1, chi > 0 regime).
-
-    Formula chain:
-        M0    = 1.5 * vol * a0_sup / inf_t(a1_inf(t) - vol*neg(a2_inf(t)))
-        M0_ai = a0_sup + 2*lam + sup_t(neg(a2_inf(t))) * M0
-        M2    = M0_ai^2 / (4 * (a1_inf - n*mu*chi/4)),   n = coeffs.grid.dim
-
-    Preconditions: a1_inf > n*mu*chi/4 and the M0 denominator positive;
-    violations raise :class:`HypothesisFailure` naming the inequality.
-    """
-    ts = _window_samples(window, HYPOTHESIS_SAMPLES)
-    a0_sup = float(coeffs.a0.envelope(ts)[1].max())
-    a1_inf, m0_denom, neg_a2_inf_sup = _competition(coeffs, ts)
-    if not m0_denom > 0.0:
-        raise HypothesisFailure(
-            f"inf_t(a1_inf(t) - vol*neg(a2_inf(t))) = {m0_denom} is not positive",
-            "nonlocal-competition-balance",
-        )
-    amp_denom = a1_inf - coeffs.grid.dim * params.mu * params.chi / 4.0
-    if not amp_denom > 0.0:
-        raise HypothesisFailure(
-            f"a1_inf - n*mu*chi/4 = {amp_denom} is not positive",
-            "competition-vs-drift",
-        )
-    m0 = 1.5 * coeffs.volume * a0_sup / m0_denom
-    m0_ai = a0_sup + 2.0 * params.lam + neg_a2_inf_sup * m0
-    m2 = m0_ai * m0_ai / (4.0 * amp_denom)
-    return ConvexBound(M2=m2, M0=m0, M0_ai=m0_ai)
-
-
-def check_H1(
+def hypotheses(
     coeffs: CoefficientSet,
     params: ModelParams,
     constants: KnownConstants,
     window: tuple[float, float],
-) -> HypothesisVerdict:
-    """Growth-vs-drift and nonlocal-balance inequalities.
+) -> tuple[HypothesisVerdict, HypothesisVerdict, ConvexBound | None]:
+    """H1, H2 and, exactly when H2 holds, the convex-domain amplitude bound.
 
-    The first inequality compares a1_inf against
-    min over supplied (q, C) pairs of ((q-1)/q) * C^(1/(q+1)) * mu^(1/(q+1)) * |chi|,
-    a finite upper bound of the true infimum: clearing it is sound, failing
-    it is only inconclusive (except chi = 0, where the threshold is exactly
-    zero).  The second inequality is exact up to window sampling.
+    Reads a1 and a2 once at the window samples, and a0 only when H2 holds.
+    H1's q-infimum runs over the supplied finite list, so its threshold is an
+    upper bound of the true one: clearing it is sound, failing it is only
+    inconclusive (except chi = 0, where the threshold is exactly zero).  Its
+    nonlocal balance clause is exact up to window sampling.
     """
-    a1_inf, balance, _ = _competition(coeffs, _window_samples(window, HYPOTHESIS_SAMPLES))
+    ts = _window_samples(window, HYPOTHESIS_SAMPLES)
+    a1_inf_t = coeffs.a1.envelope(ts)[0]
+    neg_a2_inf_t = neg(coeffs.a2.envelope(ts)[0])
+    a1_inf = float(a1_inf_t.min())
+    balance = float((a1_inf_t - coeffs.volume * neg_a2_inf_t).min())
+
     margins: dict[str, float] = {"nonlocal_balance": balance}
     notes: list[str] = []
-
     if params.chi == 0.0:
         threshold = 0.0
         margins["drift_threshold"] = threshold
@@ -238,33 +214,26 @@ def check_H1(
         status = HOLDS
     else:
         status = INCONCLUSIVE
-    return HypothesisVerdict("H1", status, margins, tuple(notes))
+    h1 = HypothesisVerdict("H1", status, margins, tuple(notes))
 
-
-def check_H2(
-    coeffs: CoefficientSet, params: ModelParams, window: tuple[float, float]
-) -> HypothesisVerdict:
-    """Convex-domain hypothesis: tau = 1, chi > 0, competition strength, and
-    the nonlocal balance inequality.  Every grid is an interval or a
-    rectangle, so the domain is convex."""
-    a1_inf, balance, _ = _competition(coeffs, _window_samples(window, HYPOTHESIS_SAMPLES))
-    margins = {
+    competition = a1_inf - coeffs.grid.dim * params.mu * params.chi / 4.0
+    clauses = [params.tau == 1.0, params.chi > 0.0, competition > 0.0, balance > 0.0]
+    h2 = HypothesisVerdict("H2", HOLDS if all(clauses) else FAILS, {
         "tau_gap": abs(params.tau - 1.0),
         "chi": params.chi,
-        "competition_margin": a1_inf - coeffs.grid.dim * params.mu * params.chi / 4.0,
+        "competition_margin": competition,
         "nonlocal_balance": balance,
-    }
-    clauses = [
-        params.tau == 1.0,
-        params.chi > 0.0,
-        margins["competition_margin"] > 0.0,
-        balance > 0.0,
-    ]
-    return HypothesisVerdict("H2", HOLDS if all(clauses) else FAILS, margins)
+    })
+    if not h2.ok:
+        return h1, h2, None
+    a0_sup = float(coeffs.a0.envelope(ts)[1].max())
+    m0 = 1.5 * coeffs.volume * a0_sup / balance
+    m0_ai = a0_sup + 2.0 * params.lam + float(neg_a2_inf_t.max()) * m0
+    return h1, h2, ConvexBound(M2=m0_ai * m0_ai / (4.0 * competition), M0=m0, M0_ai=m0_ai)
 
 
 def check_H3(params: ModelParams, constants: KnownConstants) -> HypothesisVerdict:
-    """Drift-strength cap chi*M2 <= 1 together with tau in (0, 1]."""
+    """The drift-strength cap H3; inconclusive without M2."""
     if constants.M2 is None:
         return HypothesisVerdict("H3", INCONCLUSIVE, {}, ("M2 unavailable",))
     margins = {
@@ -275,56 +244,36 @@ def check_H3(params: ModelParams, constants: KnownConstants) -> HypothesisVerdic
     return HypothesisVerdict("H3", HOLDS if ok else FAILS, margins)
 
 
-def compute_L1(t, coeffs: CoefficientSet, constants: KnownConstants) -> np.ndarray:
-    """Contraction gain from persistence and competition at each time in t."""
-    if constants.eta is None:
-        raise ValueError("eta is required for L1")
-    a1_inf_t = coeffs.a1.envelope(t)[0]
-    a2_inf_t = coeffs.a2.envelope(t)[0]
-    return 2.0 * constants.eta * (a1_inf_t + coeffs.volume * pos(a2_inf_t))
+def decay_terms(
+    t, coeffs: CoefficientSet, params: ModelParams, constants: KnownConstants, eps: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """L1, L2, h and K(eps) at each time in t, from one read of a0, a1 and a2.
 
-
-def compute_L2(
-    t, coeffs: CoefficientSet, params: ModelParams, constants: KnownConstants
-) -> np.ndarray:
-    """Expansion bound from growth, drift, and the nonlocal term at each time in t."""
+    L1 is the contraction gain from persistence and competition, L2 the
+    expansion bound from growth, drift and the nonlocal term.
+    """
     missing = constants.missing("M2", "eta", "C3_tilde")
     if missing:
-        raise ValueError(f"constants missing for L2: {', '.join(missing)}")
+        raise ValueError(f"constants missing for L1 and L2: {', '.join(missing)}")
     vol = coeffs.volume
     a0_sup_t = coeffs.a0.envelope(t)[1]
+    a1_inf_t = coeffs.a1.envelope(t)[0]
     a2_inf_t, a2_sup_t = coeffs.a2.envelope(t)
-    return (
+    l1 = 2.0 * constants.eta * (a1_inf_t + vol * pos(a2_inf_t))
+    l2 = (
         a0_sup_t
         + vol * constants.M2 * (pos(a2_sup_t) + 2.0 * neg(a2_inf_t))
         + params.mu**2 / (2.0 * params.lam * params.tau)
         + 0.5 * abs(params.chi) * constants.C3_tilde
         - vol * constants.eta * neg(a2_sup_t)
     )
-
-
-def decay_integrand(
-    t, coeffs: CoefficientSet, params: ModelParams, constants: KnownConstants
-) -> np.ndarray:
-    """h(t) = max(-lam/(2*tau), L2(t) - L1(t)) at each time in t; bounded below by the clamp."""
-    l2 = compute_L2(t, coeffs, params, constants)
-    return np.maximum(-params.lam / (2.0 * params.tau), l2 - compute_L1(t, coeffs, constants))
-
-
-def band_perturbation_gain(t, coeffs: CoefficientSet, eps: float) -> np.ndarray:
-    """K(t, eps) at each time in t: growth of the contraction estimate from an eps-wide band.
-
-        K = eps*(2*a1_inf(t) + vol*pos(a2_inf(t)) + vol*neg(a2_inf(t)))
-          + eps*vol*(pos(a2_sup(t)) + neg(a2_sup(t)) + pos(a2_inf(t)) + neg(a2_inf(t)))
-    """
-    vol = coeffs.volume
-    a1_inf_t = coeffs.a1.envelope(t)[0]
-    a2_inf_t, a2_sup_t = coeffs.a2.envelope(t)
-    return eps * (
+    h = np.maximum(-params.lam / (2.0 * params.tau), l2 - l1)
+    k = eps * (
         2.0 * a1_inf_t + vol * pos(a2_inf_t) + vol * neg(a2_inf_t)
     ) + eps * vol * (
         pos(a2_sup_t) + neg(a2_sup_t) + pos(a2_inf_t) + neg(a2_inf_t)
     )
+    return l1, l2, h, k
 
 
 @dataclass(frozen=True)
@@ -367,8 +316,7 @@ def estimate_theta(
     for the periodic family a window of one period is exact.  Missing
     constants yield an inconclusive report with empty series.
     """
-    h1 = check_H1(coeffs, params, constants, window)
-    h2 = check_H2(coeffs, params, window)
+    h1, h2, _ = hypotheses(coeffs, params, constants, window)
     h3 = check_H3(params, constants)
     notes = list(coeffs.regularity_notes())
     if constants.provenance.get("eta") == "measured":
@@ -387,10 +335,7 @@ def estimate_theta(
         notes.append(f"constants missing: {', '.join(missing)}; criterion not evaluable")
     else:
         ts = _window_samples(window, n_samples)
-        l1 = compute_L1(ts, coeffs, constants)
-        l2 = compute_L2(ts, coeffs, params, constants)
-        clamp = -params.lam / (2.0 * params.tau)
-        h = np.maximum(clamp, l2 - l1)
+        l1, l2, h, _ = decay_terms(ts, coeffs, params, constants)
         span = float(ts[-1] - ts[0])
         theta = float(np.trapezoid(h, ts)) / span
         theta_coarse = float(np.trapezoid(h[::2], ts[::2])) / span

@@ -79,7 +79,7 @@ from .errors import (
     StepRejected,
     StepSizeUnderflowError,
 )
-from .grid import Grid, integrate_values, w2inf_norm
+from .grid import Grid, gradient_neumann, integrate_values, w2inf_norm
 from .implicit import solve_shifted
 from .model import ModelParams, ModelState, explicit_part, split_terms
 
@@ -386,11 +386,8 @@ def advective_dt_limit(
     if params.chi == 0.0:
         return math.inf
     limit = math.inf
-    for axis, h in zip(grid.axes, grid.spacing):
-        # central differences (v[i+1] - v[i-1]) / 2h; dividing the largest jump
-        # once gives the same max, since division by 2h > 0 is monotone
-        v = np.swapaxes(state.v, 0, axis)
-        speed = abs(params.chi) * (float(np.abs(v[2:] - v[:-2]).max()) / (2.0 * h))
+    for h, g in zip(grid.spacing, gradient_neumann(grid, state.v)):
+        speed = abs(params.chi) * float(np.abs(g).max())
         if speed > 0.0:
             limit = min(limit, h / speed)
     return cfg.safety * limit

@@ -354,7 +354,7 @@ def gronwall_loop(series, report, eps: float, t_entry: float):
     Returns (fraction, worst_margin, max_slack), evaluating h and K at one
     interval midpoint at a time.
     """
-    from chemostab import band_perturbation_gain, decay_integrand
+    from chemostab import decay_terms
 
     mask = series.t >= t_entry - 1e-12
     t = series.t[mask]
@@ -370,9 +370,9 @@ def gronwall_loop(series, report, eps: float, t_entry: float):
         lhs = 0.5 * des[k] / dts[k]
         t_mid = 0.5 * (t[k] + t[k + 1])
         e_mid = 0.5 * (e[k] + e[k + 1])
-        gain = decay_integrand(float(t_mid), report.coeffs, report.params, report.constants)
-        gain += band_perturbation_gain(float(t_mid), report.coeffs, eps)
-        rhs = gain * e_mid
+        _, _, h, band_gain = decay_terms(float(t_mid), report.coeffs, report.params,
+                                         report.constants, eps)
+        rhs = (h + band_gain) * e_mid
         lip = float(max(rates[max(0, k - 1): k + 2].max(), 0.0))
         slack = 2.0 * float(dts[k]) * lip + floor / float(dts[k])
         max_slack = max(max_slack, slack)

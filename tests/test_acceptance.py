@@ -97,8 +97,9 @@ def test_criterion_2_decay_rate_vs_theta(bench):
 
 def test_criterion_3_convex_amplitude_constants():
     grid = cs.Grid((1.0,), (11,))
-    out = cs.compute_M2_convex(
-        const_set(grid), cs.ModelParams(chi=1.0, tau=1.0, lam=1.0, mu=1.0), (0.0, 10.0),
+    _, _, out = cs.hypotheses(
+        const_set(grid), cs.ModelParams(chi=1.0, tau=1.0, lam=1.0, mu=1.0),
+        cs.KnownConstants(), (0.0, 10.0),
     )
     ok = (abs(out.M0 - 1.5) <= 1e-12 and abs(out.M0_ai - 3.0) <= 1e-12
           and abs(out.M2 - 3.0) <= 1e-12)
@@ -123,8 +124,8 @@ def test_criterion_4_constant_coefficient_identity():
         constants = cs.KnownConstants(
             M2=eta + rng.uniform(0.0, 3.0), eta=eta, C3_tilde=rng.uniform(0.05, 4.0))
         coeffs = const_set(grid, a0, a1, a2)
-        got = (cs.compute_L2(1.3, coeffs, params, constants)
-               - cs.compute_L1(1.3, coeffs, constants))
+        l1, l2, _, _ = cs.decay_terms(1.3, coeffs, params, constants)
+        got = l2 - l1
         pos_a2, neg_a2 = max(a2, 0.0), max(-a2, 0.0)
         expected = (
             a0 + params.mu**2 / (2 * params.lam * params.tau)

@@ -740,6 +740,16 @@ class TestStability:
         assert ok_row.endswith(",criterion_holds,")
         assert error_row.startswith("0.3,,,,nan,error,experiment.cq1_pairs: ")
 
+    def test_unusable_cq1_pairs_named_before_measuring(self, tmp_path, capsys, monkeypatch):
+        # with M2 to measure, the hypotheses behind the convex formula name the key first
+        text = (STABILITY.replace("chi: 0.0", "chi: 0.3")
+                .replace("  constants: {M2: 1.0, eta: 0.9, C3_tilde: 1.0}\n",
+                         "  measure: true\n  cq1_pairs: [[1.0, 2.0]]\n"))
+        text += "initial:\n  u: {profile: constant, value: 3.0}\n"
+        monkeypatch.setattr(cli, "run", lambda *args, **kw: pytest.fail("measured first"))
+        assert main(["stability", "--config", str(write_config(tmp_path, text=text))]) == 1
+        assert capsys.readouterr().err.startswith("config error: experiment.cq1_pairs: ")
+
     def test_h2_verdict_licenses_convex_m2(self, tmp_path, capsys):
         # a1 = 0.5749 + 0.5 sin(1.2 t) dips to 0.0749 < n*mu*chi/4 = 0.075 between
         # window samples, so H2's competition clause fails by 1e-4: the
@@ -763,6 +773,32 @@ class TestStability:
         assert not any(ln.startswith("M2=") for ln in out)
         h3 = next(ln for ln in out if ln.startswith("H3:"))
         assert h3.startswith("H3: inconclusive") and h3.endswith("M2 unavailable")
+
+    def test_each_coefficient_read_once_per_time_grid(self, tmp_path, monkeypatch):
+        # separable a0 and a2, configured M2, H2 holds: 1 envelope for
+        # validate_roles, a0, a1 and a2 once at the hypothesis samples, and
+        # once at the theta samples
+        from chemostab import coefficients
+
+        text = (STABILITY.replace("chi: 0.0", "chi: 0.3")
+                .replace("a0: {kind: constant, value: 1.0}",
+                         "a0: {kind: separable, space: {profile: sine, offset: 1.0, "
+                         "amplitude: 0.5, mode: 1}, time: {form: sinusoid, offset: 1.0, "
+                         "amplitude: 0.2, frequency: 1.0}}")
+                .replace("a2: {kind: constant, value: 0.0}",
+                         "a2: {kind: separable, space: {profile: linear-ramp, start: 0.5, "
+                         "stop: 1.5}, time: {form: expdecay, limit: 0.05, amplitude: 0.1, "
+                         "rate: 0.5}}"))
+        calls = []
+        for cls in vars(coefficients).values():
+            if isinstance(cls, type) and "envelope" in vars(cls):
+                def counted(self, t, _envelope=vars(cls)["envelope"]):
+                    calls.append(type(self).__name__)
+                    return _envelope(self, t)
+                monkeypatch.setattr(cls, "envelope", counted)
+        report = cli.stability_report(parse_config(write_config(tmp_path, text=text).read_text()))
+        assert report.h2_ok.ok and report.constants.provenance["M2"] == "config"
+        assert len(calls) == 7
 
     def test_missing_cq1_prints_h1_inconclusive(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, text=STABILITY.replace("chi: 0.0", "chi: 0.3"))

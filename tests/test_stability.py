@@ -7,21 +7,15 @@ from chemostab import (
     CoefficientSet,
     ConstantCoefficient,
     Grid,
-    HypothesisFailure,
     KnownConstants,
     ModelParams,
     SeparableCoefficient,
     TabulatedCoefficient,
     TimeFactor,
-    band_perturbation_gain,
-    check_H1,
-    check_H2,
     check_H3,
-    compute_L1,
-    compute_L2,
-    compute_M2_convex,
-    decay_integrand,
+    decay_terms,
     estimate_theta,
+    hypotheses,
     spatial_profile,
 )
 from chemostab import __version__
@@ -47,6 +41,18 @@ def const_set(grid, a0=1.0, a1=1.0, a2=0.0):
 
 def params(chi=0.0, tau=1.0, lam=1.0, mu=1.0):
     return ModelParams(chi=chi, tau=tau, lam=lam, mu=mu)
+
+
+def bound(coeffs, p):
+    return hypotheses(coeffs, p, KnownConstants(), WINDOW)[2]
+
+
+def h1(coeffs, p, constants=KnownConstants()):
+    return hypotheses(coeffs, p, constants, WINDOW)[0]
+
+
+def h2(coeffs, p):
+    return hypotheses(coeffs, p, KnownConstants(), WINDOW)[1]
 
 
 def pos(x):
@@ -86,81 +92,86 @@ class TestKnownConstants:
 class TestConvexAmplitudeBound:
     def test_reference_point(self):
         # vol=1, n=1, a0=a1=1, a2=0, lam=mu=chi=1
-        out = compute_M2_convex(const_set(grid1()), params(chi=1.0), WINDOW)
+        out = bound(const_set(grid1()), params(chi=1.0))
         assert out.M0 == pytest.approx(1.5, abs=1e-12)
         assert out.M0_ai == pytest.approx(3.0, abs=1e-12)
         assert out.M2 == pytest.approx(3.0, abs=1e-12)
 
     def test_vanishing_drift_limit(self):
-        out = compute_M2_convex(const_set(grid1()), params(chi=1e-300), WINDOW)
+        out = bound(const_set(grid1()), params(chi=1e-300))
         assert out.M2 == pytest.approx(2.25, abs=1e-12)
 
     def test_denominator_boundary_fails(self):
-        with pytest.raises(HypothesisFailure) as info:
-            compute_M2_convex(const_set(grid1(), a1=0.25), params(chi=1.0, mu=1.0), WINDOW)
-        assert "competition-vs-drift" == info.value.inequality
+        # a1_inf - n*mu*chi/4 = 0: H2 fails on its competition clause, and no bound
+        _, verdict, out = hypotheses(const_set(grid1(), a1=0.25), params(chi=1.0, mu=1.0),
+                                     KnownConstants(), WINDOW)
+        assert verdict.status == "fails"
+        assert verdict.margins["competition_margin"] <= 0.0
+        assert out is None
 
     def test_nonlocal_balance_fails(self):
         # vol * neg(a2_inf) = 1.5 > a1 = 1
-        with pytest.raises(HypothesisFailure) as info:
-            compute_M2_convex(const_set(grid1(), a2=-1.5), params(chi=0.1), WINDOW)
-        assert info.value.inequality == "nonlocal-competition-balance"
+        _, verdict, out = hypotheses(const_set(grid1(), a2=-1.5), params(chi=0.1),
+                                     KnownConstants(), WINDOW)
+        assert verdict.status == "fails"
+        assert verdict.margins["nonlocal_balance"] <= 0.0
+        assert out is None
 
 
 class TestH1:
     def test_chi_zero_reduction(self):
-        verdict = check_H1(const_set(grid1()), params(chi=0.0), KnownConstants(), WINDOW)
+        verdict = h1(const_set(grid1()), params(chi=0.0))
         assert verdict.ok
 
     def test_nonneg_a2_second_clause(self):
-        verdict = check_H1(const_set(grid1(), a2=0.7), params(chi=0.0), KnownConstants(), WINDOW)
+        verdict = h1(const_set(grid1(), a2=0.7), params(chi=0.0))
         assert verdict.ok
         assert verdict.margins["nonlocal_balance"] == pytest.approx(1.0, abs=1e-12)
 
     def test_supplied_pair_margin(self):
         constants = KnownConstants(cq1_pairs=((1.5, 8.0),))
-        verdict = check_H1(const_set(grid1()), params(chi=0.3, mu=1.0), constants, WINDOW)
+        verdict = h1(const_set(grid1()), params(chi=0.3, mu=1.0), constants)
         assert verdict.ok
         assert verdict.margins["drift_threshold"] == pytest.approx(0.229739670999407, abs=1e-12)
         assert verdict.margins["drift_margin"] == pytest.approx(0.7702603290005929, abs=1e-12)
 
     def test_missing_pairs_inconclusive(self):
-        verdict = check_H1(const_set(grid1()), params(chi=0.3), KnownConstants(), WINDOW)
+        verdict = h1(const_set(grid1()), params(chi=0.3))
         assert verdict.status == "inconclusive"
 
     def test_uncleared_bound_inconclusive_not_fails(self):
         constants = KnownConstants(cq1_pairs=((1.5, 8.0),))
-        verdict = check_H1(const_set(grid1(), a1=0.1), params(chi=3.0), constants, WINDOW)
+        verdict = h1(const_set(grid1(), a1=0.1), params(chi=3.0), constants)
         assert verdict.status == "inconclusive"
 
     def test_negative_balance_fails(self):
-        verdict = check_H1(const_set(grid1(), a2=-2.0), params(chi=0.0), KnownConstants(), WINDOW)
+        verdict = h1(const_set(grid1(), a2=-2.0), params(chi=0.0))
         assert verdict.status == "fails"
 
     def test_invalid_q_rejected(self):
         constants = KnownConstants(cq1_pairs=((0.5, 8.0),))
         with pytest.raises(ConfigError, match="experiment.cq1_pairs"):
-            check_H1(const_set(grid1()), params(chi=0.3), constants, WINDOW)
+            h1(const_set(grid1()), params(chi=0.3), constants)
 
 
 class TestH2:
     def test_holds(self):
-        verdict = check_H2(const_set(grid1()), params(chi=1.0, tau=1.0), WINDOW)
+        verdict = h2(const_set(grid1()), params(chi=1.0, tau=1.0))
         assert verdict.ok
         assert verdict.margins["competition_margin"] == pytest.approx(0.75, abs=1e-12)
 
     def test_tau_clause(self):
-        verdict = check_H2(const_set(grid1()), params(chi=1.0, tau=0.5), WINDOW)
+        verdict = h2(const_set(grid1()), params(chi=1.0, tau=0.5))
         assert verdict.status == "fails"
 
     def test_chi_clause(self):
-        verdict = check_H2(const_set(grid1()), params(chi=-0.1, tau=1.0), WINDOW)
+        verdict = h2(const_set(grid1()), params(chi=-0.1, tau=1.0))
         assert verdict.status == "fails"
 
     def test_rectangle_reports_convex(self):
         # the dimension n of the competition clause is the grid's
         grid2 = Grid((1.0, 2.0), (5, 7))
-        verdict = check_H2(const_set(grid2), params(chi=1.0), WINDOW)
+        verdict = h2(const_set(grid2), params(chi=1.0))
         assert verdict.ok and verdict.notes == ()
         assert verdict.margins["competition_margin"] == pytest.approx(0.5, abs=1e-12)
 
@@ -186,29 +197,29 @@ class TestH3:
 
 class TestEnvelopeFunctions:
     def test_L1_reference(self):
-        constants = KnownConstants(eta=1.0)
-        val = compute_L1(0.0, const_set(grid1()), constants)
+        constants = KnownConstants(M2=1.0, eta=1.0, C3_tilde=1.0)
+        val = decay_terms(0.0, const_set(grid1()), params(), constants)[0]
         assert val == pytest.approx(2.0, abs=1e-14)
 
     def test_L1_negative_a2_drops_positive_part(self):
-        constants = KnownConstants(eta=0.7)
-        val = compute_L1(0.0, const_set(grid1(), a1=1.3, a2=-1.0), constants)
+        constants = KnownConstants(M2=1.0, eta=0.7, C3_tilde=1.0)
+        val = decay_terms(0.0, const_set(grid1(), a1=1.3, a2=-1.0), params(), constants)[0]
         assert val == pytest.approx(2 * 0.7 * 1.3, abs=1e-14)
 
     def test_L1_mixed_terms(self):
         g = Grid((2.0,), (11,))
-        constants = KnownConstants(eta=0.5)
-        val = compute_L1(0.0, const_set(g, a1=2.0, a2=3.0), constants)
+        constants = KnownConstants(M2=1.0, eta=0.5, C3_tilde=1.0)
+        val = decay_terms(0.0, const_set(g, a1=2.0, a2=3.0), params(), constants)[0]
         assert val == pytest.approx(2 * 0.5 * (2.0 + 2.0 * 3.0), abs=1e-14)
 
     def test_L2_simple(self):
         constants = KnownConstants(M2=1.0, eta=0.5, C3_tilde=1.0)
-        val = compute_L2(0.0, const_set(grid1()), params(chi=0.0), constants)
+        val = decay_terms(0.0, const_set(grid1()), params(chi=0.0), constants)[1]
         assert val == pytest.approx(1.5, abs=1e-14)
 
     def test_L2_requires_constants(self):
         with pytest.raises(ValueError):
-            compute_L2(0.0, const_set(grid1()), params(), KnownConstants(eta=1.0))
+            decay_terms(0.0, const_set(grid1()), params(), KnownConstants(eta=1.0))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_constant_coefficient_difference_closed_form(self, seed):
@@ -225,7 +236,8 @@ class TestEnvelopeFunctions:
         constants = KnownConstants(M2=eta + rng.uniform(0.0, 2.0), eta=eta,
                                    C3_tilde=rng.uniform(0.1, 3.0))
         cs = const_set(g, a0, a1, a2)
-        got = compute_L2(0.7, cs, p, constants) - compute_L1(0.7, cs, constants)
+        l1, l2, _, _ = decay_terms(0.7, cs, p, constants)
+        got = l2 - l1
         expected = (
             a0 + p.mu**2 / (2 * p.lam * p.tau) + abs(p.chi) * constants.C3_tilde / 2
             + vol * constants.M2 * (pos(a2) + 2 * neg(a2))
@@ -245,7 +257,7 @@ class TestEnvelopeFunctions:
                    lam=rng.uniform(0.2, 2.0), mu=rng.uniform(0.2, 2.0))
         constants = KnownConstants(M2=rng.uniform(1, 3), eta=rng.uniform(0.1, 1),
                                    C3_tilde=rng.uniform(0.1, 2))
-        got = compute_L2(0.0, cs, p, constants)
+        got = decay_terms(0.0, cs, p, constants)[1]
         regrouped = (
             cs.a0.envelope(0.0)[1]
             + p.mu**2 / (2 * p.lam * p.tau)
@@ -366,7 +378,7 @@ class TestTheta:
     def test_decay_integrand_clamped(self):
         constants = KnownConstants(M2=2.0, eta=2.0, C3_tilde=1.0)
         # L2 - L1 = 1 + 1.25 - 2*2*2 = -5.75 clamps at -lam/(2 tau) = -0.2
-        val = decay_integrand(0.0, const_set(grid1(), a1=2.0), params(lam=0.4), constants)
+        val = decay_terms(0.0, const_set(grid1(), a1=2.0), params(lam=0.4), constants)[2]
         assert val == pytest.approx(-0.2, abs=1e-14)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -377,14 +389,16 @@ class TestTheta:
         cs = const_set(g, a1=rng.uniform(0.05, 3.0), a2=rng.uniform(-2.0, 2.0))
         etas = np.sort(rng.uniform(0.01, 2.0, size=4))
         vals = [
-            compute_L1(0.0, cs, KnownConstants(eta=float(e), M2=3.0)) for e in etas
+            decay_terms(0.0, cs, params(), KnownConstants(eta=float(e), M2=3.0, C3_tilde=1.0))[0]
+            for e in etas
         ]
         assert all(vals[k + 1] >= vals[k] - 1e-14 for k in range(3))
 
     def test_band_gain_nonnegative_and_linear_in_eps(self):
         cs = const_set(grid1(), a2=-0.3)
-        k1 = band_perturbation_gain(0.0, cs, 0.1)
-        k2 = band_perturbation_gain(0.0, cs, 0.2)
+        constants = KnownConstants(M2=1.0, eta=1.0, C3_tilde=1.0)
+        k1 = decay_terms(0.0, cs, params(), constants, 0.1)[3]
+        k2 = decay_terms(0.0, cs, params(), constants, 0.2)[3]
         assert k1 >= 0.0
         assert k2 == pytest.approx(2 * k1, rel=1e-13)
 
