@@ -4,11 +4,13 @@ Subcommands: simulate | stability | stability-experiment | sweep | converge.
 Each command is a compute function that returns its result and neither
 writes nor prints (``simulate``, ``stability_report``,
 ``stability_experiment``, ``sweep``, ``converge``), and a ``cmd_*`` that
-calls it once, then writes and prints.  ``_write_csv`` names and writes every
-output file: '#' metadata lines (including the config content hash, so reruns
-are attributable), the header, then a data section that is byte-identical
-across reruns of the same config.  Exit codes: 0 = completed with a verdict
-(even a failing one), 1 = configuration error, 2 = runtime/solver error.
+calls it once, then writes and prints.  Both stability commands get their
+report from ``_criterion``, the one place constants are resolved.
+``_write_csv`` names and writes every output file: '#' metadata lines
+(including the config content hash, so reruns are attributable), the
+header, then a data section that is byte-identical across reruns of the
+same config.  Exit codes: 0 = completed with a verdict (even a failing
+one), 1 = configuration error, 2 = runtime/solver error.
 """
 
 from __future__ import annotations
@@ -213,28 +215,29 @@ def _burn_ins(cfg: RunConfig) -> tuple[float, float, float]:
     return tuple(cfg.experiment.get("burn_ins", [cfg.experiment["t_end"] / 6.0] * 3))
 
 
-def _resolve_constants(cfg: RunConfig, coeffs, params, window, trajectories) -> KnownConstants:
-    """config > convex-formula (M2 under the convex hypothesis) > measured.
+def _criterion(cfg: RunConfig, coeffs, params, window, trajectories) -> StabilityReport:
+    """H1-H3 and theta over the window, each constant resolved config > convex-formula > measured.
 
-    ``trajectories()`` supplies the runs to measure from; it is called only
-    when a constant is still missing.
+    H1 and H2 are read once, before any measurement; the convex-formula M2
+    comes with them.  ``trajectories()`` supplies the runs to measure from;
+    it is called only when a constant is still missing.
     """
     constants = build_constants(cfg)
-    convex = {}
-    if constants.M2 is None:
-        bound = hypotheses(coeffs, params, constants, window)[2]
-        if bound is not None:
-            convex["M2"] = bound.M2
-    needed = {"M1", "M2", "eta", "C3_tilde"} - convex.keys()
-    trajs = trajectories() if constants.missing(*needed) else []
+    h1, h2, bound = hypotheses(coeffs, params, constants, window)
+    convex = {"M2": bound.M2} if constants.M2 is None and bound is not None else {}
+    needed = set(constants.missing("M1", "M2", "eta", "C3_tilde")) - convex.keys()
+    trajs = trajectories() if needed else []
     try:  # a resolved constant that contradicts a configured one names the configured key
         constants = constants.with_values("convex-formula", **convex)
         if trajs:
-            constants = measure_constants(trajs, _burn_ins(cfg), base=constants)
+            measured = measure_constants(trajs, _burn_ins(cfg))
+            constants = constants.with_values("measured", **{
+                k: getattr(measured, k) for k in measured.provenance if k in needed})
     except ConfigError as exc:  # keyed by a constant, or by the burn-ins measured after
         block = "experiment" if exc.key == "burn_ins" else "experiment.constants"
         raise ConfigError(f"{block}.{exc.key}", exc.message) from exc
-    return constants
+    return estimate_theta(coeffs, params, constants, window, (h1, h2),
+                          n_samples=cfg.experiment["n_samples"])
 
 
 def _window(cfg: RunConfig) -> tuple[float, float]:
@@ -246,11 +249,10 @@ def _window(cfg: RunConfig) -> tuple[float, float]:
 
 
 def stability_report(cfg: RunConfig) -> StabilityReport:
-    """H1-H3 and theta over the window, from the constants ``_resolve_constants`` gives."""
+    """``_criterion`` on the configured coefficients, measuring from one run when asked."""
     grid = build_grid(cfg)
     params = build_params(cfg)
     coeffs = build_coefficients(cfg, grid)
-    stepper_cfg = build_stepper(cfg)
     window = _window(cfg)
     validate_roles(coeffs, window)
 
@@ -261,11 +263,9 @@ def stability_report(cfg: RunConfig) -> StabilityReport:
         if not u0.max() > 0.0:
             raise ConfigError("initial.u", "population must not vanish identically when measuring")
         return [run(ModelState(0.0, u0, v0), cfg.experiment["t_end"], coeffs, params,
-                    stepper_cfg, sample_dt=cfg.experiment.get("sample_dt"))]
+                    build_stepper(cfg), sample_dt=cfg.experiment.get("sample_dt"))]
 
-    constants = _resolve_constants(cfg, coeffs, params, window, trajectories)
-    return estimate_theta(coeffs, params, constants, window,
-                          n_samples=cfg.experiment["n_samples"])
+    return _criterion(cfg, coeffs, params, window, trajectories)
 
 
 def cmd_stability(cfg: RunConfig, out_dir: str | None) -> int:
@@ -335,8 +335,7 @@ def stability_experiment(cfg: RunConfig) -> StabilityExperiment:
     trajs = run(ModelState(0.0, u0, v0), t_end, coeffs, params, stepper_cfg,
                 sample_dt=sample_dt).members()
 
-    constants = _resolve_constants(cfg, coeffs, params, window, lambda: trajs)
-    report = estimate_theta(coeffs, params, constants, window, n_samples=exp["n_samples"])
+    report = _criterion(cfg, coeffs, params, window, lambda: trajs)
 
     gaps = {pair: trajectory_gap(trajs[pair[0]], trajs[pair[1]])
             for pair in itertools.combinations(range(len(trajs)), 2)}

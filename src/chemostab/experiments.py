@@ -193,7 +193,6 @@ def estimate_persistence(traj: Trajectory, burn_in: float) -> PersistenceEstimat
 def measure_constants(
     trajectories: list[Trajectory],
     burn_ins: tuple[float, float, float],
-    base: KnownConstants | None = None,
 ) -> KnownConstants:
     """Pool the eventual bounds and the persistence floor across runs.
 
@@ -201,9 +200,9 @@ def measure_constants(
     M1, M2 and C3_tilde are the largest ``mass_u``, ``sup_u`` and ``w2inf_v``
     of any run after its burn-in, since a bound must cover every run.  eta is
     the smallest ``min_u`` after the amplitude burn-in, measured only when it
-    is positive, that is when every run persisted.  Entries already present
-    in ``base`` are kept, so user-supplied constants win over measurements.
-    An M1 above M2 x volume is a ``ConfigError`` keyed ``burn_ins``.
+    is positive, that is when every run persisted.  Every value returned is a
+    measured one; which of them a report uses is the caller's choice.  An M1
+    above M2 x volume is a ``ConfigError`` keyed ``burn_ins``.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
@@ -219,9 +218,7 @@ def measure_constants(
     measured = {"M1": m1, "M2": m2, "C3_tilde": c3}
     if eta > 0.0:  # every run persisted
         measured["eta"] = eta
-    base = base or KnownConstants()
-    fill = {k: v for k, v in measured.items() if getattr(base, k) is None}
-    return base.with_values("measured", **fill)
+    return KnownConstants().with_values("measured", **measured)
 
 
 def approximate_entire_solution(
@@ -270,10 +267,9 @@ def approximate_entire_solution(
 
 
 def _gronwall_band(constants: KnownConstants, eps: float) -> tuple[float, float]:
-    """The eps-widened band [eta - eps, M2 + eps]; every criterion constant is needed."""
-    missing = constants.missing("M2", "eta", "C3_tilde")
-    if missing:
-        raise ValueError(f"report constants incomplete: {', '.join(missing)}")
+    """The eps-widened band [eta - eps, M2 + eps]; NaN (never entered) if a constant is missing."""
+    if constants.missing("M2", "eta", "C3_tilde"):
+        return (math.nan, math.nan)
     return (constants.eta - eps, constants.M2 + eps)
 
 
@@ -296,27 +292,30 @@ def gronwall_check(
     """Check d(E/2)/dt <= (h(t) + K(t, eps)) * E on ``series`` from ``t_entry`` on.
 
     ``t_entry`` is where the pair settled into the band (``band_entry_time``);
-    None means it never did, and the result is inconclusive.  The slack per
-    interval is ``2*dt*Lip + floor/dt`` where Lip is a local Lipschitz
-    estimate of E from neighboring increments and the floor absorbs round-off
-    noise once E reaches the measurement floor.
+    None means it never did, and the result is inconclusive, as it is when
+    the report lacks a constant of the band.  The slack per interval is
+    ``2*dt*Lip + floor/dt`` where Lip is a local Lipschitz estimate of E from
+    neighboring increments and the floor absorbs round-off noise once E
+    reaches the measurement floor.
     """
     band = _gronwall_band(report.constants, eps)
-    if t_entry is None:
+
+    def inconclusive(note: str) -> GronwallResult:
         return GronwallResult(
-            fraction=math.nan, worst_margin=math.nan, n_intervals=0,
-            t_entry=None, band=band, eps=eps, max_slack=0.0, conclusive=False,
-            notes=(f"runs never settled into the band [{band[0]:.6g}, {band[1]:.6g}]",),
+            fraction=math.nan, worst_margin=math.nan, n_intervals=0, t_entry=t_entry,
+            band=band, eps=eps, max_slack=0.0, conclusive=False, notes=(note,),
         )
+
+    missing = report.constants.missing("M2", "eta", "C3_tilde")
+    if missing:
+        return inconclusive(f"constants missing: {', '.join(missing)}")
+    if t_entry is None:
+        return inconclusive(f"runs never settled into the band [{band[0]:.6g}, {band[1]:.6g}]")
     mask = series.t >= t_entry - 1e-12
     t = series.t[mask]
     e = series.E[mask]
     if t.size < 2:
-        return GronwallResult(
-            fraction=math.nan, worst_margin=math.nan, n_intervals=0,
-            t_entry=t_entry, band=band, eps=eps, max_slack=0.0,
-            conclusive=False, notes=("fewer than 2 samples after band entry",),
-        )
+        return inconclusive("fewer than 2 samples after band entry")
     dts = np.diff(t)
     des = np.diff(e)
     rates = np.abs(des) / dts

@@ -308,15 +308,17 @@ def estimate_theta(
     params: ModelParams,
     constants: KnownConstants,
     window: tuple[float, float],
+    verdicts: tuple[HypothesisVerdict, HypothesisVerdict],
     n_samples: int = 2001,
 ) -> StabilityReport:
     """Sample L1, L2, h over the window and average h into theta.
 
-    For constant coefficients the average is exact and window independent;
-    for the periodic family a window of one period is exact.  Missing
-    constants yield an inconclusive report with empty series.
+    ``verdicts`` is (H1, H2) of :func:`hypotheses` over this window.  For
+    constant coefficients the average is exact and window independent; for
+    the periodic family a window of one period is exact.  Missing constants
+    yield an inconclusive report with empty series.
     """
-    h1, h2, _ = hypotheses(coeffs, params, constants, window)
+    h1, h2 = verdicts
     h3 = check_H3(params, constants)
     notes = list(coeffs.regularity_notes())
     if constants.provenance.get("eta") == "measured":

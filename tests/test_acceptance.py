@@ -58,7 +58,9 @@ def bench():
     ]
     elapsed = time.perf_counter() - start
     constants = cs.measure_constants(runs, BENCH_BURN)
-    report = cs.estimate_theta(coeffs, params, constants, (0.0, BENCH_T_END), 601)
+    window = (0.0, BENCH_T_END)
+    verdicts = cs.hypotheses(coeffs, params, constants, window)[:2]
+    report = cs.estimate_theta(coeffs, params, constants, window, verdicts, 601)
     return {
         "grid": grid, "coeffs": coeffs, "params": params, "cfg": cfg,
         "runs": runs, "elapsed": elapsed, "constants": constants, "report": report,

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -740,12 +741,16 @@ class TestStability:
         assert ok_row.endswith(",criterion_holds,")
         assert error_row.startswith("0.3,,,,nan,error,experiment.cq1_pairs: ")
 
-    def test_unusable_cq1_pairs_named_before_measuring(self, tmp_path, capsys, monkeypatch):
-        # with M2 to measure, the hypotheses behind the convex formula name the key first
+    @pytest.mark.parametrize("constants, u0", [("", 3.0), ("  constants: {M2: 2.0}\n", 0.0)],
+                             ids=["convex-M2", "configured-M2"])
+    def test_unusable_cq1_pairs_named_before_measuring(self, tmp_path, capsys, monkeypatch,
+                                                        constants, u0):
+        # H1 and H2 are read before anything is measured, so the key is named first,
+        # whether or not M2 is configured (a vanishing u would be named next)
         text = (STABILITY.replace("chi: 0.0", "chi: 0.3")
                 .replace("  constants: {M2: 1.0, eta: 0.9, C3_tilde: 1.0}\n",
-                         "  measure: true\n  cq1_pairs: [[1.0, 2.0]]\n"))
-        text += "initial:\n  u: {profile: constant, value: 3.0}\n"
+                         f"  measure: true\n{constants}  cq1_pairs: [[1.0, 2.0]]\n"))
+        text += f"initial:\n  u: {{profile: constant, value: {u0}}}\n"
         monkeypatch.setattr(cli, "run", lambda *args, **kw: pytest.fail("measured first"))
         assert main(["stability", "--config", str(write_config(tmp_path, text=text))]) == 1
         assert capsys.readouterr().err.startswith("config error: experiment.cq1_pairs: ")
@@ -774,10 +779,11 @@ class TestStability:
         h3 = next(ln for ln in out if ln.startswith("H3:"))
         assert h3.startswith("H3: inconclusive") and h3.endswith("M2 unavailable")
 
-    def test_each_coefficient_read_once_per_time_grid(self, tmp_path, monkeypatch):
-        # separable a0 and a2, configured M2, H2 holds: 1 envelope for
-        # validate_roles, a0, a1 and a2 once at the hypothesis samples, and
-        # once at the theta samples
+    @pytest.mark.parametrize("m2", ["config", "convex-formula"])
+    def test_each_coefficient_read_once_per_time_grid(self, tmp_path, monkeypatch, m2):
+        # separable a0 and a2, H2 holds: 1 envelope for validate_roles, a0, a1
+        # and a2 once at the hypothesis samples, and once at the theta samples,
+        # whether M2 is configured or comes from the convex formula
         from chemostab import coefficients
 
         text = (STABILITY.replace("chi: 0.0", "chi: 0.3")
@@ -789,6 +795,8 @@ class TestStability:
                          "a2: {kind: separable, space: {profile: linear-ramp, start: 0.5, "
                          "stop: 1.5}, time: {form: expdecay, limit: 0.05, amplitude: 0.1, "
                          "rate: 0.5}}"))
+        if m2 == "convex-formula":
+            text = text.replace("{M2: 1.0, eta: 0.9, C3_tilde: 1.0}", "{eta: 0.9, C3_tilde: 1.0}")
         calls = []
         for cls in vars(coefficients).values():
             if isinstance(cls, type) and "envelope" in vars(cls):
@@ -797,8 +805,28 @@ class TestStability:
                     return _envelope(self, t)
                 monkeypatch.setattr(cls, "envelope", counted)
         report = cli.stability_report(parse_config(write_config(tmp_path, text=text).read_text()))
-        assert report.h2_ok.ok and report.constants.provenance["M2"] == "config"
+        assert report.h2_ok.ok and report.constants.provenance["M2"] == m2
         assert len(calls) == 7
+
+    def test_config_values_win(self, tmp_path):
+        # config > measured: a configured M2 is kept and the rest is measured, but an
+        # eta the runs could not measure (one died out) stays missing, not measured
+        text = STABILITY.replace("{M2: 1.0, eta: 0.9, C3_tilde: 1.0}", "{M2: 9.0}").replace(
+            "experiment:", "experiment:\n  burn_ins: [5.0, 5.0, 5.0]")
+        cfg = parse_config(write_config(tmp_path, text=text).read_text())
+        grid = build_grid(cfg)
+        coeffs, params = build_coefficients(cfg, grid), build_params(cfg)
+        window = (0.0, 10.0)
+        flat = [run(ModelState(0.0, np.full(grid.counts, u0), np.full(grid.counts, 1.0)), 10.0,
+                    coeffs, params, build_stepper(cfg), sample_dt=0.5) for u0 in (0.1, 0.0)]
+        report = cli._criterion(cfg, coeffs, params, window, lambda: flat[:1])
+        assert report.constants.M2 == 9.0
+        assert report.constants.provenance["M2"] == "config"
+        assert report.constants.provenance["eta"] == "measured"
+        report = cli._criterion(cfg, coeffs, params, window, lambda: flat)
+        assert report.constants.eta is None and "eta" not in report.constants.provenance
+        assert report.constants.provenance["C3_tilde"] == "measured"
+        assert not any("measured lower bound" in note for note in report.notes)
 
     def test_missing_cq1_prints_h1_inconclusive(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, text=STABILITY.replace("chi: 0.0", "chi: 0.3"))
@@ -1203,6 +1231,39 @@ class TestStabilityExperiment:
         assert main(["stability-experiment", "--config", str(cfg_path)]) == 1
         assert "experiment.seeds" in capsys.readouterr().err
 
+    def test_unmeasured_eta_leaves_gronwall_inconclusive(self, tmp_path, capsys):
+        # the bump underflows to 0 away from its centre, so with no amplitude
+        # burn-in eta is not measured; the configured eps still runs the
+        # Gronwall check, which names the missing constant instead of failing
+        text = """
+grid: {extents: [1.0], counts: [41]}
+params: {chi: 0.05, tau: 1.0, lambda: 1.0, mu: 1.0}
+a0: {kind: constant, value: 1.0}
+a1: {kind: constant, value: 1.0}
+a2: {kind: constant, value: 0.0}
+stepper: {error_tol: 1.0e-3}
+experiment:
+  t_end: 2.0
+  sample_dt: 0.1
+  burn_ins: [0.0, 0.0, 0.0]
+  eps: 0.01
+  t_back: 0
+  fit_window: [0.5, 1.5]
+  seeds:
+    - {u: {profile: bump, baseline: 0.0, amplitude: 1.0, width: 0.01},
+       v: {profile: constant, value: 0.0}}
+    - {u: {profile: constant, value: 2.0}, v: {profile: constant, value: 0.0}}
+output: {dir: OUTDIR, name: exp}
+"""
+        assert main(["stability-experiment", "--config", str(write_config(tmp_path, text))]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "gronwall=inconclusive constants missing: eta" in out
+        assert "conclusion=inconclusive" in out
+        (path,) = (tmp_path / "out").glob("exp_*_gronwall.csv")
+        block = path.read_text().splitlines()
+        assert "# conclusive: false" in block and "# note: constants missing: eta" in block
+        assert len(list((tmp_path / "out").glob("exp_*.csv"))) == 6
+
     def test_positive_theta_marks_rate_not_applicable(self, tmp_path, capsys):
         # pinning a tiny eta makes L1 small and theta positive
         text = EXPERIMENT.replace(
@@ -1380,6 +1441,47 @@ def test_traced_stability_experiment_marks_setup_end(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run", lambda *args, **kw: seen.append(args) or run(*args, **kw))
     assert main(["stability-experiment", "--config", str(tmp_path / "config.yaml")]) == 0
     assert seen
+
+
+def test_traced_benchmark_gates(tmp_path, monkeypatch):
+    # the seed-1 benchmark inputs, each run once under the benchmark's child with
+    # tracing on: every workload passes its oracle, and the work counts stay put.
+    # experiment1d computes each result once and writes it once: 2 runs (the batch
+    # and the pullback pair), 1 theta estimate, 4 gap series (3 pairs and the
+    # pullback gate), 1 constants measurement, 1 Gronwall check and 9 files.  Each
+    # coefficient is read once per time grid: experiment1d in 11 envelope calls (2
+    # global envelopes for validate_roles, 3 for hypotheses, 3 for theta's
+    # decay_terms and 3 for the Gronwall check's), sweep in 7 per point (1 for
+    # validate_roles, 3 for hypotheses, 3 for decay_terms), and a sweep point is
+    # one config edit
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave the benchmark's tree as it is
+    workloads = importlib.import_module("workloads")
+    calls = {}
+    for name, (inputs, check) in workloads.WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        bench = inputs(1, tmp_path / name)
+        out, result = tmp_path / name / "out", tmp_path / name / "r.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "child.py"), str(result), "1",
+             bench.command, "--config", str(bench.config), "--out", str(out)],
+            env=dict(src_env(), PYTHONDONTWRITEBYTECODE="1"), capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert check(proc.stdout, out) == [], name
+        calls[name] = json.loads(result.read_text())["trace"]["calls"]
+    # within 5% of the contraction-credited controller's step() calls
+    assert calls["sim2d"]["stepper.step"] <= 1.05 * 94
+    assert calls["experiment1d"]["stepper.step"] <= 1.05 * 416
+    assert calls["experiment1d"]["grid.w2inf_norm"] <= 10  # one block per member's samples
+    pinned = {"stepper.run": 2, "stability.estimate_theta": 1, "experiments.trajectory_gap": 4,
+              "experiments.measure_constants": 1, "experiments.gronwall_check": 1,
+              "cli._write_csv": 9, "coefficients.envelope": 11}
+    assert {span: calls["experiment1d"][span] for span in pinned} == pinned
+    assert calls["sweep"]["config.apply_override"] == 16
+    assert calls["sweep"]["coefficients.envelope"] == 112
 
 
 FUZZ_KEYS = ("grid.counts", "experiment.t_end", "experiment.sample_dt", "experiment.n_samples",

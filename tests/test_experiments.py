@@ -22,6 +22,7 @@ from chemostab import (
     estimate_theta,
     fit_decay_rate,
     gronwall_check,
+    hypotheses,
     integrate_values,
     measure_constants,
     run,
@@ -45,6 +46,12 @@ def flat_state(grid, u0, v0, t=0.0):
 
 
 PARAMS = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
+
+
+def theta_report(coeffs, params, constants, window, n_samples):
+    """``estimate_theta`` given the H1 and H2 of the same window, as the CLI gives them."""
+    verdicts = hypotheses(coeffs, params, constants, window)[:2]
+    return estimate_theta(coeffs, params, constants, window, verdicts, n_samples)
 
 
 @pytest.fixture(scope="module")
@@ -233,13 +240,6 @@ class TestMeasureConstants:
         assert constants.eta is not None and constants.eta <= constants.M2
         assert constants.M1 <= constants.M2 * logistic_pair[0].grid.volume + 1e-12
 
-    def test_config_values_win(self, logistic_pair):
-        base = KnownConstants(M2=9.0, provenance={"M2": "config"})
-        constants = measure_constants(list(logistic_pair), (5.0, 5.0, 5.0), base=base)
-        assert constants.M2 == 9.0
-        assert constants.provenance["M2"] == "config"
-        assert constants.provenance["eta"] == "measured"
-
     def test_batch_pools_members(self, grid):
         # heterogeneous coefficients and seeds: each member reaches its own bounds
         ramp = spatial_profile(grid, "linear-ramp", start=0.5, stop=1.5)
@@ -301,7 +301,7 @@ class TestEntireSolution:
 class TestGronwall:
     def make_report(self, grid, eta=0.9, m2=1.1, c3=1.0):
         constants = KnownConstants(M2=m2, eta=eta, C3_tilde=c3)
-        return estimate_theta(const_set(grid), PARAMS, constants, (0.0, 10.0), 101)
+        return theta_report(const_set(grid), PARAMS, constants, (0.0, 10.0), 101)
 
     def test_identical_runs_trivially_satisfied(self, grid, logistic_pair):
         report = self.make_report(grid)
@@ -334,7 +334,7 @@ class TestGronwall:
                                                   frequency=0.7), ramp),
         )
         constants = KnownConstants(M2=1.1, eta=0.9, C3_tilde=1.0)
-        report = estimate_theta(cs, PARAMS, constants, (0.0, 10.0), 101)
+        report = theta_report(cs, PARAMS, constants, (0.0, 10.0), 101)
         t = np.linspace(0.0, 10.0, 101)
         e = np.exp(-0.8 * t) * (1.0 + 0.4 * np.sin(5.0 * t))
         series = GapSeries(t=t, E=e, w_L2=np.sqrt(e), phi_L2=0.0 * e, w_Linf=np.sqrt(e),
@@ -348,7 +348,7 @@ class TestGronwall:
     def test_band_never_entered_is_inconclusive(self, grid, logistic_pair):
         # a band far above the dynamics is never entered
         constants = KnownConstants(M2=50.0, eta=49.0, C3_tilde=1.0)
-        report = estimate_theta(const_set(grid), PARAMS, constants, (0.0, 10.0), 101)
+        report = theta_report(const_set(grid), PARAMS, constants, (0.0, 10.0), 101)
         t_entry = band_entry_time(logistic_pair, report, 0.1)
         result = gronwall_check(trajectory_gap(*logistic_pair), report, 0.1, t_entry)
         assert not result.conclusive

@@ -7,6 +7,7 @@ from chemostab import (
     CoefficientSet,
     ConstantCoefficient,
     Grid,
+    HypothesisVerdict,
     KnownConstants,
     ModelParams,
     SeparableCoefficient,
@@ -29,6 +30,12 @@ WINDOW = (0.0, 10.0)
 
 def grid1():
     return Grid((1.0,), (11,))
+
+
+def theta_report(coeffs, params, constants, window, n_samples):
+    """``estimate_theta`` given the H1 and H2 of the same window, as the CLI gives them."""
+    verdicts = hypotheses(coeffs, params, constants, window)[:2]
+    return estimate_theta(coeffs, params, constants, window, verdicts, n_samples)
 
 
 def const_set(grid, a0=1.0, a1=1.0, a2=0.0):
@@ -272,23 +279,23 @@ class TestTheta:
     def test_constant_negative(self):
         # L2 - L1 = 1 + 0.5 - 2*0.9 = -0.3; clamp at -0.5 inactive
         constants = KnownConstants(M2=1.0, eta=0.9, C3_tilde=1.0)
-        report = estimate_theta(const_set(grid1()), params(chi=0.0), constants,
-                                (0.0, 20.0), 101)
+        report = theta_report(const_set(grid1()), params(chi=0.0), constants,
+                              (0.0, 20.0), 101)
         assert report.theta == pytest.approx(-0.3, abs=1e-12)
         assert report.conclusion == "criterion_holds"
 
     def test_constant_positive(self):
         # L2 - L1 = 1.5 - 1.3 = +0.2
         constants = KnownConstants(M2=1.0, eta=0.65, C3_tilde=1.0)
-        report = estimate_theta(const_set(grid1()), params(chi=0.0), constants,
-                                (0.0, 20.0), 101)
+        report = theta_report(const_set(grid1()), params(chi=0.0), constants,
+                              (0.0, 20.0), 101)
         assert report.theta == pytest.approx(0.2, abs=1e-12)
         assert report.conclusion == "criterion_fails"
 
     def test_window_independence_for_constants(self):
         constants = KnownConstants(M2=1.0, eta=0.9, C3_tilde=1.0)
-        r1 = estimate_theta(const_set(grid1()), params(), constants, (0.0, 5.0), 51)
-        r2 = estimate_theta(const_set(grid1()), params(), constants, (3.0, 40.0), 201)
+        r1 = theta_report(const_set(grid1()), params(), constants, (0.0, 5.0), 51)
+        r2 = theta_report(const_set(grid1()), params(), constants, (3.0, 40.0), 201)
         assert r1.theta == pytest.approx(r2.theta, abs=1e-13)
 
     def periodic_setup(self):
@@ -304,25 +311,25 @@ class TestTheta:
 
     def test_periodic_average(self):
         cs, p, constants = self.periodic_setup()
-        report = estimate_theta(cs, p, constants, (0.0, 2 * math.pi), 10001)
+        report = theta_report(cs, p, constants, (0.0, 2 * math.pi), 10001)
         assert report.theta == pytest.approx(-0.1, abs=1e-3)
         assert report.conclusion == "criterion_holds"
 
     def test_clamp_lower_bound_property(self):
         cs, p, constants = self.periodic_setup()
-        report = estimate_theta(cs, p, constants, (0.0, 2 * math.pi), 501)
+        report = theta_report(cs, p, constants, (0.0, 2 * math.pi), 501)
         clamp = -p.lam / (2 * p.tau)
         assert np.all(report.h_series >= clamp - 1e-15)
 
     def test_nyquist_refinement_invariance(self):
         cs, p, constants = self.periodic_setup()
-        coarse = estimate_theta(cs, p, constants, (0.0, 2 * math.pi), 401)
-        fine = estimate_theta(cs, p, constants, (0.0, 2 * math.pi), 801)
+        coarse = theta_report(cs, p, constants, (0.0, 2 * math.pi), 401)
+        fine = theta_report(cs, p, constants, (0.0, 2 * math.pi), 801)
         assert coarse.theta == pytest.approx(fine.theta, abs=1e-4)
 
     def test_theta_is_trapezoid_average_of_series(self):
         cs, p, constants = self.periodic_setup()
-        report = estimate_theta(cs, p, constants, (0.0, 2 * math.pi), 301)
+        report = theta_report(cs, p, constants, (0.0, 2 * math.pi), 301)
         span = report.ts[-1] - report.ts[0]
         recomputed = np.trapezoid(report.h_series, report.ts) / span
         assert report.theta == pytest.approx(recomputed, abs=1e-15)
@@ -345,7 +352,7 @@ class TestTheta:
         cs = CoefficientSet(a0, a1, a2)
         p = params(chi=-0.4, tau=0.8, lam=1.3, mu=0.9)
         constants = KnownConstants(M2=1.4, eta=0.6, C3_tilde=1.1)
-        report = estimate_theta(cs, p, constants, (0.0, 6.0), 301)
+        report = theta_report(cs, p, constants, (0.0, 6.0), 301)
         vol = g.volume
         l1_ref, l2_ref, h_ref = [], [], []
         for t in report.ts:
@@ -363,16 +370,27 @@ class TestTheta:
         assert np.array_equal(report.L2_series, l2_ref)
         assert np.array_equal(report.h_series, h_ref)
 
+    def test_verdicts_carried_as_given(self, monkeypatch):
+        # the caller's H1 and H2 are the report's: estimate_theta reads no hypothesis itself
+        import chemostab.stability as stability
+
+        monkeypatch.setattr(stability, "hypotheses", lambda *args: pytest.fail("read again"))
+        h1, h2 = HypothesisVerdict("H1", "inconclusive"), HypothesisVerdict("H2", "fails")
+        constants = KnownConstants(M2=1.0, eta=0.9, C3_tilde=1.0)
+        report = estimate_theta(const_set(grid1()), params(), constants, (0.0, 5.0), (h1, h2), 41)
+        assert report.h1_ok is h1 and report.h2_ok is h2
+        assert report.conclusion == "criterion_holds"
+
     def test_missing_constants_inconclusive(self):
-        report = estimate_theta(const_set(grid1()), params(), KnownConstants(),
-                                (0.0, 1.0), 11)
+        report = theta_report(const_set(grid1()), params(), KnownConstants(),
+                              (0.0, 1.0), 11)
         assert report.conclusion == "inconclusive"
         assert math.isnan(report.theta)
         assert report.ts.size == 0
 
     def test_eps_suggestion(self):
         constants = KnownConstants(M2=1.0, eta=0.9, C3_tilde=1.0)
-        report = estimate_theta(const_set(grid1()), params(), constants, (0.0, 5.0), 41)
+        report = theta_report(const_set(grid1()), params(), constants, (0.0, 5.0), 41)
         assert report.eps_suggested == pytest.approx(0.03, abs=1e-12)
 
     def test_decay_integrand_clamped(self):
@@ -418,7 +436,7 @@ class TestReportSerialization:
     def test_csv_roundtrip_structure(self, tmp_path):
         constants = KnownConstants(M2=1.0, eta=0.9, C3_tilde=1.0,
                                    provenance={"M2": "config"})
-        report = estimate_theta(const_set(grid1()), params(), constants, (0.0, 2.0), 21)
+        report = theta_report(const_set(grid1()), params(), constants, (0.0, 2.0), 21)
         text = self.written(tmp_path, report)
         lines = text.strip().split("\n")
         header_lines = [ln for ln in lines if ln.startswith("#")]
@@ -440,14 +458,14 @@ class TestReportSerialization:
             M1=1.5, M2=1.2, eta=0.95, C3_tilde=0.3, cq1_pairs=((2.0, 1.5), (3.0, 2.0)),
             provenance={"M1": "measured", "M2": "convex-formula", "eta": "measured",
                         "C3_tilde": "measured"})
-        report = estimate_theta(cs, params(chi=0.1), constants, (0.0, 2.0), 41)
+        report = theta_report(cs, params(chi=0.1), constants, (0.0, 2.0), 41)
         assert report.eps_suggested is not None and report.notes
         assert report.constants.cq1_pairs
         assert self.written(tmp_path, report) == self.META + report_csv_reference(report)
 
     def test_inconclusive_report_matches_reference(self, tmp_path):
-        report = estimate_theta(const_set(grid1()), params(), KnownConstants(M2=1.0),
-                                (0.0, 1.0), 11)
+        report = theta_report(const_set(grid1()), params(), KnownConstants(M2=1.0),
+                              (0.0, 1.0), 11)
         assert report.ts.size == 0 and report.eps_suggested is None
         text = self.written(tmp_path, report)
         assert text == self.META + report_csv_reference(report)
