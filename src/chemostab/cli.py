@@ -10,7 +10,8 @@ report from ``_criterion``, the one place constants are resolved.
 (including the config content hash, so reruns are attributable), the
 header, then a data section that is byte-identical across reruns of the
 same config.  Exit codes: 0 = completed with a verdict (even a failing
-one), 1 = configuration error, 2 = runtime/solver error.
+one), 1 = configuration error, 2 = runtime/solver error or an array that
+does not fit in memory.
 """
 
 from __future__ import annotations
@@ -414,7 +415,7 @@ def sweep(cfg: RunConfig) -> list[tuple]:
             report = stability_report(apply_override(cfg, dict(zip(axes, values))))
             return (*values, report.h1_ok.status, report.h2_ok.status,
                     report.h3_ok.status, report.theta, report.conclusion, "")
-        except (ChemostabError, ValueError) as exc:  # what main reports as exit 1 or 2
+        except (ChemostabError, ValueError, MemoryError) as exc:  # main's exit 1 or 2
             return (*values, "", "", "", math.nan, "error", str(exc).replace(",", ";"))
 
     return [one_point(values) for values in itertools.product(*axes.values())]
@@ -503,8 +504,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except ChemostabError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+    except (ChemostabError, MemoryError) as exc:  # numpy raises a private MemoryError subclass
+        error = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(json.dumps({"error": error, "message": str(exc)}), file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -34,7 +34,8 @@ provenance because measured surrogates weaken the claim.
 
 :func:`hypotheses` reads a1 and a2 once at ``HYPOTHESIS_SAMPLES`` window
 nodes, so H1, H2 and the bound they license see the same times;
-:func:`decay_terms` reads a0, a1 and a2 once at its times.  Spatial
+:func:`decay_terms` reads a0, a1 and a2 once at its times.  A non-finite
+value read raises ConfigError keyed by its coefficient's slot.  Spatial
 envelopes are nodal and therefore inner approximations of the continuum
 values.
 """
@@ -48,7 +49,7 @@ from typing import Mapping
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .errors import ConfigError
+from .errors import ChemostabError, ConfigError
 from .model import ModelParams
 
 __all__ = [
@@ -155,7 +156,20 @@ def _window_samples(window: tuple[float, float], n_samples: int) -> np.ndarray:
     n = max(int(n_samples), 2)
     if n % 2 == 0:
         n += 1  # odd count so the half-resolution quadrature reuses nodes
-    return np.linspace(t0, t1, n)
+    try:
+        return np.linspace(t0, t1, n)
+    except ValueError as exc:  # more samples than numpy can index
+        raise ConfigError("experiment.n_samples", f"{n:.6g} samples: {exc}") from exc
+
+
+def _envelope(coeffs: CoefficientSet, slot: str, t) -> tuple[np.ndarray, np.ndarray]:
+    """``envelope(t)`` of the coefficient in ``slot``; a non-finite value is a ConfigError keyed by it."""
+    try:
+        return getattr(coeffs, slot).envelope(t)
+    except ChemostabError:  # a tabulated range error is a runtime error
+        raise
+    except ValueError as exc:
+        raise ConfigError(slot, str(exc)) from exc
 
 
 def hypotheses(
@@ -173,8 +187,8 @@ def hypotheses(
     nonlocal balance clause is exact up to window sampling.
     """
     ts = _window_samples(window, HYPOTHESIS_SAMPLES)
-    a1_inf_t = coeffs.a1.envelope(ts)[0]
-    neg_a2_inf_t = neg(coeffs.a2.envelope(ts)[0])
+    a1_inf_t = _envelope(coeffs, "a1", ts)[0]
+    neg_a2_inf_t = neg(_envelope(coeffs, "a2", ts)[0])
     a1_inf = float(a1_inf_t.min())
     balance = float((a1_inf_t - coeffs.volume * neg_a2_inf_t).min())
 
@@ -226,7 +240,7 @@ def hypotheses(
     })
     if not h2.ok:
         return h1, h2, None
-    a0_sup = float(coeffs.a0.envelope(ts)[1].max())
+    a0_sup = float(_envelope(coeffs, "a0", ts)[1].max())
     m0 = 1.5 * coeffs.volume * a0_sup / balance
     m0_ai = a0_sup + 2.0 * params.lam + float(neg_a2_inf_t.max()) * m0
     return h1, h2, ConvexBound(M2=m0_ai * m0_ai / (4.0 * competition), M0=m0, M0_ai=m0_ai)
@@ -256,9 +270,9 @@ def decay_terms(
     if missing:
         raise ValueError(f"constants missing for L1 and L2: {', '.join(missing)}")
     vol = coeffs.volume
-    a0_sup_t = coeffs.a0.envelope(t)[1]
-    a1_inf_t = coeffs.a1.envelope(t)[0]
-    a2_inf_t, a2_sup_t = coeffs.a2.envelope(t)
+    a0_sup_t = _envelope(coeffs, "a0", t)[1]
+    a1_inf_t = _envelope(coeffs, "a1", t)[0]
+    a2_inf_t, a2_sup_t = _envelope(coeffs, "a2", t)
     l1 = 2.0 * constants.eta * (a1_inf_t + vol * pos(a2_inf_t))
     l2 = (
         a0_sup_t

@@ -48,8 +48,10 @@ resets rho to 0.
 An advective guard dt <= safety * h / max|chi grad v| caps the explicit
 drift; diffusion needs no guard because it is implicit.  Positivity is
 protected by rejection: values below -1e-12 * state scale reject the step,
-values inside that band are clamped to zero and the clamped mass is
-charged against a per-run budget.
+values inside that band are clamped to zero.  :func:`step` returns its new
+state, error estimate and clamps; :func:`run` alone writes the run's
+counters, :class:`RunStats`, and charges the clamped mass of its accepted
+steps against a per-run budget.
 
 A state may carry a leading batch axis, ``(K, *grid.counts)``: K members
 (seeds of one experiment) that share coefficients, grid and time span are
@@ -149,11 +151,12 @@ class StepperConfig:
 
 @dataclass
 class RunStats:
-    """Counters accumulated over one run.
+    """Counters accumulated over one run; :func:`run` alone writes them.
 
     Step counts and the dt range are shared by the members of a batch; the
-    clamp counters hold one value per member (``run`` starts them as arrays
-    shaped like the batch, 0-d for an unbatched state).
+    clamp counters hold one value per member, the sum of the clamps that
+    :func:`step` returned for the accepted attempts (arrays shaped like the
+    batch, 0-d for an unbatched state).
     """
 
     accepted: int = 0
@@ -165,11 +168,6 @@ class RunStats:
     clamped_nodes: int | np.ndarray = 0
     min_dt: float = math.inf
     max_dt: float = 0.0
-
-    def merge_clamps(self, other: "RunStats") -> None:
-        self.clamped_mass_u += other.clamped_mass_u
-        self.clamped_mass_v += other.clamped_mass_v
-        self.clamped_nodes += other.clamped_nodes
 
 
 @dataclass
@@ -299,15 +297,16 @@ def step(
     coeffs: CoefficientSet,
     params: ModelParams,
     cfg: StepperConfig,
-    stats: RunStats | None = None,
     terms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     history: tuple[np.ndarray, float] | None = None,
-) -> tuple[ModelState, float]:
-    """Advance one IMEX step of size dt; return the new state and its error estimate.
+) -> tuple[ModelState, float, tuple[Sequence, Sequence]]:
+    """Advance one IMEX step of size dt; return the new state, its error estimate and its clamps.
 
     A predictor (explicit terms at t_n) and, at theta < 1, a corrector
     (explicit terms weighted theta between t_n and the predictor) each make
     one solve of the stack ``state.uv``; the last of them is the result b.
+    Its negatives inside the band are clamped to zero, and the clamps come
+    back as ``(mass, nodes)``, indexed by field (u, v) and then by member.
 
     The estimate is ``c * max|p - b| / (1 + max|b|)``, each member and field
     scaled by its own max and the max taken over all of them, where p
@@ -369,14 +368,9 @@ def step(
         raise StepRejected("error estimate is non-finite")
 
     y_new, mass, nodes = _clamp_negatives(y_new, y, grid)
-    if stats is not None:
-        stats.clamped_mass_u += mass[0]
-        stats.clamped_mass_v += mass[1]
-        stats.clamped_nodes += nodes[0] + nodes[1]
-
     # finite (checked above), clamped to zero, and owned by this step
     y_new.flags.writeable = False
-    return ModelState.from_stack(t + dt, y_new), err
+    return ModelState.from_stack(t + dt, y_new), err, (mass, nodes)
 
 
 def advective_dt_limit(
@@ -448,7 +442,8 @@ def run(
     Sample times default to 200 evenly spaced points (or ``sample_dt``
     spacing); an explicit ``sample_times`` sequence overrides both and is
     honored exactly, which is what aligned multi-run comparisons rely on.
-    A zero-length run returns the single initial sample.
+    A zero-length run returns the single initial sample.  A ``sample_dt``
+    that gives more samples than numpy can index raises ConfigError.
 
     After each accepted step that had a history and whose estimate is above
     the round-off floor, the decay rate of kappa = err / dt**order since the
@@ -485,7 +480,10 @@ def run(
         if sample_dt is None:
             sample_dt = (t_end - t0) / 200.0
         n = max(1, int(round((t_end - t0) / sample_dt)))
-        samples = np.linspace(t0, t_end, n + 1)
+        try:
+            samples = np.linspace(t0, t_end, n + 1)
+        except ValueError as exc:  # more samples than numpy can index
+            raise ConfigError("experiment.sample_dt", f"{n + 1:.6g} samples: {exc}") from exc
 
     batch = state0.u.shape[: state0.u.ndim - grid.dim]
     stats = RunStats(clamped_mass_u=np.zeros(batch), clamped_mass_v=np.zeros(batch),
@@ -528,12 +526,11 @@ def run(
         hit = dt_candidate >= remaining - tiny
         dt_try = remaining if hit else dt_candidate
 
-        local = RunStats()
         if terms is None:
             terms = _terms(state, coeffs, params)
         try:
-            new, err = step(state, dt_try, coeffs, params, cfg, stats=local, terms=terms,
-                            history=history)
+            new, err, (mass, nodes) = step(state, dt_try, coeffs, params, cfg, terms=terms,
+                                           history=history)
         except StepRejected:
             err = None  # the attempt left the admissible region; control shrinks dt
         accepted, dt = control(err, dt_try, history is None, cfg, rho)
@@ -560,7 +557,9 @@ def run(
                 kappa = (k, dt_try)
             else:  # round-off: the estimate says nothing of its decay
                 rho, rate, kappa = 0.0, 0.0, None
-        stats.merge_clamps(local)
+        stats.clamped_mass_u += mass[0]
+        stats.clamped_mass_v += mass[1]
+        stats.clamped_nodes += nodes[0] + nodes[1]
         stats.min_dt = min(stats.min_dt, dt_try)
         stats.max_dt = max(stats.max_dt, dt_try)
         state = ModelState.from_stack(target, new.uv) if hit else new
@@ -612,7 +611,7 @@ def fixed_step_run(
     dt = (t_end - state0.t) / n_steps
     state = state0
     for _ in range(n_steps):
-        state, _ = step(state, dt, coeffs, params, cfg)
+        state = step(state, dt, coeffs, params, cfg)[0]
     if not math.isclose(state.t, t_end, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(t_end))):
         state = ModelState.from_stack(t_end, state.uv)
     return state

@@ -555,6 +555,25 @@ class TestSimulate:
         pytest.param("stability", "sample_dt: 2.0", f"sample_dt: 2.0\n  n_samples: {HUGE}",
                      "experiment.n_samples", id="n_samples-overflow"),
         pytest.param("stability", "chi: 0.0", f"chi: {HUGE}", "params.chi", id="chi-overflow"),
+        # a sample count numpy cannot index names the key that gave it
+        pytest.param("stability", "sample_dt: 2.0",
+                     "sample_dt: 2.0\n  n_samples: 1e300\n"
+                     "  constants: {M2: 2.0, eta: 0.5, C3_tilde: 1.0}",
+                     "experiment.n_samples", id="n_samples-unindexable"),
+        pytest.param("simulate", "sample_dt: 2.0", "sample_dt: 1.0e-300",
+                     "experiment.sample_dt", id="sample_dt-unindexable"),
+        pytest.param("stability", "sample_dt: 2.0", "sample_dt: 1.0e-300\n  measure: true",
+                     "experiment.sample_dt", id="measured-sample_dt-unindexable"),
+        pytest.param("stability-experiment", "sample_dt: 0.2", "sample_dt: 1.0e-300",
+                     "experiment.sample_dt", id="experiment-sample_dt-unindexable"),
+        # a coefficient that overflows inside the window is named by its slot; with
+        # chi > 0 H2 holds, so a0 is read for the convex-formula M2
+        pytest.param("stability", "chi: 0.0\n  tau: 1.0\n  lambda: 1.0\n  mu: 1.0\n"
+                     "a0: {kind: constant, value: 1.0}",
+                     "chi: 0.1\n  tau: 1.0\n  lambda: 1.0\n  mu: 1.0\n"
+                     "a0: {kind: separable, time: {form: expdecay, amplitude: 1.0, rate: -1000.0}}",
+                     "a0: field contains non-finite values", id="a0-non-finite",
+                     marks=pytest.mark.filterwarnings("ignore:overflow encountered in exp")),
         # a mass burn-in before the amplitude's, on a falling mass: the measured M1 > M2 x volume
         pytest.param("stability", "0.1}\n  v: {profile: constant, value: 0.0}\nstepper:\n"
                      "  error_tol: 1.0e-8\n  dt_max: 0.5\nexperiment:",
@@ -655,6 +674,24 @@ class TestSimulate:
             assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "out"]
             names = sorted(p.name for p in (tmp_path / "out").iterdir())
             assert len(names) == 2 and all(n.startswith("flat_") for n in names)
+
+    def test_memory_error_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # an array that does not fit ends like any runtime error: exit 2, one JSON line,
+        # under the public name whatever subclass numpy raised
+        class ArrayMemoryError(MemoryError):
+            pass
+
+        def no_memory(*args, **kwargs):
+            raise ArrayMemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "run", no_memory)
+        cfg_path = write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "MemoryError",
+                                   "message": "Unable to allocate 7.28 TiB for an array"}
+        assert not (tmp_path / "out").exists()
 
     def test_step_underflow_writes_nothing(self, tmp_path, capsys):
         # the run fails before any output, so no output directory is made
@@ -973,6 +1010,33 @@ class TestSweep:
         assert len(rows) == 2
         for mu, row in zip(("1.0", "2.0"), rows):
             assert row.startswith(f"{mu},,,,nan,error,experiment.burn_ins: mass bound ")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+    def test_unfit_points_are_keyed_error_rows(self, tmp_path, capsys, monkeypatch):
+        # a sample count numpy cannot index and a coefficient that overflows inside
+        # the window name their keys in the point's error row
+        text = STABILITY.replace(
+            "a0: {kind: constant, value: 1.0}",
+            "a0: {kind: separable, time: {form: expdecay, amplitude: 1.0, rate: 0.0}}",
+        ).replace("experiment:", "experiment:\n  sweep: {axes: {a0.time.rate: [0.0, -1000.0], "
+                  "experiment.n_samples: [101, 1e300]}}")
+        cfg_path = write_config(tmp_path, text=text)
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        unindexable = "experiment.n_samples: 1e+300 samples: Maximum allowed size exceeded"
+        assert capsys.readouterr().out.splitlines() == [
+            "0.0,101.0,holds,fails,holds,-0.3,criterion_holds,",
+            f"0.0,1e+300,,,,nan,error,{unindexable}",
+            "-1000.0,101.0,,,,nan,error,a0: field contains non-finite values",
+            f"-1000.0,1e+300,,,,nan,error,{unindexable}",  # the samples are made first
+        ]
+        # an array that does not fit is its point's error row too
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(cli, "hypotheses", no_memory)
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        for row in capsys.readouterr().out.splitlines():
+            assert row.endswith(",,,,nan,error,Unable to allocate 1.00 TiB")
 
     @pytest.mark.parametrize("axes", ["stepper.dt_min: [0.01], stepper.dt_init: [0.02]",
                                       "stepper.dt_init: [0.02], stepper.dt_min: [0.01]"],

@@ -76,7 +76,7 @@ class TestSingleStep:
         # u == 0, v == 1, lam = tau = 1: one BE step gives v = 1/(1+dt)
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
         cfg = StepperConfig(theta_scheme=1.0)
-        out, _ = step(flat_state(grid, 0.0, 1.0), 0.4, const_set(grid), params, cfg)
+        out, _, _ = step(flat_state(grid, 0.0, 1.0), 0.4, const_set(grid), params, cfg)
         assert np.allclose(out.v, 1.0 / 1.4, rtol=1e-13)
         assert np.all(out.u == 0.0)
 
@@ -87,7 +87,7 @@ class TestSingleStep:
         a0, a1, a2 = 1.2, 0.9, 0.3
         cs = const_set(grid, a0, a1, a2)
         state = flat_state(grid, 0.4, 0.2, t=1.0)
-        out, _ = step(state, 0.05, cs, params, cfg)
+        out, _, _ = step(state, 0.05, cs, params, cfg)
         u_ref, v_ref = scalar_imex_step(
             0.4, 0.2, 1.0, 0.05, a0, a1, a2 * grid.volume, params, theta
         )
@@ -103,7 +103,7 @@ class TestSingleStep:
         state = ModelState(0.0, rng.uniform(0.5, 2.0, 41),
                            np.full(grid.counts, 0.0))
         m0 = integrate_values(grid, state.u)
-        out, _ = step(state, 0.01, cs, params, cfg)
+        out, _, _ = step(state, 0.01, cs, params, cfg)
         m1 = integrate_values(grid, out.u)
         assert abs(m1 - m0) <= 10 * np.finfo(float).eps * grid.node_count * max(m0, 1.0)
 
@@ -142,7 +142,7 @@ class TestStateContract:
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
         coeffs = const_set(Grid((1.0,), (11,)))
         batch = ModelState(0.0, np.full((2, 11), 0.5), np.zeros((2, 11)))
-        out, _ = step(batch, 0.1, coeffs, params, StepperConfig())
+        out, _, _ = step(batch, 0.1, coeffs, params, StepperConfig())
         assert out.u.shape == (2, 11)
         for shape in [(2, 21), (2, 2, 11), (11, 2)]:  # wrong trailing shape, two batch axes
             bad = ModelState(0.0, np.full(shape, 0.5), np.zeros(shape))
@@ -371,7 +371,7 @@ class TestRun:
             n[0] += 1
             kappa = 10.0 * math.exp(-20.0 * state.t)
             err = {6: 1.0, 12: 0.5 * floor, 25: 0.0}.get(n[0], kappa * dt**3)
-            return ModelState.from_stack(state.t + dt, state.uv), err
+            return ModelState.from_stack(state.t + dt, state.uv), err, ((0.0, 0.0), (0, 0))
 
         seen = []
 
@@ -483,9 +483,36 @@ class TestRun:
         assert attempts[-1] == cfg.dt_min
         assert attempts[:-1] == [1e-3 * 0.25 ** k for k in range(len(attempts) - 1)]
         assert 0.25 * attempts[-2] < cfg.dt_min
-        stats = created[0]  # the run's own counters; the others are per attempt
+        assert len(created) == 1  # run() writes one RunStats, none per attempt
+        stats = created[0]
         assert stats.rejected_positivity == len(attempts) == 11
         assert stats.rejected_error == 0 and stats.accepted == 0
+
+    def test_only_accepted_clamps_are_counted(self, grid, monkeypatch):
+        # an attempt rejected on error reports clamps far over the budget; the
+        # accepted attempts after it report small ones, and only those count
+        import chemostab.stepper as stepper_mod
+
+        verdicts = []
+
+        def stub(state, dt, *args, **kwargs):
+            new = ModelState.from_stack(state.t + dt, state.uv)
+            if not verdicts:
+                verdicts.append("rejected")
+                return new, 1.0, (np.array([1.0, 2.0]), np.array([5, 6]))
+            verdicts.append("accepted")
+            return new, 0.0, (np.array([2.0 ** -70, 2.0 ** -69]), np.array([1, 2]))
+
+        monkeypatch.setattr(stepper_mod, "step", stub)
+        params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
+        traj = run(flat_state(grid, 0.5, 0.0), 1.0, const_set(grid), params,
+                   StepperConfig(dt_init=0.1), sample_times=[0.0, 1.0])
+        stats = traj.stats
+        assert stats.rejected_error == 1 and stats.rejected_positivity == 0
+        assert stats.accepted == verdicts.count("accepted") > 0
+        assert stats.clamped_mass_u == stats.accepted * 2.0 ** -70
+        assert stats.clamped_mass_v == stats.accepted * 2.0 ** -69
+        assert stats.clamped_nodes == 3 * stats.accepted
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_tiny_error_tol_is_floored_at_round_off(self, theta):
@@ -517,7 +544,7 @@ class TestTwoDimensions:
         cfg = StepperConfig(theta_scheme=0.5)
         a0, a1, a2 = 1.1, 0.8, 0.1
         cs2 = const_set(g2, a0, a1, a2)
-        out, _ = step(flat_state(g2, 0.5, 0.3), 0.04, cs2, params, cfg)
+        out, _, _ = step(flat_state(g2, 0.5, 0.3), 0.04, cs2, params, cfg)
         u_ref, v_ref = scalar_imex_step(0.5, 0.3, 0.0, 0.04, a0, a1,
                                         a2 * g2.volume, params, 0.5)
         assert np.allclose(out.u, u_ref, rtol=1e-12)
@@ -744,9 +771,9 @@ class TestErrorEstimate:
         from chemostab.model import split_terms
 
         dt_prev = dt if dt_prev is None else dt_prev
-        mid, _ = step(state, dt_prev, coeffs, params, cfg)
+        mid, _, _ = step(state, dt_prev, coeffs, params, cfg)
         history = (sum(split_terms(state, coeffs, params)), dt_prev)
-        return (mid, *step(mid, dt, coeffs, params, cfg, history=history))
+        return (mid, *step(mid, dt, coeffs, params, cfg, history=history)[:2])
 
     def estimate_after_one_step(self, state, dt, coeffs, params, cfg):
         """The estimate of a second step of dt, with the first as its history (w = 1)."""
@@ -790,7 +817,7 @@ class TestErrorEstimate:
 
         coeffs, params, state = self.setup(0.3, (1.0, 1.0, 0.2))
         dt = 0.01
-        out, err = step(state, dt, coeffs, params, StepperConfig(theta_scheme=theta))
+        out, err, _ = step(state, dt, coeffs, params, StepperConfig(theta_scheme=theta))
         f_u, f_v = sum(split_terms(state, coeffs, params))
         d = max(np.abs(state.u + dt * f_u - out.u).max() / (1.0 + np.abs(out.u).max()),
                 np.abs(state.v + dt * f_v - out.v).max() / (1.0 + np.abs(out.v).max()))
@@ -814,9 +841,9 @@ class TestErrorEstimate:
         cfg = StepperConfig()
         dt = 0.01
         alone = [self.estimate_after_one_step(s, dt, coeffs, params, cfg) for s in (state, other)]
-        mid, _ = step(batch, dt, coeffs, params, cfg)
+        mid, _, _ = step(batch, dt, coeffs, params, cfg)
         history = (sum(split_terms(batch, coeffs, params)), dt)
-        _, err = step(mid, dt, coeffs, params, cfg, history=history)
+        _, err, _ = step(mid, dt, coeffs, params, cfg, history=history)
         assert err == pytest.approx(max(alone), rel=1e-10)
 
 
@@ -852,15 +879,17 @@ class TestStackedStep:
             earlier = ModelState(0.0, 0.9 * state.u, 1.1 * state.v)
             f_prev = sum(split_terms(earlier, coeffs, params))
             history, ref_history = (f_prev, 0.02), (f_prev[0], f_prev[1], 0.02)
-        stats = RunStats()
-        out, err = step(state, 0.01, coeffs, params, cfg, stats=stats, history=history)
-        u, v, ref_err, *_ = field_by_field_step(state, 0.01, coeffs, params, cfg,
-                                                history=ref_history)
+        out, err, (mass, nodes) = step(state, 0.01, coeffs, params, cfg, history=history)
+        u, v, ref_err, ref_mass_u, ref_mass_v, ref_nodes = field_by_field_step(
+            state, 0.01, coeffs, params, cfg, history=ref_history)
         assert err > 0.0
         assert err == ref_err
         assert np.array_equal(out.u, u) and np.array_equal(out.v, v)
         assert out.uv.shape == (2, *state.u.shape)
-        assert stats.clamped_nodes == 0
+        # nothing to clamp: the clean path returns scalar zeros for every member
+        assert np.all(nodes[0] + nodes[1] == ref_nodes) and np.all(ref_nodes == 0)
+        assert np.all(mass[0] == ref_mass_u) and np.all(mass[1] == ref_mass_v)
+        assert np.all(ref_mass_u == 0.0) and np.all(ref_mass_v == 0.0)
 
     @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
     def test_clamp_matches_field_by_field(self, batched):
@@ -875,16 +904,16 @@ class TestStackedStep:
         coeffs = const_set(grid, 0.0, 0.0, 0.0)
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
         cfg = StepperConfig(theta_scheme=1.0)
-        stats = RunStats()
-        out, err = step(state, 1e-4, coeffs, params, cfg, stats=stats)
-        u_ref, v_ref, err_ref, mass_u, mass_v, nodes = field_by_field_step(
+        out, err, (mass, nodes) = step(state, 1e-4, coeffs, params, cfg)
+        u_ref, v_ref, err_ref, mass_u, mass_v, nodes_ref = field_by_field_step(
             state, 1e-4, coeffs, params, cfg)
         assert np.array_equal(out.u, u_ref) and np.array_equal(out.v, v_ref)
         assert err == err_ref
         assert np.all(mass_u > 0.0) and np.all(mass_v > 0.0)
-        assert np.array_equal(stats.clamped_mass_u, mass_u)
-        assert np.array_equal(stats.clamped_mass_v, mass_v)
-        assert np.array_equal(stats.clamped_nodes, nodes)
+        assert mass.shape == nodes.shape == (2, *u.shape[:-1])  # (u row, v row) per member
+        assert np.array_equal(mass[0], mass_u)
+        assert np.array_equal(mass[1], mass_v)
+        assert np.array_equal(nodes[0] + nodes[1], nodes_ref)
         assert out.uv.min() == 0.0
 
 
