@@ -65,7 +65,7 @@ _TOP_KEYS = {"grid", "params", "a0", "a1", "a2", "initial", "stepper", "experime
 
 _EXPERIMENT_KEYS = {
     "t_end", "sample_dt", "window", "n_samples", "constants", "cq1_pairs",
-    "measure", "burn_ins", "seeds", "fit_window", "eps", "t_back", "t_span",
+    "measure", "burn_ins", "seeds", "fit_window", "eps", "t_back",
     "gap_tolerance", "sweep",
 }
 
@@ -293,7 +293,7 @@ def _norm_experiment(raw: dict) -> dict:
     out: dict = {}
     out["t_end"] = _as_positive(raw, "t_end", "experiment", default=10.0, allow_zero=True)
     out["sample_dt"] = _as_positive(raw, "sample_dt", "experiment", default=None)
-    for key in ("window", "fit_window", "t_span"):
+    for key in ("window", "fit_window"):
         if raw.get(key) is not None:
             out[key] = _interval(raw[key], f"experiment.{key}")
     out["n_samples"] = _as_int(raw, "n_samples", "experiment", default=2001)

@@ -9,7 +9,7 @@ E(t) between two runs decays no slower than the averaged threshold theta
 predicts.  Each is read once from what a run already holds:
 ``measure_constants`` reads the band and the chemical bound straight off the
 runs' sampled series, and ``gronwall_check`` judges a gap series that
-``trajectory_gap`` made.
+``trajectory_gap`` made.  The pullback pair marches in one batch with the seeds.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class FitResult:
 
 @dataclass(frozen=True)
 class EntireSolution:
-    """Kept segment of a pullback run, labeled with the seed-independence gap."""
+    """The pullback pair's lead member over the span, labeled with the pair's sup-norm gap."""
 
     trajectory: Trajectory
     seed_gap: float
@@ -226,35 +226,37 @@ def approximate_entire_solution(
     params: ModelParams,
     cfg: StepperConfig,
     t_back: float,
-    t_span: tuple[float, float],
+    span: tuple[float, float],
     seeds=((0.1, 0.0), (5.0, 0.0)),
     sample_dt: float = 0.1,
     tolerance: float = 1.0e-6,
-) -> EntireSolution:
-    """Pullback approximation of the entire solution over ``t_span``.
+    march=run,
+) -> tuple[EntireSolution | None, list[Trajectory]]:
+    """March the seeds over ``span`` beside a pullback approximation of the entire solution.
 
-    Two distinct admissible seeds are integrated, as one batched run, from
-    ``t_span[0] - t_back`` and only the span is kept; each seed is a
-    ``(u0, v0)`` pair of numbers or nodal arrays.  The kept segments must
-    agree within ``tolerance`` in the sup norm -- a measured gate, so the
-    construction never silently assumes the forgetting property it is used
-    to test.
+    Each seed is a ``(u0, v0)`` pair of numbers or nodal arrays.  The first two,
+    the pullback pair, run from ``span[0] - t_back``, sampled only at ``span[0]``;
+    there they lead one batch of all the seeds, sampled every ``sample_dt`` over
+    the span.  The pair must agree within ``tolerance`` in the sup norm over the
+    span -- a measured gate, so the construction never silently assumes the
+    forgetting property it is used to test.  Returns the entire solution (None
+    when ``t_back`` is 0) and the seeds' runs; ``march`` (:func:`run` or a
+    handle on it) makes both runs.
     """
-    if t_back <= 0.0:
-        raise ValueError("t_back must be positive")
-    lo, hi = float(t_span[0]), float(t_span[1])
-    if not hi > lo:
-        raise ValueError("t_span must have positive length")
-    if len(seeds) < 2:
+    lo, hi = float(span[0]), float(span[1])
+    if not (hi > lo and t_back >= 0.0):
+        raise ValueError(f"need a span of positive length and t_back >= 0, got {span}, {t_back}")
+    if t_back > 0.0 and len(seeds) < 2:
         raise ValueError("need two distinct seeds for the independence gate")
-    grid = coeffs.grid
-    n = max(1, int(round((hi - lo) / sample_dt)))
-    samples = np.linspace(lo, hi, n + 1)
-    t0 = lo - float(t_back)
-    u0, v0 = (np.stack([np.full(grid.counts, seed[k], dtype=float) for seed in seeds[:2]])
+    u0, v0 = (np.stack([np.full(coeffs.grid.counts, seed[k], dtype=float) for seed in seeds])
               for k in (0, 1))
-    trajs = run(ModelState(t0, u0, v0), hi, coeffs, params, cfg,
-                sample_times=samples).members()
+    if t_back > 0.0:
+        pair = march(ModelState(lo - t_back, u0[:2], v0[:2]), lo, coeffs, params, cfg,
+                     sample_times=(lo,))
+        u0, v0 = np.concatenate((pair.u[-1], u0)), np.concatenate((pair.v[-1], v0))
+    trajs = march(ModelState(lo, u0, v0), hi, coeffs, params, cfg, sample_dt=sample_dt).members()
+    if t_back == 0.0:
+        return None, trajs
     gap = trajectory_gap(trajs[0], trajs[1])
     achieved = float(max(gap.w_Linf.max(), gap.phi_Linf.max()))
     if achieved > tolerance:
@@ -263,7 +265,7 @@ def approximate_entire_solution(
             f"increase t_back (currently {t_back})",
             achieved, tolerance,
         )
-    return EntireSolution(trajectory=trajs[0], seed_gap=achieved, tolerance=tolerance)
+    return EntireSolution(trajectory=trajs[0], seed_gap=achieved, tolerance=tolerance), trajs[2:]
 
 
 def _gronwall_band(constants: KnownConstants, eps: float) -> tuple[float, float]:

@@ -443,7 +443,8 @@ def run(
     spacing); an explicit ``sample_times`` sequence overrides both and is
     honored exactly, which is what aligned multi-run comparisons rely on.
     A zero-length run returns the single initial sample.  A ``sample_dt``
-    that gives more samples than numpy can index raises ConfigError.
+    that gives more samples than numpy can index raises ConfigError; all
+    sample arrays are requested before any is filled.
 
     After each accepted step that had a history and whose estimate is above
     the round-off floor, the decay rate of kappa = err / dt**order since the
@@ -468,29 +469,34 @@ def run(
     if not (np.isfinite(state0.uv).all() and state0.uv.min() >= 0.0):
         raise ValueError("initial data must be finite and nonnegative")
 
+    samples = None  # an even grid is filled once its sample arrays are held
     if sample_times is not None:
         samples = np.asarray(sorted(float(s) for s in sample_times), dtype=float)
         if samples.size == 0:
             raise ValueError("sample_times must be nonempty")
         if samples[0] < t0 - 1e-12 or samples[-1] > t_end + 1e-12:
             raise ValueError("sample_times must lie within [t0, t_end]")
+        size = samples.size
     elif t_end == t0:
-        samples = np.array([t0])
+        size = 1
     else:
         if sample_dt is None:
             sample_dt = (t_end - t0) / 200.0
-        n = max(1, int(round((t_end - t0) / sample_dt)))
-        try:
-            samples = np.linspace(t0, t_end, n + 1)
-        except ValueError as exc:  # more samples than numpy can index
-            raise ConfigError("experiment.sample_dt", f"{n + 1:.6g} samples: {exc}") from exc
+        size = max(1, int(round((t_end - t0) / sample_dt))) + 1
 
     batch = state0.u.shape[: state0.u.ndim - grid.dim]
     stats = RunStats(clamped_mass_u=np.zeros(batch), clamped_mass_v=np.zeros(batch),
                      clamped_nodes=np.zeros(batch, dtype=int))
-    times = np.empty(samples.size)
-    u_samples = np.empty((samples.size, *state0.u.shape))
-    v_samples = np.empty_like(u_samples)
+    try:  # every array before any is filled: a grid too large for memory fails at once
+        times = np.empty(size)
+        u_samples = np.empty((size, *state0.u.shape))
+        v_samples = np.empty_like(u_samples)
+    except ValueError as exc:  # more samples than numpy can index
+        if samples is not None:
+            raise
+        raise ConfigError("experiment.sample_dt", f"{size:.6g} samples: {exc}") from exc
+    if samples is None:
+        samples = np.linspace(t0, t_end, size)
 
     next_idx = 0
 

@@ -208,9 +208,9 @@ def test_criterion_6_discretization_orders():
 def test_criterion_7_persistence_and_bounds(bench):
     constants = bench["constants"]
     vol = bench["grid"].volume
-    entire = cs.approximate_entire_solution(
+    entire, _ = cs.approximate_entire_solution(
         bench["coeffs"], bench["params"], bench["cfg"],
-        t_back=30.0, t_span=(0.0, 10.0), sample_dt=0.25, tolerance=1e-6,
+        t_back=30.0, span=(0.0, 10.0), sample_dt=0.25, tolerance=1e-6,
     )
     u_min = entire.trajectory.u.min()
     u_max = entire.trajectory.u.max()
@@ -233,8 +233,8 @@ def test_criterion_8_entire_solution_seed_independence():
                                cs.ConstantCoefficient(grid, 0.0))
     params = cs.ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
     cfg = cs.StepperConfig(error_tol=1e-6, dt_max=0.25)
-    entire = cs.approximate_entire_solution(
-        coeffs, params, cfg, t_back=40.0, t_span=(0.0, 2 * math.pi),
+    entire, _ = cs.approximate_entire_solution(
+        coeffs, params, cfg, t_back=40.0, span=(0.0, 2 * math.pi),
         seeds=((0.1, 0.0), (5.0, 0.0)), sample_dt=0.05, tolerance=1e-5,
     )
     oracle = periodic_logistic_oracle()

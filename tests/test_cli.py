@@ -465,6 +465,8 @@ class TestSimulate:
                      "experiment.t_back", id="t_back-nan"),
         pytest.param("stability-experiment", "n_samples: 201", "n_samples: 201\n  t_back: -1",
                      "experiment.t_back", id="t_back-negative"),
+        pytest.param("stability-experiment", "n_samples: 201",
+                     "n_samples: 201\n  t_span: [0.0, 1.0]", "experiment.t_span", id="t_span-gone"),
         pytest.param("stability-experiment", "n_samples: 201", "n_samples: 201\n  eps: .nan",
                      "experiment.eps", id="eps-nan"),
         pytest.param("stability-experiment", "n_samples: 201", "n_samples: 201\n  eps: .inf",
@@ -691,6 +693,33 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert json.loads(err) == {"error": "MemoryError",
                                    "message": "Unable to allocate 7.28 TiB for an array"}
+        assert not (tmp_path / "out").exists()
+
+    def test_sample_arrays_requested_before_times_filled(self, tmp_path, capsys, monkeypatch):
+        # 1e9 + 1 samples of 31 nodes: the run asks for all three sample arrays before
+        # it fills the times, so a refused request ends the command before any is filled
+        # (the allocator refuses every large array, so none is made)
+        empty, linspace = np.empty, np.linspace
+
+        def refusing_empty(shape, *args, **kwargs):
+            if math.prod(shape if isinstance(shape, tuple) else (shape,)) > 10**6:
+                raise MemoryError("Unable to allocate the sample arrays")
+            return empty(shape, *args, **kwargs)
+
+        def checked_linspace(start, stop, num=50, *args, **kwargs):
+            assert num <= 10**6, "sample times filled before the sample arrays were requested"
+            return linspace(start, stop, num, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refusing_empty)
+        monkeypatch.setattr(np, "linspace", checked_linspace)
+        text = BASE.replace("t_end: 40.0\n  sample_dt: 2.0",
+                            "t_end: 1.0\n  sample_dt: 1.0e-9\n  measure: true")
+        cfg_path = write_config(tmp_path, text=text)
+        assert main(["stability", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "MemoryError",
+                                   "message": "Unable to allocate the sample arrays"}
         assert not (tmp_path / "out").exists()
 
     def test_step_underflow_writes_nothing(self, tmp_path, capsys):
@@ -1235,6 +1264,25 @@ class TestStabilityExperiment:
         assert res.report.constants.provenance["eta"] == "measured"
         assert len(calls) == len(res.trajectories) == 2
 
+    def test_pullback_pair_joins_the_seeds_march(self, tmp_path, monkeypatch):
+        # two runs: the pullback pair from -t_back, sampled once at 0, then one
+        # sampled march of the pair and the K seeds over [0, t_end]
+        marched = []
+
+        def recording_run(*args, **kwargs):
+            marched.append(run(*args, **kwargs))
+            return marched[-1]
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        res = cli.stability_experiment(parse_config(EXPERIMENT.replace("OUTDIR", str(tmp_path))))
+        prefix, joint = marched
+        assert prefix.times.tolist() == [0.0] and prefix.u.shape[1] == 2
+        assert joint.u.shape[1] == len(res.trajectories) + 2 == 4
+        assert joint.times[0] == 0.0 and joint.times[-1] == 40.0
+        # so the entire solution spans [0, t_end] at the seeds' sample times
+        assert np.array_equal(res.entire.trajectory.times, res.trajectories[0].times)
+        assert res.entire.seed_gap <= res.entire.tolerance
+
     def test_failing_pullback_gate_writes_nothing(self, tmp_path, capsys):
         # t_back = t_end / 2 = 1 leaves the two seeds far apart (gap about 0.5)
         text = (EXPERIMENT.replace("t_end: 40.0", "t_end: 2.0")
@@ -1510,14 +1558,14 @@ def test_traced_stability_experiment_marks_setup_end(tmp_path, monkeypatch):
 def test_traced_benchmark_gates(tmp_path, monkeypatch):
     # the seed-1 benchmark inputs, each run once under the benchmark's child with
     # tracing on: every workload passes its oracle, and the work counts stay put.
-    # experiment1d computes each result once and writes it once: 2 runs (the batch
-    # and the pullback pair), 1 theta estimate, 4 gap series (3 pairs and the
-    # pullback gate), 1 constants measurement, 1 Gronwall check and 9 files.  Each
-    # coefficient is read once per time grid: experiment1d in 11 envelope calls (2
-    # global envelopes for validate_roles, 3 for hypotheses, 3 for theta's
-    # decay_terms and 3 for the Gronwall check's), sweep in 7 per point (1 for
-    # validate_roles, 3 for hypotheses, 3 for decay_terms), and a sweep point is
-    # one config edit
+    # experiment1d computes each result once and writes it once: 2 runs (the pullback
+    # pair's prefix, then one batch of the pair and the seeds), 1 theta estimate, 4
+    # gap series (3 pairs and the pullback gate), 1 constants measurement, 1 Gronwall
+    # check and 9 files.  Each coefficient is read once per time grid: experiment1d
+    # in 11 envelope calls (2 global envelopes for validate_roles, 3 for hypotheses,
+    # 3 for theta's decay_terms and 3 for the Gronwall check's), sweep in 7 per point
+    # (1 for validate_roles, 3 for hypotheses, 3 for decay_terms), and a sweep point
+    # is one config edit
     root = Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "perfbench"))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave the benchmark's tree as it is
@@ -1538,7 +1586,7 @@ def test_traced_benchmark_gates(tmp_path, monkeypatch):
         calls[name] = json.loads(result.read_text())["trace"]["calls"]
     # within 5% of the contraction-credited controller's step() calls
     assert calls["sim2d"]["stepper.step"] <= 1.05 * 94
-    assert calls["experiment1d"]["stepper.step"] <= 1.05 * 416
+    assert calls["experiment1d"]["stepper.step"] <= 1.05 * 401
     assert calls["experiment1d"]["grid.w2inf_norm"] <= 10  # one block per member's samples
     pinned = {"stepper.run": 2, "stability.estimate_theta": 1, "experiments.trajectory_gap": 4,
               "experiments.measure_constants": 1, "experiments.gronwall_check": 1,

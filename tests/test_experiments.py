@@ -275,8 +275,8 @@ class TestMeasureConstants:
 class TestEntireSolution:
     def test_homogeneous_segment_near_equilibrium(self, grid):
         cfg = StepperConfig(error_tol=1e-7, dt_max=0.25)
-        entire = approximate_entire_solution(
-            const_set(grid), PARAMS, cfg, t_back=30.0, t_span=(0.0, 5.0),
+        entire, _ = approximate_entire_solution(
+            const_set(grid), PARAMS, cfg, t_back=30.0, span=(0.0, 5.0),
             sample_dt=0.25, tolerance=1e-6,
         )
         assert np.max(np.abs(entire.trajectory.u - 1.0)) < 1e-4
@@ -287,7 +287,7 @@ class TestEntireSolution:
         cfg = StepperConfig(error_tol=1e-7, dt_max=0.25)
         with pytest.raises(TBackInsufficientError) as info:
             approximate_entire_solution(
-                const_set(grid), PARAMS, cfg, t_back=1.0, t_span=(0.0, 2.0),
+                const_set(grid), PARAMS, cfg, t_back=1.0, span=(0.0, 2.0),
                 sample_dt=0.25, tolerance=1e-10,
             )
         assert info.value.gap > 1e-10
@@ -295,7 +295,7 @@ class TestEntireSolution:
     def test_invalid_span(self, grid):
         with pytest.raises(ValueError):
             approximate_entire_solution(const_set(grid), PARAMS, StepperConfig(),
-                                        t_back=5.0, t_span=(1.0, 1.0))
+                                        t_back=5.0, span=(1.0, 1.0))
 
 
 class TestGronwall:
