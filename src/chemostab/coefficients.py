@@ -17,6 +17,8 @@ the continuum envelope that is consistent with the discretized dynamics.
 All-time envelopes are taken over a caller-declared window and are exact for
 every kind: each kind names the times at which its envelope attains its
 extremes, and for periodic time factors one period suffices.
+Every value is read through :meth:`CoefficientSet.read`, which names the slot
+(``a0``, ``a1``, ``a2``) of a value that is non-finite when read.
 """
 
 from __future__ import annotations
@@ -82,15 +84,12 @@ class TimeFactor:
             raise ConfigError("frequency", f"must be nonnegative, got {self.frequency}")
 
     def __call__(self, t):
+        t = np.asarray(t, dtype=float)
         if self.form == "constant":
-            return self.value * np.ones_like(np.asarray(t, dtype=float))
+            return self.value * np.ones_like(t)
         if self.form == "sinusoid":
-            return self.offset + self.amplitude * np.sin(
-                self.frequency * np.asarray(t, dtype=float) + self.phase
-            )
-        return self.limit + self.amplitude * np.exp(
-            -self.rate * np.asarray(t, dtype=float)
-        )
+            return self.offset + self.amplitude * np.sin(self.frequency * t + self.phase)
+        return self.limit + self.amplitude * np.exp(-self.rate * t)
 
     @property
     def period(self) -> float | None:
@@ -270,9 +269,18 @@ class CoefficientSet:
     def grid(self) -> Grid:
         return self.a0.grid
 
-    @property
-    def volume(self) -> float:
-        return self.grid.volume
+    def read(self, method: str, *args, slots=("a0", "a1", "a2")) -> list:
+        """``method(*args)`` of each slot's coefficient, in order; a ValueError (a non-finite value)
+        becomes ConfigError keyed by the slot, and a ChemostabError (a runtime error) passes."""
+        values = []
+        for slot in slots:
+            try:
+                values.append(getattr(getattr(self, slot), method)(*args))
+            except ChemostabError:
+                raise
+            except ValueError as exc:
+                raise ConfigError(slot, str(exc)) from exc
+        return values
 
     def regularity_notes(self) -> tuple[str, ...]:
         notes = []
@@ -397,11 +405,6 @@ def validate_roles(
     if require_positive_growth:
         rules.append(("a0", "growth coefficient must have positive infimum for persistence runs"))
     for slot, rule in rules:
-        try:
-            inf, _ = getattr(coeffs, slot).global_envelope(t_window)
-        except ChemostabError:  # a tabulated range error is a runtime error
-            raise
-        except ValueError as exc:
-            raise ConfigError(slot, str(exc)) from exc
+        [(inf, _)] = coeffs.read("global_envelope", t_window, slots=(slot,))
         if not inf > 0.0:
             raise ConfigError(slot, f"{rule}, got {inf}")

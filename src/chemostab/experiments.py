@@ -34,6 +34,7 @@ __all__ = [
     "GronwallResult",
     "trajectory_gap",
     "fit_decay_rate",
+    "fit_mask",
     "estimate_persistence",
     "measure_constants",
     "approximate_entire_solution",
@@ -139,16 +140,22 @@ def trajectory_gap(run_a: Trajectory, run_b: Trajectory) -> GapSeries:
     )
 
 
+def fit_mask(t: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """The samples of ``t`` that a fit over ``window`` uses; fewer than 3 are a ConfigError."""
+    lo, hi = float(window[0]), float(window[1])
+    mask = (t >= lo - 1e-12) & (t <= hi + 1e-12)
+    if (n := int(mask.sum())) >= 3:
+        return mask
+    raise ConfigError("experiment.fit_window", f"need at least 3 samples in [{lo}, {hi}], got {n}")
+
+
 def fit_decay_rate(series: GapSeries, window: tuple[float, float]) -> FitResult:
-    """Slope of log E(t) over the window, with the fit quality r^2.
+    """Slope of log E(t) over the window's samples (:func:`fit_mask`), with the fit quality r^2.
 
     If E is nonpositive anywhere in the window the gap is below the
     measurement floor: the sentinel (-inf, 0, floored=True) is returned.
     """
-    lo, hi = float(window[0]), float(window[1])
-    mask = (series.t >= lo - 1e-12) & (series.t <= hi + 1e-12)
-    if int(mask.sum()) < 3:
-        raise ValueError(f"need at least 3 samples in window [{lo}, {hi}], got {int(mask.sum())}")
+    mask = fit_mask(series.t, window)
     e = series.E[mask]
     t = series.t[mask]
     if np.any(e <= 0.0):
@@ -228,7 +235,7 @@ def approximate_entire_solution(
     t_back: float,
     span: tuple[float, float],
     seeds=((0.1, 0.0), (5.0, 0.0)),
-    sample_dt: float = 0.1,
+    sample_dt: float | None = None,
     tolerance: float = 1.0e-6,
     march=run,
 ) -> tuple[EntireSolution | None, list[Trajectory]]:
@@ -236,12 +243,12 @@ def approximate_entire_solution(
 
     Each seed is a ``(u0, v0)`` pair of numbers or nodal arrays.  The first two,
     the pullback pair, run from ``span[0] - t_back``, sampled only at ``span[0]``;
-    there they lead one batch of all the seeds, sampled every ``sample_dt`` over
-    the span.  The pair must agree within ``tolerance`` in the sup norm over the
-    span -- a measured gate, so the construction never silently assumes the
-    forgetting property it is used to test.  Returns the entire solution (None
-    when ``t_back`` is 0) and the seeds' runs; ``march`` (:func:`run` or a
-    handle on it) makes both runs.
+    there they lead one batch of all the seeds, sampled over the span on the grid
+    ``run`` makes for ``sample_dt``.  The pair must agree within ``tolerance`` in
+    the sup norm over the span -- a measured gate, so the construction never
+    silently assumes the forgetting property it is used to test.  Returns the
+    entire solution (None when ``t_back`` is 0) and the seeds' runs; ``march``
+    (:func:`run` or a handle on it) makes both runs.
     """
     lo, hi = float(span[0]), float(span[1])
     if not (hi > lo and t_back >= 0.0):

@@ -34,6 +34,7 @@ __all__ = [
     "Grid",
     "Field",
     "require_finite",
+    "sample_count",
     "laplacian_values",
     "chemotaxis_values",
     "integrate_values",
@@ -145,6 +146,19 @@ def require_finite(values: np.ndarray) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError("field contains non-finite values")
     return values
+
+
+def sample_count(t0: float, t_end: float, sample_dt: float | None = None) -> int:
+    """How many times ``stepper.run`` samples over [t0, t_end], evenly spaced with both ends:
+    ``sample_dt`` apart rounded to fit (200 intervals by default), or one for an empty span.
+    A count numpy cannot index is a ConfigError keyed ``experiment.sample_dt``."""
+    intervals = 200.0 if sample_dt is None else (t_end - t0) / sample_dt
+    try:
+        size = max(1, int(round(intervals))) + 1 if t_end > t0 else 1
+        np.broadcast_to(0.0, size)  # a view: numpy checks the count and allocates nothing
+    except (OverflowError, ValueError) as exc:  # an infinite count, or one beyond numpy
+        raise ConfigError("experiment.sample_dt", f"{intervals + 1:.6g} samples: {exc}") from exc
+    return size
 
 
 class Field:

@@ -102,7 +102,7 @@ def reaction_values(grid: Grid, u: np.ndarray, t: float, coeffs: CoefficientSet)
 
     For a batch ``(K, *grid.counts)`` the total mass is each member's own.
     """
-    a0, a1, a2 = (c.eval(t) for c in (coeffs.a0, coeffs.a1, coeffs.a2))
+    a0, a1, a2 = coeffs.read("eval", t)
     mass = np.expand_dims(integrate_values(grid, u), grid.axes)
     return u * (a0 - a1 * u - a2 * mass)
 

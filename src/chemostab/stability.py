@@ -34,10 +34,10 @@ provenance because measured surrogates weaken the claim.
 
 :func:`hypotheses` reads a1 and a2 once at ``HYPOTHESIS_SAMPLES`` window
 nodes, so H1, H2 and the bound they license see the same times;
-:func:`decay_terms` reads a0, a1 and a2 once at its times.  A non-finite
-value read raises ConfigError keyed by its coefficient's slot.  Spatial
-envelopes are nodal and therefore inner approximations of the continuum
-values.
+:func:`decay_terms` reads a0, a1 and a2 once at its times.  Both read through
+``CoefficientSet.read``, so a non-finite value raises ConfigError keyed by
+its coefficient's slot.  Spatial envelopes are nodal and therefore inner
+approximations of the continuum values.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Mapping
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .errors import ChemostabError, ConfigError
+from .errors import ConfigError
 from .model import ModelParams
 
 __all__ = [
@@ -162,16 +162,6 @@ def _window_samples(window: tuple[float, float], n_samples: int) -> np.ndarray:
         raise ConfigError("experiment.n_samples", f"{n:.6g} samples: {exc}") from exc
 
 
-def _envelope(coeffs: CoefficientSet, slot: str, t) -> tuple[np.ndarray, np.ndarray]:
-    """``envelope(t)`` of the coefficient in ``slot``; a non-finite value is a ConfigError keyed by it."""
-    try:
-        return getattr(coeffs, slot).envelope(t)
-    except ChemostabError:  # a tabulated range error is a runtime error
-        raise
-    except ValueError as exc:
-        raise ConfigError(slot, str(exc)) from exc
-
-
 def hypotheses(
     coeffs: CoefficientSet,
     params: ModelParams,
@@ -187,10 +177,10 @@ def hypotheses(
     nonlocal balance clause is exact up to window sampling.
     """
     ts = _window_samples(window, HYPOTHESIS_SAMPLES)
-    a1_inf_t = _envelope(coeffs, "a1", ts)[0]
-    neg_a2_inf_t = neg(_envelope(coeffs, "a2", ts)[0])
+    (a1_inf_t, _), (a2_inf_t, _) = coeffs.read("envelope", ts, slots=("a1", "a2"))
+    neg_a2_inf_t = neg(a2_inf_t)
     a1_inf = float(a1_inf_t.min())
-    balance = float((a1_inf_t - coeffs.volume * neg_a2_inf_t).min())
+    balance = float((a1_inf_t - coeffs.grid.volume * neg_a2_inf_t).min())
 
     margins: dict[str, float] = {"nonlocal_balance": balance}
     notes: list[str] = []
@@ -240,8 +230,8 @@ def hypotheses(
     })
     if not h2.ok:
         return h1, h2, None
-    a0_sup = float(_envelope(coeffs, "a0", ts)[1].max())
-    m0 = 1.5 * coeffs.volume * a0_sup / balance
+    a0_sup = float(coeffs.read("envelope", ts, slots=("a0",))[0][1].max())  # of a0's sup series
+    m0 = 1.5 * coeffs.grid.volume * a0_sup / balance
     m0_ai = a0_sup + 2.0 * params.lam + float(neg_a2_inf_t.max()) * m0
     return h1, h2, ConvexBound(M2=m0_ai * m0_ai / (4.0 * competition), M0=m0, M0_ai=m0_ai)
 
@@ -269,10 +259,8 @@ def decay_terms(
     missing = constants.missing("M2", "eta", "C3_tilde")
     if missing:
         raise ValueError(f"constants missing for L1 and L2: {', '.join(missing)}")
-    vol = coeffs.volume
-    a0_sup_t = _envelope(coeffs, "a0", t)[1]
-    a1_inf_t = _envelope(coeffs, "a1", t)[0]
-    a2_inf_t, a2_sup_t = _envelope(coeffs, "a2", t)
+    vol = coeffs.grid.volume
+    (_, a0_sup_t), (a1_inf_t, _), (a2_inf_t, a2_sup_t) = coeffs.read("envelope", t)
     l1 = 2.0 * constants.eta * (a1_inf_t + vol * pos(a2_inf_t))
     l2 = (
         a0_sup_t

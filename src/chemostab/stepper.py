@@ -81,7 +81,7 @@ from .errors import (
     StepRejected,
     StepSizeUnderflowError,
 )
-from .grid import Grid, gradient_neumann, integrate_values, w2inf_norm
+from .grid import Grid, gradient_neumann, integrate_values, sample_count, w2inf_norm
 from .implicit import solve_shifted
 from .model import ModelParams, ModelState, explicit_part, split_terms
 
@@ -439,8 +439,8 @@ def run(
 ) -> Trajectory:
     """March adaptively from state0.t to t_end, sampling along the way.
 
-    Sample times default to 200 evenly spaced points (or ``sample_dt``
-    spacing); an explicit ``sample_times`` sequence overrides both and is
+    Sample times default to an even grid of :func:`grid.sample_count` times (200
+    intervals, or ``sample_dt`` apart); an explicit ``sample_times`` sequence overrides both and is
     honored exactly, which is what aligned multi-run comparisons rely on.
     A zero-length run returns the single initial sample.  A ``sample_dt``
     that gives more samples than numpy can index raises ConfigError; all
@@ -469,33 +469,21 @@ def run(
     if not (np.isfinite(state0.uv).all() and state0.uv.min() >= 0.0):
         raise ValueError("initial data must be finite and nonnegative")
 
-    samples = None  # an even grid is filled once its sample arrays are held
     if sample_times is not None:
         samples = np.asarray(sorted(float(s) for s in sample_times), dtype=float)
         if samples.size == 0:
             raise ValueError("sample_times must be nonempty")
         if samples[0] < t0 - 1e-12 or samples[-1] > t_end + 1e-12:
             raise ValueError("sample_times must lie within [t0, t_end]")
-        size = samples.size
-    elif t_end == t0:
-        size = 1
-    else:
-        if sample_dt is None:
-            sample_dt = (t_end - t0) / 200.0
-        size = max(1, int(round((t_end - t0) / sample_dt))) + 1
+    size = sample_count(t0, t_end, sample_dt) if sample_times is None else samples.size
 
     batch = state0.u.shape[: state0.u.ndim - grid.dim]
     stats = RunStats(clamped_mass_u=np.zeros(batch), clamped_mass_v=np.zeros(batch),
                      clamped_nodes=np.zeros(batch, dtype=int))
-    try:  # every array before any is filled: a grid too large for memory fails at once
-        times = np.empty(size)
-        u_samples = np.empty((size, *state0.u.shape))
-        v_samples = np.empty_like(u_samples)
-    except ValueError as exc:  # more samples than numpy can index
-        if samples is not None:
-            raise
-        raise ConfigError("experiment.sample_dt", f"{size:.6g} samples: {exc}") from exc
-    if samples is None:
+    times = np.empty(size)  # every array before any is filled: too large a grid fails at once
+    u_samples = np.empty((size, *state0.u.shape))
+    v_samples = np.empty_like(u_samples)
+    if sample_times is None:  # the even grid, filled once its sample arrays are held
         samples = np.linspace(t0, t_end, size)
 
     next_idx = 0

@@ -564,6 +564,8 @@ class TestSimulate:
                      "experiment.n_samples", id="n_samples-unindexable"),
         pytest.param("simulate", "sample_dt: 2.0", "sample_dt: 1.0e-300",
                      "experiment.sample_dt", id="sample_dt-unindexable"),
+        pytest.param("simulate", "sample_dt: 2.0", "sample_dt: 1.0e-308",
+                     "experiment.sample_dt", id="sample_dt-infinite-count"),
         pytest.param("stability", "sample_dt: 2.0", "sample_dt: 1.0e-300\n  measure: true",
                      "experiment.sample_dt", id="measured-sample_dt-unindexable"),
         pytest.param("stability-experiment", "sample_dt: 0.2", "sample_dt: 1.0e-300",
@@ -574,8 +576,7 @@ class TestSimulate:
                      "a0: {kind: constant, value: 1.0}",
                      "chi: 0.1\n  tau: 1.0\n  lambda: 1.0\n  mu: 1.0\n"
                      "a0: {kind: separable, time: {form: expdecay, amplitude: 1.0, rate: -1000.0}}",
-                     "a0: field contains non-finite values", id="a0-non-finite",
-                     marks=pytest.mark.filterwarnings("ignore:overflow encountered in exp")),
+                     "a0: field contains non-finite values", id="a0-non-finite"),
         # a mass burn-in before the amplitude's, on a falling mass: the measured M1 > M2 x volume
         pytest.param("stability", "0.1}\n  v: {profile: constant, value: 0.0}\nstepper:\n"
                      "  error_tol: 1.0e-8\n  dt_max: 0.5\nexperiment:",
@@ -1283,6 +1284,22 @@ class TestStabilityExperiment:
         assert np.array_equal(res.entire.trajectory.times, res.trajectories[0].times)
         assert res.entire.seed_gap <= res.entire.tolerance
 
+    @pytest.mark.parametrize("old,new,key", [
+        pytest.param("sample_dt: 0.2", "sample_dt: 1.0e-300", "experiment.sample_dt",
+                     id="sample_dt-unindexable"),
+        pytest.param("fit_window: [8.0, 30.0]", "fit_window: [8.0, 8.1]", "experiment.fit_window",
+                     id="fit_window-one-sample"),
+    ])
+    def test_sample_grid_keys_judged_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                    old, new, key):
+        # both keys are decided on the seeds' sample grid, so no run starts
+        marched = []
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: marched.append(args))
+        cfg_path = write_config(tmp_path, text=EXPERIMENT.replace(old, new))
+        assert main(["stability-experiment", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert marched == []
+
     def test_failing_pullback_gate_writes_nothing(self, tmp_path, capsys):
         # t_back = t_end / 2 = 1 leaves the two seeds far apart (gap about 0.5)
         text = (EXPERIMENT.replace("t_end: 40.0", "t_end: 2.0")
@@ -1599,7 +1616,7 @@ def test_traced_benchmark_gates(tmp_path, monkeypatch):
 FUZZ_KEYS = ("grid.counts", "experiment.t_end", "experiment.sample_dt", "experiment.n_samples",
              "experiment.gap_tolerance", "params.chi", "params.tau", "params.lambda",
              "params.mu", "initial.u.axis", "initial.u.center", "a0.space.axis",
-             "a0.space.width", "a0.value", "a1.value")
+             "a0.space.width", "a0.value", "a1.value", "a0.time.amplitude")
 
 # a block that takes the fuzzed parameter, for keys whose block EXPERIMENT lacks
 FUZZ_BLOCKS = {
@@ -1607,6 +1624,9 @@ FUZZ_BLOCKS = {
     "initial.u.center": {"u": {"profile": "bump"}},
     "a0.space.axis": {"kind": "separable", "space": {"profile": "linear-ramp"}},
     "a0.space.width": {"kind": "separable", "space": {"profile": "gaussian-bump"}},
+    # at its peak from t = 0: an amplitude of 1e308 is finite, twice it is not
+    "a0.time.amplitude": {"kind": "separable", "time": {"form": "sinusoid", "phase": math.pi / 2},
+                          "space": {"profile": "constant", "value": 2.0}},
 }
 
 
@@ -1620,6 +1640,10 @@ FUZZ_BLOCKS = {
 @example(command="stability", key="a0.space.axis", value=-1)
 @example(command="stability-experiment", key="a0.value", value=0)
 @example(command="stability", key="a1.value", value=0)
+# finite when parsed, overflowing when read: each command names the slot
+@example(command="simulate", key="a0.time.amplitude", value=1.0e308)
+@example(command="stability", key="a0.time.amplitude", value=1.0e308)
+@example(command="stability-experiment", key="a0.time.amplitude", value=1.0e308)
 @settings(max_examples=60, deadline=None)
 def test_cli_fuzz_exit_codes(command, key, value):
     # any single bad number ends in a documented exit code, never an exception
@@ -1647,3 +1671,25 @@ def test_cli_fuzz_exit_codes(command, key, value):
         assert "Traceback" not in err.getvalue()
         if code == 1:
             assert err.getvalue().startswith(f"config error: {parents[0]}")
+
+
+OVERFLOWING_A0 = ("a0: {kind: separable, time: {form: sinusoid, amplitude: 1.0e+308, "
+                  "phase: 1.5707963267948966}, space: {profile: constant, value: 2.0}}")
+
+
+@pytest.mark.parametrize("command,chi", [
+    pytest.param("simulate", 0.05, id="simulate-reaction"),
+    pytest.param("stability", 0.0, id="stability-measuring-run"),  # H2 fails: only the run reads a0
+    pytest.param("stability", 0.05, id="stability-hypotheses"),
+    pytest.param("stability-experiment", 0.05, id="stability-experiment-roles"),
+])
+def test_overflowing_coefficient_is_one_keyed_line(tmp_path, capsys, command, chi):
+    # a0 is finite when parsed and overflows when read: whichever reader meets it
+    # names the slot, on one stderr line with no numpy warning before it
+    text = (EXPERIMENT.replace("a0: {kind: constant, value: 1.0}", OVERFLOWING_A0)
+            .replace("chi: 0.05", f"chi: {chi}")
+            .replace("n_samples: 201", "n_samples: 201\n  measure: true"))
+    cfg_path = write_config(tmp_path, text=text)
+    assert main([command, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: a0: ") and err.count("\n") == 1

@@ -253,6 +253,24 @@ class TestCoefficientSet:
         with pytest.raises(CoefficientRangeError):
             validate_roles(cs, (0.0, 2.0))
 
+    def test_read_names_the_slot_for_every_method(self, grid):
+        # finite when built, overflowing when read: each method names the slot, in
+        # the slots' order, and a tabulated range error is not a config error
+        big = separable(grid, TimeFactor("sinusoid", amplitude=1.0e308, phase=math.pi / 2),
+                        value=2.0)
+        table = TabulatedCoefficient(grid, [0.0, 1.0], [np.ones(101)] * 2, clamp=False)
+        cs = CoefficientSet(table, ConstantCoefficient(grid, 1.0), big)
+        with np.errstate(over="ignore"):
+            for method, arg in (("eval", 0.0), ("envelope", np.zeros(3)),
+                                ("global_envelope", (0.0, 1.0))):
+                with pytest.raises(ConfigError) as info:
+                    cs.read(method, arg, slots=("a1", "a2"))
+                assert info.value.key == "a2" and "non-finite" in info.value.message
+        with pytest.raises(CoefficientRangeError):
+            cs.read("eval", 2.0)
+        a1, a0 = cs.read("eval", 0.5, slots=("a1", "a0"))
+        assert np.array_equal(a1, np.ones(101)) and np.array_equal(a0, np.ones(101))
+
     def test_regularity_notes(self, grid):
         cs = CoefficientSet(
             TabulatedCoefficient(grid, [0.0, 1.0], [np.ones(101), np.ones(101)]),

@@ -13,6 +13,8 @@ from chemostab import (
     norms,
     w2inf_norm,
 )
+from chemostab.errors import ConfigError
+from chemostab.grid import sample_count
 
 from oracles import trapezoid_sum
 
@@ -54,6 +56,20 @@ class TestGridConstruction:
     def test_weights_sum_to_volume(self):
         for g in (Grid((2.0,), (9,)), Grid((1.0, 2.0), (5, 11))):
             assert np.isclose(g.weights.sum(), g.volume, rtol=1e-14)
+
+
+class TestSampleGrid:
+    def test_counts_and_times(self):
+        assert sample_count(0.0, 12.0, 0.1) == 121
+        assert sample_count(0.0, 12.0) == 201  # 200 intervals by default
+        assert sample_count(0.0, 1.0, 5.0) == 2  # at least one interval
+        assert sample_count(3.0, 3.0, 0.1) == 1  # an empty span
+
+    @pytest.mark.parametrize("sample_dt", [1.0e-300, 1.0e-308])  # too many; an infinite count
+    def test_count_beyond_numpy_names_sample_dt(self, sample_dt):
+        with pytest.raises(ConfigError) as info:
+            sample_count(0.0, 40.0, sample_dt)
+        assert info.value.key == "experiment.sample_dt"
 
 
 class TestField:
