@@ -427,7 +427,11 @@ def converge(cfg: RunConfig) -> list[tuple]:
     params = build_params(cfg)
     rows = []
     for level in range(3):
-        g = Grid(grid.extents, tuple((c - 1) * 2**level + 1 for c in grid.counts))
+        try:
+            g = Grid(grid.extents, tuple((c - 1) * 2**level + 1 for c in grid.counts))
+        except ConfigError as exc:  # a finer spacing can be too small for the configured grid
+            raise ConfigError(f"grid.{exc.key}",
+                              f"refinement level {level}: {exc.message}") from exc
         f = math.prod(np.cos(np.pi * x / e) for x, e in zip(g.coords(), g.extents))
         exact = -sum((np.pi / e) ** 2 for e in g.extents) * f
         rows.append(("spatial", level, max(g.spacing),

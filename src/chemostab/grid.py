@@ -54,7 +54,9 @@ class Grid:
         Physical side lengths, one per axis.
     counts : tuple of int
         Node counts per axis, each at least 3.  A bad extent or count raises
-        :class:`ConfigError` keyed ``extents`` or ``counts``.
+        :class:`ConfigError` keyed ``extents`` or ``counts``; an extent is bad
+        also when its spacing h puts 4/h**2, the largest eigenvalue of the
+        Laplacian on the axis, at zero or infinity.
     """
 
     extents: tuple[float, ...]
@@ -74,6 +76,10 @@ class Grid:
                 raise ConfigError("extents", f"axis {k}: must be positive and finite")
             if n < 3:
                 raise ConfigError("counts", f"axis {k}: need at least 3 nodes, got {n}")
+            h = ell / (n - 1)
+            if not (h * h > 0.0 and 0.0 < 4.0 / (h * h) < np.inf):
+                raise ConfigError("extents",
+                                  f"axis {k}: spacing {h!r} puts 4/h**2 outside (0, inf)")
 
     @cached_property
     def dim(self) -> int:

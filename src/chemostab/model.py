@@ -46,9 +46,12 @@ class ModelParams:
 
     chi: chemotactic sensitivity (signed). tau: chemical time constant.
     lam: chemical degradation rate. mu: chemical production rate.
-    All are finite and tau, lam, mu positive; a bad value raises ConfigError
-    keyed by its config name (``lambda`` for lam).  The stability hypotheses
-    also want tau <= 1, which the hypothesis checkers report, not enforce.
+    All are finite and tau, lam, mu positive, and so is the stability
+    criterion's constant term mu**2 / (2*lam*tau); a bad value raises
+    ConfigError keyed by its config name (``lambda`` for lam), a bad term by
+    ``mu`` when mu**2 overflows and by ``tau`` otherwise.  The stability
+    hypotheses also want tau <= 1, which the hypothesis checkers report, not
+    enforce.
     """
 
     chi: float
@@ -62,6 +65,11 @@ class ModelParams:
         for key, val in (("tau", self.tau), ("lambda", self.lam), ("mu", self.mu)):
             if not 0.0 < val < np.inf:
                 raise ConfigError(key, f"must be finite and positive, got {val}")
+        num, den = self.mu * self.mu, 2.0 * self.lam * self.tau  # as stability.decay_terms
+        if not (den > 0.0 and num / den < np.inf):
+            raise ConfigError("mu" if num == np.inf else "tau",
+                              f"mu**2 / (2*lambda*tau) is not finite for mu={self.mu}, "
+                              f"lambda={self.lam}, tau={self.tau}")
 
 
 # arrays have no single truth value, so states compare by identity (eq=False)

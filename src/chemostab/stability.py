@@ -265,7 +265,7 @@ def decay_terms(
     l2 = (
         a0_sup_t
         + vol * constants.M2 * (pos(a2_sup_t) + 2.0 * neg(a2_inf_t))
-        + params.mu**2 / (2.0 * params.lam * params.tau)
+        + params.mu * params.mu / (2.0 * params.lam * params.tau)  # finite: ModelParams
         + 0.5 * abs(params.chi) * constants.C3_tilde
         - vol * constants.eta * neg(a2_sup_t)
     )

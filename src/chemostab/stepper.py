@@ -46,7 +46,9 @@ the controller; a floored test gets no credit, and an estimate at the floor
 resets rho to 0.
 
 An advective guard dt <= safety * h / max|chi grad v| caps the explicit
-drift; diffusion needs no guard because it is implicit.  Positivity is
+drift; diffusion needs no guard because it is implicit.  The guard, like the
+t_n terms, depends on the state alone, so :func:`run` reads both once per
+state and a rejected attempt's retry reuses them.  Positivity is
 protected by rejection: values below -1e-12 * state scale reject the step,
 values inside that band are clamped to zero.  :func:`step` returns its new
 state, error estimate and clamps; :func:`run` alone writes the run's
@@ -175,11 +177,13 @@ class Trajectory:
     """States sampled at requested times; the diagnostic series derive from them.
 
     ``u`` and ``v`` are read-only arrays with one sampled state per row,
-    shape ``(samples, *state.shape)``.  Each series (``mass_u``, ``mass_v``,
-    ``min_u``, ``sup_u``, ``w2inf_v``) holds one value per sample, computed
-    on first use.  For a batched run the rows carry the batch axis and each
-    series has one column per member, shape ``(samples, K)``;
-    :meth:`members` splits it.
+    shape ``(samples, *state.shape)``.  :func:`run` records each sample as
+    one copy of ``ModelState.uv`` into a ``(samples, 2, *state.shape)``
+    stack, whose two rows are ``u`` and ``v``.  Each series (``mass_u``,
+    ``mass_v``, ``min_u``, ``sup_u``, ``w2inf_v``) holds one value per
+    sample, computed on first use.  For a batched run the rows carry the
+    batch axis and each series has one column per member, shape
+    ``(samples, K)``; :meth:`members` splits it.
     """
 
     grid: Grid
@@ -443,8 +447,10 @@ def run(
     intervals, or ``sample_dt`` apart); an explicit ``sample_times`` sequence overrides both and is
     honored exactly, which is what aligned multi-run comparisons rely on.
     A zero-length run returns the single initial sample.  A ``sample_dt``
-    that gives more samples than numpy can index raises ConfigError; all
-    sample arrays are requested before any is filled.
+    that gives more samples than numpy can index raises ConfigError; the
+    times and the stack of sampled states are requested before either is
+    filled.  A step too small to change ``state.t`` (``|t|`` beyond about
+    1e16 * dt) raises StepSizeUnderflowError.
 
     After each accepted step that had a history and whose estimate is above
     the round-off floor, the decay rate of kappa = err / dt**order since the
@@ -480,9 +486,8 @@ def run(
     batch = state0.u.shape[: state0.u.ndim - grid.dim]
     stats = RunStats(clamped_mass_u=np.zeros(batch), clamped_mass_v=np.zeros(batch),
                      clamped_nodes=np.zeros(batch, dtype=int))
-    times = np.empty(size)  # every array before any is filled: too large a grid fails at once
-    u_samples = np.empty((size, *state0.u.shape))
-    v_samples = np.empty_like(u_samples)
+    times = np.empty(size)  # both arrays before any is filled: too large a grid fails at once
+    uv_samples = np.empty((size, *state0.uv.shape))  # one stacked state per sample
     if sample_times is None:  # the even grid, filled once its sample arrays are held
         samples = np.linspace(t0, t_end, size)
 
@@ -491,8 +496,7 @@ def run(
     def record(t: float, st: ModelState) -> None:
         nonlocal next_idx
         times[next_idx] = t
-        u_samples[next_idx] = st.u
-        v_samples[next_idx] = st.v
+        uv_samples[next_idx] = st.uv
         next_idx += 1
 
     state = state0
@@ -501,27 +505,28 @@ def run(
         record(t0, state)
 
     dt = cfg.dt_init
-    terms = None  # t_n terms of `state`, shared by its attempts
+    terms = None  # t_n terms and advective guard of `state`, shared by its attempts
     history = None  # (f, dt) of the last accepted step, for the extrapolation
     rho = 0.0  # contraction rate of the error constant, control's credit
     rate = 0.0  # the last measured rate; rho is the smaller of the last two
     kappa = None  # (err / dt**order, dt) of the last accepted step measured
     while state.t < t_end - tiny:
-        dt = min(dt, cfg.dt_max)
-        guard = advective_dt_limit(grid, state, params, cfg)
-        dt_candidate = min(dt, guard)
-        if dt_candidate < cfg.dt_min and (t_end - state.t) > cfg.dt_min:
-            raise StepSizeUnderflowError(
-                f"advective guard {guard} pushed dt below dt_min at t={state.t}", state
-            )
+        if terms is None:  # a new state: its guard and t_n terms, once for all its attempts
+            guard = advective_dt_limit(grid, state, params, cfg)
+            # dt and dt_max are at least dt_min: only the guard can push a step below it
+            if guard < cfg.dt_min and (t_end - state.t) > cfg.dt_min:
+                raise StepSizeUnderflowError(
+                    f"advective guard {guard} pushed dt below dt_min at t={state.t}", state
+                )
+            terms = _terms(state, coeffs, params)
+        dt_candidate = min(dt, cfg.dt_max, guard)
         # land exactly on the next sample / final time
         target = samples[next_idx] if next_idx < samples.size else t_end
         remaining = target - state.t
         hit = dt_candidate >= remaining - tiny
         dt_try = remaining if hit else dt_candidate
-
-        if terms is None:
-            terms = _terms(state, coeffs, params)
+        if state.t + dt_try == state.t:  # the step is below the rounding of t
+            raise StepSizeUnderflowError(f"dt={dt_try} does not advance t={state.t}", state)
         try:
             new, err, (mass, nodes) = step(state, dt_try, coeffs, params, cfg, terms=terms,
                                            history=history)
@@ -568,9 +573,8 @@ def run(
     while next_idx < samples.size:  # t_end reached within tolerance; flush the rest
         record(samples[next_idx], state)
 
-    u_samples.flags.writeable = False
-    v_samples.flags.writeable = False
-    traj = Trajectory(grid=grid, times=times, u=u_samples, v=v_samples, stats=stats)
+    uv_samples.flags.writeable = False  # before the row views, which inherit it
+    traj = Trajectory(grid=grid, times=times, u=uv_samples[:, 0], v=uv_samples[:, 1], stats=stats)
     _check_clamp_budget(traj)
     return traj
 

@@ -597,6 +597,38 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()  # nothing written before the error
 
+    @pytest.mark.parametrize("extents", [[1.0e-300], [1.0e-160], [1.0e-300, 1.0]],
+                             ids=["h2-underflow", "symbol-overflow", "2d"])
+    @pytest.mark.parametrize("command", ["simulate", "stability", "stability-experiment",
+                                         "sweep", "converge"])
+    def test_tiny_grid_spacing_is_one_keyed_line(self, tmp_path, capsys, command, extents):
+        # a spacing h whose 4/h**2 is not finite ends every command in one line naming
+        # grid.extents, before any compute (it divided by zero, overflowed, or rejected
+        # every step at dt_min)
+        sweep = STABILITY.replace("experiment:",
+                                  "experiment:\n  sweep: {axes: {params.chi: [0.0, 0.5]}}")
+        text = {"stability": STABILITY, "stability-experiment": EXPERIMENT,
+                "sweep": sweep}.get(command, BASE)
+        cfg = yaml.safe_load(text)
+        cfg["grid"] = {"extents": extents, "counts": [11] * len(extents)}
+        cfg_path = write_config(tmp_path, text=yaml.safe_dump(cfg))
+        assert main([command, "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: grid.extents: axis 0: spacing ")
+        assert captured.err.count("\n") == 1 and not captured.out
+        assert not (tmp_path / "out").exists()
+
+    def test_refined_grid_spacing_keyed_as_configured(self, tmp_path, capsys):
+        # converge's finer grids are judged as the configured one: at 1e-152 over 30
+        # intervals the base grid and level 1 pass, and level 2's 4/h**2 overflows
+        cfg_path = write_config(tmp_path, text=BASE.replace("extents: [1.0]",
+                                                            "extents: [1.0e-152]"))
+        assert main(["converge", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: grid.extents: refinement level 2: axis 0: spacing "
+            "8.333333333333333e-155 puts 4/h**2 outside (0, inf)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent.yaml"]) == 1
 
@@ -697,7 +729,7 @@ class TestSimulate:
         assert not (tmp_path / "out").exists()
 
     def test_sample_arrays_requested_before_times_filled(self, tmp_path, capsys, monkeypatch):
-        # 1e9 + 1 samples of 31 nodes: the run asks for all three sample arrays before
+        # 1e9 + 1 samples of 31 nodes: the run asks for both sample arrays before
         # it fills the times, so a refused request ends the command before any is filled
         # (the allocator refuses every large array, so none is made)
         empty, linspace = np.empty, np.linspace
@@ -790,6 +822,20 @@ class TestStability:
         h1_line = next(ln for ln in out.splitlines() if ln.startswith("H1:"))
         assert "holds" in h1_line
         assert "drift_margin=0.77026" in h1_line
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("mu: 1.0\n", "mu: 1.0e+200\n", "params.mu: mu**2 / (2*lambda*tau) is not finite "
+         "for mu=1e+200, lambda=1.0, tau=1.0"),
+        ("tau: 1.0\n  lambda: 1.0\n", "tau: 1.0e-200\n  lambda: 1.0e-200\n",
+         "params.tau: mu**2 / (2*lambda*tau) is not finite for mu=1.0, lambda=1e-200, "
+         "tau=1e-200"),
+    ], ids=["mu-squared-overflows", "lambda-tau-underflows"])
+    def test_unfit_criterion_term_is_one_keyed_line(self, tmp_path, capsys, old, new, message):
+        # the constant term of L2 overflowed or divided by zero with a traceback
+        cfg_path = write_config(tmp_path, text=STABILITY.replace(old, new))
+        assert main(["stability", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unusable_cq1_pairs_named(self, tmp_path, capsys):
         # chi != 0 and no q > max(1, n/2) = 1: H1 has no usable pair
@@ -1042,6 +1088,19 @@ class TestSweep:
             assert row.startswith(f"{mu},,,,nan,error,experiment.burn_ins: mass bound ")
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+    def test_unfit_criterion_term_is_its_points_error_row(self, tmp_path, capsys):
+        # mu = 1e200 overflows mu**2 / (2 lambda tau): that point is an error row
+        # naming params.mu, and the other point is evaluated
+        text = STABILITY.replace(
+            "experiment:", "experiment:\n  sweep: {axes: {params.mu: [1.0, 1.0e+200]}}")
+        cfg_path = write_config(tmp_path, text=text)
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "1.0,holds,fails,holds,-0.3,criterion_holds,",
+            "1e+200,,,,nan,error,params.mu: mu**2 / (2*lambda*tau) is not finite for "
+            "mu=1e+200; lambda=1.0; tau=1.0",
+        ]
+
     def test_unfit_points_are_keyed_error_rows(self, tmp_path, capsys, monkeypatch):
         # a sample count numpy cannot index and a coefficient that overflows inside
         # the window name their keys in the point's error row
@@ -1229,6 +1288,21 @@ class TestStabilityExperiment:
         assert list(outdir.glob("exp_*_persistence.csv"))
         assert list(outdir.glob("exp_*_bounds_0.csv"))
         assert list(outdir.glob("exp_*_stability.csv"))
+
+    def test_pullback_that_cannot_advance_time_ends(self, tmp_path):
+        # from t = -1e20 no step changes t: the pullback run ends with exit 2 and one
+        # JSON line instead of looping (in a child with a timeout, so that a run that
+        # loops fails this test instead of hanging the suite)
+        cfg_path = write_config(tmp_path, text=EXPERIMENT.replace(
+            "fit_window: [8.0, 30.0]", "fit_window: [8.0, 30.0]\n  t_back: 1.0e+20"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chemostab", "stability-experiment", "--config",
+             str(cfg_path)], env=src_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr) == {"error": "StepSizeUnderflowError",
+                                           "message": "dt=0.001 does not advance t=-1e+20"}
+        assert not (tmp_path / "out").exists()
 
     def test_written_report_matches_reference(self, tmp_path):
         cfg_path = write_config(tmp_path, text=EXPERIMENT)
@@ -1582,12 +1656,13 @@ def test_traced_benchmark_gates(tmp_path, monkeypatch):
     # in 11 envelope calls (2 global envelopes for validate_roles, 3 for hypotheses,
     # 3 for theta's decay_terms and 3 for the Gronwall check's), sweep in 7 per point
     # (1 for validate_roles, 3 for hypotheses, 3 for decay_terms), and a sweep point
-    # is one config edit
+    # is one config edit.  A run reads each state's advective guard once, so the
+    # guard's calls equal the accepted steps
     root = Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "perfbench"))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave the benchmark's tree as it is
     workloads = importlib.import_module("workloads")
-    calls = {}
+    calls, counts = {}, {}
     for name, (inputs, check) in workloads.WORKLOADS.items():
         (tmp_path / name).mkdir()
         bench = inputs(1, tmp_path / name)
@@ -1600,11 +1675,14 @@ def test_traced_benchmark_gates(tmp_path, monkeypatch):
         )
         assert proc.returncode == 0, proc.stderr
         assert check(proc.stdout, out) == [], name
-        calls[name] = json.loads(result.read_text())["trace"]["calls"]
+        trace = json.loads(result.read_text())["trace"]
+        calls[name], counts[name] = trace["calls"], trace["counts"]
     # within 5% of the contraction-credited controller's step() calls
     assert calls["sim2d"]["stepper.step"] <= 1.05 * 94
     assert calls["experiment1d"]["stepper.step"] <= 1.05 * 401
     assert calls["experiment1d"]["grid.w2inf_norm"] <= 10  # one block per member's samples
+    for name in ("sim2d", "experiment1d"):
+        assert calls[name]["stepper.advective_dt_limit"] == counts[name]["stepper.accepted"]
     pinned = {"stepper.run": 2, "stability.estimate_theta": 1, "experiments.trajectory_gap": 4,
               "experiments.measure_constants": 1, "experiments.gronwall_check": 1,
               "cli._write_csv": 9, "coefficients.envelope": 11}

@@ -53,6 +53,20 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             Grid((0.0,), (5,))
 
+    @pytest.mark.parametrize("extents, counts, axis", [
+        ((1.0e-300,), (11,), 0),  # h * h underflows to zero
+        ((1.0e-160,), (11,), 0),  # 4 / h**2 overflows
+        ((1.0, 1.0e-300), (11, 11), 1),
+        ((1.0e200,), (3,), 0),  # h * h overflows: 4 / h**2 is zero
+    ])
+    def test_spacing_outside_the_stencils_range_rejected(self, extents, counts, axis):
+        # the stencils and the implicit symbol divide by h**2: 4/h**2 must be finite and
+        # positive on every axis
+        with pytest.raises(ConfigError, match=f"^extents: axis {axis}: spacing ") as info:
+            Grid(extents, counts)
+        assert info.value.key == "extents"
+        Grid((1.0e-152,), (11,))  # 4/h**2 = 4e306: kept
+
     def test_weights_sum_to_volume(self):
         for g in (Grid((2.0,), (9,)), Grid((1.0, 2.0), (5, 11))):
             assert np.isclose(g.weights.sum(), g.volume, rtol=1e-14)

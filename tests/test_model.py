@@ -17,6 +17,7 @@ from chemostab import (
     spatial_profile,
     split_terms,
 )
+from chemostab.errors import ConfigError
 from oracles import mass_rate
 
 
@@ -48,6 +49,18 @@ class TestParams:
             ModelParams(chi=0.0, tau=1.0, lam=-1.0, mu=1.0)
         with pytest.raises(ValueError):
             ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=0.0)
+
+    @pytest.mark.parametrize("mu, lam, tau, key", [
+        (1.0e200, 1.0, 1.0, "mu"),  # mu**2 overflows
+        (1.0, 1.0e-200, 1.0e-200, "tau"),  # 2 * lam * tau underflows to zero
+        (1.0e150, 1.0e-10, 1.0e-10, "tau"),  # the quotient overflows
+    ])
+    def test_criterion_term_must_be_finite(self, mu, lam, tau, key):
+        # mu**2 / (2 lam tau) enters every criterion evaluation: it is judged once, here
+        term = r"mu\*\*2 / \(2\*lambda\*tau\) is not finite"
+        with pytest.raises(ConfigError, match=term) as info:
+            ModelParams(chi=0.0, tau=tau, lam=lam, mu=mu)
+        assert info.value.key == key
 
     def test_state_grid_check(self, grid):
         other = Grid((1.0,), (11,))

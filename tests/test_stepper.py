@@ -356,6 +356,49 @@ class TestRun:
             if following[0] > t:  # accepted: the next attempt starts later
                 last_dt = dt
 
+    def test_guard_read_once_per_state_and_samples_one_stack(self, grid, monkeypatch):
+        # a rejected attempt retries the same state with the guard it read: one read per
+        # state, so as many as accepted steps; the samples are one (samples, 2, ...) stack
+        # whose two rows are u and v
+        seen = []
+        original = stepper.advective_dt_limit
+
+        def recording(grid, state, *args):
+            seen.append(state.t)
+            return original(grid, state, *args)
+
+        monkeypatch.setattr(stepper, "advective_dt_limit", recording)
+        params = ModelParams(chi=0.2, tau=1.0, lam=1.0, mu=1.0)
+        cfg = StepperConfig(error_tol=1e-7, dt_init=0.2, dt_max=0.5)
+        state0 = ModelState(0.0, np.full(grid.counts, 0.3), np.linspace(0.0, 0.2, 5))
+        traj = run(state0, 2.0, const_set(grid), params, cfg, sample_dt=0.5)
+        assert traj.stats.rejected_error > 0
+        assert len(seen) == traj.stats.accepted
+        assert seen == sorted(set(seen))  # each state once, in time order
+        stack = traj.u.base
+        assert stack is traj.v.base and stack.shape == (len(traj), 2, *grid.counts)
+        assert np.array_equal(stack[:, 0], traj.u) and np.array_equal(stack[:, 1], traj.v)
+        assert not stack.flags.writeable and not traj.u.flags.writeable
+
+    def test_step_below_the_rounding_of_t_ends_the_run(self, grid, monkeypatch):
+        # at t = -1e20 a step of 1e-3 leaves t where it is: the run ends at once
+        # instead of accepting such steps forever (the bound fails a run that loops)
+        attempts = []
+        original = stepper.step
+
+        def bounded(*args, **kwargs):
+            attempts.append(args[1])
+            assert len(attempts) < 100, "the run does not advance t"
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, "step", bounded)
+        params = ModelParams(chi=0.1, tau=1.0, lam=1.0, mu=1.0)
+        with pytest.raises(StepSizeUnderflowError,
+                           match=r"^dt=0\.001 does not advance t=-1e\+20$") as info:
+            run(flat_state(grid, 0.5, 0.1, t=-1e20), 0.0, const_set(grid), params,
+                StepperConfig())
+        assert attempts == [] and info.value.state.t == -1e20
+
     def test_contraction_rate_bookkeeping(self, grid, monkeypatch):
         # run measures rho from kappa = err / dt**3 between accepted steps that
         # have a history, over the gap between their midpoints, hands control
