@@ -282,7 +282,7 @@ def cmd_stability(cfg: RunConfig, out_dir: str | None) -> int:
     return 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityExperiment:
     """What ``stability-experiment`` computes, before anything is written.
 

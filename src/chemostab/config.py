@@ -362,8 +362,11 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a YAML config; unknown keys are errors."""
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError("<document>", f"not valid YAML: {exc}") from exc
+    except yaml.YAMLError as exc:  # one line: PyYAML's own text spans several
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ConfigError("<document>", f"not valid YAML: {problem}{where}") from exc
     return _normalize({} if raw is None else raw)
 
 

@@ -45,9 +45,9 @@ __all__ = [
 _MACHINE_EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapSeries:
-    """Norm history of the difference between two aligned runs.
+    """Norm history of the difference between two aligned runs, at the first run's ``times``.
 
     E is the quadrature of w^2 + phi^2 where w and phi are the population
     and chemical differences; ``state_scale`` is the largest field magnitude
@@ -94,7 +94,7 @@ class FitResult:
     floored: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntireSolution:
     """The pullback pair's lead member over the span, labeled with the pair's sup-norm gap."""
 
@@ -126,7 +126,6 @@ def trajectory_gap(run_a: Trajectory, run_b: Trajectory) -> GapSeries:
         run_a.times, run_b.times, rtol=0.0, atol=1e-9
     ):
         raise GridMismatchError("runs were sampled at different times")
-    t = np.array(run_a.times, dtype=float)
     grid = run_a.grid
     # every sample at once: the norms reduce each sample separately
     ua, va, ub, vb = run_a.u, run_a.v, run_b.u, run_b.v
@@ -135,7 +134,7 @@ def trajectory_gap(run_a: Trajectory, run_b: Trajectory) -> GapSeries:
     e = w_l2**2 + p_l2**2
     scale = max(float(np.abs(a).max()) for a in (ua, va, ub, vb))
     return GapSeries(
-        t=t, E=e, w_L2=w_l2, phi_L2=p_l2, w_Linf=w_li, phi_Linf=p_li,
+        t=run_a.times, E=e, w_L2=w_l2, phi_L2=p_l2, w_Linf=w_li, phi_Linf=p_li,
         volume=grid.volume, state_scale=scale,
     )
 
@@ -206,26 +205,24 @@ def measure_constants(
     ``burn_ins`` = (mass, amplitude, chemical) offsets from each run's start.
     M1, M2 and C3_tilde are the largest ``mass_u``, ``sup_u`` and ``w2inf_v``
     of any run after its burn-in, since a bound must cover every run.  eta is
-    the smallest ``min_u`` after the amplitude burn-in, measured only when it
-    is positive, that is when every run persisted.  Every value returned is a
-    measured one; which of them a report uses is the caller's choice.  An M1
-    above M2 x volume is a ``ConfigError`` keyed ``burn_ins``.
+    the smallest ``min_u`` after the amplitude burn-in.  Each is measured only
+    when it is positive: eta when every run persisted, M1 and M2 when some
+    population outlived its burn-in.  Every value returned is a measured one;
+    which of them a report uses is the caller's choice.  An M1 above
+    M2 x volume is a ``ConfigError`` keyed ``burn_ins``.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
     m1, m2, c3 = (max(float(_after_burn_in(t, getattr(t, name), b).max()) for t in trajectories)
                   for name, b in zip(("mass_u", "sup_u", "w2inf_v"), burn_ins))
     eta = min(float(_after_burn_in(t, t.min_u, burn_ins[1]).min()) for t in trajectories)
-    if not (m1 > 0.0 and m2 > 0.0 and c3 > 0.0):
-        raise ValueError("measured bounds must be positive")
     volume = max(t.grid.volume for t in trajectories)
     if m1 > m2 * volume * (1.0 + 1e-12):  # a mass burn-in before the amplitude's can do this
         raise ConfigError("burn_ins", f"mass bound {m1} exceeds amplitude bound x volume "
                           f"{m2 * volume}")
-    measured = {"M1": m1, "M2": m2, "C3_tilde": c3}
-    if eta > 0.0:  # every run persisted
-        measured["eta"] = eta
-    return KnownConstants().with_values("measured", **measured)
+    measured = {"M1": m1, "M2": m2, "C3_tilde": c3, "eta": eta}
+    return KnownConstants().with_values(
+        "measured", **{name: value for name, value in measured.items() if value > 0.0})
 
 
 def approximate_entire_solution(

@@ -106,8 +106,8 @@ class KnownConstants:
     def __post_init__(self):
         for name in ("M1", "M2", "eta", "C3_tilde"):
             val = getattr(self, name)
-            if val is not None and not val > 0.0:
-                raise ConfigError(name, f"must be positive when present, got {val}")
+            if val is not None and not 0.0 < val < math.inf:
+                raise ConfigError(name, f"must be finite and positive when present, got {val}")
         if self.M2 is not None and self.eta is not None and self.M2 < self.eta:
             source = self.provenance.get("M2", "config")
             if source != "config":  # then eta is the value to blame
@@ -278,7 +278,27 @@ def decay_terms(
     return l1, l2, h, k
 
 
-@dataclass(frozen=True)
+def _overflowing_term(ts, coeffs: CoefficientSet, params: ModelParams,
+                      constants: KnownConstants) -> ConfigError:
+    """The error naming the input whose term of L2 is largest: the one that overflowed theta.
+
+    The constant term of L2 is finite (``ModelParams``), and eta's terms
+    lower h wherever a1 > 0, as ``validate_roles`` requires.
+    """
+    vol = coeffs.grid.volume
+    (_, a0_sup), (a2_inf, a2_sup) = coeffs.read("envelope", ts, slots=("a0", "a2"))
+    terms = {
+        "a0": a0_sup,
+        "experiment.constants.M2": vol * constants.M2 * (pos(a2_sup) + 2.0 * neg(a2_inf)),
+        "experiment.constants.C3_tilde": 0.5 * abs(params.chi) * constants.C3_tilde,
+    }
+    sizes = {key: float(np.nan_to_num(np.abs(term), nan=np.inf, posinf=np.inf).max())
+             for key, term in terms.items()}
+    key = max(sizes, key=sizes.get)
+    return ConfigError(key, f"overflows theta: its term of L2 reaches {sizes[key]:.6g}")
+
+
+@dataclass(frozen=True, eq=False)
 class StabilityReport:
     """Everything the criterion evaluation produced, immutable.
 
@@ -318,7 +338,9 @@ def estimate_theta(
     ``verdicts`` is (H1, H2) of :func:`hypotheses` over this window.  For
     constant coefficients the average is exact and window independent; for
     the periodic family a window of one period is exact.  Missing constants
-    yield an inconclusive report with empty series.
+    yield an inconclusive report with empty series.  A theta that is not
+    finite gives no verdict: it raises ConfigError keyed by the constant (or
+    ``a0``) whose term of L2 is largest.
     """
     h1, h2 = verdicts
     h3 = check_H3(params, constants)
@@ -342,6 +364,8 @@ def estimate_theta(
         l1, l2, h, _ = decay_terms(ts, coeffs, params, constants)
         span = float(ts[-1] - ts[0])
         theta = float(np.trapezoid(h, ts)) / span
+        if not math.isfinite(theta):  # h, or its sum over the window, overflowed
+            raise _overflowing_term(ts, coeffs, params, constants)
         theta_coarse = float(np.trapezoid(h[::2], ts[::2])) / span
         quad_error = abs(theta - theta_coarse)
         if theta < -quad_error:

@@ -151,7 +151,7 @@ class StepperConfig:
         return 2 if self.theta_scheme == 0.5 else 1
 
 
-@dataclass
+@dataclass(eq=False)  # arrays have no single truth value: identity equality
 class RunStats:
     """Counters accumulated over one run; :func:`run` alone writes them.
 
@@ -172,14 +172,15 @@ class RunStats:
     max_dt: float = 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """States sampled at requested times; the diagnostic series derive from them.
 
-    ``u`` and ``v`` are read-only arrays with one sampled state per row,
-    shape ``(samples, *state.shape)``.  :func:`run` records each sample as
-    one copy of ``ModelState.uv`` into a ``(samples, 2, *state.shape)``
-    stack, whose two rows are ``u`` and ``v``.  Each series (``mass_u``,
+    ``times`` is the grid :func:`run` landed on; ``u`` and ``v`` hold one
+    sampled state per row, shape ``(samples, *state.shape)``, all three
+    read-only.  :func:`run` records each sample as one copy of
+    ``ModelState.uv`` into a ``(samples, 2, *state.shape)`` stack, whose
+    two rows are ``u`` and ``v``.  Each series (``mass_u``,
     ``mass_v``, ``min_u``, ``sup_u``, ``w2inf_v``) holds one value per
     sample, computed on first use.  For a batched run the rows carry the
     batch axis and each series has one column per member, shape
@@ -446,11 +447,12 @@ def run(
     Sample times default to an even grid of :func:`grid.sample_count` times (200
     intervals, or ``sample_dt`` apart); an explicit ``sample_times`` sequence overrides both and is
     honored exactly, which is what aligned multi-run comparisons rely on.
-    A zero-length run returns the single initial sample.  A ``sample_dt``
-    that gives more samples than numpy can index raises ConfigError; the
-    times and the stack of sampled states are requested before either is
-    filled.  A step too small to change ``state.t`` (``|t|`` beyond about
-    1e16 * dt) raises StepSizeUnderflowError.
+    That grid, sorted, is the run's one time array, returned read-only as
+    ``Trajectory.times``.  A zero-length run returns the single initial
+    sample.  A ``sample_dt`` that gives more samples than numpy can index
+    raises ConfigError; the stack of sampled states is requested before the
+    times are laid out.  A step too small to change ``state.t`` (``|t|``
+    beyond about 1e16 * dt) raises StepSizeUnderflowError.
 
     After each accepted step that had a history and whose estimate is above
     the round-off floor, the decay rate of kappa = err / dt**order since the
@@ -475,34 +477,28 @@ def run(
     if not (np.isfinite(state0.uv).all() and state0.uv.min() >= 0.0):
         raise ValueError("initial data must be finite and nonnegative")
 
-    if sample_times is not None:
-        samples = np.asarray(sorted(float(s) for s in sample_times), dtype=float)
-        if samples.size == 0:
-            raise ValueError("sample_times must be nonempty")
-        if samples[0] < t0 - 1e-12 or samples[-1] > t_end + 1e-12:
-            raise ValueError("sample_times must lie within [t0, t_end]")
-    size = sample_count(t0, t_end, sample_dt) if sample_times is None else samples.size
-
+    size = sample_count(t0, t_end, sample_dt) if sample_times is None else len(sample_times)
     batch = state0.u.shape[: state0.u.ndim - grid.dim]
     stats = RunStats(clamped_mass_u=np.zeros(batch), clamped_mass_v=np.zeros(batch),
                      clamped_nodes=np.zeros(batch, dtype=int))
-    times = np.empty(size)  # both arrays before any is filled: too large a grid fails at once
-    uv_samples = np.empty((size, *state0.uv.shape))  # one stacked state per sample
-    if sample_times is None:  # the even grid, filled once its sample arrays are held
-        samples = np.linspace(t0, t_end, size)
-
-    next_idx = 0
-
-    def record(t: float, st: ModelState) -> None:
-        nonlocal next_idx
-        times[next_idx] = t
-        uv_samples[next_idx] = st.uv
-        next_idx += 1
+    # one stacked state per sample, requested before the times: too large a grid fails at once
+    uv_samples = np.empty((size, *state0.uv.shape))
+    if sample_times is None:
+        times = np.linspace(t0, t_end, size)
+    else:
+        times = np.array(sample_times, dtype=float)
+        times.sort()
+        if times.size == 0:
+            raise ValueError("sample_times must be nonempty")
+        if not (times[0] >= t0 - 1e-12 and times[-1] <= t_end + 1e-12):  # NaN fails too
+            raise ValueError("sample_times must lie within [t0, t_end]")
 
     state = state0
     tiny = 1e-12 * max(1.0, abs(t0), abs(t_end))
-    while next_idx < samples.size and samples[next_idx] <= t0 + tiny:
-        record(t0, state)
+    next_idx = 0  # each sample holds the first state that reaches its time, within tiny
+    while next_idx < times.size and times[next_idx] <= t0 + tiny:
+        uv_samples[next_idx] = state.uv
+        next_idx += 1
 
     dt = cfg.dt_init
     terms = None  # t_n terms and advective guard of `state`, shared by its attempts
@@ -521,7 +517,7 @@ def run(
             terms = _terms(state, coeffs, params)
         dt_candidate = min(dt, cfg.dt_max, guard)
         # land exactly on the next sample / final time
-        target = samples[next_idx] if next_idx < samples.size else t_end
+        target = times[next_idx] if next_idx < times.size else t_end
         remaining = target - state.t
         hit = dt_candidate >= remaining - tiny
         dt_try = remaining if hit else dt_candidate
@@ -564,17 +560,17 @@ def run(
         state = ModelState.from_stack(target, new.uv) if hit else new
         history = (terms[2], dt_try)
         terms = None
-        while next_idx < samples.size and samples[next_idx] <= state.t + tiny:
-            record(samples[next_idx], state)
+        while next_idx < times.size and times[next_idx] <= state.t + tiny:
+            uv_samples[next_idx] = state.uv
+            next_idx += 1
         if hit:
             # clipping to a sample time should not shrink the controller
             dt = max(dt, dt_candidate)
 
-    while next_idx < samples.size:  # t_end reached within tolerance; flush the rest
-        record(samples[next_idx], state)
+    uv_samples[next_idx:] = state.uv  # t_end reached within tolerance; flush the rest
 
-    uv_samples.flags.writeable = False  # before the row views, which inherit it
-    traj = Trajectory(grid=grid, times=times, u=uv_samples[:, 0], v=uv_samples[:, 1], stats=stats)
+    times.flags.writeable = uv_samples.flags.writeable = False  # u and v's row views inherit it
+    traj = Trajectory(grid, times, uv_samples[:, 0], uv_samples[:, 1], stats)
     _check_clamp_budget(traj)
     return traj
 

@@ -23,6 +23,7 @@ from chemostab import (
     KnownConstants,
     ModelParams,
     ModelState,
+    RunStats,
     TimeFactor,
     measure_constants,
     run,
@@ -167,6 +168,15 @@ class TestConfigParsing:
         pytest.param(lambda: KnownConstants(M2=0.5, eta=1.0), "M2", "sample_dt: 2.0",
                      "sample_dt: 2.0\n  constants: {M2: 0.5, eta: 1.0}",
                      "experiment.constants.M2", id="constants-M2-below-eta"),
+        pytest.param(lambda: KnownConstants(M2=math.inf), "M2", "sample_dt: 2.0",
+                     "sample_dt: 2.0\n  constants: {M2: .inf}", "experiment.constants.M2",
+                     id="constants-M2-inf"),
+        pytest.param(lambda: KnownConstants(C3_tilde=math.inf), "C3_tilde", "sample_dt: 2.0",
+                     "sample_dt: 2.0\n  constants: {C3_tilde: .inf}",
+                     "experiment.constants.C3_tilde", id="constants-C3-inf"),
+        pytest.param(lambda: KnownConstants(M2=1.0, eta=math.inf), "eta", "sample_dt: 2.0",
+                     "sample_dt: 2.0\n  constants: {M2: 1.0, eta: .inf}",
+                     "experiment.constants.eta", id="constants-eta-inf"),
     ])
     def test_type_keys_its_error(self, build, field, old, new, key):
         # the type that holds a value judges it, keyed by the field; the
@@ -231,12 +241,29 @@ class TestConfigParsing:
         pytest.param("u: {profile: constant, value: 0.1}",
                      "u: {profile: random-positive, seed: [[1]]}",
                      "initial.u.seed: not a number: [1]", id="seed-nested-list"),
+        pytest.param("extents: [1.0]", "dim: 2\n  extents: [1.0]",
+                     "grid.dim: dim=2 but 1 extents given", id="grid-dim-mismatch"),
     ])
     def test_profile_error_messages(self, old, new, message):
         assert old in BASE
         with pytest.raises(ConfigError) as info:
             parse_config(BASE.replace("OUTDIR", "out").replace(old, new))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("text,message", [
+        ("grid: [1, 2", "<document>: not valid YAML: expected ',' or ']', but got "
+         "'<stream end>' at line 1, column 12"),
+        ("grid:\n  extents: [1.0]\n counts: [3]\n", "<document>: not valid YAML: "
+         "expected <block end>, but found '<block mapping start>' at line 3, column 2"),
+        ("- grid\n- params\n", "<document>: top level must be a mapping"),
+        ("params: {chi: 0.0, tau: 1.0, lambda: 1.0, mu: 1.0}\n",
+         "grid: required block missing"),
+    ], ids=["yaml-unclosed-list", "yaml-bad-indent", "top-level-list", "grid-missing"])
+    def test_document_error_is_one_line(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(text)
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_random_positive_profile_seeded(self):
         text = BASE.replace("OUTDIR", "out").replace(
@@ -446,6 +473,16 @@ class TestSimulate:
                      "experiment.gap_tolerance", id="gap_tolerance-zero"),
         pytest.param("stability-experiment", "t_end: 40.0", "t_end: 0.0", "experiment.t_end",
                      id="experiment-t_end-zero"),
+        # without burn-ins, which a t_end of 0 also rejects, the command judges t_end itself
+        pytest.param("stability-experiment", "t_end: 40.0\n  sample_dt: 0.2\n  window: [0.0, 40.0]"
+                     "\n  n_samples: 201\n  burn_ins: [8.0, 8.0, 8.0]",
+                     "t_end: 0.0\n  sample_dt: 0.2\n  window: [0.0, 40.0]\n  n_samples: 201",
+                     "config error: experiment.t_end: must be positive for stability-experiment",
+                     id="experiment-t_end-zero-judged-by-command"),
+        pytest.param("stability-experiment", "u: {profile: constant, value: 0.1}",
+                     "u: {profile: constant, value: 0.0}",
+                     "config error: experiment.seeds: population seed must not vanish identically",
+                     id="seed-population-zero"),
         pytest.param("stability-experiment", "window: [0.0, 40.0]", "window: [0.0, .inf]",
                      "experiment.window", id="window-inf"),
         pytest.param("stability", "t_end: 40.0", "t_end: 0.0", "experiment.window",
@@ -729,8 +766,8 @@ class TestSimulate:
         assert not (tmp_path / "out").exists()
 
     def test_sample_arrays_requested_before_times_filled(self, tmp_path, capsys, monkeypatch):
-        # 1e9 + 1 samples of 31 nodes: the run asks for both sample arrays before
-        # it fills the times, so a refused request ends the command before any is filled
+        # 1e9 + 1 samples of 31 nodes: the run asks for its sample stack before it
+        # lays out the times, so a refused request ends the command before any is filled
         # (the allocator refuses every large array, so none is made)
         empty, linspace = np.empty, np.linspace
 
@@ -805,6 +842,22 @@ class TestStability:
         assert out.startswith("inconclusive")
         assert "H3: inconclusive; M2 unavailable" in out.splitlines()  # no margins, no stray space
 
+    def test_population_dying_out_while_measuring_is_inconclusive(self, tmp_path, capsys):
+        # a0 = -200 kills the measured run's population before the burn-in ends:
+        # M1, M2 and eta are not measured, which is an outcome, not a config error
+        text = STABILITY.replace("a0: {kind: constant, value: 1.0}",
+                                 "a0: {kind: constant, value: -200.0}").replace(
+            "  constants: {M2: 1.0, eta: 0.9, C3_tilde: 1.0}\n",
+            "  measure: true\n  t_end: 10.0\n  sample_dt: 0.5\n")
+        cfg_path = write_config(tmp_path, text=text)
+        assert main(["stability", "--config", str(cfg_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "inconclusive theta=nan"
+        assert "H3: inconclusive; M2 unavailable" in out
+        assert [ln.split("=")[0] for ln in out[4:]] == ["C3_tilde"]
+        (report,) = (tmp_path / "out").glob("crit_*_stability.csv")
+        assert "# note: constants missing: M2, eta; criterion not evaluable\n" in report.read_text()
+
     def test_convex_formula_provenance(self, tmp_path, capsys):
         text = STABILITY.replace("chi: 0.0", "chi: 1.0").replace(
             "  constants: {M2: 1.0, eta: 0.9, C3_tilde: 1.0}\n", "")
@@ -823,16 +876,32 @@ class TestStability:
         assert "holds" in h1_line
         assert "drift_margin=0.77026" in h1_line
 
-    @pytest.mark.parametrize("old, new, message", [
-        ("mu: 1.0\n", "mu: 1.0e+200\n", "params.mu: mu**2 / (2*lambda*tau) is not finite "
+    @pytest.mark.parametrize("edits, message", [
+        ((("mu: 1.0\n", "mu: 1.0e+200\n"),), "params.mu: mu**2 / (2*lambda*tau) is not finite "
          "for mu=1e+200, lambda=1.0, tau=1.0"),
-        ("tau: 1.0\n  lambda: 1.0\n", "tau: 1.0e-200\n  lambda: 1.0e-200\n",
+        ((("tau: 1.0\n  lambda: 1.0\n", "tau: 1.0e-200\n  lambda: 1.0e-200\n"),),
          "params.tau: mu**2 / (2*lambda*tau) is not finite for mu=1.0, lambda=1e-200, "
          "tau=1e-200"),
-    ], ids=["mu-squared-overflows", "lambda-tau-underflows"])
-    def test_unfit_criterion_term_is_one_keyed_line(self, tmp_path, capsys, old, new, message):
-        # the constant term of L2 overflowed or divided by zero with a traceback
-        cfg_path = write_config(tmp_path, text=STABILITY.replace(old, new))
+        # h is finite and its sum over the window overflows
+        ((("chi: 0.0", "chi: 0.5"), ("C3_tilde: 1.0}", "C3_tilde: 1.0e+308}")),
+         "experiment.constants.C3_tilde: overflows theta: its term of L2 reaches 2.5e+307"),
+        ((("M2: 1.0,", "M2: 1.0e+308,"), ("a2: {kind: constant, value: 0.0}",
+                                          "a2: {kind: constant, value: -1.0}")),
+         "experiment.constants.M2: overflows theta: its term of L2 reaches inf"),
+        ((("a0: {kind: constant, value: 1.0}", "a0: {kind: constant, value: 1.0e+308}"),),
+         "a0: overflows theta: its term of L2 reaches 1e+308"),
+        ((("eta: 0.9", "eta: .inf"),),
+         "experiment.constants.eta: must be finite and positive when present, got inf"),
+    ], ids=["mu-squared-overflows", "lambda-tau-underflows", "C3-term-overflows-theta",
+            "M2-term-overflows-h", "a0-overflows-theta", "eta-infinite"])
+    def test_unfit_criterion_term_is_one_keyed_line(self, tmp_path, capsys, edits, message):
+        # a term of L2 overflowed or divided by zero with a traceback, or theta
+        # overflowed into an inconclusive verdict with a false quadrature note
+        text = STABILITY
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        cfg_path = write_config(tmp_path, text=text)
         assert main(["stability", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
@@ -1338,6 +1407,24 @@ class TestStabilityExperiment:
         res = cli.stability_experiment(parse_config(EXPERIMENT.replace("OUTDIR", str(tmp_path))))
         assert res.report.constants.provenance["eta"] == "measured"
         assert len(calls) == len(res.trajectories) == 2
+
+    def test_records_holding_arrays_compare_by_identity(self, tmp_path):
+        # arrays have no single truth value, so each record that holds one is equal
+        # only to itself: a copy is a distinct record, whether it holds the very same
+        # arrays or equal copies of them
+        res = cli.stability_experiment(parse_config(EXPERIMENT.replace("OUTDIR", str(tmp_path))))
+        batched_stats = RunStats(clamped_mass_u=np.zeros(2), clamped_mass_v=np.zeros(2),
+                                 clamped_nodes=np.zeros(2, dtype=int))
+        records = (res, res.report, res.gaps[0, 1], res.entire, res.entire.trajectory,
+                   batched_stats)
+        assert {type(r).__name__ for r in records} == {
+            "StabilityExperiment", "StabilityReport", "GapSeries", "EntireSolution",
+            "Trajectory", "RunStats"}
+        for record in records:
+            assert record == record and not record != record
+            for twin in (dataclasses.replace(record), copy.deepcopy(record)):
+                assert twin != record and not twin == record
+                assert hash(record) == hash(record) and len({record, twin}) == 2
 
     def test_pullback_pair_joins_the_seeds_march(self, tmp_path, monkeypatch):
         # two runs: the pullback pair from -t_back, sampled once at 0, then one

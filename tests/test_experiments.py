@@ -345,6 +345,12 @@ class TestGronwall:
         assert result.worst_margin == worst
         assert result.max_slack == max_slack
 
+    def test_one_sample_after_entry_is_inconclusive(self, grid):
+        report = self.make_report(grid)
+        result = gronwall_check(synthetic_series(-1.0), report, eps=0.05, t_entry=10.0)
+        assert not result.conclusive and result.n_intervals == 0
+        assert result.notes == ("fewer than 2 samples after band entry",)
+
     def test_band_never_entered_is_inconclusive(self, grid, logistic_pair):
         # a band far above the dynamics is never entered
         constants = KnownConstants(M2=50.0, eta=49.0, C3_tilde=1.0)

@@ -19,6 +19,7 @@ from chemostab import (
     integrate_values,
     run,
     step,
+    trajectory_gap,
     w2inf_norm,
 )
 
@@ -468,6 +469,46 @@ class TestRun:
                    StepperConfig(), sample_times=times)
         assert np.allclose(traj.times, times, atol=1e-12)
 
+    def test_one_time_array_per_run(self, grid, monkeypatch):
+        # the caller's times, copied and sorted once, are the run's time array; the
+        # caller's own array keeps its order and stays writeable
+        params = ModelParams(chi=0.1, tau=1.0, lam=1.0, mu=1.0)
+        given = np.array([1.0, 0.0, 0.5])
+        traj = run(flat_state(grid, 0.5, 0.1), 1.0, const_set(grid), params, StepperConfig(),
+                   sample_times=given)
+        assert traj.times.tolist() == [0.0, 0.5, 1.0] and not traj.times.flags.writeable
+        assert given.tolist() == [1.0, 0.0, 0.5] and given.flags.writeable
+        # the even grid is the one array linspace made, and the only array of that
+        # length run asks np.empty for is the stack of states
+        made, requested = [], []
+        linspace, empty = np.linspace, np.empty
+
+        def recording_linspace(*args, **kwargs):
+            made.append(linspace(*args, **kwargs))
+            return made[-1]
+
+        def recording_empty(shape, *args, **kwargs):
+            requested.append(shape if isinstance(shape, tuple) else (shape,))
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", recording_linspace)
+        monkeypatch.setattr(np, "empty", recording_empty)
+        state0 = ModelState(0.0, np.full((2, *grid.counts), 0.5), np.full((2, *grid.counts), 0.1))
+        batched = run(state0, 1.0, const_set(grid), params, StepperConfig(), sample_dt=0.1)
+        monkeypatch.undo()
+        assert len(made) == 1 and batched.times is made[0] and not made[0].flags.writeable
+        assert [s for s in requested if s[0] == len(batched)] == [(11, 2, 2, *grid.counts)]
+        members = batched.members()
+        assert all(m.times is batched.times for m in members)
+        assert trajectory_gap(*members).t is batched.times
+
+    def test_sample_times_outside_the_run_rejected(self, grid):
+        params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
+        for times in ([], [0.0, math.nan], [0.0, 1.5], [-0.5, 1.0]):
+            with pytest.raises(ValueError, match="^sample_times must"):
+                run(flat_state(grid, 0.5, 0.0), 1.0, const_set(grid), params, StepperConfig(),
+                    sample_times=times)
+
     def test_negative_initial_rejected(self, grid):
         params = ModelParams(chi=0.0, tau=1.0, lam=1.0, mu=1.0)
         bad = ModelState(0.0, np.array([-0.1, 1, 1, 1, 1.0]),
@@ -500,6 +541,16 @@ class TestRun:
         with pytest.raises(StepSizeUnderflowError) as info:
             run(flat_state(grid, 0.1, 0.0), 5.0, const_set(grid), params, cfg)
         assert info.value.state is not None
+
+    def test_advective_guard_below_dt_min_ends_the_run(self, grid):
+        # a drift so strong that its guard h / max|chi grad v| is below dt_min
+        params = ModelParams(chi=1.0e6, tau=1.0, lam=1.0, mu=1.0)
+        cfg = StepperConfig(dt_init=1e-3, dt_min=1e-3)
+        state0 = ModelState(0.0, np.full(grid.counts, 0.5), np.linspace(0.0, 1.0, 5))
+        with pytest.raises(StepSizeUnderflowError,
+                           match=r"^advective guard .* pushed dt below dt_min at t=0\.0$") as info:
+            run(state0, 1.0, const_set(grid), params, cfg)
+        assert info.value.state is state0
 
     def test_positivity_rejections_shrink_to_underflow(self, grid, monkeypatch):
         # every attempt leaves the admissible region: each is counted, dt
